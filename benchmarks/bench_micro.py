@@ -62,7 +62,9 @@ end-to-end noisy neighbor-OR trial through
 :class:`LocalBroadcastSimulator` as a correctness canary.  The same
 ``--compare``/``--tolerance`` regression floor applies, drift-normalized
 by the dense anchor, and :func:`check_network_floors` enforces the
-batched kernel's >= 10x-over-sparse floor at 10^5 nodes on every run.
+batched kernel's >= 10x-over-sparse floor and a topology-build ceiling
+(in dense rounds of the same graph) at 10^5 nodes on every run.  Each
+point's ``build_s`` is one uncached build of its spec.
 """
 
 from __future__ import annotations
@@ -92,9 +94,11 @@ from repro.parallel import (
     SimulatorSpec,
 )
 from repro.network import (
+    TOPOLOGIES,
     LocalBroadcastSimulator,
     NeighborORTask,
     NetworkBeepingChannel,
+    Topology,
     TopologySpec,
     local_broadcast_repetitions,
     parse_topology,
@@ -1161,6 +1165,19 @@ _NETWORK_VECTORIZED_BATCH = 64
 _NETWORK_VECTORIZED_FLOOR = 10.0
 _NETWORK_FLOOR_N = 100_000
 
+#: Build-time ceilings at the pinned size, in dense full-word rounds of
+#: the same graph (``build_s * dense_rounds_per_sec``).  The dense scan is
+#: frozen pure-Python code timed in the same process, so the product is
+#: drift-normalized: a slow machine slows both.  The numpy builders sit
+#: at ~2-3 (grid), ~8-13 (geometric) and ~19-26 (scale-free, whose
+#: sampling stays sequential); the pure-Python builders they replaced
+#: sat at ~30, ~120 and ~50.
+_NETWORK_BUILD_CEILING_ROUNDS = {
+    "grid": 10.0,
+    "geometric": 40.0,
+    "scale-free": 40.0,
+}
+
 
 def _network_bench_spec(family: str, n: int) -> TopologySpec:
     """The benchmarked spec for one (family, n) point.
@@ -1177,6 +1194,18 @@ def _network_bench_spec(family: str, n: int) -> TopologySpec:
     if family == "scale-free":
         return TopologySpec.of("scale-free", n=n, m=2, seed=7)
     raise ValueError(f"unknown benchmark family {family!r}")
+
+
+def _time_network_build(spec: TopologySpec) -> tuple[Topology, float]:
+    """A fresh (uncached) build of ``spec`` and its wall time."""
+    start = time.perf_counter()
+    topology = TOPOLOGIES[spec.kind].builder(**spec.param_dict())
+    return topology, time.perf_counter() - start
+
+
+def _build_in_dense_rounds(entry: dict) -> float:
+    """Build time in dense full-word rounds (the drift-normalized form)."""
+    return entry["build_s"] * entry["dense_rounds_per_sec"]
 
 
 def _network_beepers(n: int) -> list[int]:
@@ -1303,9 +1332,7 @@ def run_network_benchmark(
     for family in _NETWORK_FAMILIES:
         for n in sizes:
             spec = _network_bench_spec(family, n)
-            start = time.perf_counter()
-            topology = spec.build()
-            build_s = time.perf_counter() - start
+            topology, build_s = _time_network_build(spec)
             channel = NetworkBeepingChannel(topology)
             beepers = _network_beepers(n)
             # The dense scan is O(n) per round: derive its round count
@@ -1375,6 +1402,7 @@ def run_network_benchmark(
             payload["results"].append(entry)
             print(
                 f"{family:<11} n={n:<9,} "
+                f"build {build_s:>6.2f}s   "
                 f"dense {dense_rate:>8,.1f} rounds/s   "
                 f"sparse {sparse_rate:>10,.1f} rounds/s   "
                 f"x{sparse_rate / dense_rate:<7.0f} "
@@ -1387,37 +1415,57 @@ def run_network_benchmark(
 
 
 def check_network_floors(payload: dict, attempts: int = 3) -> list[str]:
-    """The batched-kernel acceptance floor of the network matrix.
+    """The acceptance floors of the network matrix at 10^5 nodes.
 
-    The vectorized kernel must deliver >= ``_NETWORK_VECTORIZED_FLOOR``x
-    the scalar sparse walk's rounds/s at 10^5 nodes on every family.
-    Both rates come from the same in-process run, so the ratio needs no
-    reference-file drift anchor; wall-clock floors still get the
-    module-standard transient-miss protocol (the guarded quantity
-    re-measures and keeps its best-of across ``attempts``).
+    * Batched kernel: >= ``_NETWORK_VECTORIZED_FLOOR``x the scalar sparse
+      walk's rounds/s on every family.  Both rates come from the same
+      in-process run, so the ratio needs no reference-file drift anchor.
+    * Topology build: <= the family's ``_NETWORK_BUILD_CEILING_ROUNDS``
+      dense full-word rounds of the same graph (the dense anchor the
+      sparse reference floor uses, measured in the same process).
+
+    Wall-clock floors get the module-standard transient-miss protocol:
+    the guarded quantity re-measures and keeps its best-of across
+    ``attempts``.
     """
     repeats = payload["repeats"]
     batch = payload.get("vectorized_batch", _NETWORK_VECTORIZED_BATCH)
+    pinned = [
+        entry
+        for entry in payload["results"]
+        if entry["n_nodes"] == _NETWORK_FLOOR_N
+    ]
 
-    def floor_misses() -> list[dict]:
+    def kernel_misses() -> list[dict]:
         return [
             entry
-            for entry in payload["results"]
-            if entry["n_nodes"] == _NETWORK_FLOOR_N
-            and "vectorized_rounds_per_sec" in entry
+            for entry in pinned
+            if "vectorized_rounds_per_sec" in entry
             and entry["vectorized_rounds_per_sec"]
             < _NETWORK_VECTORIZED_FLOOR * entry["sparse_rounds_per_sec"]
         ]
 
-    misses: list[dict] = []
+    def build_misses() -> list[dict]:
+        return [
+            entry
+            for entry in pinned
+            if _build_in_dense_rounds(entry)
+            > _NETWORK_BUILD_CEILING_ROUNDS[entry["family"]]
+        ]
+
+    kernel: list[dict] = []
+    build: list[dict] = []
     for attempt in range(attempts):
-        misses = floor_misses()
-        if not misses:
+        kernel, build = kernel_misses(), build_misses()
+        if not kernel and not build:
             return []
         if attempt == attempts - 1:
             break
-        print(f"re-measuring {len(misses)} batched-kernel floor miss(es)")
-        for entry in misses:
+        print(
+            f"re-measuring {len(kernel)} batched-kernel and {len(build)} "
+            "build floor miss(es)"
+        )
+        for entry in kernel:
             topology = parse_topology(entry["label"]).build()
             rate = _time_network_vectorized(
                 topology,
@@ -1434,11 +1482,19 @@ def check_network_floors(payload: dict, attempts: int = 3) -> list[str]:
                 / entry["sparse_rounds_per_sec"],
                 1,
             )
+        for entry in build:
+            _, build_s = _time_network_build(parse_topology(entry["label"]))
+            entry["build_s"] = min(entry["build_s"], round(build_s, 3))
     return [
         f"{entry['family']} n={entry['n_nodes']}: batched kernel x"
         f"{entry['vectorized_speedup_vs_sparse']} < "
         f"{_NETWORK_VECTORIZED_FLOOR:.0f}x scalar sparse rounds/s"
-        for entry in misses
+        for entry in kernel
+    ] + [
+        f"{entry['family']} n={entry['n_nodes']}: build {entry['build_s']:.3f}s "
+        f"= {_build_in_dense_rounds(entry):.1f} dense rounds > "
+        f"{_NETWORK_BUILD_CEILING_ROUNDS[entry['family']]:.0f}"
+        for entry in build
     ]
 
 

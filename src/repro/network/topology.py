@@ -3,11 +3,12 @@
 The network engine separates *what the graph is* from *how it is stored*:
 
 * :class:`Topology` — the immutable runtime object: CSR neighbor arrays
-  (``array('i')`` index/pointer pairs, a few bytes per edge even at
+  (``array('l')`` index/pointer pairs, a few bytes per edge even at
   10^6 nodes) in both directions, so the channel can iterate a beeping
   node's **out**-neighborhood (who hears me) in O(degree) while protocol
-  checkers read **in**-neighborhoods (whom I hear).  Built once,
-  validated once (range, no self-loops, sorted/deduped), shared freely.
+  checkers read **in**-neighborhoods (whom I hear).  Built once, by one
+  constructor (:meth:`Topology.from_edges`), validated once (range, no
+  self-loops, sorted/deduped), shared freely.
 * :class:`TopologySpec` — the declarative, JSON-round-trippable recipe:
   generator name + params + seed, e.g. ``{"kind": "grid", "rows": 32,
   "cols": 32}``.  Specs are frozen, hashable, picklable plain data —
@@ -25,7 +26,10 @@ spec (including its ``seed`` param) always yields the same graph —
 bit-identical CSR arrays — on every machine and process.  Generators
 draw only from a private ``random.Random(seed)``; they never touch
 global RNG state, and building a topology consumes no draws from any
-channel or trial seed stream.
+channel or trial seed stream.  The geometric family's points are the
+first ``2n`` draws of ``Random(seed)``, interleaved x then y (drawn in
+one block through :func:`~repro.vectorized.noise.numpy_stream`, which
+continues ``Random.random`` bitwise).
 
 Registry: :data:`TOPOLOGIES` maps the generator name to a
 :class:`TopologyFamily` (builder + docs), mirroring the
@@ -44,12 +48,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.errors import ConfigurationError
+import numpy as np
 
-try:  # numpy accelerates BFS and feeds the vectorized network kernel.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from repro.errors import ConfigurationError
 
 __all__ = [
     "Topology",
@@ -58,6 +59,29 @@ __all__ = [
     "TOPOLOGIES",
     "parse_topology",
 ]
+
+
+def _long_array(values: np.ndarray) -> array:
+    """``values`` as an ``array('l')`` (one copy, no Python ints)."""
+    out = array("l")
+    out.frombytes(
+        np.ascontiguousarray(values, dtype=np.dtype("l")).data.cast("B")
+    )
+    return out
+
+
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of the ascending row ids ``rows``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _compact(values: np.ndarray, dtype) -> np.ndarray:
+    """A read-only ``dtype`` copy (the cached numpy CSR mirrors)."""
+    compact = values.astype(dtype)
+    compact.setflags(write=False)
+    return compact
 
 
 class Topology:
@@ -69,9 +93,10 @@ class Topology:
     ``out_neighbors(j)`` is the reverse — the nodes that hear ``j`` —
     which is the direction the channel's sparse evaluation walks.
 
-    Construct with :meth:`from_adjacency`; generators in
-    :data:`TOPOLOGIES` do.  Instances are treated as immutable: the
-    channel, tasks and the spec cache all share them.
+    Construct with :meth:`from_edges` (or :meth:`from_adjacency`, a thin
+    wrapper over it); generators in :data:`TOPOLOGIES` do.  Instances are
+    treated as immutable: the channel, tasks and the spec cache all
+    share them.
     """
 
     __slots__ = (
@@ -87,21 +112,91 @@ class Topology:
     def __init__(
         self,
         n: int,
-        in_indptr: array,
-        in_indices: array,
-        out_indptr: array,
-        out_indices: array,
-        symmetric: bool,
+        in_csr: tuple[np.ndarray, np.ndarray],
+        out_csr: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
+        """``(indptr, indices)`` pairs; ``out_csr=None`` marks a symmetric
+        graph, whose out-CSR is its in-CSR (shared, not copied)."""
         self.n = n
-        self._in_indptr = in_indptr
-        self._in_indices = in_indices
-        self._out_indptr = out_indptr
-        self._out_indices = out_indices
         #: True when the in- and out-edge sets coincide (undirected graph).
-        self.symmetric = symmetric
-        # Lazily built numpy mirrors of the CSR arrays (see csr_arrays).
-        self._csr_cache = None
+        self.symmetric = out_csr is None
+        dtype = (
+            np.int32 if n < 2**31 and len(in_csr[1]) < 2**31 else np.int64
+        )
+        self._in_indptr, self._in_indices = map(_long_array, in_csr)
+        in_compact = tuple(_compact(arr, dtype) for arr in in_csr)
+        if out_csr is None:
+            self._out_indptr = self._in_indptr
+            self._out_indices = self._in_indices
+            self._csr_cache = in_compact + in_compact
+        else:
+            self._out_indptr, self._out_indices = map(_long_array, out_csr)
+            self._csr_cache = in_compact + tuple(
+                _compact(arr, dtype) for arr in out_csr
+            )
+
+    @classmethod
+    def from_edges(cls, n: int, src, dst) -> "Topology":
+        """Build from parallel arc arrays: node ``src[k]`` hears ``dst[k]``.
+
+        Arc ``k`` is the adjacency-list entry ``dst[k] in
+        adjacency[src[k]]``.  Arcs may come in any order and repeat; they
+        are sorted and deduplicated.  Out-of-range ids and self-loops
+        raise :class:`~repro.errors.ConfigurationError` (self-hearing is
+        a channel option, not a graph edge), naming the smallest
+        offending ``(src, dst)`` pair.
+        """
+        if n < 1:
+            raise ConfigurationError("a topology needs at least one node")
+        src = np.asarray(src)
+        dst = np.asarray(dst)
+        if src.shape != dst.shape or src.ndim != 1:
+            raise ConfigurationError(
+                f"src and dst must be equal-length 1-d arrays, got shapes "
+                f"{src.shape} and {dst.shape}"
+            )
+        outside = (src < 0) | (src >= n)
+        if outside.any():
+            raise ConfigurationError(
+                f"arc source {src[outside][0]} outside [0, {n})"
+            )
+        bad = (dst < 0) | (dst >= n) | (dst == src)
+        if bad.any():
+            node = src[bad].min()
+            neighbor = dst[bad & (src == node)].min()
+            if 0 <= neighbor < n:
+                raise ConfigurationError(
+                    f"node {node} lists itself as a neighbor; use "
+                    "hear_self=True instead"
+                )
+            raise ConfigurationError(
+                f"node {node} lists out-of-range neighbor {neighbor}"
+            )
+        # Row-major arc keys: sorting orders each in-list, dedup is a
+        # neighbor comparison.
+        key = src.astype(np.int64) * n + dst.astype(np.int64)
+        key.sort()
+        if key.size > 1:
+            repeated = key[1:] == key[:-1]
+            if repeated.any():
+                key = key[np.concatenate(([True], ~repeated))]
+        rows = key // n
+        in_indices = key - rows * n
+        in_indptr = _indptr(rows, n)
+        # The transposed keys, sorted, are the out-CSR in the same
+        # row-major form — and equal the keys exactly when every arc has
+        # its reverse.
+        transposed = in_indices * n + rows
+        del rows
+        transposed.sort()
+        if np.array_equal(transposed, key):
+            return cls(n, (in_indptr, in_indices))
+        out_rows = transposed // n
+        return cls(
+            n,
+            (in_indptr, in_indices),
+            (_indptr(out_rows, n), transposed - out_rows * n),
+        )
 
     @classmethod
     def from_adjacency(
@@ -109,52 +204,21 @@ class Topology:
     ) -> "Topology":
         """Build from adjacency lists (``adjacency[i]`` = whom ``i`` hears).
 
-        Neighbor lists are sorted and deduplicated; out-of-range entries
-        and self-loops raise :class:`~repro.errors.ConfigurationError`
-        (self-hearing is a channel option, not a graph edge).
+        Flattens the lists into arcs for :meth:`from_edges`, which sorts,
+        deduplicates and validates them.
         """
         n = len(adjacency)
-        if n < 1:
-            raise ConfigurationError("a topology needs at least one node")
-        in_indptr = array("l", [0] * (n + 1))
-        in_indices = array("l")
-        out_degree = [0] * n
-        for node, neighbors in enumerate(adjacency):
-            cleaned = sorted(set(int(j) for j in neighbors))
-            for neighbor in cleaned:
-                if not 0 <= neighbor < n:
-                    raise ConfigurationError(
-                        f"node {node} lists out-of-range neighbor "
-                        f"{neighbor}"
-                    )
-                if neighbor == node:
-                    raise ConfigurationError(
-                        f"node {node} lists itself as a neighbor; use "
-                        "hear_self=True instead"
-                    )
-                out_degree[neighbor] += 1
-            in_indices.extend(cleaned)
-            in_indptr[node + 1] = len(in_indices)
-        # Reverse CSR: node j's out-list = every i with j in adjacency[i],
-        # collected in ascending i (so out-lists come out sorted too).
-        out_indptr = array("l", [0] * (n + 1))
-        total = 0
-        for node in range(n):
-            total += out_degree[node]
-            out_indptr[node + 1] = total
-        out_indices = array("l", [0] * total)
-        cursor = list(out_indptr[:n])
-        for node in range(n):
-            for position in range(in_indptr[node], in_indptr[node + 1]):
-                j = in_indices[position]
-                out_indices[cursor[j]] = node
-                cursor[j] += 1
-        symmetric = (
-            in_indptr == out_indptr and in_indices == out_indices
-        )
-        return cls(
-            n, in_indptr, in_indices, out_indptr, out_indices, symmetric
-        )
+        flat: list[int] = []
+        counts: list[int] = []
+        for neighbors in adjacency:
+            before = len(flat)
+            flat.extend(int(j) for j in neighbors)
+            counts.append(len(flat) - before)
+        src = np.repeat(np.arange(n, dtype=np.int64), counts)
+        # No dtype: ids beyond int64 become an object array, which still
+        # reaches from_edges' range check (and its error message).
+        dst = np.array(flat) if flat else np.zeros(0, dtype=np.int64)
+        return cls.from_edges(n, src, dst)
 
     # -- read API --------------------------------------------------------
 
@@ -184,52 +248,20 @@ class Topology:
     def csr_arrays(self):
         """The CSR arrays as numpy ``(in_ptr, in_idx, out_ptr, out_idx)``.
 
-        Built once per topology and cached: compact integer mirrors of
-        the ``array('l')`` storage (``int32`` until the edge count needs
-        wider), which is what the vectorized network kernel gathers
-        through and the numpy BFS frontier walks.  The scalar channel
-        keeps iterating the ``array('l')`` originals — python-level
-        indexing of numpy integers is measurably slower than of plain
-        ints, so the pure-Python sparse walk never touches these.
-
-        Requires numpy (:class:`~repro.errors.ConfigurationError` when
-        missing — callers on the pure-Python path never need it).
+        Read-only compact integer mirrors of the ``array('l')`` storage
+        (``int32`` until the edge count needs wider), filled at
+        construction: what the vectorized network kernel gathers through
+        and the numpy BFS frontier walks.  The scalar channel keeps
+        iterating the ``array('l')`` originals — python-level indexing
+        of numpy integers is measurably slower than of plain ints, so the
+        pure-Python sparse walk never touches these.
         """
-        if _np is None:
-            raise ConfigurationError(
-                "Topology.csr_arrays requires numpy; the pure-Python "
-                "accessors (in_neighbors, bfs_distances, ...) work "
-                "without it"
-            )
-        if self._csr_cache is None:
-            dtype = (
-                _np.int32
-                if self.n < 2**31 and len(self._in_indices) < 2**31
-                else _np.int64
-            )
-            self._csr_cache = tuple(
-                _np.frombuffer(arr, dtype="l").astype(dtype)
-                if len(arr)
-                else _np.zeros(0, dtype=dtype)
-                for arr in (
-                    self._in_indptr,
-                    self._in_indices,
-                    self._out_indptr,
-                    self._out_indices,
-                )
-            )
         return self._csr_cache
 
     @property
     def max_in_degree(self) -> int:
         """The largest in-degree Δ (what local-broadcast calibrates on)."""
-        if _np is not None:
-            in_ptr = self.csr_arrays()[0]
-            return int(_np.diff(in_ptr).max(initial=0))
-        ptr = self._in_indptr
-        return max(
-            (ptr[i + 1] - ptr[i] for i in range(self.n)), default=0
-        )
+        return int(np.diff(self._csr_cache[0]).max(initial=0))
 
     def adjacency_lists(self) -> list[tuple[int, ...]]:
         """The in-adjacency as plain lists of tuples (compat format)."""
@@ -239,41 +271,18 @@ class Topology:
         """Hop distance from ``source`` along *out* edges (the direction
         information floods); ``-1`` for unreachable nodes.
 
-        Runs a whole-frontier numpy walk over :meth:`csr_arrays` when
-        numpy is available, else the list-based loop.  Both are
-        bitwise-identical: a BFS distance is set exactly once (the first
-        level that reaches the node), so intra-level visit order cannot
-        change any entry.
+        Walks a whole frontier at a time over :meth:`csr_arrays`: a
+        distance is set exactly once (the first level that reaches the
+        node), so intra-level visit order cannot change any entry.
         """
         if not 0 <= source < self.n:
             raise ConfigurationError(
                 f"source {source} outside [0, {self.n})"
             )
-        if _np is not None:
-            return self._bfs_distances_numpy(source)
-        dist = [-1] * self.n
+        _, _, ptr, idx = self._csr_cache
+        dist = np.full(self.n, -1, dtype=np.int64)
         dist[source] = 0
-        frontier = [source]
-        ptr = self._out_indptr
-        idx = self._out_indices
-        depth = 0
-        while frontier:
-            depth += 1
-            next_frontier = []
-            for j in frontier:
-                for i in idx[ptr[j] : ptr[j + 1]]:
-                    if dist[i] < 0:
-                        dist[i] = depth
-                        next_frontier.append(i)
-            frontier = next_frontier
-        return dist
-
-    def _bfs_distances_numpy(self, source: int) -> list[int]:
-        """Frontier-at-a-time BFS over the numpy CSR mirrors."""
-        _, _, ptr, idx = self.csr_arrays()
-        dist = _np.full(self.n, -1, dtype=_np.int64)
-        dist[source] = 0
-        frontier = _np.array([source], dtype=ptr.dtype)
+        frontier = np.array([source], dtype=ptr.dtype)
         depth = 0
         while frontier.size:
             depth += 1
@@ -282,14 +291,14 @@ class Topology:
             total = int(counts.sum())
             if not total:
                 break
-            offsets = _np.repeat(_np.cumsum(counts) - counts, counts)
+            offsets = np.repeat(np.cumsum(counts) - counts, counts)
             positions = (
-                _np.arange(total, dtype=starts.dtype)
+                np.arange(total, dtype=starts.dtype)
                 - offsets
-                + _np.repeat(starts, counts)
+                + np.repeat(starts, counts)
             )
             neighbors = idx[positions]
-            fresh = _np.unique(neighbors[dist[neighbors] < 0])
+            fresh = np.unique(neighbors[dist[neighbors] < 0])
             if not fresh.size:
                 break
             dist[fresh] = depth
@@ -312,20 +321,24 @@ class Topology:
 # ----------------------------------------------------------------------
 
 
+def _undirected(n: int, a, b) -> Topology:
+    """The symmetric graph with one edge per pair ``(a[k], b[k])``."""
+    return Topology.from_edges(
+        n, np.concatenate((a, b)), np.concatenate((b, a))
+    )
+
+
 def _complete(*, n: int) -> Topology:
     if n < 1:
         raise ConfigurationError(f"need >= 1 node, got {n}")
-    return Topology.from_adjacency(
-        [tuple(j for j in range(n) if j != i) for i in range(n)]
-    )
+    return _undirected(n, *np.triu_indices(n, 1))
 
 
 def _ring(*, n: int) -> Topology:
     if n < 3:
         raise ConfigurationError(f"a ring needs >= 3 nodes, got {n}")
-    return Topology.from_adjacency(
-        [((i - 1) % n, (i + 1) % n) for i in range(n)]
-    )
+    nodes = np.arange(n)
+    return _undirected(n, nodes, (nodes + 1) % n)
 
 
 def _grid(
@@ -358,70 +371,100 @@ def _grid(
         total = n
         rows = max(1, math.isqrt(n))
         width = -(-n // rows)  # ceil division: partial last row allowed
-    adjacency: list[tuple[int, ...]] = []
-    for node in range(total):
-        row, col = divmod(node, width)
-        neighbors = []
-        if row > 0:
-            neighbors.append(node - width)
-        if node + width < total:
-            neighbors.append(node + width)
-        if col > 0:
-            neighbors.append(node - 1)
-        if col < width - 1 and node + 1 < total:
-            neighbors.append(node + 1)
-        adjacency.append(tuple(neighbors))
-    return Topology.from_adjacency(adjacency)
+    nodes = np.arange(total)
+    # Pairs (i, i+1) stay in one row (and inside a partial last row);
+    # pairs (i, i+width) just need the lower node to exist.
+    across = nodes[(nodes % width < width - 1) & (nodes + 1 < total)]
+    down = nodes[: max(0, total - width)]
+    return _undirected(
+        total,
+        np.concatenate((across, down)),
+        np.concatenate((across + 1, down + width)),
+    )
+
+
+#: Cell-grid side cap for the geometric builder, so cell ids fit int64.
+#: Only radii below 2^-31 reach it, where cells coarser than the radius
+#: change the candidate count but not the edge set.
+_MAX_CELLS = 1 << 31
+
+#: The half-neighborhood of cell offsets: with the mirrored arcs, every
+#: unordered pair of points in the same or adjacent cells once.
+_HALF_NEIGHBORHOOD = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
 def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
     """Random geometric graph: ``n`` points uniform in the unit square,
     edges between pairs at Euclidean distance <= ``radius``.  Cell-binned
-    neighbor search: O(n) expected build, not O(n²)."""
+    neighbor search: O(n) expected build, not O(n²).
+
+    Points are the first ``2n`` draws of ``random.Random(seed)``, x then
+    y per point.  Points are sorted by cell; each cell's candidate
+    partners (the rest of its own cell, then the four forward-adjacent
+    cells) are expanded CSR-style and filtered by the float64 test
+    ``dx*dx + dy*dy <= radius**2``, one offset at a time.
+    """
     if n < 1:
         raise ConfigurationError(f"need >= 1 node, got {n}")
     if not 0.0 < radius <= math.sqrt(2.0):
         raise ConfigurationError(
             f"radius must be in (0, sqrt(2)], got {radius}"
         )
-    rng = random.Random(seed)
-    xs = [0.0] * n
-    ys = [0.0] * n
-    for i in range(n):
-        xs[i] = rng.random()
-        ys[i] = rng.random()
-    cells = max(1, int(1.0 / radius))
+    # Imported here: repro.vectorized imports this module.
+    from repro.vectorized.noise import numpy_stream
+
+    uniforms = numpy_stream(random.Random(seed)).random_sample(2 * n)
+    cells = max(1, min(int(1.0 / radius), _MAX_CELLS))
     size = 1.0 / cells
-    bins: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        key = (min(int(xs[i] / size), cells - 1),
-               min(int(ys[i] / size), cells - 1))
-        bins.setdefault(key, []).append(i)
+    cx = np.minimum((uniforms[0::2] / size).astype(np.int64), cells - 1)
+    cy = np.minimum((uniforms[1::2] / size).astype(np.int64), cells - 1)
+    cell_of = cx * cells + cy
+    order = np.argsort(cell_of, kind="stable").astype(np.int32)
+    xs = uniforms[0::2][order]
+    ys = uniforms[1::2][order]
+    cell_of = cell_of[order]
+    # Occupied cells (ascending id): first sorted position and population.
+    starts = np.flatnonzero(
+        np.concatenate(([True], cell_of[1:] != cell_of[:-1]))
+    )
+    occupied = cell_of[starts]
+    counts = np.diff(np.append(starts, n))
+    member = np.repeat(np.arange(len(occupied)), counts)
+    occupied_x, occupied_y = np.divmod(occupied, cells)
+    positions = np.arange(n, dtype=np.int32)
     r2 = radius * radius
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for (cx, cy), members in bins.items():
-        for dx in (0, 1):
-            for dy in ((-1, 0, 1) if dx else (0, 1)):
-                others = bins.get((cx + dx, cy + dy))
-                if others is None:
-                    continue
-                if dx == 0 and dy == 0:
-                    for a_pos, i in enumerate(members):
-                        for j in members[a_pos + 1 :]:
-                            dx_ = xs[i] - xs[j]
-                            dy_ = ys[i] - ys[j]
-                            if dx_ * dx_ + dy_ * dy_ <= r2:
-                                adjacency[i].append(j)
-                                adjacency[j].append(i)
-                else:
-                    for i in members:
-                        for j in others:
-                            dx_ = xs[i] - xs[j]
-                            dy_ = ys[i] - ys[j]
-                            if dx_ * dx_ + dy_ * dy_ <= r2:
-                                adjacency[i].append(j)
-                                adjacency[j].append(i)
-    return Topology.from_adjacency(adjacency)
+    near_a: list[np.ndarray] = []
+    near_b: list[np.ndarray] = []
+    for dx, dy in _HALF_NEIGHBORHOOD:
+        if (dx, dy) == (0, 0):
+            first = positions + 1
+            partners = (starts + counts)[member] - first
+        else:
+            tx = occupied_x + dx
+            ty = occupied_y + dy
+            target = tx * cells + ty
+            slot = np.minimum(
+                np.searchsorted(occupied, target), len(occupied) - 1
+            )
+            hit = (
+                (tx < cells) & (ty >= 0) & (ty < cells)
+                & (occupied[slot] == target)
+            )
+            first = np.where(hit, starts[slot], 0)[member]
+            partners = np.where(hit, counts[slot], 0)[member]
+        # CSR-style expansion: position p pairs with
+        # first[p] .. first[p] + partners[p] - 1.
+        a = np.repeat(positions, partners)
+        b = (
+            np.arange(len(a), dtype=np.int64)
+            + np.repeat(first - (np.cumsum(partners) - partners), partners)
+        ).astype(np.int32)
+        dxs = xs[a] - xs[b]
+        dys = ys[a] - ys[b]
+        close = dxs * dxs + dys * dys <= r2
+        near_a.append(order[a[close]])
+        near_b.append(order[b[close]])
+    return _undirected(n, np.concatenate(near_a), np.concatenate(near_b))
 
 
 def _scale_free(*, n: int, m: int = 2, seed: int = 0) -> Topology:
@@ -434,15 +477,12 @@ def _scale_free(*, n: int, m: int = 2, seed: int = 0) -> Topology:
             f"scale-free needs n >= m + 1 = {m + 1}, got {n}"
         )
     rng = random.Random(seed)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
     # One entry per half-edge; sampling from it is degree-proportional.
+    # Each arrival appends its m targets, then itself m times.
     repeated: list[int] = []
     targets = list(range(m))
     source = m
     while source < n:
-        for target in targets:
-            adjacency[source].append(target)
-            adjacency[target].append(source)
         repeated.extend(targets)
         repeated.extend([source] * m)
         chosen: set[int] = set()
@@ -450,7 +490,8 @@ def _scale_free(*, n: int, m: int = 2, seed: int = 0) -> Topology:
             chosen.add(repeated[rng.randrange(len(repeated))])
         targets = sorted(chosen)
         source += 1
-    return Topology.from_adjacency(adjacency)
+    half_edges = np.array(repeated, dtype=np.int64).reshape(-1, 2, m)
+    return _undirected(n, half_edges[:, 1].ravel(), half_edges[:, 0].ravel())
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,12 @@
 The generator contract the sweep service leans on: every family builds a
 simple undirected graph (symmetric adjacency, no self-loops, no
 duplicates), seeded families are deterministic in their seed, and specs
-survive JSON/label round trips unchanged.
+survive JSON/label round trips unchanged.  The cell-binned geometric
+builder must agree with an O(n²) scan over every pair.
 """
+
+import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +71,27 @@ class TestGeneratorProperties:
             "geometric", n=n, radius=radius, seed=seed
         ).build()
         assert topology.adjacency_lists() == rebuilt.adjacency_lists()
+
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        radius=st.floats(min_value=1e-3, max_value=math.sqrt(2.0)),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_geometric_matches_brute_force(self, n, radius, seed):
+        rng = random.Random(seed)
+        points = [(rng.random(), rng.random()) for _ in range(n)]
+        r2 = radius * radius
+        expected = [[] for _ in range(n)]
+        for i, (xi, yi) in enumerate(points):
+            for j, (xj, yj) in enumerate(points):
+                dx, dy = xi - xj, yi - yj
+                if i != j and dx * dx + dy * dy <= r2:
+                    expected[i].append(j)
+        topology = TopologySpec.of(
+            "geometric", n=n, radius=radius, seed=seed
+        ).build()
+        assert topology.adjacency_lists() == [tuple(row) for row in expected]
 
     @given(
         n=st.integers(min_value=6, max_value=100),

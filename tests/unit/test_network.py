@@ -269,6 +269,57 @@ class TestNetworkTasks:
         assert result.rounds == 1
         assert task.is_correct(inputs, result.outputs)
 
+    @staticmethod
+    def _loop_is_correct(task, inputs, outputs):
+        """The per-node reference checker is_correct must agree with."""
+        if len(outputs) != task.n_parties:
+            return False
+        for node, output in enumerate(outputs):
+            heard = task.topology.in_neighbors(node)
+            if output != int(any(inputs[j] for j in heard)):
+                return False
+        return True
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "grid:5x7",
+            "geometric:n=120,r=0.08,seed=1",  # has isolated nodes
+            "scale-free:n=60,m=2,seed=2",
+            "complete:1",
+        ],
+    )
+    def test_neighbor_or_is_correct_matches_loop(self, spec):
+        topology = parse_topology(spec).build()
+        task = NeighborORTask(topology, density=0.3)
+        rng = random.Random(spec)
+        for trial in range(20):
+            inputs = task.sample_inputs(rng)
+            clean = [
+                int(any(inputs[j] for j in topology.in_neighbors(node)))
+                for node in range(topology.n)
+            ]
+            node = rng.randrange(topology.n)
+            flipped = list(clean)
+            flipped[node] ^= 1
+            candidates = [
+                clean,
+                flipped,
+                clean[:-1],
+                clean + [0],
+                [bool(bit) for bit in clean],
+                [float(bit) for bit in clean],
+                clean[:node] + [None] + clean[node + 1 :],
+                clean[:node] + [str(clean[node])] + clean[node + 1 :],
+                clean[:node] + [[clean[node]]] + clean[node + 1 :],
+                clean[:node] + [2] + clean[node + 1 :],
+            ]
+            for outputs in candidates:
+                assert task.is_correct(inputs, outputs) == (
+                    self._loop_is_correct(task, inputs, outputs)
+                ), (trial, outputs)
+            assert task.is_correct(inputs, clean)
+
     def test_neighbor_or_reference_output_unavailable(self):
         task = NeighborORTask(parse_topology("grid:3x3").build())
         with pytest.raises(TaskError):

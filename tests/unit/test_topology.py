@@ -1,12 +1,193 @@
 """Unit tests for topology generators and the TopologySpec API."""
 
+import hashlib
 import json
+import math
 import pickle
+import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.network import TOPOLOGIES, Topology, TopologySpec, parse_topology
+
+
+def _csr_digests(topology):
+    """BLAKE2b-64 of each CSR array (in_ptr, in_idx, out_ptr, out_idx),
+    over little-endian int64 so the pins hold on every platform."""
+    return tuple(
+        hashlib.blake2b(
+            np.asarray(arr, dtype="<i8").tobytes(), digest_size=8
+        ).hexdigest()
+        for arr in (
+            topology._in_indptr,
+            topology._in_indices,
+            topology._out_indptr,
+            topology._out_indices,
+        )
+    )
+
+
+#: CSR digests recorded from the pure-Python builders.  Every family's
+#: CSR must stay bitwise identical, so every seed, pinned sweep result
+#: and cached point stays valid.
+_EMPTY = ("5250a507f994740e", "e4a6a0577479b2b4")
+CSR_PINS = [
+    ("complete", {"n": 1}, _EMPTY),
+    ("complete", {"n": 2}, ("cf5ddb2411b6887b", "c3f5cc9bd28814a6")),
+    ("complete", {"n": 17}, ("c4888381c1e7741b", "fdafdbd67f3ccc20")),
+    ("ring", {"n": 3}, ("5185753fa5188cf3", "58ab54f867380ca9")),
+    ("ring", {"n": 64}, ("d2919396deb1ceab", "b4213f3cb98df7e7")),
+    ("grid", {"rows": 1, "cols": 1}, _EMPTY),
+    ("grid", {"rows": 4, "cols": 5}, ("301225122988e125", "af85d1fdb4a0bde6")),
+    ("grid", {"n": 10}, ("a4e05a790e9587fc", "683a3dd8cc93892f")),
+    ("geometric", {"n": 1, "radius": 1.0, "seed": 0}, _EMPTY),
+    (
+        "geometric",
+        {"n": 64, "radius": 0.25, "seed": 0},
+        ("9ad84ef3c2e5b85d", "efbed0e74b4628d3"),
+    ),
+    (
+        "geometric",
+        {"n": 1000, "radius": 0.3, "seed": 0},
+        ("9c3cc46c9ca67af5", "f32b15597739ba0d"),
+    ),
+    (
+        "geometric",
+        {"n": 1024, "radius": 0.05, "seed": 0},
+        ("fc0b5f8ef952785f", "f88dadccb372e642"),
+    ),
+    (
+        "geometric",
+        {"n": 1024, "radius": 0.05, "seed": 3},
+        ("bd2f41d56c0a1dac", "c5cb4dfbf4f45cbc"),
+    ),
+    (
+        "geometric",
+        {"n": 100000, "radius": 0.005046, "seed": 0},
+        ("3af5ce0033559eff", "78a43d134e6409ec"),
+    ),
+    (  # radius sqrt(2): one cell, every pair in range
+        "geometric",
+        {"n": 50, "radius": math.sqrt(2.0), "seed": 0},
+        ("7e9aef251f73f239", "4c0f1bd05ad00d74"),
+    ),
+    (
+        "scale-free",
+        {"n": 50, "m": 2, "seed": 0},
+        ("a4cfa8771fe2ed6a", "078ef83355217d5e"),
+    ),
+    (
+        "scale-free",
+        {"n": 200, "m": 3, "seed": 0},
+        ("a89c9f2c74735fba", "dc269a0dc8182c6f"),
+    ),
+]
+
+
+def _directed_adjacency():
+    rng = random.Random(5)
+    return [
+        [j for j in (rng.randrange(40) for _ in range(4)) if j != i]
+        for i in range(40)
+    ]
+
+
+class TestCSRPins:
+    @pytest.mark.parametrize(
+        "kind, params, in_digests",
+        CSR_PINS,
+        ids=[f"{kind}-{params}" for kind, params, _ in CSR_PINS],
+    )
+    def test_generator_csr_bytes_pinned(self, kind, params, in_digests):
+        topology = TOPOLOGIES[kind].builder(**params)
+        # Every family is undirected: the out-CSR is the in-CSR.
+        assert _csr_digests(topology) == in_digests + in_digests
+
+    def test_directed_csr_bytes_pinned(self):
+        topology = Topology.from_adjacency(_directed_adjacency())
+        assert not topology.symmetric
+        assert _csr_digests(topology) == (
+            "492bb985f5efe2b8",
+            "f51193626677edbf",
+            "c3768bec2eb398f7",
+            "8076ac1797b523d3",
+        )
+
+
+class TestFromEdges:
+    def test_matches_from_adjacency(self):
+        adjacency = _directed_adjacency()
+        src = [i for i, row in enumerate(adjacency) for _ in row]
+        dst = [j for row in adjacency for j in row]
+        # Arc order is irrelevant: reversed input, same graph.
+        built = Topology.from_edges(40, src[::-1], dst[::-1])
+        assert _csr_digests(built) == _csr_digests(
+            Topology.from_adjacency(adjacency)
+        )
+
+    def test_dedups_repeated_edges(self):
+        topology = Topology.from_edges(3, [0, 0, 0, 1, 2], [2, 1, 2, 0, 0])
+        assert topology.edges == 4
+        assert topology.in_neighbors(0) == (1, 2)
+        assert topology.out_neighbors(0) == (1, 2)
+        assert topology.symmetric
+
+    def test_csr_arrays_mirror_storage(self):
+        topology = Topology.from_adjacency(_directed_adjacency())
+        for arr, mirror in zip(
+            (
+                topology._in_indptr,
+                topology._in_indices,
+                topology._out_indptr,
+                topology._out_indices,
+            ),
+            topology.csr_arrays(),
+        ):
+            assert mirror.dtype == np.int32
+            assert not mirror.flags.writeable
+            assert mirror.tolist() == arr.tolist()
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            [(1,), (0, 5)],  # out of range
+            [(1,), (-1, 0)],  # negative
+            [(1,), (1, 0)],  # self-loop
+            [(0, 7), (0,)],  # self-loop before out-of-range in node 0
+            [(2, 9), (5,), (0,)],  # first offending node wins
+        ],
+    )
+    def test_same_errors_as_from_adjacency(self, adjacency):
+        with pytest.raises(ConfigurationError) as expected:
+            Topology.from_adjacency(adjacency)
+        src = [i for i, row in enumerate(adjacency) for _ in row]
+        dst = [j for row in adjacency for j in row]
+        with pytest.raises(ConfigurationError) as raised:
+            Topology.from_edges(len(adjacency), src, dst)
+        assert str(raised.value) == str(expected.value)
+
+    def test_error_messages(self):
+        with pytest.raises(ConfigurationError, match="neighbor 5"):
+            Topology.from_edges(2, [1], [5])
+        with pytest.raises(ConfigurationError, match="node 1 lists itself"):
+            Topology.from_edges(2, [0, 1], [1, 1])
+        with pytest.raises(ConfigurationError, match="out-of-range neighbor"):
+            Topology.from_adjacency([(2**70,), (0,)])
+        with pytest.raises(ConfigurationError, match="arc source 2"):
+            Topology.from_edges(2, [2], [0])
+        with pytest.raises(ConfigurationError, match="equal-length"):
+            Topology.from_edges(2, [0, 1], [1])
+        with pytest.raises(ConfigurationError, match="at least one node"):
+            Topology.from_edges(0, [], [])
+
+    def test_edgeless_graph(self):
+        topology = Topology.from_edges(3, [], [])
+        assert topology.edges == 0
+        assert topology.symmetric
+        assert topology.max_in_degree == 0
+        assert topology.bfs_distances(1) == [-1, 0, -1]
 
 
 class TestTopologyClass:
@@ -30,6 +211,22 @@ class TestTopologyClass:
         distances = topology.bfs_distances(0)
         assert distances[:2] == [0, 1]
         assert distances[2:] == [-1, -1]
+
+    def test_bfs_distances_on_grid(self):
+        grid = TopologySpec.of("grid", rows=4, cols=5).build()
+        assert grid.bfs_distances(0) == [
+            0, 1, 2, 3, 4,
+            1, 2, 3, 4, 5,
+            2, 3, 4, 5, 6,
+            3, 4, 5, 6, 7,
+        ]
+        assert grid.bfs_distances(12) == [
+            4, 3, 2, 3, 4,
+            3, 2, 1, 2, 3,
+            2, 1, 0, 1, 2,
+            3, 2, 1, 2, 3,
+        ]
+        assert grid.eccentricity(0) == 7
 
     def test_max_in_degree(self):
         star = Topology.from_adjacency([(1, 2, 3), (0,), (0,), (0,)])
