@@ -833,9 +833,8 @@ def run_vectorized_benchmark(
     ``--compare`` regression floor.
     """
     from repro.parallel.planner import AutoRunner
-    from repro.vectorized import VectorizedProcessRunner, require_numpy
+    from repro.vectorized import VectorizedProcessRunner
 
-    require_numpy()
     parties = SIM_BENCH_PARTIES[:2] if quick else SIM_BENCH_PARTIES
     repeats = 2
     if budget_s is None:
@@ -1624,7 +1623,7 @@ def main() -> int:
         action="store_true",
         help=(
             "benchmark the trial-batched vectorized backend against the "
-            "scalar token engine (requires numpy)"
+            "scalar token engine"
         ),
     )
     parser.add_argument(

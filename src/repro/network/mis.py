@@ -40,6 +40,8 @@ import math
 import random
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.party import Party, Silence
 from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, TaskError
@@ -48,6 +50,10 @@ from repro.network.topology import Topology
 from repro.tasks.base import Task
 
 __all__ = ["MISTask", "mis_protocol"]
+
+#: Coin draws per block in :meth:`MISTask.sample_inputs`: bounds one
+#: block's scratch arrays (bits, words, doubles) without changing the coins.
+_COIN_BLOCK = 1 << 13
 
 
 class _MISParty(Party):
@@ -149,16 +155,28 @@ class MISTask(Task):
 
     def sample_inputs(self, rng: random.Random) -> list[tuple[int, ...]]:
         """Per-node candidate coins: ``coin[k] ~ Bernoulli(p_k)`` with
-        ``p_k`` from the cycling schedule."""
-        return [
-            tuple(
-                1
-                if rng.random() < self.candidate_probability(phase)
-                else 0
-                for phase in range(self.phases)
-            )
-            for _ in range(self.n_parties)
-        ]
+        ``p_k`` from the cycling schedule.
+
+        Node-major, one ``rng.random() < p_k`` per coin; the draws come
+        in blocks of whole nodes through
+        :func:`~repro.vectorized.noise.random_block`, bitwise the
+        per-coin calls, leaving ``rng`` where they would.
+        """
+        # Imported here: repro.vectorized imports this module.
+        from repro.vectorized.noise import random_block
+
+        phases = self.phases
+        probabilities = np.array(
+            [self.candidate_probability(phase) for phase in range(phases)]
+        )
+        rows = max(1, _COIN_BLOCK // phases)
+        tapes: list[tuple[int, ...]] = []
+        for start in range(0, self.n_parties, rows):
+            count = min(rows, self.n_parties - start)
+            uniforms = random_block(rng, count * phases).reshape(count, phases)
+            coins = (uniforms < probabilities).view(np.uint8)
+            tapes.extend(map(tuple, coins.tolist()))
+        return tapes
 
     def reference_output(self, inputs) -> None:
         """MIS has no unique reference output — validity is structural.

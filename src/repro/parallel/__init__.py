@@ -84,8 +84,8 @@ def make_runner(
 
     ``backend`` selects explicitly: ``"serial"``, ``"process"`` (a pool
     of ``workers``), ``"vectorized"`` (the trial-batched numpy backend of
-    :mod:`repro.vectorized`; requires numpy, scalar-fallback for batches
-    it cannot collapse), or ``"vectorized-process"`` (the composed
+    :mod:`repro.vectorized`; scalar fallback for batches it cannot
+    collapse), or ``"vectorized-process"`` (the composed
     backend: contiguous trial stripes over a pool of vectorized
     workers).  ``"auto"`` returns the calibrated per-batch planner
     (:class:`~repro.parallel.planner.AutoRunner`), which routes each

@@ -133,7 +133,7 @@ class AutoRunner(TrialRunner):
     ) -> tuple[str | None, str | None]:
         """``(scheme_name, None)`` when the batch can collapse, else
         ``(scheme_name_or_None, reason)`` mirroring the vectorized
-        runner's classification (without requiring numpy).
+        runner's classification.
 
         Network batches report the route's crossover key — the task type
         name for raw protocol routes (``"MISTask"``), the simulator name
@@ -141,20 +141,15 @@ class AutoRunner(TrialRunner):
         measured ``vectorized_min_n`` rows.
         """
         from repro.parallel.executors import SimulationExecutor
+        from repro.vectorized.network import classify_network
+        from repro.vectorized.runner import _COLLAPSED_SCHEMES
+        from repro.vectorized.schemes import CHANNEL_KINDS
 
         simulator = None
         scheme = None
         if isinstance(executor, SimulationExecutor):
             simulator = executor.simulator.make()
             scheme = type(simulator).__name__
-        try:
-            from repro.vectorized.noise import HAVE_NUMPY
-            from repro.vectorized.runner import _COLLAPSED_SCHEMES
-            from repro.vectorized.schemes import CHANNEL_KINDS
-        except ImportError:  # pragma: no cover - broken install
-            return scheme, "vectorized package unavailable"
-        if not HAVE_NUMPY:
-            return scheme, "numpy unavailable"
         if simulator is None:
             reason = "executor is not a SimulationExecutor"
         elif type(simulator) not in _COLLAPSED_SCHEMES:
@@ -164,8 +159,6 @@ class AutoRunner(TrialRunner):
             if type(probe) in CHANNEL_KINDS:
                 return scheme, None
             reason = f"no collapsed replay for {type(probe).__name__}"
-        from repro.vectorized.network import classify_network
-
         route, net_reason = classify_network(executor, seed)
         if route is not None:
             return route.scheme, None

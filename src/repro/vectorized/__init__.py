@@ -1,4 +1,4 @@
-"""The trial-batched vectorized backend (numpy-optional).
+"""The trial-batched vectorized backend.
 
 A third :class:`~repro.parallel.runner.TrialRunner` backend that executes
 Monte-Carlo batches through party-collapsed simulations over packed numpy
@@ -23,10 +23,7 @@ bit-matrices, bitwise-equivalent to the scalar engine trial by trial:
   :class:`VectorizedProcessRunner`, the composed backend striping a
   batch across a process pool of vectorized workers.
 
-Importing this package never requires numpy; constructing a runner (or
-calling any vectorized entry point) raises a clear
-:class:`~repro.errors.ConfigurationError` when numpy is missing.  Select
-the backends with ``make_runner(backend="vectorized")`` /
+Select the backends with ``make_runner(backend="vectorized")`` /
 ``make_runner(backend="vectorized-process")`` or the matching
 ``--backend`` values on the CLI.
 """
@@ -46,11 +43,9 @@ from repro.vectorized.network import (
     network_records,
 )
 from repro.vectorized.noise import (
-    HAVE_NUMPY,
     BatchFlips,
     FlipStream,
     numpy_stream,
-    require_numpy,
 )
 from repro.vectorized.process_runner import VectorizedProcessRunner
 from repro.vectorized.runner import VectorizedRunner
@@ -64,8 +59,6 @@ from repro.vectorized.schemes_hierarchical import simulate_hierarchical
 from repro.vectorized.schemes_repetition import simulate_repetition
 
 __all__ = [
-    "HAVE_NUMPY",
-    "require_numpy",
     "numpy_stream",
     "FlipStream",
     "BatchFlips",

@@ -18,13 +18,9 @@ them and plain 0/1 arrays:
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
-from repro.vectorized.noise import require_numpy
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from repro.errors import ConfigurationError
 
 __all__ = [
     "pack_rows",
@@ -41,7 +37,6 @@ def pack_rows(bits: "_np.ndarray") -> "_np.ndarray":
     Row ``i`` of the result is ``numpy.packbits(bits[i])``: eight columns
     per byte, most-significant bit first, zero-padded to a whole byte.
     """
-    require_numpy()
     if bits.ndim != 2:
         raise ConfigurationError(
             f"pack_rows expects a 2-D matrix, got shape {bits.shape}"
@@ -51,7 +46,6 @@ def pack_rows(bits: "_np.ndarray") -> "_np.ndarray":
 
 def unpack_rows(packed: "_np.ndarray", columns: int) -> "_np.ndarray":
     """Invert :func:`pack_rows`, trimming the zero padding to ``columns``."""
-    require_numpy()
     if packed.ndim != 2:
         raise ConfigurationError(
             f"unpack_rows expects a 2-D matrix, got shape {packed.shape}"
@@ -74,7 +68,6 @@ def mask_int(bits: "_np.ndarray") -> int:
 
 def bits_from_mask(mask: int, length: int) -> "_np.ndarray":
     """Invert :func:`mask_int` for a word of ``length`` positions."""
-    require_numpy()
     return _np.frombuffer(
         mask.to_bytes(length, "big"), dtype=_np.uint8
     ).copy()
@@ -82,5 +75,4 @@ def bits_from_mask(mask: int, length: int) -> "_np.ndarray":
 
 def popcount_rows(packed: "_np.ndarray") -> "_np.ndarray":
     """Per-row popcounts of a :func:`pack_rows` matrix (padding is zero)."""
-    require_numpy()
     return _np.bitwise_count(packed).sum(axis=1)

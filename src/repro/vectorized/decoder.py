@@ -31,15 +31,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as _np
+
 from repro.coding.code import BlockCode
 from repro.core.formal import NoiseModel
 from repro.errors import DecodingError
-from repro.vectorized.noise import require_numpy
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 __all__ = ["VectorizedMLDecoder"]
 
@@ -60,7 +56,6 @@ class VectorizedMLDecoder:
     """
 
     def __init__(self, code: BlockCode, noise: NoiseModel) -> None:
-        require_numpy()
         self.code = code
         self.noise = noise
         self._length = code.codeword_length

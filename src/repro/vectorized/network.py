@@ -19,16 +19,22 @@ trial's neighborhood OR at once:
 
 The expansion plan of step 1–2 depends only on *which* nodes beep, not
 on the per-trial bits, so it is cached and reused while the beeping set
-is unchanged — local-broadcast bursts repeat one plan ``k`` times.
+is unchanged.
+
+The local-broadcast wrapper repeats every inner round ``k`` times and
+each node majority-decodes its ``k`` copies.  The batched drivers run
+such a burst as one *virtual round*: one kernel step (``B``, hence the
+clean reception, is fixed for the burst) plus, under per-node noise, one
+``k·n`` flip draw per trial, which is exactly the scalar draw order (the
+argument is on ``_BatchNetworkChannel``).  Per-edge erasure draws follow
+each trial's own beeping set, so that model runs its bursts round by
+round.
 
 Noise replays the scalar channel's exact draw order through
 :class:`~repro.vectorized.noise.FlipStream`/:class:`~repro.vectorized.
-noise.BatchFlips` (per-delivery erasure draws in ascending-beeper ×
-CSR-out order, then per-node flip draws in node order), and the batched
-drivers re-run the party state machines of the network tasks
-(neighbor-OR, flooding broadcast, MIS election) over whole-batch
-matrices, with the local-broadcast repetition wrapper folded in as
-``k``-round majority bursts.  Every trial of a batch is bitwise
+noise.BatchFlips`, and the batched drivers re-run the party state
+machines of the network tasks (neighbor-OR, flooding broadcast, MIS
+election) over whole-batch matrices.  Every trial of a batch is bitwise
 identical — records, noise accounting, draw counts — to the scalar
 engine's :func:`~repro.parallel.runner.run_trial` for the same
 ``(seed, index)``, which is what ``tests/unit/
@@ -41,6 +47,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+import numpy as _np
+
 from repro.network.channel import NetworkBeepingChannel
 from repro.network.local_broadcast import (
     LocalBroadcastSimulator,
@@ -52,12 +60,7 @@ from repro.network.topology import Topology
 from repro.parallel.executors import ProtocolExecutor, SimulationExecutor
 from repro.parallel.runner import TrialRecord
 from repro.rng import derive_seed, spawn
-from repro.vectorized.noise import BatchFlips, require_numpy
-
-try:  # numpy is optional for the package, required to *run* this module.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from repro.vectorized.noise import BatchFlips
 
 __all__ = [
     "NetworkBatchKernel",
@@ -84,7 +87,6 @@ class NetworkBatchKernel:
     def __init__(
         self, topology: Topology, trials: int, hear_self: bool = False
     ) -> None:
-        require_numpy()
         _, _, out_ptr, out_idx = topology.csr_arrays()
         self.n = topology.n
         self.trials = trials
@@ -179,13 +181,29 @@ class _BatchNetworkChannel:
 
     Wraps the kernel with the scalar channel's noise semantics and
     bookkeeping: per-trial beep/OR/flip counters (``ChannelStats``
-    deltas), per-delivery erasure draws and per-node flip draws pulled
-    from each trial's :class:`~repro.vectorized.noise.FlipStream` in the
-    scalar draw order, and ``k``-repetition majority bursts for the
-    local-broadcast wrapper.  ``virtual_round`` returns ``(received,
-    touched)`` where ``touched`` lists the possibly-nonzero rows (or
-    ``None`` when any row may be set, e.g. under per-node noise);
-    ``received`` is only valid until the next call.
+    deltas) and noise draws pulled from each trial's
+    :class:`~repro.vectorized.noise.FlipStream` in the scalar draw order.
+    One :meth:`virtual_round` is one inner-protocol round: a burst of
+    ``k`` physical rounds of the same beeps, decoded per node by strict
+    majority (``k = 1`` outside the local-broadcast wrapper).
+
+    Under per-node noise a burst is fused into one kernel step and one
+    draw per trial.  ``B`` and the active rows are fixed for the burst,
+    so every copy has the same clean reception.  The scalar channel
+    draws ``n`` uniforms per physical round in node order, one round
+    after another, so ``take(k·n).reshape(k, n)`` holds exactly the
+    flips of round ``r``, node ``i`` at ``[r, i]``.  With ``F`` the
+    per-node flip count, a node hears ``k - F`` ones where its clean bit
+    is 1 and ``F`` ones elsewhere, and decodes 1 iff twice that exceeds
+    ``k``; its flips are down-flips where clean is 1, up-flips elsewhere.
+
+    Per-edge erasure runs the burst round by round: its draw count
+    follows each trial's own beeping set (:meth:`_edge_round`).
+
+    ``virtual_round`` returns ``(received, touched)`` where ``touched``
+    lists the possibly-nonzero rows (or ``None`` when any row may be
+    set, e.g. under per-node noise); ``received`` is only valid until
+    the next call.
     """
 
     def __init__(
@@ -212,47 +230,39 @@ class _BatchNetworkChannel:
         self.or_ones = _np.zeros(trials, dtype=_np.int64)
         self.flips_up = _np.zeros(trials, dtype=_np.int64)
         self.flips_down = _np.zeros(trials, dtype=_np.int64)
-        self._noisy = epsilon > 0.0 or edge_epsilon > 0.0
-        if self._noisy:
+        if epsilon > 0.0 or edge_epsilon > 0.0:
             self._received = _np.zeros((self.n, trials), dtype=_np.uint8)
         self._recv_dirty: Any = None
         # Per-trial expansion cache for the per-edge draws (beeping sets
         # are per-trial there; bursts reuse one expansion k times).
         self._trial_plans: list = [(None, None)] * trials
 
-    # -- one physical round -------------------------------------------
-
-    def _count_round(self, B, active, scale: int) -> None:
+    def _count_round(self, B, active) -> None:
         beeps = (
             B[active].sum(axis=0, dtype=_np.int64)
             if active.size
             else _np.zeros(self.trials, dtype=_np.int64)
         )
-        self.beeps += beeps * scale
-        self.or_ones += (beeps > 0).astype(_np.int64) * scale
-        self.rounds += scale
-
-    def _physical_round(self, B, active):
-        if self.edge_epsilon > 0.0:
-            return self._edge_round(B, active)
-        heard, touched = self.kernel.step(B, active)
-        if self.epsilon > 0.0:
-            return self._node_noise(heard), None
-        return heard, touched
+        k = self.k
+        self.beeps += beeps * k
+        self.or_ones += (beeps > 0).astype(_np.int64) * k
+        self.rounds += k
 
     def _node_noise(self, heard):
-        """Per-node flip draws, node order — one draw per node per round,
-        exactly the scalar channel's uniform discipline."""
+        """One burst of per-node flips over the clean reception
+        ``heard``: ``k·n`` draws per trial, majority-decoded."""
         received = self._received
-        n = self.n
+        k, n = self.k, self.n
         for trial, stream in enumerate(self.streams):
-            flips = stream.take(n)
+            flips = stream.take(k * n).reshape(k, n).sum(
+                axis=0, dtype=_np.int32
+            )
             clean = heard[:, trial]
-            _np.bitwise_xor(clean, flips, out=received[:, trial])
-            n_flips = int(flips.sum())
-            down = int((flips & clean).sum())
+            ones = _np.where(clean, k - flips, flips)
+            _np.greater(2 * ones, k, out=received[:, trial])
+            down = int(flips[clean == 1].sum())
             self.flips_down[trial] += down
-            self.flips_up[trial] += n_flips - down
+            self.flips_up[trial] += int(flips.sum()) - down
         return received
 
     def _edge_round(self, B, active):
@@ -297,26 +307,29 @@ class _BatchNetworkChannel:
         self._recv_dirty = touched
         return received, touched
 
-    # -- one virtual round (k-repetition majority) --------------------
-
-    def virtual_round(self, B, active):
-        """One inner-protocol round: ``k`` physical rounds of ``B`` with
-        per-node strict-majority decode (``k = 1``: the round itself)."""
+    def _edge_burst(self, B, active):
+        """``k`` erasure rounds of ``B``, majority-decoded per node."""
         k = self.k
-        self._count_round(B, active, k)
-        if not self._noisy:
-            # Majority of k identical clean receptions is the reception.
-            return self.kernel.step(B, active)
         if k == 1:
-            return self._physical_round(B, active)
+            return self._edge_round(B, active)
         counts = _np.zeros((self.n, self.trials), dtype=_np.int32)
         for _ in range(k):
-            received, touched = self._physical_round(B, active)
-            if touched is None:
-                counts += received
-            elif touched.size:
+            received, touched = self._edge_round(B, active)
+            if touched.size:
                 counts[touched] += received[touched]
         return (2 * counts > k).astype(_np.uint8), None
+
+    def virtual_round(self, B, active):
+        """One inner-protocol round: a ``k``-round burst of ``B`` with
+        per-node strict-majority decode (``k = 1``: the round itself)."""
+        self._count_round(B, active)
+        if self.edge_epsilon > 0.0:
+            return self._edge_burst(B, active)
+        heard, touched = self.kernel.step(B, active)
+        if self.epsilon > 0.0:
+            return self._node_noise(heard), None
+        # Noiseless: the majority of k identical copies is the copy.
+        return heard, touched
 
 
 # ---------------------------------------------------------------------
@@ -523,7 +536,6 @@ def network_records(
     of a larger batch (the composed process backend's unit) is bitwise
     identical to the corresponding slice of a whole-batch run.
     """
-    require_numpy()
     indices = list(indices)
     trials = len(indices)
     inputs_list = [

@@ -18,42 +18,29 @@ into a ``numpy.random.RandomState``: both generate doubles with the same
 on that to serve flip indicators in blocks, and :class:`BatchFlips`
 prefetches the first ``columns`` indicators of a whole batch of trials as
 rows of a packed numpy bit-matrix — the trial×draw layout the vectorized
-backend batches over.
+backend batches over.  :func:`random_block` is for callers that keep
+using the ``random.Random`` itself: it draws a block of ``random()``
+values through ``getrandbits``, so the generator advances past them.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as _np
+
 from repro.errors import ConfigurationError
 
-try:  # numpy is an optional dependency of the vectorized backend only.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
 __all__ = [
-    "HAVE_NUMPY",
-    "require_numpy",
     "numpy_stream",
+    "random_block",
     "FlipStream",
     "BatchFlips",
 ]
 
-HAVE_NUMPY = _np is not None
-
-#: Flip indicators generated per refill; purely an amortization knob —
+#: Smallest refill, in flip indicators; purely an amortization knob —
 #: the delivered stream is identical for any block size.
 _FLIP_BLOCK = 8192
-
-
-def require_numpy() -> None:
-    """Raise a clear error when numpy is unavailable."""
-    if _np is None:
-        raise ConfigurationError(
-            "the vectorized backend requires numpy; install numpy or use "
-            "the serial/process backends (--backend serial|process)"
-        )
 
 
 def numpy_stream(rng: random.Random) -> "_np.random.RandomState":
@@ -65,7 +52,6 @@ def numpy_stream(rng: random.Random) -> "_np.random.RandomState":
     values ``rng.random()`` would have produced.  ``rng`` itself is left
     untouched (its state is copied, not consumed).
     """
-    require_numpy()
     version, internal, _gauss = rng.getstate()
     if version != 3:  # pragma: no cover - CPython has used version 3 forever
         raise ConfigurationError(
@@ -75,6 +61,23 @@ def numpy_stream(rng: random.Random) -> "_np.random.RandomState":
     stream = _np.random.RandomState()
     stream.set_state(("MT19937", _np.asarray(key, dtype=_np.uint32), pos))
     return stream
+
+
+def random_block(rng: random.Random, count: int) -> "_np.ndarray":
+    """``count`` calls of ``rng.random()`` as one float64 array.
+
+    ``random()`` builds each double from two consecutive 32-bit MT19937
+    outputs ``a, b`` as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, and
+    ``getrandbits(64 * count)`` returns exactly those ``2 * count``
+    outputs, first one least significant.  So the block is bitwise the
+    scalar calls' values and ``rng`` advances past them itself — no
+    state transfer, which keeps small blocks cheap.
+    """
+    raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    words = _np.frombuffer(raw, dtype="<u4")
+    return (
+        (words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)
+    ) * (1.0 / 9007199254740992.0)
 
 
 class FlipStream:
@@ -108,9 +111,9 @@ class FlipStream:
         #: Indicators consumed so far (draw-order position; test hook).
         self.draws = 0
 
-    def _refill(self) -> None:
-        uniforms = self._stream.random_sample(_FLIP_BLOCK)
-        self._buffer = (uniforms < self._epsilon).astype(_np.uint8).tobytes()
+    def _refill(self, size: int = _FLIP_BLOCK) -> None:
+        uniforms = self._stream.random_sample(size)
+        self._buffer = (uniforms < self._epsilon).view(_np.uint8).tobytes()
         self._pos = 0
 
     def take1(self) -> int:
@@ -142,28 +145,27 @@ class FlipStream:
         return total
 
     def take(self, rounds: int) -> "_np.ndarray":
-        """The next ``rounds`` indicators as a uint8 array (codeword windows)."""
-        pieces = []
-        remaining = rounds
-        while remaining > 0:
-            if self._pos >= len(self._buffer):
-                self._refill()
-            chunk = min(remaining, len(self._buffer) - self._pos)
-            end = self._pos + chunk
-            pieces.append(
-                _np.frombuffer(
-                    self._buffer, dtype=_np.uint8, count=chunk,
-                    offset=self._pos,
-                )
-            )
-            self._pos = end
-            remaining -= chunk
+        """The next ``rounds`` indicators as a uint8 array (codeword
+        windows, whole local-broadcast bursts).
+
+        Serves what is left of the buffer, then refills once with
+        everything still missing (at least a block): a long window costs
+        one generator call, not one per block.
+        """
+        pos = self._pos
+        ready = min(rounds, len(self._buffer) - pos)
+        head = _np.frombuffer(
+            self._buffer, dtype=_np.uint8, count=ready, offset=pos
+        )
+        self._pos = pos + ready
         self.draws += rounds
-        if len(pieces) == 1:
-            return pieces[0]
-        if not pieces:
-            return _np.zeros(0, dtype=_np.uint8)
-        return _np.concatenate(pieces)
+        missing = rounds - ready
+        if not missing:
+            return head
+        self._refill(max(missing, _FLIP_BLOCK))
+        tail = _np.frombuffer(self._buffer, dtype=_np.uint8, count=missing)
+        self._pos = missing
+        return _np.concatenate((head, tail)) if ready else tail
 
 
 class BatchFlips:
@@ -188,7 +190,6 @@ class BatchFlips:
         epsilon: float,
         columns: int = 4096,
     ) -> None:
-        require_numpy()
         from repro.vectorized.bitmatrix import pack_rows
 
         self.epsilon = epsilon

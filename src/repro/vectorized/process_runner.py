@@ -46,7 +46,6 @@ from repro.parallel.runner import (
     _validate_trials,
 )
 from repro.tasks.base import Task
-from repro.vectorized.noise import require_numpy
 from repro.vectorized.runner import VectorizedRunner
 
 __all__ = ["VectorizedProcessRunner"]
@@ -89,9 +88,6 @@ class VectorizedProcessRunner(TrialRunner):
             :class:`~repro.vectorized.runner.VectorizedRunner`.
         mp_context: Optional :mod:`multiprocessing` context; ``None``
             uses the platform default.
-
-    Requires numpy (raises :class:`~repro.errors.ConfigurationError` at
-    construction when missing, so callers can gate on it cleanly).
     """
 
     def __init__(
@@ -101,7 +97,6 @@ class VectorizedProcessRunner(TrialRunner):
         prefetch: int = 4096,
         mp_context: Any = None,
     ) -> None:
-        require_numpy()
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:

@@ -63,7 +63,7 @@ from repro.vectorized.network import (
     classify_network,
     network_records,
 )
-from repro.vectorized.noise import BatchFlips, require_numpy
+from repro.vectorized.noise import BatchFlips
 from repro.vectorized.schemes import (
     CHANNEL_KINDS,
     simulate_chunked,
@@ -92,13 +92,9 @@ class VectorizedRunner(TrialRunner):
             the batch bit-matrix; draws beyond it continue seamlessly
             from each trial's transferred generator state.  Purely an
             amortization knob — results are identical for any value.
-
-    Requires numpy (raises :class:`~repro.errors.ConfigurationError` at
-    construction when missing, so callers can gate on it cleanly).
     """
 
     def __init__(self, prefetch: int = 4096) -> None:
-        require_numpy()
         self.prefetch = prefetch
         #: Why the last batch fell back to the scalar loop (``None`` when
         #: it ran vectorized), mirroring ``ProcessPoolRunner``.

@@ -30,6 +30,8 @@ import random
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as _np
+
 from repro.channels.base import Channel
 from repro.channels.correlated import CorrelatedNoiseChannel
 from repro.channels.noiseless import NoiselessChannel
@@ -50,12 +52,7 @@ from repro.simulation.owners import (
 )
 from repro.simulation.rewind import RewindSimulator
 from repro.vectorized.decoder import VectorizedMLDecoder
-from repro.vectorized.noise import FlipStream, require_numpy
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+from repro.vectorized.noise import FlipStream
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -487,7 +484,6 @@ def simulate_chunked(
     vectorized decoder (including its memo) across the trials of a batch —
     the scalar scheme rebuilds both per trial.
     """
-    require_numpy()
     if not channel.correlated:
         raise ConfigurationError(
             "ChunkCommitSimulator relies on a shared transcript and "
@@ -610,7 +606,6 @@ def simulate_rewind(
     incremental counter vector.  (``codebook_cache`` is accepted for call
     symmetry; the rewind scheme has no codebook.)
     """
-    require_numpy()
     del codebook_cache
     if not channel.correlated:
         raise ConfigurationError(

@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 from typing import Any, Sequence
 
+import numpy as _np
+
 from repro.channels.base import Channel
 from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError
 from repro.simulation.base import SimulationReport
 from repro.simulation.hierarchical import HierarchicalSimulator
-from repro.vectorized.noise import FlipStream, require_numpy
+from repro.vectorized.noise import FlipStream
 from repro.vectorized.schemes import (
     CollapsedOutcome,
     _chunk_flags,
@@ -35,11 +37,6 @@ from repro.vectorized.schemes import (
     _shared_channel,
     _shared_codebook,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 __all__ = ["simulate_hierarchical"]
 
@@ -63,7 +60,6 @@ def simulate_hierarchical(
     vectorized decoder across the trials of a batch — and with the
     chunk-commit collapse, whose codebook parameters are identical.
     """
-    require_numpy()
     if not channel.correlated:
         raise ConfigurationError(
             "HierarchicalSimulator relies on a shared transcript and "

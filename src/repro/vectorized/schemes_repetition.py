@@ -27,7 +27,7 @@ from repro.core.protocol import Protocol
 from repro.errors import ProtocolDesyncError
 from repro.simulation.base import SimulationReport
 from repro.simulation.repetition_sim import RepetitionSimulator
-from repro.vectorized.noise import FlipStream, require_numpy
+from repro.vectorized.noise import FlipStream
 from repro.vectorized.schemes import (
     CollapsedOutcome,
     _InnerPrograms,
@@ -55,7 +55,6 @@ def simulate_repetition(
     batched prefetch).  ``codebook_cache`` is accepted for call symmetry;
     the repetition scheme has no codebook.
     """
-    require_numpy()
     del codebook_cache
     inner_length = simulator._require_fixed_length(protocol)
     noise = simulator._resolve_noise_model(channel)

@@ -10,7 +10,9 @@ checked here over randomized instances:
 2. **Noise streams** — a :class:`FlipStream` (and every row of a
    :class:`BatchFlips` prefetch) serves the same flip indicators, in the
    same draw order, as the scalar channel's ``random()`` comparisons —
-   including mid-stream handoff from a partially consumed generator.
+   including mid-stream handoff from a partially consumed generator and
+   windows longer than a refill block; ``random_block`` is the scalar
+   ``random()`` calls in bulk.
 3. **Decoding** — :class:`VectorizedMLDecoder` agrees with the scalar
    memoized :class:`MLDecoder` symbol-for-symbol on random codebooks,
    noise models and received words, across the finite-weights fast path,
@@ -21,10 +23,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-np = pytest.importorskip("numpy")
-
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +46,7 @@ from repro.vectorized import (
     popcount_rows,
     unpack_rows,
 )
+from repro.vectorized.noise import _FLIP_BLOCK, random_block
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -159,6 +159,61 @@ def test_flipstream_access_patterns_agree(seed, chunks):
         singles = [reference.take1() for _ in range(rounds)]
         assert counted.count(rounds) == sum(singles)
         assert list(taken.take(rounds)) == singles
+
+
+@given(
+    seed=seeds,
+    columns=st.integers(0, 2 * _FLIP_BLOCK),
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["take", "take1", "count"]),
+            st.integers(0, 3 * _FLIP_BLOCK),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_flipstream_long_windows_match_scalar_draws(seed, columns, calls):
+    """``take``/``take1``/``count`` interleaved from a prefetched row —
+    windows crossing the prefetch edge and spanning several refill
+    blocks — serve exactly ``[r.random() < eps, ...]`` in order."""
+    epsilon = 0.3
+    stream = BatchFlips([random.Random(seed)], epsilon, columns=columns).stream(0)
+    scalar = random.Random(seed)
+    for name, size in calls:
+        if name == "take1":
+            assert stream.take1() == int(scalar.random() < epsilon)
+            continue
+        expected = [int(scalar.random() < epsilon) for _ in range(size)]
+        if name == "take":
+            assert stream.take(size).tolist() == expected
+        else:
+            assert stream.count(size) == sum(expected)
+    consumed = sum(1 if name == "take1" else size for name, size in calls)
+    assert stream.draws == consumed
+
+
+@given(
+    seed=seeds,
+    warmup=st.integers(0, 700),
+    count=st.integers(0, 2000),
+    gauss=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_random_block_is_scalar_random_calls(seed, warmup, count, gauss):
+    """A block equals ``count`` scalar ``random()`` calls, from any
+    generator position, and leaves the generator (gauss slot included)
+    where those calls would."""
+    block_rng, scalar = random.Random(seed), random.Random(seed)
+    for rng in (block_rng, scalar):
+        for _ in range(warmup):
+            rng.random()
+        if gauss:
+            rng.gauss(0.0, 1.0)
+    expected = [scalar.random() for _ in range(count)]
+    assert random_block(block_rng, count).tolist() == expected
+    assert block_rng.getstate() == scalar.getstate()
 
 
 # ----------------------------------------------------------------------

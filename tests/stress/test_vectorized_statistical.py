@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.channels import CorrelatedNoiseChannel, SuppressionNoiseChannel
 from repro.parallel import (

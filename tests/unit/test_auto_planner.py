@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.channels import (
     CorrelatedNoiseChannel,
     IndependentNoiseChannel,
@@ -40,8 +38,6 @@ from repro.simulation import (
     RewindSimulator,
 )
 from repro.tasks import ParityTask
-
-np = pytest.importorskip("numpy")
 
 from repro.vectorized import VectorizedProcessRunner, VectorizedRunner
 

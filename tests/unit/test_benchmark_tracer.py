@@ -1,0 +1,75 @@
+"""The end-to-end benchmark's tracer still finds every layer it wraps.
+
+``benchmarks/e2e/tracing.py`` wraps methods by name through the class
+``__dict__`` (``MISTask.sample_inputs``,
+``_BatchNetworkChannel._node_noise``, ...), so renaming or moving one
+breaks every traced benchmark run.  This installs the tracer in a fresh
+interpreter (installing patches classes process-wide), runs one batched
+local-broadcast MIS batch under per-node noise, and checks the spans:
+one kernel step and one flip draw per virtual round.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+SCRIPT = """
+import json
+import sys
+
+sys.path.insert(0, "benchmarks/e2e")
+import tracing
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+
+from repro.network import (
+    LocalBroadcastSimulator,
+    MISTask,
+    NetworkBeepingChannel,
+    TopologySpec,
+)
+from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
+from repro.vectorized import VectorizedRunner
+
+spec = TopologySpec.of("grid", rows=4, cols=4)
+task = MISTask(spec.build(), cycles=2)
+executor = SimulationExecutor(
+    task=task,
+    channel=ChannelSpec.of(NetworkBeepingChannel, 0.05, topology=spec),
+    simulator=SimulatorSpec.of(LocalBroadcastSimulator),
+)
+runner = VectorizedRunner()
+runner.run_trials(task, executor, 2, seed=3)
+assert runner.last_fallback_reason is None, runner.last_fallback_reason
+calls = {
+    name: row["calls"] for name, row in tracing.self_times(tracer.spans).items()
+}
+print(json.dumps({"phases": task.phases, "calls": calls}))
+"""
+
+
+def test_traced_batch_records_one_step_and_draw_per_virtual_round():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    calls = result["calls"]
+    virtual_rounds = 2 * result["phases"]
+    assert calls["network.tasks.sample_inputs"] == 2
+    assert calls["vectorized.network.records"] == 1
+    assert calls["vectorized.network.step"] == virtual_rounds
+    assert calls["vectorized.network.node_noise"] == virtual_rounds

@@ -389,6 +389,26 @@ class TestMISTask:
         with pytest.raises(ConfigurationError):
             MISTask(ring(4), cycles=0)
 
+    @pytest.mark.parametrize("cycles", [None, 2])
+    @pytest.mark.parametrize("n", [1, 2, 37, 1024])
+    def test_sample_inputs_matches_per_coin_loop(self, n, cycles):
+        """The block-drawn coin tapes are the per-coin ``rng.random()``
+        loop's, and ``rng`` ends in the same state (gauss slot too)."""
+        adjacency = {1: [()], 2: [(1,), (0,)]}.get(n) or ring(n)
+        task = MISTask(adjacency, cycles=cycles)
+        vectorized, looped = random.Random(n), random.Random(n)
+        vectorized.gauss(0.0, 1.0)  # leaves a cached gauss to keep
+        looped.gauss(0.0, 1.0)
+        expected = [
+            tuple(
+                1 if looped.random() < task.candidate_probability(phase) else 0
+                for phase in range(task.phases)
+            )
+            for _ in range(n)
+        ]
+        assert task.sample_inputs(vectorized) == expected
+        assert vectorized.getstate() == looped.getstate()
+
 
 class TestMISExecution:
     @pytest.mark.parametrize(

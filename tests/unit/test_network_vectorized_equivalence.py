@@ -16,6 +16,11 @@ runners over the graph protocol grid:
   combined node+edge noise, tasks and simulators outside the driver
   registry — must take the scalar fallback, with a reason, and still
   produce identical records;
+* local-broadcast bursts under per-node noise on a 12×12 grid, with
+  the repetition count forced to 1, 3 and 61: a 61-round burst draws
+  61 × 144 = 8784 flips per trial, across the 4096-column prefetch and
+  the 8192-draw refill block, and the scalar records must show both
+  up- and down-flips so the noise accounting is really compared;
 * sampled vectorized trials replay bitwise on the scalar engine from
   their ``(seed, index)`` alone, observer events match, and the
   composed vectorized-process backend stripes the same batch to the
@@ -25,8 +30,6 @@ runners over the graph protocol grid:
 from __future__ import annotations
 
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.network import (
     BroadcastTask,
@@ -46,6 +49,7 @@ from repro.parallel import (
     run_trial,
 )
 from repro.simulation import RepetitionSimulator
+from repro.simulation.params import SimulationParameters
 from repro.vectorized import VectorizedRunner
 
 TOPOLOGY_SPECS = {
@@ -187,6 +191,59 @@ class TestNetworkCrossBackendEquivalence:
         finally:
             runner.close()
         assert striped.records == serial
+
+
+#: 144 nodes: a k = 61 burst is 8784 flip draws per trial.
+BURST_GRID = TopologySpec.of("grid", rows=12, cols=12)
+
+
+class TestLocalBroadcastBursts:
+    """Fused per-node-noise bursts against the scalar engine's ``k``
+    physical rounds, at sizes where one burst's draws cross the
+    prefetch and refill boundaries of the flip streams."""
+
+    def _assert_bursts_equal(self, task, channel_spec, repetitions):
+        executor = SimulationExecutor(
+            task=task,
+            channel=channel_spec,
+            simulator=SimulatorSpec.of(
+                LocalBroadcastSimulator,
+                params=SimulationParameters(repetitions=repetitions),
+            ),
+        )
+        seed = 1414
+        serial = SerialRunner().run_trials(task, executor, 3, seed=seed)
+        runner = VectorizedRunner()
+        vectorized = runner.run_trials(task, executor, 3, seed=seed)
+        assert runner.last_fallback_reason is None
+        assert vectorized.records == serial.records
+        assert {record.channel_rounds for record in serial.records} == {
+            repetitions * task.noiseless_protocol().length()
+        }
+        assert sum(record.flips_up for record in serial.records) > 0
+        assert sum(record.flips_down for record in serial.records) > 0
+
+    @pytest.mark.parametrize("repetitions", [1, 3, 61])
+    @pytest.mark.parametrize("task_name", ["neighbor-or", "mis"])
+    def test_node_noise_bursts_bitwise_equal(self, task_name, repetitions):
+        self._assert_bursts_equal(
+            _task(task_name, BURST_GRID),
+            _channel_spec(BURST_GRID, "node"),
+            repetitions,
+        )
+
+    @pytest.mark.parametrize("repetitions", [1, 61])
+    def test_hear_self_bursts_bitwise_equal(self, repetitions):
+        self._assert_bursts_equal(
+            NeighborORTask(BURST_GRID.build()),
+            ChannelSpec.of(
+                NetworkBeepingChannel,
+                0.05,
+                topology=BURST_GRID,
+                hear_self=True,
+            ),
+            repetitions,
+        )
 
 
 class TestNetworkFallbacks:

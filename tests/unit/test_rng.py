@@ -99,9 +99,6 @@ class TestVectorizedStreamGolden:
     GOLDEN_PACKED = [[148, 188], [87, 117], [99, 99]]
 
     def test_transferred_streams_frozen(self):
-        import pytest
-
-        pytest.importorskip("numpy")
         from repro.vectorized import numpy_stream
 
         for (master, index), (expected_seed, doubles) in (
@@ -117,9 +114,6 @@ class TestVectorizedStreamGolden:
             assert [scalar.random() for _ in range(3)] == doubles
 
     def test_batch_flip_matrix_frozen(self):
-        import pytest
-
-        pytest.importorskip("numpy")
         from repro.vectorized import BatchFlips
 
         rngs = [
@@ -165,9 +159,6 @@ class TestVectorizedStreamGolden:
         ]
 
     def test_network_node_noise_streams_frozen(self):
-        import pytest
-
-        pytest.importorskip("numpy")
         from repro.vectorized import BatchFlips
 
         channels = self._network_channels(epsilon=0.25)
@@ -188,9 +179,6 @@ class TestVectorizedStreamGolden:
         ] == self.GOLDEN_NETWORK_NODE_FLIPS[0]
 
     def test_network_edge_noise_streams_frozen(self):
-        import pytest
-
-        pytest.importorskip("numpy")
         from repro.vectorized import BatchFlips
 
         channels = self._network_channels(edge_epsilon=0.1)

@@ -479,7 +479,6 @@ class TestRunSweepResumable:
         """A cache warmed by the vectorized backend serves serial runs
         (and vice versa) with zero recompute — the key excludes the
         runner, and the records it addresses are bitwise identical."""
-        pytest.importorskip("numpy")
         from repro.vectorized import VectorizedRunner
 
         grid = small_grid(ns=(3, 4), trials=2)

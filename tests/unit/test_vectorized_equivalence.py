@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.channels import (
     BudgetedAdversaryChannel,
     BurstNoiseChannel,

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.channels import (
     CorrelatedNoiseChannel,
     IndependentNoiseChannel,
