@@ -13,6 +13,11 @@ quantities the lower-bound proof manipulates:
 * exhaustive enumeration of positive-probability transcripts, with pruning
   (under one-sided noise, rounds with a beeper force ``π_m = 1``).
 
+All per-transcript quantities read the beep bits from one :class:`BeepTable`
+per transcript: ``f_m^i(y, π_{<m})`` for every party ``i`` and candidate
+input ``y``, as an int bitmask over rounds, filled lazily and reused by every
+neighbour ``x^{i=y}`` the Appendix C sums visit.
+
 Everything here is exact rational-free floating point arithmetic over small
 instances; the Monte-Carlo layer in :mod:`repro.analysis` covers large ones.
 """
@@ -29,6 +34,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.util.bits import BitWord
 
 __all__ = [
+    "BeepTable",
     "FormalProtocol",
     "RoundPartition",
     "NoiseModel",
@@ -79,6 +85,109 @@ class NoiseModel:
         if or_value == 1:
             return self.down if received == 0 else 1.0 - self.down
         return self.up if received == 1 else 1.0 - self.up
+
+
+def _as_bit(value: Any, party: int) -> int:
+    """A broadcast value as a bit; anything but 0/1 is a protocol bug."""
+    if value == 1:
+        return 1
+    if value == 0:
+        return 0
+    raise ProtocolError(
+        f"party {party} broadcast {value!r}; a beep must be 0 or 1"
+    )
+
+
+class BeepTable:
+    """The beep bits of every candidate input along one transcript ``π``.
+
+    ``mask(i, y)`` is an int whose bit ``m`` is ``f_m^i(y, π_{<m})``.  The
+    prefixes ``π_{<m}`` are built once, and each ``(i, y)`` is evaluated at
+    most once per round.  Zero-round bits are filled first and stop at the
+    first beep, which is all feasibility (§C.2) needs; the remaining bits
+    are filled only when a full mask is asked for.
+
+    Args:
+        broadcast: The protocol's ``f(i, x_i, prefix)``.
+        pi: The transcript, or a prefix of one.
+    """
+
+    def __init__(self, broadcast: SharedBroadcast, pi: BitWord) -> None:
+        self.broadcast = broadcast
+        self.pi = pi
+        self._prefixes = [pi[:m] for m in range(len(pi))]
+        self._zero_rounds = [m for m, bit in enumerate(pi) if bit == 0]
+        self._one_rounds = [m for m, bit in enumerate(pi) if bit != 0]
+        #: Bit ``m`` set iff ``π_m = 0`` (the set ``J`` of §C.2).
+        self.zero_mask = sum(1 << m for m in self._zero_rounds)
+        # (i, y) -> first zero-round beep bit, or 0 when silent on them all.
+        self._zero_hits: dict[tuple[int, Any], int] = {}
+        self._masks: dict[tuple[int, Any], int] = {}
+        self._factors: dict[NoiseModel, list[tuple[float, float]]] = {}
+
+    def _fill(
+        self, party: int, value: Any, rounds: Sequence[int], first_only: bool
+    ) -> int:
+        broadcast = self.broadcast
+        prefixes = self._prefixes
+        mask = 0
+        for m in rounds:
+            bit = broadcast(party, value, prefixes[m])
+            # Silence is the common case; every other value goes through
+            # _as_bit, so a non-bit raises.
+            if bit != 0 and _as_bit(bit, party):
+                mask |= 1 << m
+                if first_only:
+                    break
+        return mask
+
+    def feasible(self, party: int, value: Any) -> bool:
+        """Whether ``value`` beeps in no 0-round: ``value ∈ S^party(π)``."""
+        key = (party, value)
+        hit = self._zero_hits.get(key)
+        if hit is None:
+            mask = self._masks.get(key)
+            if mask is not None:
+                hit = mask & self.zero_mask
+            else:
+                hit = self._fill(party, value, self._zero_rounds, True)
+            self._zero_hits[key] = hit
+        return hit == 0
+
+    def mask(self, party: int, value: Any) -> int:
+        """All beep bits of ``party`` holding ``value``, round ``m`` at bit
+        ``m``."""
+        key = (party, value)
+        mask = self._masks.get(key)
+        if mask is None:
+            if self._zero_hits.get(key) == 0:
+                rounds: Sequence[int] = self._one_rounds
+            else:
+                rounds = range(len(self.pi))
+            mask = self._masks[key] = self._fill(party, value, rounds, False)
+        return mask
+
+    def probability(self, or_mask: int, noise: NoiseModel) -> float:
+        """``Pr(π | x)`` for any ``x`` whose beeps OR to ``or_mask``.
+
+        The same left-to-right product over rounds as the chain rule of
+        §C.3.1, returning 0 as soon as a factor makes it 0.
+        """
+        factors = self._factors.get(noise)
+        if factors is None:
+            factors = self._factors[noise] = [
+                (
+                    noise.round_probability(0, received),
+                    noise.round_probability(1, received),
+                )
+                for received in self.pi
+            ]
+        probability = 1.0
+        for m, pair in enumerate(factors):
+            probability *= pair[(or_mask >> m) & 1]
+            if probability == 0.0:
+                return 0.0
+        return probability
 
 
 @dataclass
@@ -142,6 +251,9 @@ class FormalProtocol(Protocol):
         self.input_spaces = [tuple(space) for space in input_spaces]
         self.broadcast = broadcast
         self.output = output
+        # Only the most recent transcript's table: the Appendix C sums
+        # visit one π at a time, and a larger cache only grows memory.
+        self._table: BeepTable | None = None
 
     # ------------------------------------------------------------------
     # Executable interface (engine compatibility)
@@ -179,12 +291,31 @@ class FormalProtocol(Protocol):
     # Exact analysis
     # ------------------------------------------------------------------
 
-    def beeps(self, x: Sequence[Any], pi: Sequence[int]) -> list[BitWord]:
-        """The matrix of beeped bits for input ``x`` along transcript ``pi``.
+    def beep_table(self, pi: Sequence[int]) -> BeepTable:
+        """The :class:`BeepTable` of ``pi`` (any prefix of a transcript).
 
-        Entry ``[m][i]`` is ``f_{m+1}^i(x^i, π_{<m+1})``.  ``pi`` may be any
-        candidate transcript of length ``length()``; it need not have
-        positive probability under any noise model.
+        The table of the most recent ``pi`` is kept and reused.
+        """
+        pi = tuple(pi)
+        if len(pi) > self._length:
+            raise ProtocolError(
+                f"transcript length {len(pi)} exceeds protocol length "
+                f"{self._length}"
+            )
+        table = self._table
+        if (
+            table is None
+            or table.pi != pi
+            or table.broadcast is not self.broadcast
+        ):
+            table = self._table = BeepTable(self.broadcast, pi)
+        return table
+
+    def beep_masks(self, x: Sequence[Any], pi: Sequence[int]) -> list[int]:
+        """Per party ``i``, the bitmask of ``f_m^i(x^i, π_{<m})`` over rounds.
+
+        ``pi`` may be any candidate transcript of length ``length()``; it
+        need not have positive probability under any noise model.
         """
         self._check_inputs(x)
         if len(pi) != self._length:
@@ -192,26 +323,34 @@ class FormalProtocol(Protocol):
                 f"transcript length {len(pi)} != protocol length "
                 f"{self._length}"
             )
-        rows: list[BitWord] = []
-        for m in range(self._length):
-            prefix = pi[:m]
-            rows.append(
-                tuple(
-                    self.broadcast(i, x[i], prefix)
-                    for i in range(self.n_parties)
-                )
-            )
-        return rows
+        table = self.beep_table(pi)
+        return [table.mask(i, value) for i, value in enumerate(x)]
+
+    def beeps(self, x: Sequence[Any], pi: Sequence[int]) -> list[BitWord]:
+        """The matrix of beeped bits for input ``x`` along transcript ``pi``.
+
+        Entry ``[m][i]`` is ``f_{m+1}^i(x^i, π_{<m+1})``.
+        """
+        masks = self.beep_masks(x, pi)
+        return [
+            tuple((mask >> m) & 1 for mask in masks)
+            for m in range(self._length)
+        ]
 
     def beep_set(
         self, x: Sequence[Any], pi: Sequence[int], round_index: int
     ) -> frozenset[int]:
         """``B_m(x, π)``: the set of parties beeping 1 in round ``m``."""
-        prefix = pi[:round_index]
+        self._check_inputs(x)
+        if not 0 <= round_index < len(pi):
+            raise ProtocolError(
+                f"round {round_index} outside transcript of length {len(pi)}"
+            )
+        table = self.beep_table(pi)
         return frozenset(
             i
-            for i in range(self.n_parties)
-            if self.broadcast(i, x[i], prefix) == 1
+            for i, value in enumerate(x)
+            if (table.mask(i, value) >> round_index) & 1
         )
 
     def round_partition(
@@ -219,9 +358,9 @@ class FormalProtocol(Protocol):
     ) -> RoundPartition:
         """Partition the rounds into ``A_0, A'_0, A_i, A_{n+1}`` (§C.3.1)."""
         partition = RoundPartition()
-        beep_rows = self.beeps(x, pi)
+        masks = self.beep_masks(x, pi)
         for m in range(self._length):
-            beepers = [i for i, bit in enumerate(beep_rows[m]) if bit == 1]
+            beepers = [i for i, mask in enumerate(masks) if (mask >> m) & 1]
             if pi[m] == 0:
                 partition.zeros.append(m)
             elif not beepers:
@@ -240,14 +379,10 @@ class FormalProtocol(Protocol):
         The chain rule of §C.3.1: each round contributes
         ``Pr(π_m | OR of the beeps at round m)`` independently.
         """
-        beep_rows = self.beeps(x, pi)
-        probability = 1.0
-        for m in range(self._length):
-            or_value = 1 if any(beep_rows[m]) else 0
-            probability *= noise.round_probability(or_value, pi[m])
-            if probability == 0.0:
-                return 0.0
-        return probability
+        or_mask = 0
+        for mask in self.beep_masks(x, pi):
+            or_mask |= mask
+        return self.beep_table(pi).probability(or_mask, noise)
 
     def enumerate_transcripts(
         self, x: Sequence[Any], noise: NoiseModel
@@ -270,7 +405,7 @@ class FormalProtocol(Protocol):
             beep_or = (
                 1
                 if any(
-                    self.broadcast(i, x[i], prefix) == 1
+                    _as_bit(self.broadcast(i, x[i], prefix), i)
                     for i in range(self.n_parties)
                 )
                 else 0
@@ -310,9 +445,11 @@ def formalize_protocol(
     The broadcast functions are recovered *operationally*: to evaluate
     ``f_m^i(x, π_{<m})`` a fresh party is created with input ``x`` and
     replayed over the prefix, and its next beep is read off.  This costs
-    O(m) per query — perfectly fine for the small instances the exact
-    lower-bound machinery enumerates — and works for every deterministic
-    protocol, not just those written as explicit function tables.
+    O(m) per query, and the :class:`BeepTable` runs each ``(i, y, m)``
+    query at most once per transcript — perfectly fine for the small
+    instances the exact lower-bound machinery enumerates — and works for
+    every deterministic protocol, not just those written as explicit
+    function tables.
 
     Args:
         protocol: The protocol to lift; ``protocol.length()`` must be

@@ -7,7 +7,8 @@ a transcript prefix is
 
     ``S^i(π_{≤m}) = ∩_{j ∈ J} { y : f_j^i(y, π_{<j}) = 0 }``
 
-with ``J`` the 0-positions of the prefix.  Large feasible sets mean the
+with ``J`` the 0-positions of the prefix (the prefix's zero-mask, see
+:class:`~repro.core.formal.BeepTable`).  Large feasible sets mean the
 transcript has revealed little about a party's input — the quantity the
 entropy argument of Lemma C.5 keeps large for most parties.
 """
@@ -39,15 +40,12 @@ def feasible_set(
             f"prefix length {len(pi)} exceeds protocol length "
             f"{protocol.length()}"
         )
-    zero_rounds = [j for j, bit in enumerate(pi) if bit == 0]
-    feasible = []
-    for candidate in protocol.input_spaces[party]:
-        if all(
-            protocol.broadcast(party, candidate, pi[:j]) == 0
-            for j in zero_rounds
-        ):
-            feasible.append(candidate)
-    return tuple(feasible)
+    table = protocol.beep_table(pi)
+    return tuple(
+        candidate
+        for candidate in protocol.input_spaces[party]
+        if table.feasible(party, candidate)
+    )
 
 
 def feasible_sizes(

@@ -19,7 +19,7 @@ import random
 from typing import Sequence
 
 from repro.core.formal import FormalProtocol
-from repro.lowerbound.feasible import feasible_set
+from repro.lowerbound.feasible import feasible_sizes
 from repro.rng import ensure_rng
 
 __all__ = [
@@ -52,8 +52,8 @@ def large_feasible_players(
         threshold = math.sqrt(protocol.n_parties)
     return frozenset(
         party
-        for party in range(protocol.n_parties)
-        if len(feasible_set(protocol, party, pi)) > threshold
+        for party, size in enumerate(feasible_sizes(protocol, pi))
+        if size > threshold
     )
 
 

@@ -135,18 +135,35 @@ class LowerBoundAnalyzer:
 
     def z_value(self, inputs: Sequence[Any], pi: Sequence[int]) -> float:
         """``Z(x, π)``: expected neighbor probability over good players."""
-        inputs = tuple(inputs)
+        return self._z_value(inputs, pi, self.good_set(inputs, pi))
+
+    def _z_value(
+        self, inputs: Sequence[Any], pi: Sequence[int], good: frozenset[int]
+    ) -> float:
+        # A neighbor x^{i=y} beeps the OR of the other parties' masks and
+        # y's mask, so its probability is memoised per OR-mask.
+        masks = self.protocol.beep_masks(inputs, pi)
+        table = self.protocol.beep_table(pi)
+        by_or_mask: dict[int, float] = {}
         total = 0.0
-        for party in self.good_set(inputs, pi):
+        for party in good:
             feasible = feasible_set(self.protocol, party, pi)
             if not feasible:
                 continue
+            others = 0
+            for index, mask in enumerate(masks):
+                if index != party:
+                    others |= mask
             mass = 0.0
             for candidate in feasible:
-                neighbor = (
-                    inputs[:party] + (candidate,) + inputs[party + 1 :]
-                )
-                mass += self.joint_probability(neighbor, pi)
+                or_mask = others | table.mask(party, candidate)
+                probability = by_or_mask.get(or_mask)
+                if probability is None:
+                    probability = by_or_mask[or_mask] = (
+                        self._input_probability
+                        * table.probability(or_mask, self.noise)
+                    )
+                mass += probability
             total += mass / len(feasible)
         return total
 
@@ -162,7 +179,7 @@ class LowerBoundAnalyzer:
             z_value = 0.0
             zeta = 0.0
         else:
-            z_value = self.z_value(inputs, pi)
+            z_value = self._z_value(inputs, pi, good)
             # Inside 𝒢 the good set is non-empty and contains x itself among
             # the feasible neighbors, so Z > 0 (§C.2).  Outside 𝒢 the good
             # set may be empty; ζ is then +inf by convention (the transcript

@@ -8,6 +8,7 @@ from repro.channels import NoiselessChannel, OneSidedNoiseChannel
 from repro.core import run_protocol
 from repro.core.formal import FormalProtocol, NoiseModel
 from repro.errors import ConfigurationError, ProtocolError
+from repro.lowerbound.feasible import feasible_set
 from repro.tasks.input_set import input_set_formal_protocol
 
 
@@ -125,6 +126,53 @@ class TestBeepsAndPartition:
         )
         partition = protocol.round_partition([1, 1], (1,))
         assert partition.crowded == [0]
+
+
+class TestBroadcastBits:
+    """A broadcast value must be a bit; everything reads it the same way."""
+
+    @staticmethod
+    def _protocol(beep):
+        return FormalProtocol(
+            1,
+            1,
+            [(0, 1)],
+            lambda i, x, p: beep if x == 1 else 0,
+            lambda pi: None,
+        )
+
+    def test_non_bit_broadcast_raises_everywhere(self):
+        protocol = self._protocol(2)
+        model = NoiseModel.one_sided(1.0 / 3.0)
+        with pytest.raises(ProtocolError):
+            protocol.transcript_probability((1,), (0,), model)
+        with pytest.raises(ProtocolError):
+            protocol.beeps((1,), (1,))
+        with pytest.raises(ProtocolError):
+            protocol.beep_set((1,), (1,), 0)
+        with pytest.raises(ProtocolError):
+            list(protocol.enumerate_transcripts((1,), model))
+        with pytest.raises(ProtocolError):
+            feasible_set(protocol, 0, (0,))
+
+    def test_bool_broadcast_is_a_bit(self):
+        boolean = self._protocol(True)
+        integer = self._protocol(1)
+        model = NoiseModel.two_sided(0.25)
+        for pi in ((0,), (1,)):
+            assert boolean.transcript_probability(
+                (1,), pi, model
+            ) == integer.transcript_probability((1,), pi, model)
+            assert boolean.beeps((1,), pi) == [(1,)]
+        assert list(boolean.enumerate_transcripts((1,), model)) == list(
+            integer.enumerate_transcripts((1,), model)
+        )
+
+    def test_reassigned_broadcast_is_not_served_stale(self):
+        protocol = _simple_protocol()
+        assert protocol.beeps([1, 1], (1, 1)) == [(1, 0), (0, 1)]
+        protocol.broadcast = lambda i, x, prefix: 0
+        assert protocol.beeps([1, 1], (1, 1)) == [(0, 0), (0, 0)]
 
 
 class TestTranscriptProbability:

@@ -119,6 +119,60 @@ class TestExpectations:
         assert correctness == pytest.approx(1.0)
 
 
+class TestPinnedE5aSummaries:
+    """E5a's exact summaries, recorded before the per-transcript beep
+    table and asserted bitwise: the table must not move a single float."""
+
+    # (n, repetitions) -> (Pr(G), E[zeta|G], max zeta, Pr[correct], mass)
+    PINNED = {
+        (2, 1): (
+            0.7499999999999997,
+            0.685714285714286,
+            0.75,
+            0.4074074074074076,
+            0.9999999999999997,
+        ),
+        (2, 2): (
+            0.750000000000002,
+            0.8593984962405978,
+            0.9,
+            0.7681755829903986,
+            1.0000000000000004,
+        ),
+        (2, 3): (
+            0.7499999999999961,
+            0.9476084890719083,
+            0.9642857142857143,
+            0.9187115785195252,
+            0.99999999999999,
+        ),
+        (3, 1): (
+            0.9722222222222172,
+            0.8472063650635021,
+            1.5000000000000002,
+            0.25057155921353486,
+            0.9999999999999966,
+        ),
+    }
+
+    @pytest.mark.parametrize("instance", sorted(PINNED))
+    def test_summary_is_bitwise_pinned(self, instance):
+        n, repetitions = instance
+        protocol = input_set_formal_protocol(
+            n, repetitions=repetitions, decision="unanimous"
+        )
+        summary = LowerBoundAnalyzer(protocol, ONE_SIDED).summary(
+            reference=frozenset
+        )
+        assert (
+            summary.good_event_probability,
+            summary.expected_zeta_given_good,
+            summary.max_zeta_in_good,
+            summary.correctness_probability,
+            summary.total_mass,
+        ) == self.PINNED[instance]
+
+
 class TestAnalyzerValidation:
     def test_good_fraction_validated(self):
         with pytest.raises(ConfigurationError):
