@@ -358,6 +358,7 @@ def cmd_run_experiment(args: argparse.Namespace) -> int:
             seed=args.seed,
             scale=args.scale,
             workers=args.workers,
+            backend=args.backend,
         )
         print(result.summary())
         return 0 if result.all_passed else 1
@@ -378,6 +379,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"running {identifier} ...", file=sys.stderr
         ),
         workers=args.workers,
+        backend=args.backend,
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -409,6 +411,10 @@ def add_common_run_args(
         help="trial-runner workers (process pool when > 1; results are "
         "identical for any worker count)",
     )
+    _add_backend_arg(parser)
+
+
+def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         choices=RUNNER_BACKENDS,
@@ -596,6 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="trial-runner workers for the experiment's sweeps",
     )
+    _add_backend_arg(run_exp)
     _add_profile_arg(run_exp, "profile_<ID>.pstats")
     run_exp.set_defaults(func=cmd_run_experiment)
 
@@ -613,8 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="trial-runner workers shared by all experiments",
+        help="trial-runner workers for each experiment's sweeps",
     )
+    _add_backend_arg(report)
     report.add_argument(
         "-o", "--output", help="output file (default: stdout)"
     )

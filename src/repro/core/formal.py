@@ -394,33 +394,42 @@ class FormalProtocol(Protocol):
         beeper can only produce 1, halving the tree at that node).
         """
         self._check_inputs(x)
+        yield from self._extend_transcripts(x, noise, [], 1.0)
 
-        def extend(
-            prefix: list[int], probability: float
-        ) -> Iterator[tuple[BitWord, float]]:
-            m = len(prefix)
-            if m == self._length:
-                yield tuple(prefix), probability
-                return
-            beep_or = (
-                1
-                if any(
-                    _as_bit(self.broadcast(i, x[i], prefix), i)
-                    for i in range(self.n_parties)
-                )
-                else 0
+    def _extend_transcripts(
+        self,
+        x: Sequence[Any],
+        noise: NoiseModel,
+        prefix: list[int],
+        probability: float,
+    ) -> Iterator[tuple[BitWord, float]]:
+        """The subtree of :meth:`enumerate_transcripts` below ``prefix``.
+
+        A method rather than a recursive nested generator, which would
+        form a reference cycle (function → closure cell → function)
+        keeping ``self`` alive until a gen-2 collection.
+        """
+        m = len(prefix)
+        if m == self._length:
+            yield tuple(prefix), probability
+            return
+        beep_or = (
+            1
+            if any(
+                _as_bit(self.broadcast(i, x[i], prefix), i)
+                for i in range(self.n_parties)
             )
-            for received in (0, 1):
-                round_probability = noise.round_probability(
-                    beep_or, received
-                )
-                if round_probability == 0.0:
-                    continue
-                prefix.append(received)
-                yield from extend(prefix, probability * round_probability)
-                prefix.pop()
-
-        yield from extend([], 1.0)
+            else 0
+        )
+        for received in (0, 1):
+            round_probability = noise.round_probability(beep_or, received)
+            if round_probability == 0.0:
+                continue
+            prefix.append(received)
+            yield from self._extend_transcripts(
+                x, noise, prefix, probability * round_probability
+            )
+            prefix.pop()
 
     def enumerate_inputs(self) -> Iterator[tuple[Any, ...]]:
         """Every input vector in the product of the input spaces."""

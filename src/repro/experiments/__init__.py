@@ -12,7 +12,16 @@ Consumers:
   experiment once, persists its table under ``benchmarks/results/``, and
   asserts every check;
 * the CLI (``python -m repro run-experiment E1``) runs one on demand;
-* library users import :data:`REGISTRY` and call ``run`` directly.
+* library users call :func:`run_experiment`, or import :data:`REGISTRY`
+  and call ``run`` directly.
+
+Every Monte-Carlo sweep in the suite hands its sweep a picklable
+:class:`~repro.parallel.executors.SimulationExecutor` (task, channel
+recipe, simulator recipe), so :func:`run_experiment`'s default ``auto``
+planner can route each batch: collapsed onto the vectorized backend
+where the measured crossover table says it wins, scalar otherwise.
+E5's exact enumeration and the hand-rolled raw-protocol loops (E2, E4,
+E6, E7a, E11, E12) do not sweep, so they ignore the runner.
 """
 
 from __future__ import annotations
@@ -87,20 +96,26 @@ def run_experiment(
     scale: float = 1.0,
     *,
     workers: int = 1,
+    backend: str | None = "auto",
     runner: "TrialRunner | None" = None,
 ) -> ExperimentResult:
     """Run one experiment by id.
 
-    ``workers > 1`` fans the experiment's Monte-Carlo sweeps out over a
-    process pool (``runner`` passes an existing
+    The experiment's Monte-Carlo sweeps run on
+    ``make_runner(workers, backend=backend)``: by default the calibrated
+    ``auto`` planner, which collapses the batches it has a measured win
+    for and runs the rest serially (or over a pool of ``workers``).
+    ``runner`` passes an existing
     :class:`~repro.parallel.runner.TrialRunner` instead; the caller then
-    owns its lifetime).  Results are bitwise identical either way — the
+    owns its lifetime.  Results are bitwise identical either way — the
     per-trial seeding contract makes the backend invisible to the data.
     """
     from repro.parallel import make_runner, use_runner
 
     module = get_experiment(experiment_id)
-    active = runner if runner is not None else make_runner(workers)
+    active = (
+        runner if runner is not None else make_runner(workers, backend=backend)
+    )
     try:
         with use_runner(active):
             return module.run(seed=seed, scale=scale)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.analysis import estimate_success, fit_log, format_table
 from repro.channels import OneSidedNoiseChannel, SuppressionNoiseChannel
 from repro.experiments.base import ExperimentResult, validate_scale
+from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
 from repro.simulation import ChunkCommitSimulator, RewindSimulator
 from repro.tasks import InputSetTask
 
@@ -21,12 +22,12 @@ EPSILON = 0.2
 TRIALS = 10
 
 
-def _point(task, simulator, channel_factory, trials, seed):
-    def executor(inputs, trial_seed):
-        return simulator.simulate(
-            task.noiseless_protocol(), inputs, channel_factory(trial_seed)
-        )
-
+def _point(task, simulator, channel, trials, seed):
+    executor = SimulationExecutor(
+        task=task,
+        channel=ChannelSpec.of(channel, EPSILON),
+        simulator=SimulatorSpec.of(simulator),
+    )
     return estimate_success(task, executor, trials=trials, seed=seed)
 
 
@@ -41,22 +42,22 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
         task = InputSetTask(n)
         down = _point(
             task,
-            RewindSimulator(),
-            lambda s: SuppressionNoiseChannel(EPSILON, rng=s),
+            RewindSimulator,
+            SuppressionNoiseChannel,
             trials,
             seed=seed + 3 * n,
         )
         up = _point(
             task,
-            RewindSimulator(),
-            lambda s: OneSidedNoiseChannel(EPSILON, rng=s),
+            RewindSimulator,
+            OneSidedNoiseChannel,
             trials,
             seed=seed + 5 * n,
         )
         fix = _point(
             task,
-            ChunkCommitSimulator(),
-            lambda s: OneSidedNoiseChannel(EPSILON, rng=s),
+            ChunkCommitSimulator,
+            OneSidedNoiseChannel,
             trials,
             seed=seed + 7 * n,
         )

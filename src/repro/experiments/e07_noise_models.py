@@ -12,6 +12,7 @@ from repro.channels import (
 )
 from repro.core import run_protocol
 from repro.experiments.base import ExperimentResult, validate_scale
+from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
 from repro.simulation import RepetitionSimulator
 from repro.tasks import InputSetTask
 
@@ -38,15 +39,13 @@ def _agreement_and_success(channel_factory, trials, seed):
     return agree / trials, correct / trials
 
 
-def _simulated_success(channel_factory, trials, seed):
+def _simulated_success(channel, trials, seed):
     task = InputSetTask(N)
-    simulator = RepetitionSimulator()
-
-    def executor(inputs, trial_seed):
-        return simulator.simulate(
-            task.noiseless_protocol(), inputs, channel_factory(trial_seed)
-        )
-
+    executor = SimulationExecutor(
+        task=task,
+        channel=ChannelSpec.of(channel, EPSILON),
+        simulator=SimulatorSpec.of(RepetitionSimulator),
+    )
     return estimate_success(task, executor, trials=trials, seed=seed)
 
 
@@ -63,14 +62,10 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
         lambda s: IndependentNoiseChannel(EPSILON, rng=s), trials, seed + 1
     )
     sim_corr = _simulated_success(
-        lambda s: CorrelatedNoiseChannel(EPSILON, rng=s),
-        sim_trials,
-        seed=seed + 11,
+        CorrelatedNoiseChannel, sim_trials, seed=seed + 11
     )
     sim_ind = _simulated_success(
-        lambda s: IndependentNoiseChannel(EPSILON, rng=s),
-        sim_trials,
-        seed=seed + 13,
+        IndependentNoiseChannel, sim_trials, seed=seed + 13
     )
     table = format_table(
         ["noise model", "raw agree", "raw correct", "repetition-sim correct"],

@@ -6,6 +6,7 @@ from __future__ import annotations
 from repro.analysis import estimate_success, format_table
 from repro.channels import CorrelatedNoiseChannel
 from repro.experiments.base import ExperimentResult, validate_scale
+from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
 from repro.simulation import ChunkCommitSimulator, SimulationParameters
 from repro.tasks import MaxIdTask
 
@@ -20,14 +21,11 @@ TRIALS = 5
 
 def _point(id_bits, params, trials, seed):
     task = MaxIdTask(N, id_bits=id_bits)
-    simulator = ChunkCommitSimulator(params)
-
-    def executor(inputs, trial_seed):
-        channel = CorrelatedNoiseChannel(EPSILON, rng=trial_seed)
-        return simulator.simulate(
-            task.noiseless_protocol(), inputs, channel
-        )
-
+    executor = SimulationExecutor(
+        task=task,
+        channel=ChannelSpec.of(CorrelatedNoiseChannel, EPSILON),
+        simulator=SimulatorSpec.of(ChunkCommitSimulator, params),
+    )
     return estimate_success(task, executor, trials=trials, seed=seed)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.analysis import estimate_success, fit_log, format_table
 from repro.channels import CorrelatedNoiseChannel
 from repro.experiments.base import ExperimentResult, validate_scale
+from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
 from repro.simulation import ChunkCommitSimulator, HierarchicalSimulator
 from repro.tasks import InputSetTask
 
@@ -18,13 +19,11 @@ TRIALS = 8
 
 def _point(n, simulator, trials, seed):
     task = InputSetTask(n)
-
-    def executor(inputs, trial_seed):
-        channel = CorrelatedNoiseChannel(EPSILON, rng=trial_seed)
-        return simulator.simulate(
-            task.noiseless_protocol(), inputs, channel
-        )
-
+    executor = SimulationExecutor(
+        task=task,
+        channel=ChannelSpec.of(CorrelatedNoiseChannel, EPSILON),
+        simulator=SimulatorSpec.of(simulator),
+    )
     return estimate_success(task, executor, trials=trials, seed=seed)
 
 
@@ -36,10 +35,10 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     iter_overhead, hier_overhead = [], []
     for n in NS:
         iterative = _point(
-            n, ChunkCommitSimulator(), trials, seed=seed + 3 * n
+            n, ChunkCommitSimulator, trials, seed=seed + 3 * n
         )
         hierarchical = _point(
-            n, HierarchicalSimulator(), trials, seed=seed + 5 * n
+            n, HierarchicalSimulator, trials, seed=seed + 5 * n
         )
         iter_success.append(iterative.success.value)
         hier_success.append(hierarchical.success.value)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.analysis import estimate_success, format_table
 from repro.channels import BurstNoiseChannel, CorrelatedNoiseChannel
 from repro.experiments.base import ExperimentResult, validate_scale
+from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
 from repro.simulation import ChunkCommitSimulator, RepetitionSimulator
 from repro.tasks import InputSetTask
 
@@ -17,25 +18,23 @@ BURST_LENGTHS = (1, 4, 16, 64)
 TRIALS = 12
 
 
-def _channel_factory(burst_length):
+def _channel(burst_length):
     if burst_length == 1:
-        return lambda seed: CorrelatedNoiseChannel(
-            AVERAGE_EPSILON, rng=seed
-        )
-    return lambda seed: BurstNoiseChannel.matched_to(
-        AVERAGE_EPSILON, burst_length=burst_length, rng=seed
+        return ChannelSpec.of(CorrelatedNoiseChannel, AVERAGE_EPSILON)
+    return ChannelSpec.of(
+        BurstNoiseChannel.matched_to,
+        AVERAGE_EPSILON,
+        burst_length=burst_length,
     )
 
 
 def _point(simulator, burst_length, trials, seed):
     task = InputSetTask(N)
-    factory = _channel_factory(burst_length)
-
-    def executor(inputs, trial_seed):
-        return simulator.simulate(
-            task.noiseless_protocol(), inputs, factory(trial_seed)
-        )
-
+    executor = SimulationExecutor(
+        task=task,
+        channel=_channel(burst_length),
+        simulator=SimulatorSpec.of(simulator),
+    )
     return estimate_success(task, executor, trials=trials, seed=seed)
 
 
@@ -48,13 +47,13 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     chunk_attempts = []
     for burst_length in BURST_LENGTHS:
         repetition = _point(
-            RepetitionSimulator(),
+            RepetitionSimulator,
             burst_length,
             trials,
             seed=seed + 3 * burst_length,
         )
         chunked = _point(
-            ChunkCommitSimulator(),
+            ChunkCommitSimulator,
             burst_length,
             trials,
             seed=seed + 5 * burst_length,

@@ -6,6 +6,7 @@ from __future__ import annotations
 from repro.analysis import estimate_success, format_table
 from repro.channels import CorrelatedNoiseChannel, IndependentNoiseChannel
 from repro.experiments.base import ExperimentResult, validate_scale
+from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
 from repro.simulation import RepetitionSimulator, SimulationParameters
 from repro.tasks import InputSetTask
 
@@ -18,17 +19,16 @@ REPETITIONS = (3, 5, 9, 15, 25)
 TRIALS = 30
 
 
-def _point(repetitions, channel_factory, trials, seed):
+def _point(repetitions, channel, trials, seed):
     task = InputSetTask(N)
-    simulator = RepetitionSimulator(
-        SimulationParameters(repetitions=repetitions)
+    executor = SimulationExecutor(
+        task=task,
+        channel=ChannelSpec.of(channel, EPSILON),
+        simulator=SimulatorSpec.of(
+            RepetitionSimulator,
+            SimulationParameters(repetitions=repetitions),
+        ),
     )
-
-    def executor(inputs, trial_seed):
-        return simulator.simulate(
-            task.noiseless_protocol(), inputs, channel_factory(trial_seed)
-        )
-
     return estimate_success(task, executor, trials=trials, seed=seed)
 
 
@@ -41,13 +41,13 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     for repetitions in REPETITIONS:
         correlated = _point(
             repetitions,
-            lambda s: CorrelatedNoiseChannel(EPSILON, rng=s),
+            CorrelatedNoiseChannel,
             trials,
             seed=seed + 3 * repetitions,
         )
         independent = _point(
             repetitions,
-            lambda s: IndependentNoiseChannel(EPSILON, rng=s),
+            IndependentNoiseChannel,
             trials,
             seed=seed + 5 * repetitions,
         )

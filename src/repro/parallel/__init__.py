@@ -19,9 +19,10 @@ switching is purely a wall-clock decision: ``--workers N`` /
 ``--backend`` on the CLI, ``REPRO_WORKERS=N`` for the benchmark harness,
 or :func:`use_runner` / :func:`set_default_runner` from code.
 
-Closure executors cannot cross process boundaries; the picklable specs in
-:mod:`repro.parallel.executors` (:class:`ProtocolExecutor`,
-:class:`SimulationExecutor`) are the multiprocessing-friendly equivalents.
+Closure executors run serially only: they cannot cross process
+boundaries, and the planner cannot classify them.  The picklable specs
+in :mod:`repro.parallel.executors` (:class:`ProtocolExecutor`,
+:class:`SimulationExecutor`) run on every backend.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Picklable sweep executors.
 
 The sweep layer accepts any ``(inputs, trial_seed) -> ExecutionResult``
-callable, and most call sites historically used closures.  Closures cannot
-cross a process boundary, so a closure-driven sweep silently degrades the
-:class:`~repro.parallel.runner.ProcessPoolRunner` to its serial fallback.
-The dataclasses here are the picklable equivalents: they name the task,
-the channel recipe, and (optionally) the simulator recipe as plain data,
-and build everything fresh inside the worker from the per-trial seed —
-exactly the calls the closures made, so results are bitwise identical.
+callable.  A closure works on the serial runner only: it cannot cross a
+process boundary, so :class:`~repro.parallel.runner.ProcessPoolRunner`
+degrades to its serial fallback, and the ``auto`` planner and the
+vectorized backend cannot see what it runs, so they never collapse it.
+The dataclasses here are the executors every in-package sweep (the CLI,
+the sweep service, the experiments E1–E13) passes instead: they name the
+task, the channel recipe, and (optionally) the simulator recipe as plain
+data, and build everything fresh per trial from the per-trial seed.  A
+fresh simulator per trial equals one shared instance, since simulators
+keep no state across ``simulate`` calls.
 """
 
 from __future__ import annotations

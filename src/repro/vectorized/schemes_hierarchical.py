@@ -169,15 +169,17 @@ def simulate_hierarchical(
             del chunk_flag_rows[low:]
             working_rounds = sum(len(chunk) for chunk in chunk_pis)
 
-    def run_level(level: int) -> None:
-        if level == 0:
-            leaf()
-            return
-        run_level(level - 1)
-        run_level(level - 1)
-        progress_check(level)
-
-    run_level(depth)
+    # ``A_depth`` unrolled: ``A_l`` runs ``A_{l-1}`` twice, then its
+    # level-``l`` progress check, so the leaves run in order and a level's
+    # check follows every ``2**l``-th leaf (lowest level first).  A loop,
+    # not a recursive closure: that would form a reference cycle holding
+    # the trial's noise stream and programs until a gen-2 collection.
+    for index in range(1 << depth):
+        leaf()
+        level = 1
+        while level <= depth and (index + 1) % (1 << level) == 0:
+            progress_check(level)
+            level += 1
 
     report.chunk_attempts = leaf_calls
     report.chunk_commits = len(chunk_pis)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 
@@ -58,3 +59,22 @@ def suppression_channel() -> SuppressionNoiseChannel:
 @pytest.fixture
 def small_input_set_task() -> InputSetTask:
     return InputSetTask(n_parties=5)
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """``count(fn)``: how many objects only the cycle collector can free
+    after ``fn()`` runs with automatic collection off (0 = no cycles)."""
+
+    def count(fn) -> int:
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            fn()
+            return gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return count

@@ -227,6 +227,24 @@ class TestTranscriptProbability:
             )
 
 
+class TestEnumerateTranscriptsGarbage:
+    def test_pass_leaves_no_reference_cycles(self, cyclic_garbage):
+        protocol = input_set_formal_protocol(3)
+        x = next(protocol.enumerate_inputs())
+        model = NoiseModel.one_sided(0.2)
+        reference = list(protocol.enumerate_transcripts(x, model))
+        transcripts = []
+        assert (
+            cyclic_garbage(
+                lambda: transcripts.extend(
+                    protocol.enumerate_transcripts(x, model)
+                )
+            )
+            == 0
+        )
+        assert transcripts == reference
+
+
 class TestInputEnumeration:
     def test_enumerate_inputs_cardinality(self):
         protocol = _simple_protocol()

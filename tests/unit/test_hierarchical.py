@@ -153,3 +153,29 @@ class TestAgainstChunkCommit:
                 and task.is_correct(inputs, hierarchical.outputs)
             )
         assert matches >= 9
+
+
+class TestVectorizedHierarchyGarbage:
+    def test_batch_leaves_no_reference_cycles(self, cyclic_garbage):
+        """The collapsed ``A_l`` recursion holds no per-trial state (noise
+        stream, programs, generators) in reference cycles."""
+        from repro.parallel import (
+            ChannelSpec,
+            SimulationExecutor,
+            SimulatorSpec,
+        )
+        from repro.vectorized import VectorizedRunner
+
+        task = InputSetTask(16)
+        executor = SimulationExecutor(
+            task=task,
+            channel=ChannelSpec.of(CorrelatedNoiseChannel, 0.15),
+            simulator=SimulatorSpec.of(HierarchicalSimulator),
+        )
+        runner = VectorizedRunner()
+        runner.run_trials(task, executor, 2, seed=1)  # warm the caches
+        assert (
+            cyclic_garbage(lambda: runner.run_trials(task, executor, 8))
+            == 0
+        )
+        assert runner.last_fallback_reason is None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import estimate_success, success_curve
-from repro.channels import CorrelatedNoiseChannel
+from repro.channels import CorrelatedNoiseChannel, SuppressionNoiseChannel
 from repro.errors import ConfigurationError
 from repro.parallel import (
     ChannelSpec,
@@ -24,7 +24,12 @@ from repro.parallel import (
     run_trial,
     use_runner,
 )
-from repro.simulation import ChunkCommitSimulator
+from repro.simulation import (
+    ChunkCommitSimulator,
+    HierarchicalSimulator,
+    RepetitionSimulator,
+    RewindSimulator,
+)
 from repro.tasks import InputSetTask, OrTask
 
 GRID = [(3, 0.05), (4, 0.2)]
@@ -262,6 +267,41 @@ class TestExecutorSpecs:
             task, closure, 4, seed=1, runner=SerialRunner()
         )
         assert from_spec.to_dict() == from_closure.to_dict()
+
+    @pytest.mark.parametrize(
+        "simulator, channel",
+        [
+            (ChunkCommitSimulator, CorrelatedNoiseChannel),
+            (RewindSimulator, SuppressionNoiseChannel),
+            (RepetitionSimulator, CorrelatedNoiseChannel),
+            (HierarchicalSimulator, CorrelatedNoiseChannel),
+        ],
+    )
+    def test_fresh_simulator_per_trial_matches_shared_instance(
+        self, simulator, channel
+    ):
+        """Simulators hold no cross-trial state: a ``SimulatorSpec``
+        (a fresh instance per trial) records exactly what one instance
+        reused over the whole batch records."""
+        task = InputSetTask(4)
+        shared = simulator()
+
+        def closure(inputs, trial_seed):
+            return shared.simulate(
+                task.noiseless_protocol(),
+                inputs,
+                channel(0.15, rng=trial_seed),
+            )
+
+        spec_executor = SimulationExecutor(
+            task=task,
+            channel=ChannelSpec.of(channel, 0.15),
+            simulator=SimulatorSpec.of(simulator),
+        )
+        runner = SerialRunner()
+        from_spec = runner.run_trials(task, spec_executor, 4, seed=11)
+        from_shared = runner.run_trials(task, closure, 4, seed=11)
+        assert from_spec.records == from_shared.records
 
     def test_specs_are_picklable(self):
         import pickle
