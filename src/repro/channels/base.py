@@ -186,6 +186,38 @@ class Channel(ABC):
         deliver = self._deliver_shared
         return bytes(bytearray(deliver(or_value) for _ in range(count)))
 
+    def _threshold_run(self, count: int, hit: int, miss: int) -> bytes:
+        """``count`` noise draws as bytes: ``hit`` where the draw is below
+        ``self.epsilon``, ``miss`` elsewhere.
+
+        The run loop of the ε-threshold channels' :meth:`_deliver_shared_run`
+        overrides.  It slices the buffered float blocks directly, consuming
+        exactly the draws (and the order) of ``count``
+        :meth:`_next_noise_float` calls, and leaves the block buffer in the
+        state those calls would.
+        """
+        epsilon = self.epsilon
+        received = b""
+        while count:
+            pos = self._noise_pos
+            floats = self._noise_floats
+            if pos >= len(floats):
+                rand = self._rng.random
+                floats = [rand() for _ in range(self._NOISE_BLOCK)]
+                self._noise_floats = floats
+                pos = 0
+            take = len(floats) - pos
+            if take > count:
+                take = count
+            end = pos + take
+            # A list comprehension: bytes() of a list beats a generator.
+            received += bytes(
+                [hit if value < epsilon else miss for value in floats[pos:end]]
+            )
+            self._noise_pos = end
+            count -= take
+        return received
+
     def transmit_shared_run(
         self, or_value: int, beeps: int, count: int
     ) -> bytes:

@@ -59,32 +59,9 @@ class CorrelatedNoiseChannel(Channel):
         return or_value
 
     def _deliver_shared_run(self, or_value: int, count: int) -> bytes:
-        # Run-batched delivery for the sparse scheduler: slices the
-        # buffered float blocks directly, consuming exactly the draws (and
-        # the order) of ``count`` _deliver_shared calls.
-        epsilon = self.epsilon
-        flipped = or_value ^ 1
-        received = bytearray()
-        extend = received.extend
-        while count:
-            pos = self._noise_pos
-            floats = self._noise_floats
-            if pos >= len(floats):
-                rand = self._rng.random
-                floats = [rand() for _ in range(self._NOISE_BLOCK)]
-                self._noise_floats = floats
-                pos = 0
-            take = len(floats) - pos
-            if take > count:
-                take = count
-            end = pos + take
-            extend(
-                flipped if value < epsilon else or_value
-                for value in floats[pos:end]
-            )
-            self._noise_pos = end
-            count -= take
-        return bytes(received)
+        # Run-batched delivery for the sparse scheduler: a draw below
+        # epsilon flips the round's OR.
+        return self._threshold_run(count, or_value ^ 1, or_value)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CorrelatedNoiseChannel(epsilon={self.epsilon})"

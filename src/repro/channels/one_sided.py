@@ -59,30 +59,10 @@ class OneSidedNoiseChannel(Channel):
 
     def _deliver_shared_run(self, or_value: int, count: int) -> bytes:
         # Beeping runs pass through draw-free; silent runs consume one
-        # draw per round from the float blocks, same order as per-round.
+        # draw per round, same order as per-round.
         if or_value == 1:
             return b"\x01" * count
-        epsilon = self.epsilon
-        received = bytearray()
-        extend = received.extend
-        while count:
-            pos = self._noise_pos
-            floats = self._noise_floats
-            if pos >= len(floats):
-                rand = self._rng.random
-                floats = [rand() for _ in range(self._NOISE_BLOCK)]
-                self._noise_floats = floats
-                pos = 0
-            take = len(floats) - pos
-            if take > count:
-                take = count
-            end = pos + take
-            extend(
-                1 if value < epsilon else 0 for value in floats[pos:end]
-            )
-            self._noise_pos = end
-            count -= take
-        return bytes(received)
+        return self._threshold_run(count, 1, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OneSidedNoiseChannel(epsilon={self.epsilon})"
@@ -123,30 +103,10 @@ class SuppressionNoiseChannel(Channel):
 
     def _deliver_shared_run(self, or_value: int, count: int) -> bytes:
         # Silent runs pass through draw-free; beeping runs consume one
-        # draw per round from the float blocks, same order as per-round.
+        # draw per round, same order as per-round.
         if or_value == 0:
             return b"\x00" * count
-        epsilon = self.epsilon
-        received = bytearray()
-        extend = received.extend
-        while count:
-            pos = self._noise_pos
-            floats = self._noise_floats
-            if pos >= len(floats):
-                rand = self._rng.random
-                floats = [rand() for _ in range(self._NOISE_BLOCK)]
-                self._noise_floats = floats
-                pos = 0
-            take = len(floats) - pos
-            if take > count:
-                take = count
-            end = pos + take
-            extend(
-                0 if value < epsilon else 1 for value in floats[pos:end]
-            )
-            self._noise_pos = end
-            count -= take
-        return bytes(received)
+        return self._threshold_run(count, 0, 1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SuppressionNoiseChannel(epsilon={self.epsilon})"

@@ -155,9 +155,33 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0 if wins > args.trials // 2 else 1
 
 
+def _trace_trials(task, executor, seed: int, trials: int, observer):
+    """Run trials ``0..trials-1`` in-process with ``observer`` attached.
+
+    Each trial goes through :func:`~repro.parallel.runner.run_trial` on
+    the runners' default seed pair, so its record is the one any sweep
+    backend records for the same ``(seed, index)`` — just with events
+    attached.  Emits one ``trial`` event per record; returns the records.
+    """
+    from repro.parallel import run_trial
+
+    records = []
+    for index in range(trials):
+        record = run_trial(task, executor, seed, index, observe=observer)
+        observer.emit(
+            "trial",
+            index=index,
+            success=record.success,
+            rounds=record.rounds,
+            flips=record.flips,
+            total_energy=record.total_energy,
+        )
+        records.append(record)
+    return records
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.observe import JsonlSink, Observer, SummarySink
-    from repro.rng import derive_seed, spawn
 
     task, executor, scenario = _resolve_scenario(args)
 
@@ -168,25 +192,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
         sinks.append(SummarySink())
     observer = Observer(sinks)
 
-    # Trials run in-process with the sweep layer's exact seed labels
-    # (see repro.parallel.runner.run_trial), so each traced trial is the
-    # same execution a sweep would have run — just with events attached.
-    wins = 0
     with observer:
-        for index in range(args.trials):
-            inputs = task.sample_inputs(spawn(args.seed, f"inputs[{index}]"))
-            trial_seed = derive_seed(args.seed, f"trial[{index}]")
-            result = executor(inputs, trial_seed, observe=observer)
-            success = bool(task.is_correct(inputs, result.outputs))
-            wins += success
-            observer.emit(
-                "trial",
-                index=index,
-                success=success,
-                rounds=float(result.rounds),
-                flips=result.channel_stats.flips,
-                total_energy=result.total_energy,
-            )
+        records = _trace_trials(
+            task, executor, args.seed, args.trials, observer
+        )
+    wins = sum(record.success for record in records)
     print(
         f"traced {args.trials} trial(s): "
         + _scenario_line(scenario, task, args.epsilon)

@@ -28,7 +28,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.core.party import FunctionalParty, Party
+from repro.core.party import (
+    Burst,
+    FunctionalParty,
+    Party,
+    PartyProgram,
+    Silence,
+)
 from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, ProtocolError
 from repro.util.bits import BitWord
@@ -45,6 +51,8 @@ __all__ = [
 SharedBroadcast = Callable[[int, Any, Sequence[int]], int]
 # Transcript-determined output (the paper's WLOG for player 1).
 TranscriptOutput = Callable[[Sequence[int]], Any]
+# s(i, x_i) -> int whose bit m is f_m^i(x_i, π_<m) for every π.
+BeepSchedule = Callable[[int, Any], int]
 
 
 @dataclass(frozen=True)
@@ -101,25 +109,37 @@ def _as_bit(value: Any, party: int) -> int:
 class BeepTable:
     """The beep bits of every candidate input along one transcript ``π``.
 
-    ``mask(i, y)`` is an int whose bit ``m`` is ``f_m^i(y, π_{<m})``.  The
-    prefixes ``π_{<m}`` are built once, and each ``(i, y)`` is evaluated at
-    most once per round.  Zero-round bits are filled first and stop at the
-    first beep, which is all feasibility (§C.2) needs; the remaining bits
-    are filled only when a full mask is asked for.
+    ``mask(i, y)`` is an int whose bit ``m`` is ``f_m^i(y, π_{<m})``.  With
+    a beep ``schedule`` (a non-adaptive protocol) that is the schedule's
+    mask cut to ``len(π)`` bits, with no broadcast call at all.  Otherwise
+    the prefixes ``π_{<m}`` are built once, and each ``(i, y)`` is
+    evaluated at most once per round: zero-round bits are filled first and
+    stop at the first beep, which is all feasibility (§C.2) needs; the
+    remaining bits are filled only when a full mask is asked for.
 
     Args:
         broadcast: The protocol's ``f(i, x_i, prefix)``.
         pi: The transcript, or a prefix of one.
+        schedule: The protocol's π-independent beep schedule, if it has
+            one (see :class:`FormalProtocol`).
     """
 
-    def __init__(self, broadcast: SharedBroadcast, pi: BitWord) -> None:
+    def __init__(
+        self,
+        broadcast: SharedBroadcast,
+        pi: BitWord,
+        schedule: BeepSchedule | None = None,
+    ) -> None:
         self.broadcast = broadcast
+        self.schedule = schedule
         self.pi = pi
-        self._prefixes = [pi[:m] for m in range(len(pi))]
+        self._length_mask = (1 << len(pi)) - 1
         self._zero_rounds = [m for m, bit in enumerate(pi) if bit == 0]
-        self._one_rounds = [m for m, bit in enumerate(pi) if bit != 0]
         #: Bit ``m`` set iff ``π_m = 0`` (the set ``J`` of §C.2).
         self.zero_mask = sum(1 << m for m in self._zero_rounds)
+        if schedule is None:
+            self._prefixes = [pi[:m] for m in range(len(pi))]
+            self._one_rounds = [m for m, bit in enumerate(pi) if bit != 0]
         # (i, y) -> first zero-round beep bit, or 0 when silent on them all.
         self._zero_hits: dict[tuple[int, Any], int] = {}
         self._masks: dict[tuple[int, Any], int] = {}
@@ -143,6 +163,8 @@ class BeepTable:
 
     def feasible(self, party: int, value: Any) -> bool:
         """Whether ``value`` beeps in no 0-round: ``value ∈ S^party(π)``."""
+        if self.schedule is not None:
+            return not self.schedule(party, value) & self.zero_mask
         key = (party, value)
         hit = self._zero_hits.get(key)
         if hit is None:
@@ -157,6 +179,8 @@ class BeepTable:
     def mask(self, party: int, value: Any) -> int:
         """All beep bits of ``party`` holding ``value``, round ``m`` at bit
         ``m``."""
+        if self.schedule is not None:
+            return self.schedule(party, value) & self._length_mask
         key = (party, value)
         mask = self._masks.get(key)
         if mask is None:
@@ -188,6 +212,60 @@ class BeepTable:
             if probability == 0.0:
                 return 0.0
         return probability
+
+
+def _mask_tokens(mask: int, length: int) -> list[Burst]:
+    """The runs of ``mask``'s low ``length`` bits as batch tokens, round 0
+    first."""
+    tokens: list[Burst] = []
+    position = 0
+    while position < length:
+        rest = mask >> position
+        if rest & 1:
+            # Trailing ones: the lowest clear bit of rest.
+            count = (~rest & (rest + 1)).bit_length() - 1
+            tokens.append(Burst(1, count))
+        else:
+            # Trailing zeros, or the rest of the rounds when silent.
+            count = (
+                (rest & -rest).bit_length() - 1 if rest else length - position
+            )
+            tokens.append(Silence(count))
+        position += count
+    return tokens
+
+
+class _ScheduledParty(Party):
+    """A party of a scheduled :class:`FormalProtocol`: yields its beep
+    schedule as batch tokens, then outputs ``g`` of what it heard.
+
+    ``outputs`` is shared by the parties of one execution and maps each
+    received transcript to its output, so ``g`` runs once per distinct
+    transcript.
+    """
+
+    def __init__(
+        self,
+        tokens: list[Burst],
+        output: TranscriptOutput,
+        outputs: dict[bytes, Any],
+    ) -> None:
+        self.tokens = tokens
+        self.output = output
+        self.outputs = outputs
+
+    def run(self) -> PartyProgram:
+        # On wake-up from a token the engine sends the covered rounds'
+        # received bits as one bytes object.
+        pieces = []
+        for token in self.tokens:
+            pieces.append((yield token))
+        received = b"".join(pieces)
+        outputs = self.outputs
+        if received not in outputs:
+            # The list a FunctionalParty would hand the same output.
+            outputs[received] = self.output(list(received))
+        return outputs[received]
 
 
 @dataclass
@@ -225,6 +303,17 @@ class FormalProtocol(Protocol):
         output: Output determined by the transcript alone
             (``g(π) -> value``), matching the paper's WLOG normalisation of
             player 1's output.  All parties use it.
+        schedule: Optional beep schedule of a *non-adaptive* protocol:
+            ``schedule(i, y)`` is an int whose bit ``m`` is
+            ``f_m^i(y, π_{<m})`` for every ``π``.  It must agree with
+            ``broadcast``; it is bound to the ``broadcast`` current when it
+            is set, so reassigning ``broadcast`` switches it off.  With a
+            schedule, executions run each party as
+            :class:`~repro.core.party.Burst`/:class:`~repro.core.party.Silence`
+            tokens over the mask's runs (the engine's sparse scheduler then
+            transmits each stretch in one block, with the same channel
+            draws), and :class:`BeepTable` reads masks off the schedule
+            instead of calling ``broadcast`` once per round.
     """
 
     def __init__(
@@ -234,6 +323,7 @@ class FormalProtocol(Protocol):
         input_spaces: Sequence[Sequence[Any]],
         broadcast: SharedBroadcast,
         output: TranscriptOutput,
+        schedule: BeepSchedule | None = None,
     ) -> None:
         super().__init__(n_parties)
         if length < 0:
@@ -250,10 +340,27 @@ class FormalProtocol(Protocol):
         self._length = length
         self.input_spaces = [tuple(space) for space in input_spaces]
         self.broadcast = broadcast
+        self.schedule = schedule
         self.output = output
         # Only the most recent transcript's table: the Appendix C sums
         # visit one π at a time, and a larger cache only grows memory.
         self._table: BeepTable | None = None
+        # Scheduled mask -> its batch tokens.  Tokens are read-only to the
+        # engine, so every party with that mask reuses one list.
+        self._tokens: dict[int, list[Burst]] = {}
+
+    @property
+    def schedule(self) -> BeepSchedule | None:
+        """The beep schedule, or ``None`` when there is none or
+        ``broadcast`` was reassigned after it was set."""
+        if self.broadcast is not self._scheduled_broadcast:
+            return None
+        return self._schedule
+
+    @schedule.setter
+    def schedule(self, schedule: BeepSchedule | None) -> None:
+        self._schedule = schedule
+        self._scheduled_broadcast = self.broadcast
 
     # ------------------------------------------------------------------
     # Executable interface (engine compatibility)
@@ -266,7 +373,23 @@ class FormalProtocol(Protocol):
         self, inputs: Sequence[Any], shared_seed: int | None = None
     ) -> list[Party]:
         self._check_inputs(inputs)
-        parties: list[Party] = []
+        schedule = self.schedule
+        if schedule is not None:
+            # One output cache per execution: parties that heard the same
+            # transcript (all of them, on a correlated channel) share one
+            # output() call.
+            outputs: dict[bytes, Any] = {}
+            full = (1 << self._length) - 1
+            tokens = self._tokens
+            parties: list[Party] = []
+            for index in range(self.n_parties):
+                mask = schedule(index, inputs[index]) & full
+                runs = tokens.get(mask)
+                if runs is None:
+                    runs = tokens[mask] = _mask_tokens(mask, self._length)
+                parties.append(_ScheduledParty(runs, self.output, outputs))
+            return parties
+        parties = []
         for index in range(self.n_parties):
 
             def bound_broadcast(
@@ -303,12 +426,14 @@ class FormalProtocol(Protocol):
                 f"{self._length}"
             )
         table = self._table
+        schedule = self.schedule
         if (
             table is None
             or table.pi != pi
             or table.broadcast is not self.broadcast
+            or table.schedule is not schedule
         ):
-            table = self._table = BeepTable(self.broadcast, pi)
+            table = self._table = BeepTable(self.broadcast, pi, schedule)
         return table
 
     def beep_masks(self, x: Sequence[Any], pi: Sequence[int]) -> list[int]:
@@ -394,7 +519,14 @@ class FormalProtocol(Protocol):
         beeper can only produce 1, halving the tree at that node).
         """
         self._check_inputs(x)
-        yield from self._extend_transcripts(x, noise, [], 1.0)
+        schedule = self.schedule
+        or_mask = None
+        if schedule is not None:
+            # Non-adaptive: every round's OR is known before any π.
+            or_mask = 0
+            for i in range(self.n_parties):
+                or_mask |= schedule(i, x[i])
+        yield from self._extend_transcripts(x, noise, [], 1.0, or_mask)
 
     def _extend_transcripts(
         self,
@@ -402,32 +534,38 @@ class FormalProtocol(Protocol):
         noise: NoiseModel,
         prefix: list[int],
         probability: float,
+        or_mask: int | None,
     ) -> Iterator[tuple[BitWord, float]]:
         """The subtree of :meth:`enumerate_transcripts` below ``prefix``.
 
-        A method rather than a recursive nested generator, which would
-        form a reference cycle (function → closure cell → function)
-        keeping ``self`` alive until a gen-2 collection.
+        ``or_mask`` is the OR of the parties' scheduled masks, or ``None``
+        to ask ``broadcast`` round by round.  A method rather than a
+        recursive nested generator, which would form a reference cycle
+        (function → closure cell → function) keeping ``self`` alive until
+        a gen-2 collection.
         """
         m = len(prefix)
         if m == self._length:
             yield tuple(prefix), probability
             return
-        beep_or = (
-            1
-            if any(
-                _as_bit(self.broadcast(i, x[i], prefix), i)
-                for i in range(self.n_parties)
+        if or_mask is not None:
+            beep_or = (or_mask >> m) & 1
+        else:
+            beep_or = (
+                1
+                if any(
+                    _as_bit(self.broadcast(i, x[i], prefix), i)
+                    for i in range(self.n_parties)
+                )
+                else 0
             )
-            else 0
-        )
         for received in (0, 1):
             round_probability = noise.round_probability(beep_or, received)
             if round_probability == 0.0:
                 continue
             prefix.append(received)
             yield from self._extend_transcripts(
-                x, noise, prefix, probability * round_probability
+                x, noise, prefix, probability * round_probability, or_mask
             )
             prefix.pop()
 

@@ -20,8 +20,20 @@ Every Monte-Carlo sweep in the suite hands its sweep a picklable
 recipe, simulator recipe), so :func:`run_experiment`'s default ``auto``
 planner can route each batch: collapsed onto the vectorized backend
 where the measured crossover table says it wins, scalar otherwise.
-E5's exact enumeration and the hand-rolled raw-protocol loops (E2, E4,
-E6, E7a, E11, E12) do not sweep, so they ignore the runner.
+E11 keeps its own per-trial seeds (``seed + t`` for inputs,
+``seed + 977·t`` for the channel) and hands them to the active runner as
+explicit seed pairs (``run_trials(..., trial_seeds=...)``), so its
+noiseless baseline, repetition and chunk-commit points are planned like
+any sweep.
+
+E2, E5 and E6 run ``input_set_formal_protocol``, a non-adaptive
+:class:`~repro.core.formal.FormalProtocol` with a beep schedule: each
+execution runs its parties as ``Burst``/``Silence`` tokens, so the
+engine's sparse scheduler transmits each stretch in one block with the
+same channel draws, and the exact ζ analysis reads beep masks off the
+schedule.  Their loops, E5's exact enumeration, and the remaining
+hand-rolled raw-protocol loops (E4, E7a, E12) do not go through the
+runner.
 """
 
 from __future__ import annotations

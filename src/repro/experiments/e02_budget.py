@@ -40,7 +40,7 @@ def _success_rate(
     for trial in range(trials):
         inputs = task.sample_inputs(random.Random(seed + trial))
         channel = OneSidedNoiseChannel(EPSILON, rng=seed + 7919 * trial)
-        result = run_protocol(protocol, inputs, channel)
+        result = run_protocol(protocol, inputs, channel, record_sent=False)
         wins += task.is_correct(inputs, result.outputs)
     return wins / trials
 

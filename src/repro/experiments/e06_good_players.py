@@ -58,9 +58,9 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
             channel = OneSidedNoiseChannel(
                 EPSILON, rng=seed + 2000 + trial
             )
-            result = run_protocol(
-                task.noiseless_protocol(), inputs, channel
-            )
+            # The formal twin of task.noiseless_protocol() (same beeps,
+            # hence the same transcript), run on its beep schedule.
+            result = run_protocol(formal, inputs, channel, record_sent=False)
             pi = result.transcript.common_view()
             sizes = feasible_sizes(formal, pi)
             mean_feasible += sum(sizes) / len(sizes)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-import random
-
 from repro.analysis import fit_log, format_table
 from repro.channels import CorrelatedNoiseChannel, NoiselessChannel
-from repro.core import run_protocol
 from repro.experiments.base import ExperimentResult, validate_scale
+from repro.parallel import (
+    ChannelSpec,
+    ProtocolExecutor,
+    SimulationExecutor,
+    SimulatorSpec,
+    get_default_runner,
+)
 from repro.simulation import ChunkCommitSimulator, RepetitionSimulator
 from repro.tasks import InputSetTask
 
@@ -20,22 +24,33 @@ TRIALS = 3
 
 
 def _mean_energy(n, simulator, trials, seed):
+    """Mean beeps per party over ``trials`` runs on the active runner.
+
+    Trial ``t`` samples its inputs from ``random.Random(seed + t)`` and
+    seeds its channel with ``seed + 977·t``: E11's own seeding, passed to
+    the runner as explicit seed pairs.  ``simulator`` is ``None`` for the
+    noiseless baseline (the raw protocol over a noiseless channel).
+    """
     task = InputSetTask(n)
+    if simulator is None:
+        executor = ProtocolExecutor(
+            task, ChannelSpec.of(NoiselessChannel, seed_kwarg=None)
+        )
+    else:
+        executor = SimulationExecutor(
+            task,
+            ChannelSpec.of(CorrelatedNoiseChannel, EPSILON),
+            SimulatorSpec.of(simulator),
+        )
+    batch = get_default_runner().run_trials(
+        task,
+        executor,
+        trials,
+        trial_seeds=[(seed + t, seed + 977 * t) for t in range(trials)],
+    )
     total = 0.0
-    for trial in range(trials):
-        inputs = task.sample_inputs(random.Random(seed + trial))
-        if simulator is None:
-            result = run_protocol(
-                task.noiseless_protocol(), inputs, NoiselessChannel()
-            )
-        else:
-            channel = CorrelatedNoiseChannel(
-                EPSILON, rng=seed + 977 * trial
-            )
-            result = simulator.simulate(
-                task.noiseless_protocol(), inputs, channel
-            )
-        total += result.total_energy / n
+    for record in batch.records:
+        total += record.total_energy / n
     return total / trials
 
 
@@ -50,10 +65,10 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     for n in ns:
         baseline = _mean_energy(n, None, trials, seed=seed + n)
         repetition = _mean_energy(
-            n, RepetitionSimulator(), trials, seed=seed + 2 * n
+            n, RepetitionSimulator, trials, seed=seed + 2 * n
         )
         chunked = _mean_energy(
-            n, ChunkCommitSimulator(), trials, seed=seed + 3 * n
+            n, ChunkCommitSimulator, trials, seed=seed + 3 * n
         )
         repetition_energy.append(repetition)
         chunk_energy.append(chunked)

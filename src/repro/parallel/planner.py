@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
@@ -34,11 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.parallel.runner import (
     Executor,
     ProcessPoolRunner,
+    SeedPair,
     SerialRunner,
     TrialBatch,
     TrialRunner,
+    resolve_trial_seeds,
 )
-from repro.rng import derive_seed
 from repro.tasks.base import Task
 
 __all__ = ["AutoRunner", "load_crossover", "DEFAULT_CROSSOVER_PATH"]
@@ -129,11 +130,12 @@ class AutoRunner(TrialRunner):
         return load_crossover()
 
     def _collapse_probe(
-        self, executor: Executor, seed: int
+        self, executor: Executor, probe_seed: int
     ) -> tuple[str | None, str | None]:
         """``(scheme_name, None)`` when the batch can collapse, else
         ``(scheme_name_or_None, reason)`` mirroring the vectorized
-        runner's classification.
+        runner's classification.  ``probe_seed`` is the executor seed of
+        the batch's first trial.
 
         Network batches report the route's crossover key — the task type
         name for raw protocol routes (``"MISTask"``), the simulator name
@@ -155,21 +157,21 @@ class AutoRunner(TrialRunner):
         elif type(simulator) not in _COLLAPSED_SCHEMES:
             reason = f"no collapsed form for {scheme}"
         else:
-            probe = executor.channel.make(derive_seed(seed, "trial[0]"))
+            probe = executor.channel.make(probe_seed)
             if type(probe) in CHANNEL_KINDS:
                 return scheme, None
             reason = f"no collapsed replay for {type(probe).__name__}"
-        route, net_reason = classify_network(executor, seed)
+        route, net_reason = classify_network(executor, probe_seed)
         if route is not None:
             return route.scheme, None
         return scheme, f"{reason}; {net_reason}"
 
     def _plan(
-        self, task: Task, executor: Executor, trials: int, seed: int
+        self, task: Task, executor: Executor, trials: int, probe_seed: int
     ) -> tuple[str, str, str | None, int | None]:
         """``(backend, reason, scheme, n)`` for this batch."""
         table = self._table()
-        scheme, no_collapse = self._collapse_probe(executor, seed)
+        scheme, no_collapse = self._collapse_probe(executor, probe_seed)
         n = getattr(task, "n_parties", None)
         process_min_trials = int(
             table.get(
@@ -258,9 +260,11 @@ class AutoRunner(TrialRunner):
         *,
         seed: int = 0,
         observe: "Observer | None" = None,
+        trial_seeds: Sequence[SeedPair] | None = None,
     ) -> TrialBatch:
+        pairs = resolve_trial_seeds(seed, trials, trial_seeds)
         backend, reason, scheme, n = self._plan(
-            task, executor, trials, seed
+            task, executor, trials, pairs[0][1]
         )
         self.last_decision = {
             "backend": backend,
@@ -272,7 +276,7 @@ class AutoRunner(TrialRunner):
         }
         runner = self._runner_for(backend)
         batch = runner.run_trials(
-            task, executor, trials, seed=seed, observe=observe
+            task, executor, trials, observe=observe, trial_seeds=pairs
         )
         self.last_fallback_reason = getattr(
             runner, "last_fallback_reason", None

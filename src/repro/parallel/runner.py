@@ -6,15 +6,19 @@ unit: *run one independently seeded trial and record what happened*.
 batch of them executes — in-process (:class:`SerialRunner`) or across a
 reusable process pool (:class:`ProcessPoolRunner`).
 
-**Determinism contract.**  A trial's behaviour depends only on
-``(master seed, trial index)``: inputs come from
-``spawn(seed, f"inputs[{index}]")`` and the executor's channel/protocol
-randomness from ``derive_seed(seed, f"trial[{index}]")`` — never from the
-dispatch order, the worker a trial lands on, or the chunking.  Runners
-return records sorted by trial index, and all aggregation happens on the
-returned records in index order, so every backend produces **bitwise
-identical** sweep results for the same seed.  Wall-clock measurements
-live in :class:`TrialBatch.timing` only, never in the records.
+**Determinism contract.**  A trial's behaviour depends only on its seed
+pair ``(input seed, executor seed)``: inputs are sampled from
+``random.Random(input seed)`` and the executor's channel/protocol
+randomness comes from the executor seed — never from the dispatch order,
+the worker a trial lands on, or the chunking.  By default trial ``index``
+of a batch seeded ``seed`` gets :func:`trial_seed_pair`'s
+``(derive_seed(seed, f"inputs[{index}]"), derive_seed(seed,
+f"trial[{index}]"))``; a caller with its own seeding passes the pairs as
+data (``run_trials(..., trial_seeds=pairs)``).  Runners return records
+sorted by trial index, and all aggregation happens on the returned
+records in index order, so every backend produces **bitwise identical**
+sweep results for the same seeds.  Wall-clock measurements live in
+:class:`TrialBatch.timing` only, never in the records.
 
 The process-pool backend degrades gracefully: with ``workers=1``, with an
 unpicklable task/executor (e.g. a closure), or when the pool cannot start
@@ -25,8 +29,10 @@ unpicklable task/executor (e.g. a closure), or when the pool cannot start
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
+import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -38,12 +44,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.channels.stats import ChannelStats
 from repro.core.result import ExecutionResult
 from repro.errors import ConfigurationError
-from repro.rng import derive_seed, spawn
+from repro.rng import derive_seed
 from repro.tasks.base import Task
 
 __all__ = [
     "TrialRecord",
     "TrialBatch",
+    "SeedPair",
+    "trial_seed_pair",
+    "resolve_trial_seeds",
     "run_trial",
     "TrialRunner",
     "SerialRunner",
@@ -51,6 +60,8 @@ __all__ = [
 ]
 
 Executor = Callable[[Sequence[Any], int], ExecutionResult]
+#: A trial's ``(input seed, executor seed)``.
+SeedPair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -125,20 +136,87 @@ class TrialBatch:
         return total
 
 
+def trial_seed_pair(seed: int, index: int) -> SeedPair:
+    """Trial ``index``'s seed pair in a batch seeded ``seed`` — the
+    determinism contract's one definition.
+
+    The labels match what the historical serial loop in
+    :mod:`repro.analysis.sweep` used, so existing benchmark results stay
+    valid.
+    """
+    return (
+        derive_seed(seed, f"inputs[{index}]"),
+        derive_seed(seed, f"trial[{index}]"),
+    )
+
+
+def resolve_trial_seeds(
+    seed: int, trials: int, trial_seeds: Sequence[SeedPair] | None = None
+) -> list[SeedPair]:
+    """Every trial's seed pair: ``trial_seeds`` when given, else
+    :func:`trial_seed_pair` of each index.
+
+    Raises:
+        ConfigurationError: ``trials < 1``, or ``trial_seeds`` does not
+            hold exactly ``trials`` pairs of integers.
+    """
+    _validate_trials(trials)
+    if trial_seeds is None:
+        return [trial_seed_pair(seed, index) for index in range(trials)]
+    if len(trial_seeds) != trials:
+        raise ConfigurationError(
+            f"trial_seeds holds {len(trial_seeds)} seed pairs for "
+            f"{trials} trials"
+        )
+    try:
+        return [
+            (operator.index(input_seed), operator.index(executor_seed))
+            for input_seed, executor_seed in trial_seeds
+        ]
+    except (TypeError, ValueError) as error:
+        raise ConfigurationError(
+            f"trial_seeds must be (input seed, executor seed) integer "
+            f"pairs: {error}"
+        ) from None
+
+
 def run_trial(
-    task: Task, executor: Executor, seed: int, index: int
+    task: Task,
+    executor: Executor,
+    seed: int,
+    index: int,
+    *,
+    seeds: SeedPair | None = None,
+    observe: "Observer | None" = None,
 ) -> TrialRecord:
     """Run trial ``index`` of a batch — the determinism contract's unit.
 
-    Inputs are sampled from ``spawn(seed, f"inputs[{index}]")`` and the
-    executor receives ``derive_seed(seed, f"trial[{index}]")``, so the
-    record depends only on ``(seed, index)`` and both labels match what
-    the historical serial loop in :mod:`repro.analysis.sweep` used —
-    existing benchmark results stay valid.
+    The trial runs on ``seeds`` when given, else on
+    ``trial_seed_pair(seed, index)``: inputs are sampled from
+    ``random.Random(input seed)`` and the executor receives the executor
+    seed, so the record depends only on the pair and ``index``.
+    ``observe`` is forwarded to the executor (the picklable executors of
+    :mod:`repro.parallel.executors` take it) and never changes the record.
     """
-    inputs = task.sample_inputs(spawn(seed, f"inputs[{index}]"))
-    trial_seed = derive_seed(seed, f"trial[{index}]")
-    result = executor(inputs, trial_seed)
+    if seeds is None:
+        seeds = trial_seed_pair(seed, index)
+    return _seeded_trial(task, executor, index, seeds, observe)
+
+
+def _seeded_trial(
+    task: Task,
+    executor: Executor,
+    index: int,
+    seeds: SeedPair,
+    observe: "Observer | None" = None,
+) -> TrialRecord:
+    """:func:`run_trial` on an explicit seed pair."""
+    input_seed, executor_seed = seeds
+    inputs = task.sample_inputs(random.Random(input_seed))
+    if observe is None:
+        result = executor(inputs, executor_seed)
+    else:
+        result = executor(inputs, executor_seed, observe=observe)
     report = result.metadata.get("report")
     stats = result.channel_stats
     return TrialRecord(
@@ -166,23 +244,29 @@ def _validate_trials(trials: int) -> None:
 
 
 def _run_chunk(
-    task: Task, executor: Executor, seed: int, indices: list[int]
+    task: Task,
+    executor: Executor,
+    indices: list[int],
+    pairs: list[SeedPair],
 ) -> tuple[list[TrialRecord], float]:
-    """Worker entry point: run a contiguous block of trials.
+    """Worker entry point: run a block of trials, ``pairs[k]`` seeding
+    trial ``indices[k]``.
 
     Returns the records plus the worker's busy time for the utilization
     metric.  Module-level so the pool can pickle it by reference.
     """
     start = time.perf_counter()
-    records = [run_trial(task, executor, seed, index) for index in indices]
+    records = [
+        _seeded_trial(task, executor, index, pair)
+        for index, pair in zip(indices, pairs)
+    ]
     return records, time.perf_counter() - start
 
 
 def _serial_records(
     task: Task,
     executor: Executor,
-    trials: int,
-    seed: int,
+    pairs: list[SeedPair],
     collect_times: bool = False,
 ) -> tuple[list[TrialRecord], float, list[float] | None]:
     start = time.perf_counter()
@@ -190,16 +274,16 @@ def _serial_records(
         times: list[float] | None = []
         records = []
         last = start
-        for index in range(trials):
-            records.append(run_trial(task, executor, seed, index))
+        for index, pair in enumerate(pairs):
+            records.append(_seeded_trial(task, executor, index, pair))
             now = time.perf_counter()
             times.append(now - last)
             last = now
     else:
         times = None
         records = [
-            run_trial(task, executor, seed, index)
-            for index in range(trials)
+            _seeded_trial(task, executor, index, pair)
+            for index, pair in enumerate(pairs)
         ]
     return records, time.perf_counter() - start, times
 
@@ -285,8 +369,14 @@ class TrialRunner(ABC):
         *,
         seed: int = 0,
         observe: "Observer | None" = None,
+        trial_seeds: Sequence[SeedPair] | None = None,
     ) -> TrialBatch:
         """Run ``trials`` independent trials; records in index order.
+
+        Trial ``i`` runs on ``trial_seeds[i]`` when given (exactly
+        ``trials`` ``(input seed, executor seed)`` pairs, else
+        :class:`~repro.errors.ConfigurationError`), otherwise on
+        ``trial_seed_pair(seed, i)``; ``seed`` is then unused.
 
         ``observe`` (optional :class:`~repro.observe.Observer`) receives
         one ``trial`` event per record and a ``sweep_batch`` summary
@@ -321,11 +411,12 @@ class SerialRunner(TrialRunner):
         *,
         seed: int = 0,
         observe: "Observer | None" = None,
+        trial_seeds: Sequence[SeedPair] | None = None,
     ) -> TrialBatch:
-        _validate_trials(trials)
+        pairs = resolve_trial_seeds(seed, trials, trial_seeds)
         tracing = observe is not None and observe.enabled
         records, elapsed, times = _serial_records(
-            task, executor, trials, seed, collect_times=tracing
+            task, executor, pairs, collect_times=tracing
         )
         batch = TrialBatch(
             records=records,
@@ -426,21 +517,20 @@ class ProcessPoolRunner(TrialRunner):
         self,
         task: Task,
         executor: Executor,
-        trials: int,
-        seed: int,
+        pairs: list[SeedPair],
         reason: str | None,
         observe: "Observer | None" = None,
     ) -> TrialBatch:
         self.last_fallback_reason = reason
         tracing = observe is not None and observe.enabled
         records, elapsed, times = _serial_records(
-            task, executor, trials, seed, collect_times=tracing
+            task, executor, pairs, collect_times=tracing
         )
         batch = TrialBatch(
             records=records,
             timing=_timing(
                 elapsed=elapsed,
-                trials=trials,
+                trials=len(pairs),
                 workers=1,
                 chunks=1,
                 busy=elapsed,
@@ -461,11 +551,12 @@ class ProcessPoolRunner(TrialRunner):
         *,
         seed: int = 0,
         observe: "Observer | None" = None,
+        trial_seeds: Sequence[SeedPair] | None = None,
     ) -> TrialBatch:
-        _validate_trials(trials)
+        pairs = resolve_trial_seeds(seed, trials, trial_seeds)
         if self._workers == 1:
             return self._serial_fallback(
-                task, executor, trials, seed, None, observe
+                task, executor, pairs, None, observe
             )
         try:
             pickle.dumps((task, executor))
@@ -473,8 +564,7 @@ class ProcessPoolRunner(TrialRunner):
             return self._serial_fallback(
                 task,
                 executor,
-                trials,
-                seed,
+                pairs,
                 "unpicklable task/executor",
                 observe,
             )
@@ -483,8 +573,7 @@ class ProcessPoolRunner(TrialRunner):
             return self._serial_fallback(
                 task,
                 executor,
-                trials,
-                seed,
+                pairs,
                 "process pool failed to start",
                 observe,
             )
@@ -492,7 +581,13 @@ class ProcessPoolRunner(TrialRunner):
         start = time.perf_counter()
         try:
             futures = [
-                pool.submit(_run_chunk, task, executor, seed, chunk)
+                pool.submit(
+                    _run_chunk,
+                    task,
+                    executor,
+                    chunk,
+                    [pairs[index] for index in chunk],
+                )
                 for chunk in chunks
             ]
             outcomes = [future.result() for future in futures]
@@ -504,8 +599,7 @@ class ProcessPoolRunner(TrialRunner):
             return self._serial_fallback(
                 task,
                 executor,
-                trials,
-                seed,
+                pairs,
                 "process pool broke mid-batch",
                 observe,
             )

@@ -102,6 +102,14 @@ def input_set_formal_protocol(
         virtual_round = len(prefix) // repetitions + 1
         return 1 if x == virtual_round else 0
 
+    # Non-adaptive: x beeps the r rounds of virtual round x, whatever it
+    # hears; inputs outside [2n] never beep.
+    block = (1 << repetitions) - 1
+    masks = {x: block << ((x - 1) * repetitions) for x in universe}
+
+    def schedule(_party: int, x: int) -> int:
+        return masks.get(x, 0)
+
     def output(pi) -> frozenset[int]:
         members = []
         for m in range(2 * n_parties):
@@ -120,6 +128,7 @@ def input_set_formal_protocol(
         input_spaces=[universe] * n_parties,
         broadcast=broadcast,
         output=output,
+        schedule=schedule,
     )
 
 

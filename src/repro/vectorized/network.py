@@ -36,13 +36,14 @@ noise.BatchFlips`, and the batched drivers re-run the party state
 machines of the network tasks (neighbor-OR, flooding broadcast, MIS
 election) over whole-batch matrices.  Every trial of a batch is bitwise
 identical — records, noise accounting, draw counts — to the scalar
-engine's :func:`~repro.parallel.runner.run_trial` for the same
-``(seed, index)``, which is what ``tests/unit/
+engine's :func:`~repro.parallel.runner.run_trial` on the same seed
+pair, which is what ``tests/unit/
 test_network_vectorized_equivalence.py`` pins.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -58,8 +59,7 @@ from repro.network.mis import _MISProtocol
 from repro.network.tasks import _BroadcastProtocol, _NeighborORProtocol
 from repro.network.topology import Topology
 from repro.parallel.executors import ProtocolExecutor, SimulationExecutor
-from repro.parallel.runner import TrialRecord
-from repro.rng import derive_seed, spawn
+from repro.parallel.runner import SeedPair, TrialRecord
 from repro.vectorized.noise import BatchFlips
 
 __all__ = [
@@ -449,8 +449,11 @@ class NetworkRoute:
     simulator: LocalBroadcastSimulator | None
 
 
-def classify_network(executor, seed: int):
+def classify_network(executor, probe_seed: int):
     """The batched network route for this executor, or a fallback reason.
+
+    ``probe_seed`` is the executor seed of the batch's first trial; the
+    probe channel it builds supplies the route's static parameters only.
 
     Collapses: the three network protocol families above, raw
     (``ProtocolExecutor``) or under the local-broadcast repetition
@@ -478,7 +481,7 @@ def classify_network(executor, seed: int):
         return None, (
             f"no batched network driver for {type(protocol).__name__}"
         )
-    probe = executor.channel.make(derive_seed(seed, "trial[0]"))
+    probe = executor.channel.make(probe_seed)
     if type(probe) is not NetworkBeepingChannel:
         return None, (
             f"no batched network replay for {type(probe).__name__}"
@@ -522,25 +525,25 @@ def network_records(
     route: NetworkRoute,
     task,
     executor,
-    seed: int,
     indices: Sequence[int],
+    pairs: Sequence[SeedPair],
     *,
     prefetch: int = 4096,
     collect_times: bool = False,
 ) -> tuple[list[TrialRecord], list[float] | None]:
     """Run the given global trial indices through the batched kernel.
 
-    Per-trial seed labels use the *global* index — the same
-    ``spawn(seed, "inputs[i]")`` / ``derive_seed(seed, "trial[i]")``
-    calls :func:`~repro.parallel.runner.run_trial` makes — so a stripe
-    of a larger batch (the composed process backend's unit) is bitwise
-    identical to the corresponding slice of a whole-batch run.
+    ``pairs[k]`` is the ``(input seed, executor seed)`` pair of trial
+    ``indices[k]``, used exactly as :func:`~repro.parallel.runner.run_trial`
+    uses it, so a stripe of a larger batch (the composed process
+    backend's unit) is bitwise identical to the corresponding slice of a
+    whole-batch run.
     """
     indices = list(indices)
     trials = len(indices)
     inputs_list = [
-        task.sample_inputs(spawn(seed, f"inputs[{index}]"))
-        for index in indices
+        task.sample_inputs(random.Random(input_seed))
+        for input_seed, _ in pairs
     ]
     probe = route.channel
     repetitions = (
@@ -554,8 +557,7 @@ def network_records(
         # would make; only their generators are consumed (the batched
         # rounds never touch the scalar round buffers).
         channels = [
-            executor.channel.make(derive_seed(seed, f"trial[{index}]"))
-            for index in indices
+            executor.channel.make(executor_seed) for _, executor_seed in pairs
         ]
         threshold = epsilon if epsilon > 0.0 else edge_epsilon
         batch_flips = BatchFlips(

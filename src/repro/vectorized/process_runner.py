@@ -7,12 +7,12 @@ pool worker that runs it through an in-process
 :class:`~repro.vectorized.runner.VectorizedRunner` — so every core runs
 party-collapsed simulations, with its own warmed codebook/decoder memo.
 
-Determinism is inherited, not re-argued: a stripe worker derives every
-per-trial seed from the *global* trial index
-(``derive_seed(seed, f"trial[{index}]")`` — see
-:meth:`VectorizedRunner.run_indices`), so stripe boundaries and worker
-counts cannot change a single record, and the merged batch is bitwise
-identical to the serial, process and single-core vectorized backends.
+Determinism is inherited, not re-argued: the parent resolves every
+trial's seed pair once and ships each stripe its trials' pairs with
+their *global* indices (see :meth:`VectorizedRunner.run_indices`), so
+stripe boundaries and worker counts cannot change a single record, and
+the merged batch is bitwise identical to the serial, process and
+single-core vectorized backends.
 
 The downgrade protocol mirrors :class:`~repro.parallel.runner.
 ProcessPoolRunner`: ``workers == 1``, an unpicklable task/executor, a
@@ -30,7 +30,7 @@ import math
 import os
 import pickle
 import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
@@ -38,12 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.errors import ConfigurationError
 from repro.parallel.runner import (
     Executor,
+    SeedPair,
     TrialBatch,
     TrialRecord,
     TrialRunner,
     _emit_batch_events,
     _timing,
-    _validate_trials,
+    resolve_trial_seeds,
 )
 from repro.tasks.base import Task
 from repro.vectorized.runner import VectorizedRunner
@@ -58,11 +59,12 @@ _WORKER_RUNNER: VectorizedRunner | None = None
 def _stripe_worker(
     task: Task,
     executor: Executor,
-    seed: int,
     indices: list[int],
+    pairs: list[SeedPair],
     prefetch: int,
 ) -> tuple[list[TrialRecord], float, str | None]:
-    """Worker entry point: one contiguous stripe of global trial indices.
+    """Worker entry point: one contiguous stripe of global trial indices,
+    ``pairs[k]`` seeding trial ``indices[k]``.
 
     Module-level so the pool can pickle it by reference.  Returns the
     stripe's records, the worker's busy time, and the in-worker fallback
@@ -71,7 +73,9 @@ def _stripe_worker(
     global _WORKER_RUNNER
     if _WORKER_RUNNER is None or _WORKER_RUNNER.prefetch != prefetch:
         _WORKER_RUNNER = VectorizedRunner(prefetch=prefetch)
-    records, busy = _WORKER_RUNNER.run_indices(task, executor, seed, indices)
+    records, busy = _WORKER_RUNNER.run_indices(
+        task, executor, indices, pairs
+    )
     return records, busy, _WORKER_RUNNER.last_fallback_reason
 
 
@@ -155,8 +159,7 @@ class VectorizedProcessRunner(TrialRunner):
         self,
         task: Task,
         executor: Executor,
-        trials: int,
-        seed: int,
+        pairs: list[SeedPair],
         reason: str | None,
         observe: "Observer | None",
     ) -> TrialBatch:
@@ -169,7 +172,9 @@ class VectorizedProcessRunner(TrialRunner):
         downgrades — ``workers == 1`` is a configuration, not a failure.
         """
         tracing = observe is not None and observe.enabled
-        batch = self._local.run_trials(task, executor, trials, seed=seed)
+        batch = self._local.run_trials(
+            task, executor, len(pairs), trial_seeds=pairs
+        )
         self.last_fallback_reason = (
             reason
             if reason is not None
@@ -189,11 +194,12 @@ class VectorizedProcessRunner(TrialRunner):
         *,
         seed: int = 0,
         observe: "Observer | None" = None,
+        trial_seeds: Sequence[SeedPair] | None = None,
     ) -> TrialBatch:
-        _validate_trials(trials)
+        pairs = resolve_trial_seeds(seed, trials, trial_seeds)
         if self._workers == 1:
             return self._inprocess_fallback(
-                task, executor, trials, seed, None, observe
+                task, executor, pairs, None, observe
             )
         try:
             pickle.dumps((task, executor))
@@ -201,8 +207,7 @@ class VectorizedProcessRunner(TrialRunner):
             return self._inprocess_fallback(
                 task,
                 executor,
-                trials,
-                seed,
+                pairs,
                 "unpicklable task/executor",
                 observe,
             )
@@ -211,8 +216,7 @@ class VectorizedProcessRunner(TrialRunner):
             return self._inprocess_fallback(
                 task,
                 executor,
-                trials,
-                seed,
+                pairs,
                 "process pool failed to start",
                 observe,
             )
@@ -224,8 +228,8 @@ class VectorizedProcessRunner(TrialRunner):
                     _stripe_worker,
                     task,
                     executor,
-                    seed,
                     stripe,
+                    [pairs[index] for index in stripe],
                     self.prefetch,
                 )
                 for stripe in stripes
@@ -239,8 +243,7 @@ class VectorizedProcessRunner(TrialRunner):
             return self._inprocess_fallback(
                 task,
                 executor,
-                trials,
-                seed,
+                pairs,
                 "process pool broke mid-batch",
                 observe,
             )

@@ -12,13 +12,13 @@ over the codebook (:class:`~repro.vectorized.decoder.VectorizedMLDecoder`,
 shared — memo included — across the batch).
 
 The determinism contract of :mod:`repro.parallel.runner` is preserved
-*bitwise*: inputs come from ``spawn(seed, f"inputs[{index}]")``, channels
-from ``executor.channel.make(derive_seed(seed, f"trial[{index}]"))`` —
-the exact calls :func:`~repro.parallel.runner.run_trial` makes — and the
-collapsed schemes replay the scalar RNG draw order flip for flip.  Any
-trial a vectorized sweep records can therefore be replayed on the scalar
-engine from its ``(seed, index)`` alone, which is what the cross-backend
-equivalence suite does.
+*bitwise*: each trial's inputs come from ``random.Random(input seed)``
+and its channel from ``executor.channel.make(executor seed)`` — the
+exact calls :func:`~repro.parallel.runner.run_trial` makes on the same
+seed pair — and the collapsed schemes replay the scalar RNG draw order
+flip for flip.  Any trial a vectorized sweep records can therefore be
+replayed on the scalar engine from its seed pair alone, which is what
+the cross-backend equivalence suite does.
 
 Graph-topology batches route to the trial-batched CSR kernel of
 :mod:`repro.vectorized.network` instead: the network protocol families
@@ -34,8 +34,9 @@ protocol.
 
 from __future__ import annotations
 
+import random
 import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
@@ -43,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.parallel.executors import SimulationExecutor
 from repro.parallel.runner import (
     Executor,
+    SeedPair,
     TrialBatch,
     TrialRecord,
     TrialRunner,
@@ -50,9 +52,8 @@ from repro.parallel.runner import (
     _run_chunk,
     _serial_records,
     _timing,
-    _validate_trials,
+    resolve_trial_seeds,
 )
-from repro.rng import derive_seed, spawn
 from repro.simulation.chunked import ChunkCommitSimulator
 from repro.simulation.hierarchical import HierarchicalSimulator
 from repro.simulation.repetition_sim import RepetitionSimulator
@@ -108,8 +109,11 @@ class VectorizedRunner(TrialRunner):
     def workers(self) -> int:
         return 1
 
-    def _classify(self, executor: Executor, seed: int):
+    def _classify(self, executor: Executor, probe_seed: int):
         """The collapsed scheme for this batch, or a fallback reason.
+
+        ``probe_seed`` is the executor seed of the batch's first trial;
+        the channel it builds is only inspected, never run.
 
         Routes come in two shapes: a ``(simulator, collapsed)`` pair for
         the single-hop party-collapsed schemes, or a
@@ -117,15 +121,15 @@ class VectorizedRunner(TrialRunner):
         graph kernel.  Both are tried; a batch falls back to the scalar
         loop only when neither applies, with the reasons joined.
         """
-        route, reason = self._classify_single_hop(executor, seed)
+        route, reason = self._classify_single_hop(executor, probe_seed)
         if route is not None:
             return route, None
-        net_route, net_reason = classify_network(executor, seed)
+        net_route, net_reason = classify_network(executor, probe_seed)
         if net_route is not None:
             return net_route, None
         return None, f"{reason}; {net_reason}"
 
-    def _classify_single_hop(self, executor: Executor, seed: int):
+    def _classify_single_hop(self, executor: Executor, probe_seed: int):
         if not isinstance(executor, SimulationExecutor):
             return None, "executor is not a SimulationExecutor"
         simulator = executor.simulator.make()
@@ -134,7 +138,7 @@ class VectorizedRunner(TrialRunner):
             return None, (
                 f"no collapsed form for {type(simulator).__name__}"
             )
-        probe = executor.channel.make(derive_seed(seed, "trial[0]"))
+        probe = executor.channel.make(probe_seed)
         if type(probe) not in CHANNEL_KINDS:
             return None, (
                 f"no collapsed replay for {type(probe).__name__}"
@@ -145,21 +149,20 @@ class VectorizedRunner(TrialRunner):
         self,
         task: Task,
         executor: Executor,
-        trials: int,
-        seed: int,
+        pairs: list[SeedPair],
         reason: str,
         observe: "Observer | None",
     ) -> TrialBatch:
         self.last_fallback_reason = reason
         tracing = observe is not None and observe.enabled
         records, elapsed, times = _serial_records(
-            task, executor, trials, seed, collect_times=tracing
+            task, executor, pairs, collect_times=tracing
         )
         batch = TrialBatch(
             records=records,
             timing=_timing(
                 elapsed=elapsed,
-                trials=trials,
+                trials=len(pairs),
                 workers=1,
                 chunks=1,
                 busy=elapsed,
@@ -176,23 +179,24 @@ class VectorizedRunner(TrialRunner):
         route: Any,
         task: Task,
         executor: Executor,
-        seed: int,
         indices: list[int],
+        pairs: list[SeedPair],
         collect_times: bool = False,
     ) -> tuple[list[TrialRecord], list[float] | None]:
-        """Dispatch a classified route to its batched implementation."""
+        """Dispatch a classified route to its batched implementation;
+        ``pairs[k]`` seeds trial ``indices[k]``."""
         if isinstance(route, NetworkRoute):
             return network_records(
                 route,
                 task,
                 executor,
-                seed,
                 indices,
+                pairs,
                 prefetch=self.prefetch,
                 collect_times=collect_times,
             )
         return self._collapsed_records(
-            route, task, executor, seed, indices, collect_times
+            route, task, executor, indices, pairs, collect_times
         )
 
     def _collapsed_records(
@@ -200,14 +204,14 @@ class VectorizedRunner(TrialRunner):
         route: tuple,
         task: Task,
         executor: Executor,
-        seed: int,
         indices: list[int],
+        pairs: list[SeedPair],
         collect_times: bool = False,
     ) -> tuple[list[TrialRecord], list[float] | None]:
         """Run the given global trial indices through a collapsed scheme.
 
-        The per-trial seed labels use the *global* index, so a stripe of
-        a larger batch produces exactly the records a whole-batch run
+        ``pairs[k]`` is the seed pair of trial ``indices[k]``, so a stripe
+        of a larger batch produces exactly the records a whole-batch run
         would for those indices — the composed process backend's
         correctness hinges on this.
         """
@@ -216,8 +220,7 @@ class VectorizedRunner(TrialRunner):
         # would make, batched up front so their noise streams can be
         # prefetched as one packed trial x draw bit-matrix.
         channels = [
-            executor.channel.make(derive_seed(seed, f"trial[{index}]"))
-            for index in indices
+            executor.channel.make(executor_seed) for _, executor_seed in pairs
         ]
         epsilon = getattr(channels[0], "epsilon", 0.0)
         flip_rows: BatchFlips | None = None
@@ -232,7 +235,7 @@ class VectorizedRunner(TrialRunner):
         times: list[float] | None = [] if collect_times else None
         last = time.perf_counter()
         for row, index in enumerate(indices):
-            inputs = task.sample_inputs(spawn(seed, f"inputs[{index}]"))
+            inputs = task.sample_inputs(random.Random(pairs[row][0]))
             outcome = collapsed(
                 simulator,
                 task.noiseless_protocol(),
@@ -272,26 +275,29 @@ class VectorizedRunner(TrialRunner):
         self,
         task: Task,
         executor: Executor,
-        seed: int,
         indices: list[int],
+        pairs: list[SeedPair],
     ) -> tuple[list[TrialRecord], float]:
-        """Run an arbitrary list of global trial indices — the composed
-        process backend's stripe unit.
+        """Run an arbitrary list of global trial indices, ``pairs[k]``
+        seeding trial ``indices[k]`` — the composed process backend's
+        stripe unit.
 
         Returns ``(records, busy_seconds)``.  Batches that cannot
         collapse run the scalar :func:`run_trial` loop over the same
-        indices (``last_fallback_reason`` records why), so a stripe is
+        trials (``last_fallback_reason`` records why), so a stripe is
         always bitwise-identical to the corresponding slice of any other
         backend's batch.
         """
         start = time.perf_counter()
-        route, reason = self._classify(executor, seed)
+        indices = list(indices)
+        pairs = list(pairs)
+        route, reason = self._classify(executor, pairs[0][1])
         if route is None:
             self.last_fallback_reason = reason
-            return _run_chunk(task, executor, seed, list(indices))
+            return _run_chunk(task, executor, indices, pairs)
         self.last_fallback_reason = None
         records, _ = self._route_records(
-            route, task, executor, seed, list(indices)
+            route, task, executor, indices, pairs
         )
         return records, time.perf_counter() - start
 
@@ -303,12 +309,13 @@ class VectorizedRunner(TrialRunner):
         *,
         seed: int = 0,
         observe: "Observer | None" = None,
+        trial_seeds: Sequence[SeedPair] | None = None,
     ) -> TrialBatch:
-        _validate_trials(trials)
-        route, reason = self._classify(executor, seed)
+        pairs = resolve_trial_seeds(seed, trials, trial_seeds)
+        route, reason = self._classify(executor, pairs[0][1])
         if route is None:
             return self._serial_fallback(
-                task, executor, trials, seed, reason, observe
+                task, executor, pairs, reason, observe
             )
         self.last_fallback_reason = None
         tracing = observe is not None and observe.enabled
@@ -318,8 +325,8 @@ class VectorizedRunner(TrialRunner):
             route,
             task,
             executor,
-            seed,
             list(range(trials)),
+            pairs,
             collect_times=tracing,
         )
         elapsed = time.perf_counter() - start

@@ -55,6 +55,36 @@ class TestInfo:
         assert "Theta(log n)" in out
 
 
+class TestTrace:
+    ARGV = ["trace", "--task", "parity", "--n", "4", "--trials", "3"]
+
+    def test_traced_trials_are_the_serial_runner_records(self, tmp_path):
+        import json
+
+        from repro.cli import _resolve_scenario, _trace_trials
+        from repro.observe import Observer
+        from repro.parallel import SerialRunner
+
+        argv = self.ARGV + ["--seed", "11"]
+        path = tmp_path / "trace.jsonl"
+        assert main(argv + ["-o", str(path)]) == 0
+        task, executor, _ = _resolve_scenario(build_parser().parse_args(argv))
+        expected = SerialRunner().run_trials(task, executor, 3, seed=11)
+        assert _trace_trials(task, executor, 11, 3, Observer([])) == (
+            expected.records
+        )
+        fields = ("index", "success", "rounds", "flips", "total_energy")
+        traced = [
+            tuple(event[name] for name in fields)
+            for event in map(json.loads, path.read_text().splitlines())
+            if event["event"] == "trial"
+        ]
+        assert traced == [
+            tuple(getattr(record, name) for name in fields)
+            for record in expected.records
+        ]
+
+
 class TestDemo:
     def test_demo_succeeds_with_simulator(self, capsys):
         code = main(

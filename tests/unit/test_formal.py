@@ -4,8 +4,12 @@ import math
 
 import pytest
 
-from repro.channels import NoiselessChannel, OneSidedNoiseChannel
-from repro.core import run_protocol
+from repro.channels import (
+    IndependentNoiseChannel,
+    NoiselessChannel,
+    OneSidedNoiseChannel,
+)
+from repro.core import FunctionalParty, run_protocol
 from repro.core.formal import FormalProtocol, NoiseModel
 from repro.errors import ConfigurationError, ProtocolError
 from repro.lowerbound.feasible import feasible_set
@@ -173,6 +177,72 @@ class TestBroadcastBits:
         assert protocol.beeps([1, 1], (1, 1)) == [(1, 0), (0, 1)]
         protocol.broadcast = lambda i, x, prefix: 0
         assert protocol.beeps([1, 1], (1, 1)) == [(0, 0), (0, 0)]
+
+
+class TestBeepSchedule:
+    """A beep schedule stands for the broadcast it was given with."""
+
+    @staticmethod
+    def _last_round_broadcast(i, x, prefix):
+        return 1 if len(prefix) == 3 else 0
+
+    def test_reassigned_broadcast_drops_the_schedule(self):
+        protocol = input_set_formal_protocol(2)
+        pi = (1, 0, 0, 0)
+        assert protocol.schedule is not None
+        assert protocol.beep_masks([1, 1], pi) == [0b0001, 0b0001]
+        assert not any(
+            isinstance(party, FunctionalParty)
+            for party in protocol.create_parties([1, 1])
+        )
+        protocol.broadcast = self._last_round_broadcast
+        assert protocol.schedule is None
+        # Same π: the table built on the old schedule is not reused.
+        assert protocol.beep_masks([1, 1], pi) == [0b1000, 0b1000]
+        assert feasible_set(protocol, 0, (0, 0, 0, 1)) == (1, 2, 3, 4)
+        assert all(
+            isinstance(party, FunctionalParty)
+            for party in protocol.create_parties([1, 1])
+        )
+        result = run_protocol(protocol, [1, 1], NoiselessChannel())
+        assert result.transcript.common_view() == (0, 0, 0, 1)
+        assert result.outputs == [frozenset({4})] * 2
+
+    def test_setting_a_schedule_binds_the_current_broadcast(self):
+        protocol = input_set_formal_protocol(2)
+        protocol.broadcast = self._last_round_broadcast
+        protocol.schedule = lambda i, x: 0b1000
+        assert protocol.schedule is not None
+        assert protocol.beep_masks([1, 1], (1, 0, 0, 0)) == [0b1000] * 2
+        # A new schedule on the same broadcast replaces the cached table.
+        protocol.schedule = lambda i, x: 0b0100
+        assert protocol.beep_masks([1, 1], (1, 0, 0, 0)) == [0b0100] * 2
+        protocol.schedule = lambda i, x: 0b1000
+        result = run_protocol(protocol, [1, 1], NoiselessChannel())
+        assert result.transcript.common_view() == (0, 0, 0, 1)
+
+    def test_output_runs_once_per_distinct_transcript(self):
+        protocol = input_set_formal_protocol(4, repetitions=2)
+        transcripts = []
+        output = protocol.output
+
+        def counting_output(pi):
+            transcripts.append(tuple(pi))
+            return output(pi)
+
+        protocol.output = counting_output
+        shared = run_protocol(
+            protocol, [1, 2, 3, 3], OneSidedNoiseChannel(0.3, rng=4)
+        )
+        assert len(transcripts) == 1
+        assert shared.outputs == [output(transcripts[0])] * 4
+        transcripts.clear()
+        split = run_protocol(
+            protocol, [1, 2, 3, 3], IndependentNoiseChannel(0.3, rng=4)
+        )
+        views = {split.transcript.view(i) for i in range(4)}
+        assert len(views) > 1
+        assert sorted(transcripts) == sorted(views)
 
 
 class TestTranscriptProbability:
