@@ -31,9 +31,12 @@ E2, E5 and E6 run ``input_set_formal_protocol``, a non-adaptive
 execution runs its parties as ``Burst``/``Silence`` tokens, so the
 engine's sparse scheduler transmits each stretch in one block with the
 same channel draws, and the exact ζ analysis reads beep masks off the
-schedule.  Their loops, E5's exact enumeration, and the remaining
-hand-rolled raw-protocol loops (E4, E7a, E12) do not go through the
-runner.
+schedule.  E4 runs each owners-phase execution through
+:func:`~repro.vectorized.simulate_owners`, the party-collapsed form of
+Algorithm 1, which is bitwise the scalar ``run_protocol``; its inputs
+still come from one shared ``random.Random`` per point.  These loops,
+E5's exact enumeration, and the remaining hand-rolled raw-protocol
+loops (E7a, E12) do not go through the runner.
 """
 
 from __future__ import annotations

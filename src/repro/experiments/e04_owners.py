@@ -1,5 +1,10 @@
 """E4 — Theorem D.1: the finding-owners phase works w.h.p. at Θ(log n)
 per-codeword cost, with ML no worse than min-distance decoding.
+
+Every execution runs through :func:`~repro.vectorized.simulate_owners`,
+the party-collapsed owners phase, which is bitwise the scalar
+``run_protocol`` execution; the trials' inputs still come from one
+shared ``random.Random`` per point.
 """
 
 from __future__ import annotations
@@ -10,10 +15,10 @@ import random
 from repro.analysis import format_table
 from repro.channels import CorrelatedNoiseChannel
 from repro.coding import MinDistanceDecoder
-from repro.core import run_protocol
 from repro.core.formal import NoiseModel
 from repro.experiments.base import ExperimentResult, validate_scale
 from repro.simulation.owners import OwnersProtocol, build_owners_code
+from repro.vectorized import simulate_owners
 
 ID = "E4"
 TITLE = "Theorem D.1: finding-owners phase"
@@ -25,7 +30,7 @@ RATE_CONSTANT = 16.0
 
 
 def _perfect_rate(
-    n: int, decoder_kind: str, trials: int, seed: int
+    n: int, decoder_kind: str, trials: int, seed: int, codebooks: dict
 ) -> tuple[float, int]:
     rng = random.Random(seed)
     code = build_owners_code(n, rate_constant=RATE_CONSTANT)
@@ -42,7 +47,9 @@ def _perfect_rate(
         if decoder_kind == "min-distance":
             protocol.decoder = MinDistanceDecoder(code)  # type: ignore[assignment]
         channel = CorrelatedNoiseChannel(EPSILON, rng=seed + 101 * trial)
-        result = run_protocol(protocol, bits, channel)
+        result = simulate_owners(
+            protocol, bits, channel, codebook_cache=codebooks
+        )
         rounds = result.rounds
         reference = result.outputs[0].owners
         consistent = all(out.owners == reference for out in result.outputs)
@@ -61,10 +68,19 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     ml_rates = []
     md_rates = []
     ratios = []
+    # Vectorized codebooks (and their decode memos), shared by every
+    # execution over the same code and noise law.
+    codebooks: dict = {}
     for n in NS:
-        ml_rate, rounds = _perfect_rate(n, "ml", trials, seed=seed + 11 * n)
+        ml_rate, rounds = _perfect_rate(
+            n, "ml", trials, seed=seed + 11 * n, codebooks=codebooks
+        )
         md_rate, _ = _perfect_rate(
-            n, "min-distance", trials, seed=seed + 11 * n
+            n,
+            "min-distance",
+            trials,
+            seed=seed + 11 * n,
+            codebooks=codebooks,
         )
         code = build_owners_code(n, rate_constant=RATE_CONSTANT)
         ml_rates.append(ml_rate)
@@ -133,7 +149,9 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
             channel = CorrelatedNoiseChannel(
                 EPSILON, rng=seed + 7001 + trial
             )
-            execution = run_protocol(protocol, bits, channel)
+            execution = simulate_owners(
+                protocol, bits, channel, codebook_cache=codebooks
+            )
             reference = execution.outputs[0].owners
             ok = (
                 all(

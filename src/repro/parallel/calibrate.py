@@ -22,7 +22,11 @@ import os
 import time
 from typing import Callable
 
-from repro.channels import CorrelatedNoiseChannel, SuppressionNoiseChannel
+from repro.channels import (
+    CorrelatedNoiseChannel,
+    IndependentNoiseChannel,
+    SuppressionNoiseChannel,
+)
 from repro.parallel.executors import (
     ChannelSpec,
     ProtocolExecutor,
@@ -50,7 +54,9 @@ __all__ = [
 
 #: scheme key (simulator class name) -> (simulator spec, channel spec).
 #: Channels match the micro-benchmark pairings: correlated noise for the
-#: shared-transcript schemes, suppression for rewind.
+#: shared-transcript schemes, suppression for rewind.  Repetition under
+#: independent noise replays per-party vote windows, a different cost,
+#: so it gets its own row (the planner's ``@independent`` key).
 CALIBRATION_SCHEMES = {
     "ChunkCommitSimulator": (
         SimulatorSpec.of(ChunkCommitSimulator),
@@ -67,6 +73,10 @@ CALIBRATION_SCHEMES = {
     "HierarchicalSimulator": (
         SimulatorSpec.of(HierarchicalSimulator),
         ChannelSpec.of(CorrelatedNoiseChannel, 0.1),
+    ),
+    "RepetitionSimulator@independent": (
+        SimulatorSpec.of(RepetitionSimulator),
+        ChannelSpec.of(IndependentNoiseChannel, 0.1),
     ),
 }
 

@@ -137,30 +137,20 @@ class AutoRunner(TrialRunner):
         runner's classification.  ``probe_seed`` is the executor seed of
         the batch's first trial.
 
-        Network batches report the route's crossover key — the task type
-        name for raw protocol routes (``"MISTask"``), the simulator name
-        for the local-broadcast route — so graph schemes get their own
+        Single-hop batches report the simulator name, suffixed
+        ``@independent`` under per-party noise (see
+        :func:`~repro.vectorized.runner.single_hop_route`).  Network
+        batches report the route's crossover key — the task type name
+        for raw protocol routes (``"MISTask"``), the simulator name for
+        the local-broadcast route — so graph schemes get their own
         measured ``vectorized_min_n`` rows.
         """
-        from repro.parallel.executors import SimulationExecutor
         from repro.vectorized.network import classify_network
-        from repro.vectorized.runner import _COLLAPSED_SCHEMES
-        from repro.vectorized.schemes import CHANNEL_KINDS
+        from repro.vectorized.runner import single_hop_route
 
-        simulator = None
-        scheme = None
-        if isinstance(executor, SimulationExecutor):
-            simulator = executor.simulator.make()
-            scheme = type(simulator).__name__
-        if simulator is None:
-            reason = "executor is not a SimulationExecutor"
-        elif type(simulator) not in _COLLAPSED_SCHEMES:
-            reason = f"no collapsed form for {scheme}"
-        else:
-            probe = executor.channel.make(probe_seed)
-            if type(probe) in CHANNEL_KINDS:
-                return scheme, None
-            reason = f"no collapsed replay for {type(probe).__name__}"
+        route, scheme, reason = single_hop_route(executor, probe_seed)
+        if route is not None:
+            return scheme, None
         route, net_reason = classify_network(executor, probe_seed)
         if route is not None:
             return route.scheme, None

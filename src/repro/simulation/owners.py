@@ -61,6 +61,7 @@ __all__ = [
     "position_symbol",
     "symbol_position",
     "build_owners_code",
+    "check_owners_inputs",
     "owners_phase",
     "OwnersResult",
     "OwnersProtocol",
@@ -106,6 +107,22 @@ def build_owners_code(
     )
 
 
+def check_owners_inputs(
+    my_bits: Sequence[int], pi: Sequence[int], code: BlockCode
+) -> None:
+    """Raise :class:`ProtocolError` unless one party's beep vector and the
+    codebook fit the transcript ``pi``."""
+    if len(my_bits) != len(pi):
+        raise ProtocolError(
+            f"my_bits has {len(my_bits)} entries, pi has {len(pi)}"
+        )
+    if code.num_symbols < _POSITION_BASE + len(pi):
+        raise ProtocolError(
+            f"codebook covers {code.num_symbols - _POSITION_BASE} "
+            f"positions, chunk has {len(pi)}"
+        )
+
+
 @dataclass
 class OwnersResult:
     """Shared bookkeeping produced by one owners phase.
@@ -149,15 +166,7 @@ def owners_phase(
         parties return identical ``owners`` tables because every update is
         driven by the commonly-decoded symbol.
     """
-    if len(my_bits) != len(pi):
-        raise ProtocolError(
-            f"my_bits has {len(my_bits)} entries, pi has {len(pi)}"
-        )
-    if code.num_symbols < _POSITION_BASE + len(pi):
-        raise ProtocolError(
-            f"codebook covers {code.num_symbols - _POSITION_BASE} "
-            f"positions, chunk has {len(pi)}"
-        )
+    check_owners_inputs(my_bits, pi, code)
 
     ones = [j for j, bit in enumerate(pi) if bit == 1]
     iterations = len(ones) + n_parties

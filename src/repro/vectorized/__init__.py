@@ -10,7 +10,9 @@ bit-matrices, bitwise-equivalent to the scalar engine trial by trial:
   the byte-per-position mask bridge to the scalar decoder;
 * :mod:`repro.vectorized.decoder` — whole-codebook ML decoding;
 * :mod:`repro.vectorized.schemes` — the collapsed chunk-commit and
-  rewind simulations, plus the shared phase-1/2 machinery;
+  rewind simulations, the collapsed finding-owners phase
+  (:func:`simulate_owners`), the replayable channel kinds and their
+  flip sources, plus the shared phase-1/2 machinery;
 * :mod:`repro.vectorized.schemes_repetition` /
   :mod:`repro.vectorized.schemes_hierarchical` — the collapsed
   repetition and Appendix-D.2 hierarchy simulations;
@@ -44,6 +46,7 @@ from repro.vectorized.network import (
 )
 from repro.vectorized.noise import (
     BatchFlips,
+    ChannelFlips,
     FlipStream,
     numpy_stream,
 )
@@ -51,8 +54,11 @@ from repro.vectorized.process_runner import VectorizedProcessRunner
 from repro.vectorized.runner import VectorizedRunner
 from repro.vectorized.schemes import (
     CHANNEL_KINDS,
+    ChannelKind,
     CollapsedOutcome,
+    flip_sources,
     simulate_chunked,
+    simulate_owners,
     simulate_rewind,
 )
 from repro.vectorized.schemes_hierarchical import simulate_hierarchical
@@ -61,6 +67,7 @@ from repro.vectorized.schemes_repetition import simulate_repetition
 __all__ = [
     "numpy_stream",
     "FlipStream",
+    "ChannelFlips",
     "BatchFlips",
     "pack_rows",
     "unpack_rows",
@@ -69,8 +76,11 @@ __all__ = [
     "popcount_rows",
     "VectorizedMLDecoder",
     "CHANNEL_KINDS",
+    "ChannelKind",
     "CollapsedOutcome",
+    "flip_sources",
     "simulate_chunked",
+    "simulate_owners",
     "simulate_rewind",
     "simulate_repetition",
     "simulate_hierarchical",

@@ -21,11 +21,17 @@ rows of a packed numpy bit-matrix — the trial×draw layout the vectorized
 backend batches over.  :func:`random_block` is for callers that keep
 using the ``random.Random`` itself: it draws a block of ``random()``
 values through ``getrandbits``, so the generator advances past them.
+:class:`ChannelFlips` serves the same three access patterns by pulling
+indicators from the channel's own delivery, exactly as many as asked —
+for noise whose draws are not one comparison per indicator (the
+burst channel's Markov state), and for standalone calls that must leave
+the channel where the scalar run would.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Callable, Union
 
 import numpy as _np
 
@@ -35,6 +41,8 @@ __all__ = [
     "numpy_stream",
     "random_block",
     "FlipStream",
+    "ChannelFlips",
+    "FlipSource",
     "BatchFlips",
 ]
 
@@ -168,6 +176,41 @@ class FlipStream:
         return _np.concatenate((head, tail)) if ready else tail
 
 
+class ChannelFlips:
+    """A flip-indicator stream pulled from a channel, on demand.
+
+    ``pull(k)`` returns the next ``k`` indicators as 0/1 ``bytes`` and
+    advances the channel past exactly their draws — e.g.
+    ``channel._deliver_shared_run(0, k)`` for an XOR channel, whose
+    received bits over a silent run *are* its flips.  Nothing is read
+    ahead, so after a collapsed replay the channel's generator, block
+    buffer and any noise state are those of the scalar run.  Same
+    interface as :class:`FlipStream`.
+    """
+
+    __slots__ = ("_pull", "draws")
+
+    def __init__(self, pull: Callable[[int], bytes]) -> None:
+        self._pull = pull
+        #: Indicators consumed so far (draw-order position; test hook).
+        self.draws = 0
+
+    def take1(self) -> int:
+        """The next flip indicator, as a plain int."""
+        self.draws += 1
+        return self._pull(1)[0]
+
+    def count(self, rounds: int) -> int:
+        """Number of flips among the next ``rounds`` indicators."""
+        self.draws += rounds
+        return self._pull(rounds).count(1)
+
+    def take(self, rounds: int) -> "_np.ndarray":
+        """The next ``rounds`` indicators as a uint8 array."""
+        self.draws += rounds
+        return _np.frombuffer(self._pull(rounds), dtype=_np.uint8)
+
+
 class BatchFlips:
     """Batched flip prefetch: trials as rows of a packed bit-matrix.
 
@@ -225,3 +268,7 @@ class BatchFlips:
         flip_stream._pos = 0
         flip_stream.draws = 0
         return flip_stream
+
+
+#: What the collapsed schemes draw flip indicators from.
+FlipSource = Union[FlipStream, ChannelFlips]

@@ -20,13 +20,22 @@ flip for flip.  Any trial a vectorized sweep records can therefore be
 replayed on the scalar engine from its seed pair alone, which is what
 the cross-backend equivalence suite does.
 
+Single-hop batches collapse over the channel families of
+:data:`~repro.vectorized.schemes.CHANNEL_KINDS`: noiseless, correlated,
+one-sided, suppression, burst (Gilbert–Elliott, its noise pulled from
+each trial's channel) and independent noise (repetition only; the
+shared-transcript schemes raise the scalar "requires a correlated
+channel" error).  The i.i.d. ``u < ε`` families are prefetched; which
+flip source a family uses is decided in one place,
+:func:`~repro.vectorized.schemes.flip_sources`.
+
 Graph-topology batches route to the trial-batched CSR kernel of
 :mod:`repro.vectorized.network` instead: the network protocol families
 (neighbor-OR, broadcast, MIS) raw or under the local-broadcast
 repetition wrapper, over a single-noise-kind ``NetworkBeepingChannel``.
 Batches neither model collapses (simulators outside both registries,
-channel families outside the correlated shared-bit or network models,
-per-node epsilon vectors) run through the scalar :func:`run_trial` loop —
+adversarial and reduction channels, per-node epsilon vectors) run
+through the scalar :func:`run_trial` loop —
 same records, with ``timing["fallback"]`` set and the reason in
 ``last_fallback_reason``, mirroring the process-pool backend's downgrade
 protocol.
@@ -64,16 +73,16 @@ from repro.vectorized.network import (
     classify_network,
     network_records,
 )
-from repro.vectorized.noise import BatchFlips
 from repro.vectorized.schemes import (
     CHANNEL_KINDS,
+    flip_sources,
     simulate_chunked,
     simulate_rewind,
 )
 from repro.vectorized.schemes_hierarchical import simulate_hierarchical
 from repro.vectorized.schemes_repetition import simulate_repetition
 
-__all__ = ["VectorizedRunner"]
+__all__ = ["VectorizedRunner", "single_hop_route"]
 
 #: Simulator types with a party-collapsed form.  Exact types: a subclass
 #: may override scheme steps the collapsed forms hard-code.
@@ -83,6 +92,36 @@ _COLLAPSED_SCHEMES = {
     RepetitionSimulator: simulate_repetition,
     HierarchicalSimulator: simulate_hierarchical,
 }
+
+
+def single_hop_route(
+    executor: Executor, probe_seed: int
+) -> tuple[tuple | None, str | None, str | None]:
+    """``(route, crossover key, reason)`` for a single-hop batch.
+
+    ``route`` is the ``(simulator, collapsed)`` pair, or ``None`` with
+    the fallback ``reason``.  The key names the batch's row of the
+    planner's crossover table: the simulator class name, suffixed
+    ``@independent`` under per-party noise, whose replay costs differ.
+    ``probe_seed`` is the executor seed of the batch's first trial; the
+    channel it builds is only inspected, never run.
+    """
+    if not isinstance(executor, SimulationExecutor):
+        return None, None, "executor is not a SimulationExecutor"
+    simulator = executor.simulator.make()
+    scheme = type(simulator).__name__
+    collapsed = _COLLAPSED_SCHEMES.get(type(simulator))
+    if collapsed is None:
+        return None, scheme, f"no collapsed form for {scheme}"
+    probe = executor.channel.make(probe_seed)
+    kind = CHANNEL_KINDS.get(type(probe))
+    if kind is None:
+        return None, scheme, (
+            f"no collapsed replay for {type(probe).__name__}"
+        )
+    if kind.rule == "per_party":
+        scheme += "@independent"
+    return (simulator, collapsed), scheme, None
 
 
 class VectorizedRunner(TrialRunner):
@@ -121,29 +160,13 @@ class VectorizedRunner(TrialRunner):
         graph kernel.  Both are tried; a batch falls back to the scalar
         loop only when neither applies, with the reasons joined.
         """
-        route, reason = self._classify_single_hop(executor, probe_seed)
+        route, _, reason = single_hop_route(executor, probe_seed)
         if route is not None:
             return route, None
         net_route, net_reason = classify_network(executor, probe_seed)
         if net_route is not None:
             return net_route, None
         return None, f"{reason}; {net_reason}"
-
-    def _classify_single_hop(self, executor: Executor, probe_seed: int):
-        if not isinstance(executor, SimulationExecutor):
-            return None, "executor is not a SimulationExecutor"
-        simulator = executor.simulator.make()
-        collapsed = _COLLAPSED_SCHEMES.get(type(simulator))
-        if collapsed is None:
-            return None, (
-                f"no collapsed form for {type(simulator).__name__}"
-            )
-        probe = executor.channel.make(probe_seed)
-        if type(probe) not in CHANNEL_KINDS:
-            return None, (
-                f"no collapsed replay for {type(probe).__name__}"
-            )
-        return (simulator, collapsed), None
 
     def _serial_fallback(
         self,
@@ -222,14 +245,7 @@ class VectorizedRunner(TrialRunner):
         channels = [
             executor.channel.make(executor_seed) for _, executor_seed in pairs
         ]
-        epsilon = getattr(channels[0], "epsilon", 0.0)
-        flip_rows: BatchFlips | None = None
-        if epsilon > 0.0:
-            flip_rows = BatchFlips(
-                [channel._rng for channel in channels],
-                epsilon,
-                columns=self.prefetch,
-            )
+        flips = flip_sources(channels, prefetch=self.prefetch)
 
         records: list[TrialRecord] = []
         times: list[float] | None = [] if collect_times else None
@@ -241,11 +257,7 @@ class VectorizedRunner(TrialRunner):
                 task.noiseless_protocol(),
                 inputs,
                 channels[row],
-                flips=(
-                    flip_rows.stream(row)
-                    if flip_rows is not None
-                    else None
-                ),
+                flips=flips[row],
                 codebook_cache=self._codebooks,
             )
             report = outcome.report

@@ -9,13 +9,34 @@ all ``n`` parties decode the same received word, and every phase's round
 window is a function of a handful of shared quantities.  The collapsed
 forms below compute each shared quantity once, drive a *single* set of
 ``n`` live inner-party coroutines, and replace per-round channel calls
-with windowed draws from a :class:`~repro.vectorized.noise.FlipStream` —
+with windowed draws from a flip source
+(:class:`~repro.vectorized.noise.FlipStream` or
+:class:`~repro.vectorized.noise.ChannelFlips`) —
 while reproducing the scalar execution *bitwise*: same RNG draw order,
 same decoded symbols (via the byte-packed
 :class:`~repro.vectorized.decoder.VectorizedMLDecoder`), same rounds,
 channel statistics, per-party energy, outputs and report fields.  The
 cross-backend equivalence suite (``tests/unit/test_vectorized_equivalence``)
 enforces this against the scalar engine trial by trial.
+
+:data:`CHANNEL_KINDS` lists the channel classes that replay, each with
+its draw rule and flip source:
+
+* noiseless — no draws;
+* correlated and burst — the OR XOR-ed with one shared noise bit per
+  round.  Correlated noise is an i.i.d. ``u < ε`` stream; burst noise
+  (Gilbert–Elliott) is pulled from the channel's own delivery, which
+  advances its Markov state;
+* one-sided and suppression — one ``u < ε`` draw per silent (resp.
+  beeping) round only;
+* independent — one ``u < ε`` draw per party per round, in party order.
+  Only the repetition scheme replays it (each party majority-votes its
+  own receptions); the shared-transcript schemes raise the scalar
+  "requires a correlated channel" error.
+
+:func:`simulate_owners` runs Algorithm 1's finding-owners phase
+(:class:`~repro.simulation.owners.OwnersProtocol`) on the same collapsed
+owners bookkeeping the chunk schemes use.
 
 Determinism assumption: inner parties are deterministic functions of
 ``(inputs, received prefix)``.  The scalar schemes already rely on exactly
@@ -26,38 +47,49 @@ after pops), so the collapsed forms add no new assumption.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as _np
 
 from repro.channels.base import Channel
+from repro.channels.burst import BurstNoiseChannel
 from repro.channels.correlated import CorrelatedNoiseChannel
+from repro.channels.independent import IndependentNoiseChannel
 from repro.channels.noiseless import NoiselessChannel
 from repro.channels.one_sided import (
     OneSidedNoiseChannel,
     SuppressionNoiseChannel,
 )
 from repro.channels.stats import ChannelStats
+from repro.coding.code import BlockCode
+from repro.coding.ml import MLDecoder
+from repro.core.formal import NoiseModel
 from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, ProtocolError
 from repro.simulation.base import SimulationReport, Simulator
 from repro.simulation.chunked import ChunkCommitSimulator
 from repro.simulation.owners import (
     NEXT,
+    OwnersProtocol,
+    OwnersResult,
     build_owners_code,
+    check_owners_inputs,
     position_symbol,
     symbol_position,
 )
 from repro.simulation.rewind import RewindSimulator
 from repro.vectorized.decoder import VectorizedMLDecoder
-from repro.vectorized.noise import FlipStream
+from repro.vectorized.noise import BatchFlips, ChannelFlips, FlipSource
 
 __all__ = [
     "CHANNEL_KINDS",
+    "ChannelKind",
     "CollapsedOutcome",
+    "flip_sources",
     "simulate_chunked",
+    "simulate_owners",
     "simulate_rewind",
 ]
 
@@ -66,14 +98,32 @@ __all__ = [
 # on the shared machinery here (_SharedChannel, _InnerPrograms,
 # _chunk_phase12, _chunk_flags, _shared_codebook).
 
-#: Channel classes the collapsed schemes can replay bitwise, mapped to the
-#: draw rule their noise follows (see ``_SharedChannel``).  Exact types:
-#: a subclass may override delivery and must take the scalar path.
-CHANNEL_KINDS: dict[type, str] = {
-    NoiselessChannel: "noiseless",
-    CorrelatedNoiseChannel: "correlated",
-    OneSidedNoiseChannel: "one_sided",
-    SuppressionNoiseChannel: "suppression",
+
+class ChannelKind(NamedTuple):
+    """How a registered channel class is replayed.
+
+    ``rule`` is the draw rule :class:`_SharedChannel` applies:
+    ``"noiseless"``, ``"xor"`` (one flip indicator per round, XOR-ed
+    into the OR), ``"one_sided"``, ``"suppression"`` or ``"per_party"``
+    (one indicator per party per round).  ``flips`` names the flip
+    source :func:`flip_sources` builds: ``"none"`` (never drawn),
+    ``"epsilon"`` (i.i.d. ``u < channel.epsilon`` draws) or
+    ``"channel"`` (pulled from ``channel._deliver_shared_run(0, k)``).
+    """
+
+    rule: str
+    flips: str | None
+
+
+#: Channel classes the collapsed schemes can replay bitwise.  Exact
+#: types: a subclass may override delivery and must take the scalar path.
+CHANNEL_KINDS: dict[type, ChannelKind] = {
+    NoiselessChannel: ChannelKind("noiseless", "none"),
+    CorrelatedNoiseChannel: ChannelKind("xor", "epsilon"),
+    OneSidedNoiseChannel: ChannelKind("one_sided", "epsilon"),
+    SuppressionNoiseChannel: ChannelKind("suppression", "epsilon"),
+    BurstNoiseChannel: ChannelKind("xor", "channel"),
+    IndependentNoiseChannel: ChannelKind("per_party", "epsilon"),
 }
 
 
@@ -86,14 +136,15 @@ class CollapsedOutcome:
     :class:`~repro.core.result.ExecutionResult` of the same trial:
     ``rounds == result.rounds``, ``channel_stats == result.channel_stats``,
     ``beeps_per_party == result.beeps_per_party``, ``outputs ==
-    result.outputs`` and ``report`` matches ``result.metadata["report"]``.
+    result.outputs`` and ``report`` matches ``result.metadata["report"]``
+    (``None`` for a raw protocol, see :func:`simulate_owners`).
     """
 
     outputs: list[Any]
     rounds: int
     channel_stats: ChannelStats
     beeps_per_party: tuple[int, ...]
-    report: SimulationReport
+    report: SimulationReport | None = None
 
     @property
     def total_energy(self) -> int:
@@ -101,21 +152,28 @@ class CollapsedOutcome:
 
 
 class _SharedChannel:
-    """Windowed, stats-exact replay of a correlated channel's delivery.
+    """Windowed, stats-exact replay of a registered channel's delivery.
 
     Reproduces, draw for draw, what the scalar channel would deliver for
-    the three access shapes the collapsed schemes need: a constant-OR
-    window (phase-1/verification votes), a codeword window (owners
-    phase), and a single round (rewind).  Statistics accrue exactly as
-    ``transmit_shared``/``transmit_shared_run`` record them.
+    the access shapes the collapsed schemes need: a constant-OR window
+    (phase-1/verification votes), a codeword window (owners phase), a
+    single round (rewind) and, under per-party noise, a per-party vote
+    window (repetition).  Statistics accrue exactly as
+    ``transmit_shared``/``transmit_shared_run`` (resp. ``transmit``)
+    record them.  ``kind`` is the :attr:`ChannelKind.rule`.
     """
 
     __slots__ = ("kind", "flips", "stats")
 
-    def __init__(self, kind: str, flips: FlipStream) -> None:
+    def __init__(self, kind: str, flips: FlipSource | None) -> None:
         self.kind = kind
         self.flips = flips
         self.stats = ChannelStats()
+
+    def _no_shared_bit(self) -> ConfigurationError:
+        return ConfigurationError(
+            f"{self.kind} noise has no shared received bit"
+        )
 
     def window(self, or_value: int, beeps: int, rounds: int) -> int:
         """Transmit ``rounds`` rounds of constant OR; return received ones."""
@@ -124,7 +182,7 @@ class _SharedChannel:
         stats.beeps_sent += beeps * rounds
         stats.or_ones += or_value * rounds
         kind = self.kind
-        if kind == "correlated":
+        if kind == "xor":
             flipped = self.flips.count(rounds)
             if or_value:
                 stats.flips_down += flipped
@@ -143,7 +201,36 @@ class _SharedChannel:
             flipped = self.flips.count(rounds)
             stats.flips_down += flipped
             return rounds - flipped
-        return or_value * rounds  # noiseless
+        if kind == "noiseless":
+            return or_value * rounds
+        raise self._no_shared_bit()
+
+    def votes(self, bits: Sequence[int], rounds: int) -> "_np.ndarray":
+        """Per-party received ones over ``rounds`` rounds of constant sent
+        ``bits`` under per-party noise.
+
+        A scalar round draws one indicator per party, in party order, so
+        the window is one ``rounds × n`` block of the flip stream, summed
+        per party.  Flips count per party reception, as ``transmit`` does.
+        """
+        n_parties = len(bits)
+        beeps = sum(bits)
+        or_value = 1 if beeps else 0
+        stats = self.stats
+        stats.rounds += rounds
+        stats.beeps_sent += beeps * rounds
+        stats.or_ones += or_value * rounds
+        flipped = (
+            self.flips.take(rounds * n_parties)
+            .reshape(rounds, n_parties)
+            .sum(axis=0)
+        )
+        total = int(flipped.sum())
+        if or_value:
+            stats.flips_down += total
+            return rounds - flipped
+        stats.flips_up += total
+        return flipped
 
     def word(self, bits: "_np.ndarray", weight: int) -> "_np.ndarray":
         """Transmit a codeword round-by-round; return the received word.
@@ -157,7 +244,7 @@ class _SharedChannel:
         stats.beeps_sent += weight
         stats.or_ones += weight
         kind = self.kind
-        if kind == "correlated":
+        if kind == "xor":
             flipped = self.flips.take(length)
             down = int((flipped & bits).sum())
             stats.flips_down += down
@@ -178,7 +265,9 @@ class _SharedChannel:
                 received[bits == 1] = 1 - flipped
                 stats.flips_down += int(flipped.sum())
             return received
-        return bits  # noiseless
+        if kind == "noiseless":
+            return bits
+        raise self._no_shared_bit()
 
     def round(self, or_value: int, beeps: int) -> int:
         """Transmit a single round; return the shared received bit."""
@@ -187,7 +276,7 @@ class _SharedChannel:
         stats.beeps_sent += beeps
         stats.or_ones += or_value
         kind = self.kind
-        if kind == "correlated":
+        if kind == "xor":
             flipped = self.flips.take1()
             if flipped:
                 if or_value:
@@ -208,7 +297,9 @@ class _SharedChannel:
             flipped = self.flips.take1()
             stats.flips_down += flipped
             return 0 if flipped else 1
-        return or_value  # noiseless
+        if kind == "noiseless":
+            return or_value
+        raise self._no_shared_bit()
 
 
 class _InnerPrograms:
@@ -266,6 +357,11 @@ class _InnerPrograms:
 
     def advance(self, received: int) -> None:
         """Deliver one shared received bit to every party."""
+        self.advance_each([received] * len(self._programs))
+
+    def advance_each(self, received: Sequence[int]) -> None:
+        """Deliver party ``i`` its own received bit ``received[i]`` (per-
+        party noise, where views diverge)."""
         strict = self._strict
         finished = self._finished
         bits = self.bits
@@ -278,7 +374,7 @@ class _InnerPrograms:
                     )
                 continue
             try:
-                bits[index] = program.send(received)
+                bits[index] = program.send(received[index])
             except StopIteration as stop:
                 finished[index] = True
                 outputs[index] = stop.value
@@ -299,7 +395,7 @@ class _InnerPrograms:
         return self.outputs()
 
 
-def _channel_kind(channel: Channel) -> str:
+def _channel_kind(channel: Channel) -> ChannelKind:
     kind = CHANNEL_KINDS.get(type(channel))
     if kind is None:
         raise ConfigurationError(
@@ -309,13 +405,60 @@ def _channel_kind(channel: Channel) -> str:
     return kind
 
 
+def flip_sources(
+    channels: Sequence[Channel], prefetch: int | None = None
+) -> list[FlipSource | None]:
+    """One flip source per channel — the single place a registered
+    kind's noise source is chosen.  All channels share one type.
+
+    * ``"none"`` (noiseless): ``None``; the replay never draws.
+    * ``"channel"`` (burst): :class:`ChannelFlips` over the channel's
+      own ``_deliver_shared_run(0, k)`` — its received bits over a
+      silent run are its flips, and the pull advances its Markov state.
+    * ``"epsilon"``: with ``prefetch`` (the runner), rows of one
+      :class:`BatchFlips` matrix of ``prefetch`` columns over copies of
+      the channels' generators; without it (a standalone call),
+      :class:`ChannelFlips` over the channel's own buffered
+      ``u < epsilon`` stream, so the channel ends where the scalar run
+      leaves it.
+
+    Raises :class:`ConfigurationError` for unregistered channel types and
+    for a kind with no known flip source — never a silent noiseless
+    replay.
+    """
+    kind = _channel_kind(channels[0])
+    if kind.flips == "none":
+        return [None] * len(channels)
+    if kind.flips == "channel":
+        return [
+            ChannelFlips(partial(channel._deliver_shared_run, 0))
+            for channel in channels
+        ]
+    if kind.flips == "epsilon":
+        if prefetch is None:
+            return [
+                ChannelFlips(partial(channel._threshold_run, hit=1, miss=0))
+                for channel in channels
+            ]
+        rows = BatchFlips(
+            [channel._rng for channel in channels],
+            channels[0].epsilon,
+            columns=prefetch,
+        )
+        return [rows.stream(row) for row in range(len(channels))]
+    raise ConfigurationError(
+        f"no flip source registered for {type(channels[0]).__name__} "
+        f"(flips={kind.flips!r})"
+    )
+
+
 def _shared_channel(
-    channel: Channel, flips: FlipStream | None
+    channel: Channel, flips: FlipSource | None
 ) -> _SharedChannel:
     kind = _channel_kind(channel)
     if flips is None:
-        flips = FlipStream(channel._rng, getattr(channel, "epsilon", 0.0))
-    return _SharedChannel(kind, flips)
+        flips = flip_sources([channel])[0]
+    return _SharedChannel(kind.rule, flips)
 
 
 def _shared_codebook(params, chunk_length: int, noise, codebook_cache):
@@ -349,52 +492,27 @@ def _shared_codebook(params, chunk_length: int, noise, codebook_cache):
     return code, decoder
 
 
-def _chunk_phase12(
-    programs: _InnerPrograms,
+def _owners_phase(
+    pi: Sequence[int],
+    beep_rows: Sequence[Sequence[int]],
     shared: _SharedChannel,
     energy: "_np.ndarray",
-    chunk_rounds: int,
-    repetitions: int,
-    n_parties: int,
-    codebook,
-    codeword_weights,
-    decoder: VectorizedMLDecoder,
-):
-    """Phases 1+2 of Algorithm 1 over the live programs, collapsed.
+    code: VectorizedMLDecoder,
+    decode: Callable[["_np.ndarray"], int],
+) -> tuple[dict[int, int], list[set[int]], int]:
+    """Algorithm 1's finding-owners phase, collapsed.
 
-    Phase 1 repetition-hardens ``chunk_rounds`` virtual rounds into the
-    chunk transcript ``pi`` (advancing the programs as it goes); phase 2
-    runs the finding-owners phase.  Returns ``(pi, beep_rows,
-    beep_matrix, owners, claimed_by)`` and accrues per-party ``energy``
-    in place — exactly the shared quantities both chunk schemes verify
-    against.
+    All shared bookkeeping (turn, claimed set, owner table) is computed
+    once instead of once per party; only the speaker's claimed-by-me
+    record is party-local.  Each iteration sends one row of ``code``'s
+    codebook through ``shared`` (only the speaker beeps, so the OR *is*
+    its codeword; the SILENCE row must be all-zero) and decodes the
+    received word with ``decode``.  Accrues the speakers' energy in
+    place and returns ``(owners, claimed_by, iterations)``.
     """
-    # Phase 1: repetition-harden each virtual round into pi.  The
-    # window's received ones collapse to one popcount of the flip
-    # stream; the majority rule matches repeated_bit exactly.
-    beep_rows: list[list[int]] = [[] for _ in range(n_parties)]
-    pi: list[int] = []
-    for _ in range(chunk_rounds):
-        beeps = 0
-        bits = programs.bits
-        for index, bit in enumerate(bits):
-            if bit is None:
-                raise ProtocolError(
-                    "inner protocol shorter than its declared length"
-                )
-            beep_rows[index].append(bit)
-            beeps += bit
-        or_value = 1 if beeps else 0
-        ones = shared.window(or_value, beeps, repetitions)
-        decoded = 1 if 2 * ones > repetitions else 0
-        pi.append(decoded)
-        programs.advance(decoded)
-    beep_matrix = _np.array(beep_rows, dtype=_np.uint8)
-    energy += beep_matrix.sum(axis=1, dtype=_np.int64) * repetitions
-
-    # Phase 2: finding owners.  All shared bookkeeping (turn, claimed
-    # set, owner table) is computed once instead of once per party;
-    # only the speaker's claimed-by-me record is party-local.
+    codebook = code._codebook
+    codeword_weights = code._mask_weights
+    n_parties = len(beep_rows)
     ones_positions = [j for j, bit in enumerate(pi) if bit == 1]
     iterations = len(ones_positions) + n_parties
     claimed: set[int] = set()
@@ -425,7 +543,7 @@ def _chunk_phase12(
             word = codebook[0]  # SILENCE: the all-zero codeword
             weight = 0
         received = shared.word(word, weight)
-        decoded_symbol = decoder.decode(received)
+        decoded_symbol = decode(received)
         if decoded_symbol == NEXT:
             turn += 1
         else:
@@ -436,6 +554,54 @@ def _chunk_phase12(
                     owners[position] = turn
                 if speaker is not None and decoded_symbol == sent_symbol:
                     claimed_by[speaker].add(position)
+    return owners, claimed_by, iterations
+
+
+def _chunk_phase12(
+    programs: _InnerPrograms,
+    shared: _SharedChannel,
+    energy: "_np.ndarray",
+    chunk_rounds: int,
+    repetitions: int,
+    n_parties: int,
+    decoder: VectorizedMLDecoder,
+):
+    """Phases 1+2 of Algorithm 1 over the live programs, collapsed.
+
+    Phase 1 repetition-hardens ``chunk_rounds`` virtual rounds into the
+    chunk transcript ``pi`` (advancing the programs as it goes); phase 2
+    runs the finding-owners phase (:func:`_owners_phase`).  Returns
+    ``(pi, beep_rows, beep_matrix, owners, claimed_by)`` and accrues
+    per-party ``energy`` in place — exactly the shared quantities both
+    chunk schemes verify against.
+    """
+    # Phase 1: repetition-harden each virtual round into pi.  The
+    # window's received ones collapse to one popcount of the flip
+    # stream; the majority rule matches repeated_bit exactly.
+    beep_rows: list[list[int]] = [[] for _ in range(n_parties)]
+    pi: list[int] = []
+    for _ in range(chunk_rounds):
+        beeps = 0
+        bits = programs.bits
+        for index, bit in enumerate(bits):
+            if bit is None:
+                raise ProtocolError(
+                    "inner protocol shorter than its declared length"
+                )
+            beep_rows[index].append(bit)
+            beeps += bit
+        or_value = 1 if beeps else 0
+        ones = shared.window(or_value, beeps, repetitions)
+        decoded = 1 if 2 * ones > repetitions else 0
+        pi.append(decoded)
+        programs.advance(decoded)
+    beep_matrix = _np.array(beep_rows, dtype=_np.uint8)
+    energy += beep_matrix.sum(axis=1, dtype=_np.int64) * repetitions
+
+    # Phase 2: finding owners.
+    owners, claimed_by, _ = _owners_phase(
+        pi, beep_rows, shared, energy, decoder, decoder.decode
+    )
     return pi, beep_rows, beep_matrix, owners, claimed_by
 
 
@@ -472,7 +638,7 @@ def simulate_chunked(
     channel: Channel,
     *,
     shared_seed: int | None = None,
-    flips: FlipStream | None = None,
+    flips: FlipSource | None = None,
     codebook_cache: dict | None = None,
 ) -> CollapsedOutcome:
     """The chunk-commit scheme, party-collapsed; bitwise equal to
@@ -525,8 +691,6 @@ def simulate_chunked(
     shared = _shared_channel(channel, flips)
     programs = _InnerPrograms(protocol, inputs, shared_seed, strict=True)
     energy = _np.zeros(n_parties, dtype=_np.int64)
-    codebook = decoder._codebook
-    codeword_weights = decoder._mask_weights
 
     committed: list[int] = []
     attempts = 0
@@ -546,8 +710,6 @@ def simulate_chunked(
             chunk_rounds,
             repetitions,
             n_parties,
-            codebook,
-            codeword_weights,
             decoder,
         )
 
@@ -591,7 +753,7 @@ def simulate_rewind(
     channel: Channel,
     *,
     shared_seed: int | None = None,
-    flips: FlipStream | None = None,
+    flips: FlipSource | None = None,
     codebook_cache: dict | None = None,
 ) -> CollapsedOutcome:
     """The rewind random walk, party-collapsed; bitwise equal to
@@ -718,4 +880,98 @@ def simulate_rewind(
         channel_stats=shared.stats,
         beeps_per_party=tuple(int(value) for value in energy),
         report=report,
+    )
+
+
+def _code_decoder(
+    code: BlockCode, noise: NoiseModel, codebook_cache: dict | None
+) -> VectorizedMLDecoder:
+    """The vectorized decoder (and codebook matrix) of ``code`` under
+    ``noise``, via the cache, keyed by code identity and noise law."""
+    cache_key = ("owners", id(code), noise.up, noise.down)
+    cached = (
+        codebook_cache.get(cache_key) if codebook_cache is not None else None
+    )
+    if cached is not None and cached[0] is code:
+        return cached[1]
+    decoder = VectorizedMLDecoder(code, noise)
+    if codebook_cache is not None:
+        codebook_cache[cache_key] = (code, decoder)
+    return decoder
+
+
+def simulate_owners(
+    protocol: OwnersProtocol,
+    inputs: Sequence[Sequence[int]],
+    channel: Channel,
+    *,
+    flips: FlipSource | None = None,
+    codebook_cache: dict | None = None,
+) -> CollapsedOutcome:
+    """Algorithm 1's finding-owners phase, party-collapsed; bitwise equal
+    to ``run_protocol(protocol, inputs, channel)`` on the shared-bit
+    channels of :data:`CHANNEL_KINDS` (minus the transcript): the
+    per-party :class:`~repro.simulation.owners.OwnersResult` outputs,
+    rounds, channel statistics and per-party energy.
+
+    Decoding uses the protocol's own decoder.  An exact
+    :class:`~repro.coding.ml.MLDecoder` maps to the equivalent
+    :class:`~repro.vectorized.decoder.VectorizedMLDecoder`; any other
+    decoder (e.g. :class:`~repro.coding.ml.MinDistanceDecoder`) is called
+    on the received word as the tuple the scalar parties pass it.
+
+    Without ``flips`` the noise is pulled from ``channel`` itself, whose
+    generator and noise state end where the scalar run leaves them.
+    ``codebook_cache`` shares the vectorized codebooks, decode memo
+    included, across calls.
+
+    Raises the scalar input errors, and :class:`ConfigurationError` for a
+    channel without a shared received bit (independent noise: use
+    ``run_protocol``) or a codebook whose SILENCE word is not all-zero.
+    """
+    kind = _channel_kind(channel)
+    if kind.rule == "per_party":
+        raise ConfigurationError(
+            f"simulate_owners needs a shared received bit; "
+            f"{type(channel).__name__} gives per-party views (use "
+            "run_protocol)"
+        )
+    protocol._check_inputs(inputs)
+    pi = protocol.pi
+    for bits in inputs:
+        check_owners_inputs(bits, pi, protocol.code)
+    codebook = _code_decoder(
+        protocol.code, protocol.noise_model, codebook_cache
+    )
+    if codebook._mask_weights[0]:
+        raise ConfigurationError(
+            "the collapsed owners phase needs an all-zero SILENCE codeword"
+        )
+    decoder = protocol.decoder
+    if type(decoder) is MLDecoder:
+        decode = _code_decoder(
+            decoder.code, decoder.noise, codebook_cache
+        ).decode
+    else:
+
+        def decode(received: "_np.ndarray") -> int:
+            return decoder.decode(tuple(received.tolist()))
+
+    shared = _shared_channel(channel, flips)
+    energy = _np.zeros(protocol.n_parties, dtype=_np.int64)
+    owners, claimed_by, iterations = _owners_phase(
+        pi, inputs, shared, energy, codebook, decode
+    )
+    return CollapsedOutcome(
+        outputs=[
+            OwnersResult(
+                owners=dict(owners),
+                claimed_by_me=mine,
+                iterations=iterations,
+            )
+            for mine in claimed_by
+        ],
+        rounds=shared.stats.rounds,
+        channel_stats=shared.stats,
+        beeps_per_party=tuple(int(value) for value in energy),
     )

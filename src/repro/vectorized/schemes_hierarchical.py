@@ -28,7 +28,7 @@ from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError
 from repro.simulation.base import SimulationReport
 from repro.simulation.hierarchical import HierarchicalSimulator
-from repro.vectorized.noise import FlipStream
+from repro.vectorized.noise import FlipSource
 from repro.vectorized.schemes import (
     CollapsedOutcome,
     _chunk_flags,
@@ -48,7 +48,7 @@ def simulate_hierarchical(
     channel: Channel,
     *,
     shared_seed: int | None = None,
-    flips: FlipStream | None = None,
+    flips: FlipSource | None = None,
     codebook_cache: dict | None = None,
 ) -> CollapsedOutcome:
     """The ``A_L`` hierarchy, party-collapsed; bitwise equal to
@@ -99,8 +99,6 @@ def simulate_hierarchical(
     shared = _shared_channel(channel, flips)
     programs = _InnerPrograms(protocol, inputs, shared_seed, strict=True)
     energy = _np.zeros(n_parties, dtype=_np.int64)
-    codebook = decoder._codebook
-    codeword_weights = decoder._mask_weights
 
     # Working state: per appended chunk, its transcript pi and each
     # party's error-flag vector (truncation only removes suffixes, so
@@ -133,8 +131,6 @@ def simulate_hierarchical(
             chunk_rounds,
             repetitions,
             n_parties,
-            codebook,
-            codeword_weights,
             decoder,
         )
         chunk_pis.append(pi)

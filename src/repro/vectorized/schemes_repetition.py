@@ -4,30 +4,36 @@ The scalar :class:`~repro.simulation.repetition_sim.RepetitionSimulator`
 wraps each inner party in a coroutine that beeps every inner bit
 ``repetitions`` times and majority-decodes the channel's answers, then
 drives the wrapped protocol through the full engine.  On the shared-bit
-channels (every party hears the same bit — the families in
-:data:`~repro.vectorized.schemes.CHANNEL_KINDS`) all parties decode the
-same majority, so the per-party work is redundant: one live inner-party
-set plus one windowed draw per virtual round reproduces the execution
-bitwise — same RNG draw order, rounds, channel statistics, per-party
-energy and outputs, including the engine's
-:class:`~repro.errors.ProtocolDesyncError` when parties disagree on when
-to stop.
+channels (every party hears the same bit — each family in
+:data:`~repro.vectorized.schemes.CHANNEL_KINDS` but independent noise)
+all parties decode the same majority, so the per-party work is
+redundant: one live inner-party set plus one windowed draw per virtual
+round reproduces the execution bitwise — same RNG draw order, rounds,
+channel statistics, per-party energy and outputs, including the
+engine's :class:`~repro.errors.ProtocolDesyncError` when parties
+disagree on when to stop.
 
-Over non-shared channels (independent noise, adversaries) each party
-majority-votes its *own* receptions, which no collapse can replicate —
-those batches take the runner's scalar fallback, exactly as before.
+Under independent noise each party majority-votes its *own* receptions.
+A scalar round draws one noise value per party, in party order, so a
+virtual round's whole vote window is one ``r × n`` block of the flip
+stream, summed per party; each party then advances on its own majority
+(:meth:`~repro.vectorized.schemes._InnerPrograms.advance_each`), and the
+views may diverge exactly as in the scalar run.  Adversarial channels
+have no replay and take the runner's scalar fallback.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
+import numpy as _np
+
 from repro.channels.base import Channel
 from repro.core.protocol import Protocol
 from repro.errors import ProtocolDesyncError
 from repro.simulation.base import SimulationReport
 from repro.simulation.repetition_sim import RepetitionSimulator
-from repro.vectorized.noise import FlipStream
+from repro.vectorized.noise import FlipSource
 from repro.vectorized.schemes import (
     CollapsedOutcome,
     _InnerPrograms,
@@ -44,7 +50,7 @@ def simulate_repetition(
     channel: Channel,
     *,
     shared_seed: int | None = None,
-    flips: FlipStream | None = None,
+    flips: FlipSource | None = None,
     codebook_cache: dict | None = None,
 ) -> CollapsedOutcome:
     """The repetition scheme, party-collapsed; bitwise equal to
@@ -64,6 +70,7 @@ def simulate_repetition(
     repetitions = simulator.params.resolve_repetitions(n_parties, epsilon)
 
     shared = _shared_channel(channel, flips)
+    per_party = shared.kind == "per_party"
     programs = _InnerPrograms(protocol, inputs, shared_seed, strict=False)
     energy = [0] * n_parties
 
@@ -84,6 +91,12 @@ def simulate_repetition(
         for index, bit in enumerate(bits):
             beeps += bit
             energy[index] += bit * repetitions
+        if per_party:
+            ones = shared.votes(bits, repetitions)
+            programs.advance_each(
+                (2 * ones > repetitions).astype(_np.int64).tolist()
+            )
+            continue
         or_value = 1 if beeps else 0
         ones = shared.window(or_value, beeps, repetitions)
         decoded = 1 if 2 * ones > repetitions else 0

@@ -1,13 +1,30 @@
-"""Property-based tests for the finding-owners phase (Theorem D.1)."""
+"""Property-based tests for the finding-owners phase (Theorem D.1), and
+for its party-collapsed form :func:`repro.vectorized.simulate_owners`
+against the scalar engine."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channels import NoiselessChannel
+from repro.channels import (
+    BurstNoiseChannel,
+    CorrelatedNoiseChannel,
+    IndependentNoiseChannel,
+    NoiselessChannel,
+    OneSidedNoiseChannel,
+    SuppressionNoiseChannel,
+)
+from repro.coding import HadamardCode, MinDistanceDecoder, RepetitionCode
 from repro.core import run_protocol
 from repro.core.formal import NoiseModel
+from repro.errors import ConfigurationError, ProtocolError
 from repro.network import complete  # noqa: F401  (documents availability)
-from repro.simulation.owners import OwnersProtocol, build_owners_code
+from repro.simulation.owners import (
+    OwnersProtocol,
+    build_owners_code,
+    position_symbol,
+)
+from repro.vectorized import simulate_owners
 
 NOISELESS = NoiseModel(up=0.0, down=0.0)
 
@@ -105,3 +122,154 @@ class TestOwnersInvariants:
         result = run_protocol(protocol, bits, NoiselessChannel())
         ones = sum(pi)
         assert result.rounds == (ones + n) * code.codeword_length
+
+
+# ----------------------------------------------------------------------
+# The party-collapsed owners phase against the scalar engine
+# ----------------------------------------------------------------------
+
+CHANNELS = {
+    "noiseless": (
+        lambda epsilon, seed: NoiselessChannel(rng=seed),
+        lambda epsilon: NOISELESS,
+    ),
+    "correlated": (
+        lambda epsilon, seed: CorrelatedNoiseChannel(epsilon, rng=seed),
+        NoiseModel.two_sided,
+    ),
+    "one-sided": (
+        lambda epsilon, seed: OneSidedNoiseChannel(epsilon, rng=seed),
+        NoiseModel.one_sided,
+    ),
+    "suppression": (
+        lambda epsilon, seed: SuppressionNoiseChannel(epsilon, rng=seed),
+        NoiseModel.suppression,
+    ),
+    "burst": (
+        lambda epsilon, seed: BurstNoiseChannel.matched_to(
+            epsilon, burst_length=4.0, rng=seed
+        ),
+        NoiseModel.two_sided,
+    ),
+}
+
+
+def _owners_code(family, n, seed):
+    alphabet = position_symbol(n)
+    if family == "greedy":
+        return build_owners_code(n, rate_constant=8.0, seed=seed)
+    if family == "hadamard":
+        return HadamardCode(alphabet)
+    return RepetitionCode(alphabet, repetitions=3)
+
+
+def _channel_state(channel):
+    """Everything the next draw depends on, burst chain included."""
+    return (
+        channel._rng.getstate(),
+        channel._noise_pos,
+        channel._noise_floats,
+        getattr(channel, "burst_rounds", None),
+        getattr(channel, "_in_burst", None),
+    )
+
+
+@st.composite
+def owners_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    bits = [
+        tuple(draw(st.integers(min_value=0, max_value=1)) for _ in range(n))
+        for _ in range(n)
+    ]
+    pi = [max(column) for column in zip(*bits)]
+    # Occasionally a phantom one nobody beeped (a noise artifact).
+    for m in range(n):
+        if pi[m] == 0 and draw(st.integers(min_value=0, max_value=3)) == 0:
+            pi[m] = 1
+    return (
+        bits,
+        tuple(pi),
+        draw(st.sampled_from(sorted(CHANNELS))),
+        draw(st.sampled_from([0.05, 0.15, 0.3])),
+        draw(st.sampled_from(["greedy", "hadamard", "repetition"])),
+        draw(st.sampled_from(["ml", "min-distance"])),
+        draw(st.integers(min_value=0, max_value=2**31 - 1)),
+    )
+
+
+class TestSimulateOwnersEquivalence:
+    @given(instance=owners_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_run_protocol(self, instance):
+        bits, pi, channel_name, epsilon, family, decoder_kind, seed = instance
+        n = len(bits)
+        make_channel, noise_model = CHANNELS[channel_name]
+        code = _owners_code(family, n, seed % 1000)
+
+        def protocol():
+            built = OwnersProtocol(n, pi, noise_model(epsilon), code=code)
+            if decoder_kind == "min-distance":
+                built.decoder = MinDistanceDecoder(code)
+            return built
+
+        scalar_channel = make_channel(epsilon, seed)
+        scalar = run_protocol(protocol(), bits, scalar_channel)
+        collapsed_channel = make_channel(epsilon, seed)
+        collapsed = simulate_owners(protocol(), bits, collapsed_channel)
+
+        assert [
+            (out.owners, out.claimed_by_me, out.iterations)
+            for out in collapsed.outputs
+        ] == [
+            (out.owners, out.claimed_by_me, out.iterations)
+            for out in scalar.outputs
+        ]
+        assert collapsed.rounds == scalar.rounds
+        assert collapsed.channel_stats == scalar.channel_stats
+        assert collapsed.beeps_per_party == scalar.beeps_per_party
+        assert _channel_state(collapsed_channel) == _channel_state(
+            scalar_channel
+        )
+
+    @given(
+        bits=beep_matrices, seed=st.integers(min_value=0, max_value=10**6)
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_shared_codebook_cache_changes_nothing(self, bits, seed):
+        """A batch-shared codebook cache (decode memo included) gives the
+        same executions as fresh decoders."""
+        n = len(bits)
+        bits = [tuple(row) for row in bits]
+        pi = tuple(max(column) for column in zip(*bits))
+        code = build_owners_code(n)
+        cache: dict = {}
+        for trial in range(3):
+            protocol = OwnersProtocol(n, pi, NoiseModel.two_sided(0.2), code)
+            fresh = simulate_owners(
+                protocol, bits, CorrelatedNoiseChannel(0.2, rng=seed + trial)
+            )
+            cached = simulate_owners(
+                protocol,
+                bits,
+                CorrelatedNoiseChannel(0.2, rng=seed + trial),
+                codebook_cache=cache,
+            )
+            assert cached == fresh
+
+
+class TestSimulateOwnersErrors:
+    def test_input_errors_match_the_scalar_engine(self):
+        protocol = OwnersProtocol(3, (1, 0, 1), NOISELESS)
+        for inputs in ([(1, 0, 1)] * 2, [(1, 0, 1), (1, 0), (0, 0, 1)]):
+            with pytest.raises(ProtocolError) as scalar:
+                run_protocol(protocol, inputs, NoiselessChannel())
+            with pytest.raises(ProtocolError) as collapsed:
+                simulate_owners(protocol, inputs, NoiselessChannel())
+            assert str(collapsed.value) == str(scalar.value)
+
+    def test_independent_noise_is_refused(self):
+        protocol = OwnersProtocol(2, (1, 1), NoiseModel.two_sided(0.1))
+        with pytest.raises(ConfigurationError, match="per-party views"):
+            simulate_owners(
+                protocol, [(1, 0), (0, 1)], IndependentNoiseChannel(0.1)
+            )

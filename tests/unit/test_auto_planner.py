@@ -15,8 +15,10 @@ import json
 from repro.channels import (
     CorrelatedNoiseChannel,
     IndependentNoiseChannel,
+    SharedFlipReductionChannel,
     SuppressionNoiseChannel,
 )
+from repro.errors import ConfigurationError
 from repro.parallel import (
     ChannelSpec,
     ProcessPoolRunner,
@@ -103,6 +105,7 @@ class TestCrossoverTable:
             "ChunkCommitSimulator",
             "RewindSimulator",
             "RepetitionSimulator",
+            "RepetitionSimulator@independent",
             "HierarchicalSimulator",
         ):
             entry = schemes[scheme]
@@ -180,7 +183,7 @@ class TestPlannerDecisions:
         task = ParityTask(8)
         executor = _executor(
             task,
-            ChannelSpec.of(IndependentNoiseChannel, 0.15),
+            ChannelSpec.of(SharedFlipReductionChannel),
             RepetitionSimulator,
         )
         runner = AutoRunner(workers=2)
@@ -195,7 +198,7 @@ class TestPlannerDecisions:
         task = ParityTask(8)
         executor = _executor(
             task,
-            ChannelSpec.of(IndependentNoiseChannel, 0.15),
+            ChannelSpec.of(SharedFlipReductionChannel),
             RepetitionSimulator,
         )
         runner = AutoRunner(
@@ -207,6 +210,52 @@ class TestPlannerDecisions:
             assert "below pool threshold" in runner.last_decision["reason"]
         finally:
             runner.close()
+
+    def test_independent_repetition_n8_dispatches_vectorized(self):
+        """Per-party repetition has its own measured row, and collapses
+        at n=8 where correlated repetition still routes scalar."""
+        task = ParityTask(8)
+        executor = _executor(
+            task,
+            ChannelSpec.of(IndependentNoiseChannel, 0.15),
+            RepetitionSimulator,
+        )
+        runner = AutoRunner(workers=1)
+        try:
+            batch = runner.run_trials(task, executor, 4, seed=3)
+        finally:
+            runner.close()
+        decision = runner.last_decision
+        assert decision["scheme"] == "RepetitionSimulator@independent"
+        assert decision["backend"] == "vectorized"
+        assert runner.last_fallback_reason is None
+        assert batch.records == (
+            SerialRunner().run_trials(task, executor, 4, seed=3).records
+        )
+
+    def test_chunk_under_independent_noise_raises_on_every_backend(self):
+        """The collapsed chunk scheme keeps the scalar scheme's
+        requires-a-correlated-channel error, whichever backend runs."""
+        task = ParityTask(4)
+        executor = _executor(
+            task,
+            ChannelSpec.of(IndependentNoiseChannel, 0.15),
+            ChunkCommitSimulator,
+        )
+        errors = {}
+        for backend in RUNNER_BACKENDS:
+            runner = make_runner(2, backend=backend)
+            try:
+                runner.run_trials(task, executor, 8, seed=3)
+            except Exception as exc:  # noqa: BLE001 - parity is the assertion
+                errors[backend] = (type(exc), str(exc))
+            finally:
+                runner.close()
+        assert set(errors) == set(RUNNER_BACKENDS)
+        assert len(set(errors.values())) == 1
+        kind, message = errors["serial"]
+        assert kind is ConfigurationError
+        assert "requires a correlated channel" in message
 
     def test_injected_crossover_overrides(self):
         task, executor = _chunk_executor(32)

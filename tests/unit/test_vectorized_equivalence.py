@@ -7,8 +7,9 @@ channel-family grid (the ten families of ``test_legacy_equivalence``) and
 all four registry simulators (repetition, chunk-commit, hierarchical,
 rewind), mirroring that suite's structure:
 
-* where the vectorized backend has a collapsed form (chunk-commit and
-  rewind over the correlated shared-bit channels), the records must match
+* where the vectorized backend has a collapsed form (every scheme over
+  the shared-bit channels, burst noise included, and repetition over
+  independent noise), the records must match
   bitwise *and* the batch must actually have run collapsed (no silent
   fallback making the test vacuous);
 * everywhere else the backend must take its scalar fallback and still
@@ -48,8 +49,15 @@ from repro.simulation import (
     RepetitionSimulator,
     RewindSimulator,
 )
+from repro.errors import ConfigurationError
+from repro.simulation import SimulationParameters
 from repro.tasks import ParityTask
-from repro.vectorized import VectorizedRunner
+from repro.vectorized import (
+    CHANNEL_KINDS,
+    ChannelKind,
+    VectorizedRunner,
+    simulate_chunked,
+)
 
 # The ten channel families of test_legacy_equivalence, as picklable specs.
 CHANNEL_SPECS = {
@@ -76,14 +84,22 @@ SIMULATORS = {
 
 #: (simulator, channel) pairs the backend collapses — everything else
 #: must take the scalar fallback.  All four registry simulators collapse
-#: over the four shared-bit families (for hierarchical, "collapsed"
-#: includes raising the same requires-a-correlated-channel error the
-#: scalar scheme raises on families it rejects).
+#: over the five shared-bit families, burst included (for hierarchical,
+#: "collapsed" includes raising the same requires-a-correlated-channel
+#: error the scalar scheme raises on families it rejects).  Under
+#: independent noise only repetition replays; chunk, rewind and
+#: hierarchical raise the scalar error, which the parity check covers.
 COLLAPSED = {
     (simulator, channel)
     for simulator in ("chunk", "rewind", "repetition", "hierarchical")
-    for channel in ("noiseless", "correlated", "one-sided", "suppression")
-}
+    for channel in (
+        "noiseless",
+        "correlated",
+        "one-sided",
+        "suppression",
+        "burst",
+    )
+} | {("repetition", "independent")}
 
 TRIALS = 4
 
@@ -180,3 +196,65 @@ class TestCrossBackendEquivalence:
                 serial = _run(SerialRunner(), task, executor, 11)
                 vectorized = _run(VectorizedRunner(), task, executor, 11)
                 assert vectorized == serial, (epsilon, simulator_name)
+
+
+class _UnsourcedChannel(CorrelatedNoiseChannel):
+    """A correlated channel registered below without a flip source."""
+
+
+class TestFlipSources:
+    @pytest.mark.parametrize("simulator_name", sorted(SIMULATORS))
+    def test_burst_records_independent_of_prefetch(self, simulator_name):
+        """Burst noise is pulled from each trial's channel, so the
+        prefetch knob (which only amortizes i.i.d. draws) cannot move a
+        record."""
+        task = ParityTask(4)
+        executor = SimulationExecutor(
+            task=task,
+            channel=CHANNEL_SPECS["burst"],
+            simulator=SIMULATORS[simulator_name],
+        )
+        serial = _run(SerialRunner(), task, executor, 21)
+        for prefetch in (0, VectorizedRunner().prefetch):
+            runner = VectorizedRunner(prefetch=prefetch)
+            assert _run(runner, task, executor, 21) == serial, prefetch
+            assert runner.last_fallback_reason is None
+
+    def test_long_independent_votes_cross_the_prefetch(self):
+        """Per-party vote windows longer than the prefetch continue from
+        each trial's generator state."""
+        task = ParityTask(5)
+        executor = SimulationExecutor(
+            task=task,
+            channel=CHANNEL_SPECS["independent"],
+            simulator=SimulatorSpec.of(
+                RepetitionSimulator, SimulationParameters(repetitions=41)
+            ),
+        )
+        serial = _run(SerialRunner(), task, executor, 8)
+        for prefetch in (0, 100, 4096):
+            runner = VectorizedRunner(prefetch=prefetch)
+            assert _run(runner, task, executor, 8) == serial, prefetch
+            assert runner.last_fallback_reason is None
+
+    def test_registered_kind_without_flip_source_raises(self, monkeypatch):
+        """A registered channel type with no flip source fails loudly
+        instead of replaying as noiseless."""
+        monkeypatch.setitem(
+            CHANNEL_KINDS, _UnsourcedChannel, ChannelKind("xor", None)
+        )
+        task = ParityTask(3)
+        executor = SimulationExecutor(
+            task=task,
+            channel=ChannelSpec.of(_UnsourcedChannel, 0.2),
+            simulator=SIMULATORS["chunk"],
+        )
+        with pytest.raises(ConfigurationError, match="no flip source"):
+            VectorizedRunner().run_trials(task, executor, 2, seed=1)
+        with pytest.raises(ConfigurationError, match="no flip source"):
+            simulate_chunked(
+                ChunkCommitSimulator(),
+                task.noiseless_protocol(),
+                [0, 1, 1],
+                _UnsourcedChannel(0.2, rng=1),
+            )

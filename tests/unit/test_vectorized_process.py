@@ -15,9 +15,9 @@ import pytest
 
 from repro.channels import (
     CorrelatedNoiseChannel,
-    IndependentNoiseChannel,
     NoiselessChannel,
     OneSidedNoiseChannel,
+    SharedFlipReductionChannel,
     SuppressionNoiseChannel,
 )
 from repro.parallel import (
@@ -176,12 +176,13 @@ class TestComposedBackendDowngrades:
             runner.close()
 
     def test_uncollapsible_batch_reports_collapse_reason(self, pools):
-        """Independent noise cannot collapse: the pool still stripes it
-        (scalar loop inside each worker) and the reason surfaces."""
+        """The A.1.2 reduction channel cannot collapse: the pool still
+        stripes it (scalar loop inside each worker) and the reason
+        surfaces."""
         task = ParityTask(3)
         executor = SimulationExecutor(
             task=task,
-            channel=ChannelSpec.of(IndependentNoiseChannel, 0.15),
+            channel=ChannelSpec.of(SharedFlipReductionChannel),
             simulator=SIMULATORS["repetition"],
         )
         runner = pools[2]
