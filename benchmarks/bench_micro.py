@@ -92,6 +92,7 @@ from repro.parallel import (
     SerialRunner,
     SimulationExecutor,
     SimulatorSpec,
+    make_runner,
 )
 from repro.network import (
     TOPOLOGIES,
@@ -833,7 +834,6 @@ def run_vectorized_benchmark(
     ``--compare`` regression floor.
     """
     from repro.parallel.planner import AutoRunner
-    from repro.vectorized import VectorizedProcessRunner
 
     parties = SIM_BENCH_PARTIES[:2] if quick else SIM_BENCH_PARTIES
     repeats = 2
@@ -855,7 +855,9 @@ def run_vectorized_benchmark(
         "results": [],
     }
     auto_runner = AutoRunner(workers=1)
-    composed_runner = VectorizedProcessRunner(workers=_COMPOSED_WORKERS)
+    composed_runner = make_runner(
+        _COMPOSED_WORKERS, backend="vectorized-process"
+    )
     try:
         for scheme in sorted(_SIM_SCHEMES):
             for n in parties:
@@ -932,7 +934,6 @@ def check_vectorized_floors(payload: dict, attempts: int = 3) -> list[str]:
     re-measured and keeps its best-of across ``attempts``.
     """
     from repro.parallel.planner import AutoRunner
-    from repro.vectorized import VectorizedProcessRunner
 
     repeats = payload["repeats"]
     cpu_gated = payload.get("cpu_count", 1) >= payload.get(
@@ -1008,8 +1009,8 @@ def check_vectorized_floors(payload: dict, attempts: int = 3) -> list[str]:
                     2,
                 )
             else:
-                with VectorizedProcessRunner(
-                    workers=_COMPOSED_WORKERS
+                with make_runner(
+                    _COMPOSED_WORKERS, backend="vectorized-process"
                 ) as runner:
                     rate = _time_runner(runner, scheme, n, trials, repeats)
                 entry["composed_trials_per_sec"] = max(

@@ -18,11 +18,13 @@ Commands:
 * ``bench calibrate`` — measure the scalar↔vectorized crossover on this
   machine and write the table the ``auto`` backend planner routes on.
 
-Every subcommand that runs trials shares the same execution surface
-(:func:`add_common_run_args`: ``--trials/--seed/--workers``), builds
-picklable :class:`~repro.parallel.ChannelSpec`-based executors, and
-dispatches through the trial-runner registry
-(:func:`repro.parallel.make_runner`), so ``--workers N`` behaves
+Every subcommand that runs trials, the sweep service's included, shares
+one run-configuration argument group
+(:func:`~repro.service.cli.add_common_run_args`:
+``--trials/--seed/--workers/--backend``, counts validated as positive),
+builds picklable :class:`~repro.parallel.ChannelSpec`-based executors,
+and gets its runner from
+:func:`~repro.service.cli.runner_from_args`, so ``--workers N`` behaves
 identically everywhere and results are bitwise independent of it.
 
 Every command is a plain function taking parsed arguments and returning an
@@ -38,12 +40,16 @@ from typing import Sequence
 from repro import __version__
 from repro.analysis import fit_log, format_table
 from repro.analysis.sweep import SweepSpec, run_sweep_point
-from repro.parallel import RUNNER_BACKENDS, make_runner
 
 # Task/channel/simulator registries and executor construction live in
 # repro.service.grid — one source of truth shared with the sweep service,
 # so every scenario the CLI can run the service can cache and shard.
-from repro.service.cli import add_sweep_parser
+from repro.service.cli import (
+    add_common_run_args,
+    add_sweep_parser,
+    runner_from_args,
+    scenario_from_args,
+)
 from repro.service.grid import (
     CHANNELS as _CHANNEL_SPECS,
     NETWORK_CHANNELS as _NETWORK_CHANNELS,
@@ -83,32 +89,13 @@ def cmd_info(_args: argparse.Namespace) -> int:
 
 
 def _resolve_scenario(args: argparse.Namespace):
-    """Build (task, executor, scenario-label dict) from scenario flags.
-
-    ``--task``/``--channel``/``--simulator``/``--n`` parse as ``None``
-    sentinels so the defaults can depend on ``--topology``: single-hop
-    runs keep the historical input-set/correlated/chunk defaults, network
-    runs default to mis/independent/local-broadcast ("none" at ε=0) with
-    ``n`` taken from a size-pinned spec.
-    """
-    topology = _parse_topology(args.topology) if args.topology else None
-    if topology is None:
-        task_name = args.task or "input-set"
-        channel = args.channel or "correlated"
-        simulator = args.simulator or "chunk"
-        n = args.n if args.n is not None else 8
-    else:
-        task_name = args.task or "mis"
-        channel = args.channel or "independent"
-        simulator = args.simulator or (
-            "local-broadcast" if args.epsilon > 0 else "none"
-        )
-        if args.n is not None:
-            n = args.n
-        elif topology.size is not None:
-            n = topology.size
-        else:
-            n = 64
+    """Build (task, executor, scenario-label dict) from scenario flags,
+    with :func:`~repro.service.cli.scenario_from_args`'s defaults (a
+    single-hop run defaults to ``n = 8``)."""
+    task_name, channel, simulator, (n,), topology = scenario_from_args(
+        args, None if args.n is None else [args.n], single_hop_ns=(8,)
+    )
+    if topology is not None:
         topology = topology.with_n(n)
     task = _make_task(task_name, n, topology=topology)
     executor = _make_executor(
@@ -136,7 +123,7 @@ def _scenario_line(scenario: dict, task, epsilon: float) -> str:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     task, executor, scenario = _resolve_scenario(args)
-    runner = make_runner(args.workers, backend=args.backend)
+    runner = runner_from_args(args)
     try:
         point = run_sweep_point(
             task,
@@ -271,7 +258,7 @@ def _run_overhead(args: argparse.Namespace) -> int:
     rows = []
     overheads = []
     trials_per_s = []
-    runner = make_runner(args.workers, backend=args.backend)
+    runner = runner_from_args(args)
     try:
         for n in ns:
             pinned = None if topology is None else topology.with_n(n)
@@ -401,40 +388,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 _TASK_CHOICES = sorted(set(_TASKS) | set(_NETWORK_TASKS))
-
-
-def add_common_run_args(
-    parser: argparse.ArgumentParser, *, trials_default: int = 10
-) -> None:
-    """The execution knobs every trial-running subcommand shares.
-
-    Mirrors :class:`~repro.analysis.sweep.SweepSpec`: ``--trials`` and
-    ``--seed`` shape the numbers, ``--workers`` and ``--backend`` only
-    the wall-clock.
-    """
-    parser.add_argument("--trials", type=int, default=trials_default)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="trial-runner workers (process pool when > 1; results are "
-        "identical for any worker count)",
-    )
-    _add_backend_arg(parser)
-
-
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=RUNNER_BACKENDS,
-        default="auto",
-        help="trial-runner backend (auto: calibrated per-batch planner "
-        "over the measured crossover table — see 'repro bench "
-        "calibrate'; vectorized: trial-batched numpy backend; "
-        "vectorized-process: vectorized stripes over a process pool; "
-        "results are identical for every choice)",
-    )
 
 
 def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
@@ -605,14 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="trial multiplier (< 1 for a quick look)",
     )
-    run_exp.add_argument("--seed", type=int, default=0)
-    run_exp.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="trial-runner workers for the experiment's sweeps",
-    )
-    _add_backend_arg(run_exp)
+    add_common_run_args(run_exp)
     _add_profile_arg(run_exp, "profile_<ID>.pstats")
     run_exp.set_defaults(func=cmd_run_experiment)
 
@@ -625,14 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--scale", type=float, default=1.0, help="trial multiplier"
     )
-    report.add_argument("--seed", type=int, default=0)
-    report.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="trial-runner workers for each experiment's sweeps",
-    )
-    _add_backend_arg(report)
+    add_common_run_args(report)
     report.add_argument(
         "-o", "--output", help="output file (default: stdout)"
     )

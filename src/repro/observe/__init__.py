@@ -57,10 +57,11 @@ event                     fields
                           ``position`` (the transcript index discarded)
 ``trial``                 one per sweep trial (from the runner): ``index``,
                           ``success``, ``rounds``, ``flips``,
-                          ``total_energy``; serial backends add
+                          ``total_energy``; in-process batches add
                           ``elapsed_s``
-``worker_chunk``          pool backends only, one per dispatched chunk
-                          (vectorized-process: per stripe): ``chunk``,
+``worker_chunk``          ``ProcessPoolRunner`` only (``process``,
+                          ``vectorized-process``), one per stripe a pool
+                          worker ran: ``chunk`` (stripe number),
                           ``trials``, ``busy_s``
 ``backend_selected``      ``backend=auto`` planner, one per batch:
                           ``backend``, ``reason``, ``scheme``, ``n``,

@@ -4,11 +4,13 @@ This package makes every sweep in :mod:`repro.analysis.sweep` pluggable
 over a :class:`TrialRunner` backend:
 
 * :class:`SerialRunner` — the historical in-process loop;
-* :class:`ProcessPoolRunner` — chunked dispatch over a reusable process
-  pool, with graceful serial fallback;
-* ``VectorizedRunner`` / ``VectorizedProcessRunner``
-  (:mod:`repro.vectorized`) — party-collapsed numpy batches, single-core
-  or striped across a pool of vectorized workers;
+* ``VectorizedRunner`` (:mod:`repro.vectorized`) — party-collapsed
+  numpy batches, in-process;
+* :class:`ProcessPoolRunner` — contiguous trial stripes over a reusable
+  process pool, each worker running an in-process ``inner`` runner
+  (``SerialRunner`` for ``process``, ``VectorizedRunner`` for
+  ``vectorized-process``) and reporting one ``worker_chunk`` trace event
+  per stripe, with graceful in-process fallback;
 * :class:`~repro.parallel.planner.AutoRunner` (``backend="auto"``) — a
   per-batch planner routing between all of the above on a measured
   crossover table (``repro bench calibrate``).
@@ -37,6 +39,7 @@ from repro.parallel.executors import (
     SimulatorSpec,
 )
 from repro.parallel.runner import (
+    InProcessRunner,
     ProcessPoolRunner,
     SerialRunner,
     TrialBatch,
@@ -47,6 +50,7 @@ from repro.parallel.runner import (
 
 __all__ = [
     "TrialRunner",
+    "InProcessRunner",
     "SerialRunner",
     "ProcessPoolRunner",
     "TrialRecord",
@@ -77,49 +81,42 @@ RUNNER_BACKENDS = (
 
 
 def make_runner(
-    workers: int | None = 1,
-    chunk_size: int | None = None,
-    backend: str | None = None,
+    workers: int | None = 1, backend: str | None = None
 ) -> TrialRunner:
     """A runner from the backend registry.
 
     ``backend`` selects explicitly: ``"serial"``, ``"process"`` (a pool
-    of ``workers``), ``"vectorized"`` (the trial-batched numpy backend of
-    :mod:`repro.vectorized`; scalar fallback for batches it cannot
-    collapse), or ``"vectorized-process"`` (the composed
-    backend: contiguous trial stripes over a pool of vectorized
-    workers).  ``"auto"`` returns the calibrated per-batch planner
+    of ``workers``, each running serial stripes), ``"vectorized"`` (the
+    trial-batched numpy backend of :mod:`repro.vectorized`; scalar
+    fallback for batches it cannot collapse), or
+    ``"vectorized-process"`` (the composed backend: the same pool, each
+    worker running a vectorized stripe).  ``"auto"`` returns the
+    calibrated per-batch planner
     (:class:`~repro.parallel.planner.AutoRunner`), which routes each
     batch on the measured crossover table.  ``None`` keeps the
     historical rule: serial when ``workers <= 1``, a process pool
     otherwise.  Every backend honours the determinism contract, so the
     choice is purely a wall-clock decision.
     """
+    if backend is None:
+        backend = "serial" if workers is None or workers <= 1 else "process"
     if backend == "auto":
         # Imported lazily, like the vectorized backends it plans over.
         from repro.parallel.planner import AutoRunner
 
-        return AutoRunner(workers=workers, chunk_size=chunk_size)
-    if backend is None:
-        if workers is None or workers <= 1:
-            return SerialRunner()
-        return ProcessPoolRunner(workers=workers, chunk_size=chunk_size)
+        return AutoRunner(workers=workers)
     if backend == "serial":
         return SerialRunner()
     if backend == "process":
-        return ProcessPoolRunner(workers=workers, chunk_size=chunk_size)
-    if backend == "vectorized":
+        return ProcessPoolRunner(workers)
+    if backend in ("vectorized", "vectorized-process"):
         # Imported lazily: the vectorized package needs numpy only at
         # construction, and serial/process users shouldn't pay for it.
         from repro.vectorized import VectorizedRunner
 
-        return VectorizedRunner()
-    if backend == "vectorized-process":
-        from repro.vectorized import VectorizedProcessRunner
-
-        return VectorizedProcessRunner(
-            workers=workers, chunk_size=chunk_size
-        )
+        if backend == "vectorized":
+            return VectorizedRunner()
+        return ProcessPoolRunner(workers, inner=VectorizedRunner)
     from repro.errors import ConfigurationError
 
     raise ConfigurationError(

@@ -31,11 +31,10 @@ from typing import TYPE_CHECKING, Any, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
 
+from repro.parallel import make_runner
 from repro.parallel.runner import (
     Executor,
-    ProcessPoolRunner,
     SeedPair,
-    SerialRunner,
     TrialBatch,
     TrialRunner,
     resolve_trial_seeds,
@@ -59,9 +58,10 @@ _cached_path: str | None = None
 
 def load_crossover(path: str | None = None) -> dict:
     """The crossover table: ``path`` arg, else ``$REPRO_CROSSOVER``, else
-    the shipped package data.  Cached per path; missing or unreadable
-    tables degrade to an empty dict (the planner then uses its
-    conservative defaults rather than failing the sweep)."""
+    the shipped package data.  Cached per path; missing, unreadable or
+    malformed tables (see :func:`_well_formed`) degrade to an empty dict
+    (the planner then uses its conservative defaults rather than failing
+    the sweep)."""
     global _cached_table, _cached_path
     resolved = path or os.environ.get(CROSSOVER_ENV) or DEFAULT_CROSSOVER_PATH
     if _cached_table is not None and _cached_path == resolved:
@@ -69,13 +69,38 @@ def load_crossover(path: str | None = None) -> dict:
     try:
         with open(resolved, "r", encoding="utf-8") as handle:
             table = json.load(handle)
-        if not isinstance(table, dict):
-            table = {}
     except (OSError, ValueError):
+        table = {}
+    if not _well_formed(table):
         table = {}
     _cached_table = table
     _cached_path = resolved
     return table
+
+
+def _positive_int(value: Any) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _well_formed(table: Any) -> bool:
+    """Whether ``table`` has the shape the planner reads: a dict whose
+    optional ``schemes`` is a dict of dicts, with every
+    ``vectorized_min_n``, ``default_vectorized_min_n`` and
+    ``process_min_trials`` present a positive int."""
+    if not isinstance(table, dict):
+        return False
+    schemes = table.get("schemes", {})
+    if not isinstance(schemes, dict) or not all(
+        isinstance(entry, dict) for entry in schemes.values()
+    ):
+        return False
+    return all(
+        _positive_int(table.get(key, 1))
+        for key in ("default_vectorized_min_n", "process_min_trials")
+    ) and all(
+        _positive_int(entry.get("vectorized_min_n", 1))
+        for entry in schemes.values()
+    )
 
 
 def _reset_crossover_cache() -> None:
@@ -91,7 +116,6 @@ class AutoRunner(TrialRunner):
     Args:
         workers: The parallelism budget; ``1`` (or ``None``) restricts
             the plan to in-process backends.
-        chunk_size: Forwarded to whichever pool backend gets picked.
         crossover: An explicit table (tests); ``None`` loads via
             :func:`load_crossover`.
 
@@ -108,14 +132,11 @@ class AutoRunner(TrialRunner):
     def __init__(
         self,
         workers: int | None = 1,
-        chunk_size: int | None = None,
         crossover: dict | None = None,
     ) -> None:
         self._workers = workers if workers is not None else 1
-        self._chunk_size = chunk_size
         self._crossover = crossover
         self._runners: dict[str, TrialRunner] = {}
-        self.last_fallback_reason: str | None = None
         #: The most recent plan: ``{"backend", "reason", "scheme", "n",
         #: "trials", "workers"}`` (``None`` before the first batch).
         self.last_decision: dict[str, Any] | None = None
@@ -221,25 +242,10 @@ class AutoRunner(TrialRunner):
 
     def _runner_for(self, backend: str) -> TrialRunner:
         runner = self._runners.get(backend)
-        if runner is not None:
-            return runner
-        if backend == "serial":
-            runner = SerialRunner()
-        elif backend == "process":
-            runner = ProcessPoolRunner(
-                workers=self._workers, chunk_size=self._chunk_size
+        if runner is None:
+            runner = self._runners[backend] = make_runner(
+                self._workers, backend=backend
             )
-        elif backend == "vectorized":
-            from repro.vectorized import VectorizedRunner
-
-            runner = VectorizedRunner()
-        else:  # "vectorized-process"
-            from repro.vectorized import VectorizedProcessRunner
-
-            runner = VectorizedProcessRunner(
-                workers=self._workers, chunk_size=self._chunk_size
-            )
-        self._runners[backend] = runner
         return runner
 
     def run_trials(
@@ -268,9 +274,7 @@ class AutoRunner(TrialRunner):
         batch = runner.run_trials(
             task, executor, trials, observe=observe, trial_seeds=pairs
         )
-        self.last_fallback_reason = getattr(
-            runner, "last_fallback_reason", None
-        )
+        self.last_fallback_reason = runner.last_fallback_reason
         self.last_decision["fallback_reason"] = self.last_fallback_reason
         if observe is not None and observe.enabled:
             # Emitted after the batch so the event can also report the

@@ -3,8 +3,9 @@
 Every sweep in this package reduces to the same embarrassingly parallel
 unit: *run one independently seeded trial and record what happened*.
 :func:`run_trial` is that unit, and a :class:`TrialRunner` decides how a
-batch of them executes — in-process (:class:`SerialRunner`) or across a
-reusable process pool (:class:`ProcessPoolRunner`).
+batch of them executes — in-process (an :class:`InProcessRunner` such
+as :class:`SerialRunner`) or striped across a reusable process pool whose
+workers each run an in-process runner (:class:`ProcessPoolRunner`).
 
 **Determinism contract.**  A trial's behaviour depends only on its seed
 pair ``(input seed, executor seed)``: inputs are sampled from
@@ -22,8 +23,9 @@ sweep results for the same seeds.  Wall-clock measurements live in
 
 The process-pool backend degrades gracefully: with ``workers=1``, with an
 unpicklable task/executor (e.g. a closure), or when the pool cannot start
-(restricted environments), it runs the batch serially — same records,
-``timing["fallback"]`` flags the downgrade.
+or breaks (restricted environments, a killed worker), it runs the batch
+on its in-process runner — same records, ``timing["fallback"]`` flags the
+downgrade.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "resolve_trial_seeds",
     "run_trial",
     "TrialRunner",
+    "InProcessRunner",
     "SerialRunner",
     "ProcessPoolRunner",
 ]
@@ -243,49 +246,25 @@ def _validate_trials(trials: int) -> None:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
 
 
-def _run_chunk(
+def _scalar_records(
     task: Task,
     executor: Executor,
-    indices: list[int],
-    pairs: list[SeedPair],
-) -> tuple[list[TrialRecord], float]:
-    """Worker entry point: run a block of trials, ``pairs[k]`` seeding
-    trial ``indices[k]``.
-
-    Returns the records plus the worker's busy time for the utilization
-    metric.  Module-level so the pool can pickle it by reference.
-    """
-    start = time.perf_counter()
-    records = [
-        _seeded_trial(task, executor, index, pair)
-        for index, pair in zip(indices, pairs)
-    ]
-    return records, time.perf_counter() - start
-
-
-def _serial_records(
-    task: Task,
-    executor: Executor,
-    pairs: list[SeedPair],
+    indices: Sequence[int],
+    pairs: Sequence[SeedPair],
     collect_times: bool = False,
-) -> tuple[list[TrialRecord], float, list[float] | None]:
-    start = time.perf_counter()
-    if collect_times:
-        times: list[float] | None = []
-        records = []
-        last = start
-        for index, pair in enumerate(pairs):
-            records.append(_seeded_trial(task, executor, index, pair))
+) -> tuple[list[TrialRecord], list[float] | None]:
+    """The scalar :func:`run_trial` loop, ``pairs[k]`` seeding trial
+    ``indices[k]``, plus per-trial wall times when ``collect_times``."""
+    records = []
+    times: list[float] | None = [] if collect_times else None
+    last = time.perf_counter()
+    for index, pair in zip(indices, pairs):
+        records.append(_seeded_trial(task, executor, index, pair))
+        if times is not None:
             now = time.perf_counter()
             times.append(now - last)
             last = now
-    else:
-        times = None
-        records = [
-            _seeded_trial(task, executor, index, pair)
-            for index, pair in enumerate(pairs)
-        ]
-    return records, time.perf_counter() - start, times
+    return records, times
 
 
 def _emit_batch_events(
@@ -355,6 +334,10 @@ def _timing(
 class TrialRunner(ABC):
     """Strategy interface: how a batch of independent trials executes."""
 
+    #: Why the last batch did not run as this backend intends (``None``
+    #: when it did); never changes a record.
+    last_fallback_reason: str | None = None
+
     @property
     @abstractmethod
     def workers(self) -> int:
@@ -380,7 +363,8 @@ class TrialRunner(ABC):
 
         ``observe`` (optional :class:`~repro.observe.Observer`) receives
         one ``trial`` event per record and a ``sweep_batch`` summary
-        (plus ``worker_chunk`` events on the process-pool backend).
+        (plus one ``worker_chunk`` event per stripe when a
+        :class:`ProcessPoolRunner`'s pool ran the batch).
         Events are emitted in the parent process from the returned
         records, so tracing never changes the records themselves.
         """
@@ -396,12 +380,54 @@ class TrialRunner(ABC):
         return False
 
 
-class SerialRunner(TrialRunner):
-    """The historical in-process loop — the reference backend."""
+class InProcessRunner(TrialRunner):
+    """A backend that runs its trials in the calling process.
+
+    Subclasses supply :meth:`_records`; this base turns it into whole
+    batches (:meth:`run_trials`) and into the stripes a
+    :class:`ProcessPoolRunner` worker runs (:meth:`run_indices`).
+    """
+
+    #: Stripes a :class:`ProcessPoolRunner` cuts per worker when this
+    #: runner is its ``inner``.
+    STRIPES_PER_WORKER = 1
 
     @property
     def workers(self) -> int:
         return 1
+
+    @abstractmethod
+    def _records(
+        self,
+        task: Task,
+        executor: Executor,
+        indices: list[int],
+        pairs: list[SeedPair],
+        collect_times: bool,
+    ) -> tuple[list[TrialRecord], list[float] | None, str | None]:
+        """``(records, per-trial wall times or None, fallback reason)``
+        for trials ``indices``, ``pairs[k]`` seeding trial
+        ``indices[k]``; times only when ``collect_times``."""
+
+    def run_indices(
+        self,
+        task: Task,
+        executor: Executor,
+        indices: Sequence[int],
+        pairs: Sequence[SeedPair],
+    ) -> tuple[list[TrialRecord], float, str | None]:
+        """Run an arbitrary list of global trial indices, ``pairs[k]``
+        seeding trial ``indices[k]`` — a pool worker's stripe.
+
+        Returns ``(records, busy seconds, fallback reason)``.  The
+        records are exactly those a whole-batch run gives for the same
+        indices, so stripe boundaries cannot change a result.
+        """
+        start = time.perf_counter()
+        records, _, reason = self._records(
+            task, executor, list(indices), list(pairs), False
+        )
+        return records, time.perf_counter() - start, reason
 
     def run_trials(
         self,
@@ -414,20 +440,40 @@ class SerialRunner(TrialRunner):
         trial_seeds: Sequence[SeedPair] | None = None,
     ) -> TrialBatch:
         pairs = resolve_trial_seeds(seed, trials, trial_seeds)
+        return self._batch(task, executor, pairs, observe)
+
+    def _batch(
+        self,
+        task: Task,
+        executor: Executor,
+        pairs: list[SeedPair],
+        observe: "Observer | None",
+        downgrade: str | None = None,
+    ) -> TrialBatch:
+        """Every in-process batch, with its timing and trace events.
+
+        ``downgrade`` is why a pool handed the batch back (``None`` when
+        it was meant to run here).  It takes precedence over this
+        runner's own fallback reason; either one sets
+        ``timing["fallback"]``.
+        """
         tracing = observe is not None and observe.enabled
-        records, elapsed, times = _serial_records(
-            task, executor, pairs, collect_times=tracing
+        start = time.perf_counter()
+        records, times, reason = self._records(
+            task, executor, list(range(len(pairs))), pairs, tracing
         )
+        elapsed = time.perf_counter() - start
+        self.last_fallback_reason = downgrade or reason
         batch = TrialBatch(
             records=records,
             timing=_timing(
                 elapsed=elapsed,
-                trials=trials,
+                trials=len(pairs),
                 workers=1,
                 chunks=1,
                 busy=elapsed,
                 parallel=False,
-                fallback=False,
+                fallback=self.last_fallback_reason is not None,
             ),
         )
         if tracing:
@@ -435,33 +481,87 @@ class SerialRunner(TrialRunner):
         return batch
 
 
+class SerialRunner(InProcessRunner):
+    """The historical in-process loop — the reference backend."""
+
+    #: Several small stripes per worker: load balancing without
+    #: per-trial pickling overhead.
+    STRIPES_PER_WORKER = 4
+
+    def _records(
+        self,
+        task: Task,
+        executor: Executor,
+        indices: list[int],
+        pairs: list[SeedPair],
+        collect_times: bool,
+    ) -> tuple[list[TrialRecord], list[float] | None, str | None]:
+        records, times = _scalar_records(
+            task, executor, indices, pairs, collect_times
+        )
+        return records, times, None
+
+
+#: The in-process runner each pool process keeps per inner class, so
+#: per-runner caches (the vectorized codebook memo) warm once per
+#: process, not once per stripe.
+_WORKER_RUNNERS: dict[type, InProcessRunner] = {}
+
+
+def _run_stripe(
+    inner: type[InProcessRunner],
+    task: Task,
+    executor: Executor,
+    indices: list[int],
+    pairs: list[SeedPair],
+) -> tuple[list[TrialRecord], float, str | None]:
+    """Pool worker entry point: one stripe through the process's
+    ``inner`` runner.  Module-level so the pool can pickle it by
+    reference."""
+    runner = _WORKER_RUNNERS.get(inner)
+    if runner is None:
+        runner = _WORKER_RUNNERS[inner] = inner()
+    return runner.run_indices(task, executor, indices, pairs)
+
+
 class ProcessPoolRunner(TrialRunner):
-    """Chunked dispatch over a reusable :class:`ProcessPoolExecutor`.
+    """Contiguous trial stripes over a reusable
+    :class:`~concurrent.futures.ProcessPoolExecutor`, each stripe run by
+    an in-process ``inner`` runner inside a worker.
 
     The pool is created lazily on first use and reused across
     ``run_trials`` calls (and hence across sweep grid points), so worker
     startup is amortised over a whole curve.  Close it explicitly (or use
     the runner as a context manager) when done.
 
+    The parent resolves every trial's seed pair once and ships each
+    stripe its trials' pairs with their global indices, so stripe
+    boundaries and worker counts cannot change a record.
+
     Args:
         workers: Pool size; ``None`` means ``os.cpu_count()``.
-        chunk_size: Trials per dispatched work item; ``None`` picks
-            ``ceil(trials / (4 * workers))`` so each worker sees ~4 chunks
-            (decent load balancing without per-trial pickling overhead).
-        mp_context: Optional :mod:`multiprocessing` context (e.g. to force
-            ``"spawn"``); ``None`` uses the platform default.
+        chunk_size: Trials per stripe; ``None`` cuts
+            ``inner.STRIPES_PER_WORKER`` balanced stripes per worker.
+        inner: The :class:`InProcessRunner` class the workers run:
+            :class:`SerialRunner` for the ``process`` backend,
+            ``VectorizedRunner`` for the composed ``vectorized-process``
+            backend.
 
-    Falls back to the serial path — with identical results — when
-    ``workers == 1``, when the task/executor cannot be pickled, or when
-    the pool cannot start or breaks mid-batch.  ``last_fallback_reason``
-    records why.
+    Runs the whole batch on an in-process ``inner`` instead — same
+    records — when ``workers == 1``, when the task/executor cannot be
+    pickled, or when the pool cannot start or breaks mid-batch.  A pool
+    that failed is not restarted.  ``last_fallback_reason`` records why
+    the batch did not run as intended: the downgrade, else the inner
+    runner's own fallback (e.g. a batch the vectorized runner cannot
+    collapse).  ``timing["fallback"]`` flags the downgrades;
+    ``workers == 1`` is a configuration, not a downgrade.
     """
 
     def __init__(
         self,
         workers: int | None = None,
         chunk_size: int | None = None,
-        mp_context: Any = None,
+        inner: type[InProcessRunner] = SerialRunner,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -475,72 +575,54 @@ class ProcessPoolRunner(TrialRunner):
             )
         self._workers = workers
         self.chunk_size = chunk_size
-        self._mp_context = mp_context
+        self.inner = inner
+        # Runs the downgrades; keeps its caches across batches like a
+        # pool worker's.
+        self._local = inner()
         self._pool = None
-        self._pool_failed = False
-        self.last_fallback_reason: str | None = None
+        #: Why the pool is gone for good (``None`` while it is usable).
+        self._pool_failure: str | None = None
 
     @property
     def workers(self) -> int:
         return self._workers
 
     def _ensure_pool(self):
-        if self._pool is None and not self._pool_failed:
+        if self._pool is None and self._pool_failure is None:
             try:
-                import multiprocessing
                 from concurrent.futures import ProcessPoolExecutor
 
-                context = (
-                    self._mp_context
-                    if self._mp_context is not None
-                    else multiprocessing.get_context()
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._workers, mp_context=context
-                )
+                self._pool = ProcessPoolExecutor(max_workers=self._workers)
             except (ImportError, OSError, ValueError):
                 # No multiprocessing support here (restricted sandbox,
-                # missing /dev/shm, ...): permanently degrade to serial.
-                self._pool_failed = True
+                # missing /dev/shm, ...): permanently degrade.
+                self._pool_failure = "process pool failed to start"
         return self._pool
 
-    def _chunk_indices(self, trials: int) -> list[list[int]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, math.ceil(trials / (4 * self._workers)))
+    def _stripes(self, trials: int) -> list[list[int]]:
+        size = self.chunk_size or max(
+            1,
+            math.ceil(
+                trials / (self.inner.STRIPES_PER_WORKER * self._workers)
+            ),
+        )
         return [
             list(range(low, min(low + size, trials)))
             for low in range(0, trials, size)
         ]
 
-    def _serial_fallback(
+    def _downgrade(
         self,
         task: Task,
         executor: Executor,
         pairs: list[SeedPair],
         reason: str | None,
-        observe: "Observer | None" = None,
+        observe: "Observer | None",
     ) -> TrialBatch:
-        self.last_fallback_reason = reason
-        tracing = observe is not None and observe.enabled
-        records, elapsed, times = _serial_records(
-            task, executor, pairs, collect_times=tracing
+        batch = self._local._batch(
+            task, executor, pairs, observe, downgrade=reason
         )
-        batch = TrialBatch(
-            records=records,
-            timing=_timing(
-                elapsed=elapsed,
-                trials=len(pairs),
-                workers=1,
-                chunks=1,
-                busy=elapsed,
-                parallel=False,
-                # workers == 1 is a designed serial path, not a downgrade.
-                fallback=reason is not None,
-            ),
-        )
-        if tracing:
-            _emit_batch_events(observe, batch, trial_times=times)
+        self.last_fallback_reason = self._local.last_fallback_reason
         return batch
 
     def run_trials(
@@ -555,81 +637,76 @@ class ProcessPoolRunner(TrialRunner):
     ) -> TrialBatch:
         pairs = resolve_trial_seeds(seed, trials, trial_seeds)
         if self._workers == 1:
-            return self._serial_fallback(
-                task, executor, pairs, None, observe
-            )
+            return self._downgrade(task, executor, pairs, None, observe)
         try:
             pickle.dumps((task, executor))
         except Exception:
-            return self._serial_fallback(
-                task,
-                executor,
-                pairs,
-                "unpicklable task/executor",
-                observe,
+            return self._downgrade(
+                task, executor, pairs, "unpicklable task/executor", observe
             )
         pool = self._ensure_pool()
         if pool is None:
-            return self._serial_fallback(
-                task,
-                executor,
-                pairs,
-                "process pool failed to start",
-                observe,
+            return self._downgrade(
+                task, executor, pairs, self._pool_failure, observe
             )
-        chunks = self._chunk_indices(trials)
+        stripes = self._stripes(trials)
         start = time.perf_counter()
         try:
             futures = [
                 pool.submit(
-                    _run_chunk,
+                    _run_stripe,
+                    self.inner,
                     task,
                     executor,
-                    chunk,
-                    [pairs[index] for index in chunk],
+                    stripe,
+                    [pairs[index] for index in stripe],
                 )
-                for chunk in chunks
+                for stripe in stripes
             ]
             outcomes = [future.result() for future in futures]
         except Exception:
             # A worker died (OOM, signal) or the pool broke: recover the
-            # batch serially so the sweep still completes correctly.
+            # batch in-process so the sweep still completes correctly.
             self.close()
-            self._pool_failed = True
-            return self._serial_fallback(
-                task,
-                executor,
-                pairs,
-                "process pool broke mid-batch",
-                observe,
+            self._pool_failure = "process pool broke mid-batch"
+            return self._downgrade(
+                task, executor, pairs, self._pool_failure, observe
             )
         elapsed = time.perf_counter() - start
-        self.last_fallback_reason = None
+        # Every stripe classifies the batch alike, so the first inner
+        # fallback reason is the batch's.  The pool itself ran, so
+        # timing["fallback"] stays unset.
+        self.last_fallback_reason = next(
+            (reason for _, _, reason in outcomes if reason is not None),
+            None,
+        )
         records = [
-            record for chunk_records, _ in outcomes for record in chunk_records
+            record
+            for stripe_records, _, _ in outcomes
+            for record in stripe_records
         ]
         records.sort(key=lambda record: record.index)
-        busy = sum(busy_time for _, busy_time in outcomes)
+        busy = sum(busy_time for _, busy_time, _ in outcomes)
         batch = TrialBatch(
             records=records,
             timing=_timing(
                 elapsed=elapsed,
                 trials=trials,
                 workers=self._workers,
-                chunks=len(chunks),
+                chunks=len(stripes),
                 busy=busy,
                 parallel=True,
                 fallback=False,
             ),
         )
         if observe is not None and observe.enabled:
-            for chunk_no, (chunk, (_, busy_time)) in enumerate(
-                zip(chunks, outcomes)
+            for stripe_no, (stripe, (_, busy_time, _)) in enumerate(
+                zip(stripes, outcomes)
             ):
                 observe.emit(
                     "worker_chunk",
-                    chunk=chunk_no,
-                    trials=len(chunk),
+                    chunk=stripe_no,
+                    trials=len(stripe),
                     busy_s=busy_time,
                 )
             _emit_batch_events(observe, batch)

@@ -27,11 +27,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError, ReproError
 from repro.observe import JsonlSink, MetricsCollector, Observer, read_jsonl
-from repro.parallel import RUNNER_BACKENDS, make_runner, use_runner
+from repro.network.topology import TopologySpec
+from repro.parallel import (
+    RUNNER_BACKENDS,
+    TrialRunner,
+    make_runner,
+    use_runner,
+)
 from repro.service.driver import run_sweep_resumable, sweep_status
 from repro.service.grid import (
     CHANNELS,
@@ -45,12 +51,108 @@ from repro.service.grid import (
 from repro.service.shards import merge_sweep, plan_shards
 from repro.service.store import ResultStore
 
-__all__ = ["add_sweep_parser"]
+__all__ = [
+    "add_sweep_parser",
+    "add_common_run_args",
+    "runner_from_args",
+    "scenario_from_args",
+    "positive_int",
+]
 
 _DEFAULT_CACHE_DIR = ".repro-cache"
 
 
-def _add_grid_args(parser: argparse.ArgumentParser) -> None:
+def positive_int(text: str) -> int:
+    """``argparse`` type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def add_common_run_args(
+    parser: argparse.ArgumentParser,
+    *,
+    trials_default: int | None = None,
+    runner: bool = True,
+) -> None:
+    """The run configuration every trial-running command shares, as one
+    argument group.
+
+    Mirrors :class:`~repro.analysis.sweep.SweepSpec`: ``--trials`` and
+    ``--seed`` shape the numbers, ``--workers`` and ``--backend`` only
+    the wall-clock.  Commands without a trial count (``run-experiment``,
+    ``report``) pass no ``trials_default``; commands that only address
+    stored results (``sweep status``/``merge``) pass ``runner=False``.
+    """
+    group = parser.add_argument_group("run configuration")
+    if trials_default is not None:
+        group.add_argument(
+            "--trials", type=positive_int, default=trials_default
+        )
+    group.add_argument("--seed", type=int, default=0)
+    if not runner:
+        return
+    group.add_argument(
+        "--workers",
+        type=positive_int,
+        default=1,
+        help="trial-runner workers (a process pool when > 1)",
+    )
+    group.add_argument(
+        "--backend",
+        choices=RUNNER_BACKENDS,
+        default="auto",
+        help="trial-runner backend (auto: calibrated per-batch planner "
+        "over the measured crossover table — see 'repro bench "
+        "calibrate'; vectorized: trial-batched numpy backend; "
+        "vectorized-process: vectorized stripes over a process pool).  "
+        "Results, and sweep cache keys, are identical for every backend "
+        "and worker count",
+    )
+
+
+def runner_from_args(args: argparse.Namespace) -> TrialRunner:
+    """The trial runner ``--workers``/``--backend`` select."""
+    return make_runner(args.workers, backend=args.backend)
+
+
+def scenario_from_args(
+    args: argparse.Namespace,
+    ns: Sequence[int] | None,
+    single_hop_ns: tuple[int, ...],
+) -> tuple[str, str, str, tuple[int, ...], TopologySpec | None]:
+    """``(task, channel, simulator, ns, topology)`` from the scenario
+    flags, with the defaults that depend on ``--topology`` filled in.
+
+    The flags parse as ``None`` sentinels.  Single-hop runs default to
+    input-set over correlated noise under chunk-commit, on
+    ``single_hop_ns``; network runs to mis over independent noise under
+    local-broadcast ("none" at ε=0), on the spec's pinned size, or 64.
+    """
+    topology = parse_topology(args.topology) if args.topology else None
+    if topology is None:
+        defaults = ("input-set", "correlated", "chunk")
+        default_ns = single_hop_ns
+    else:
+        defaults = (
+            "mis",
+            "independent",
+            "local-broadcast" if args.epsilon > 0 else "none",
+        )
+        default_ns = (topology.size if topology.size is not None else 64,)
+    return (
+        args.task or defaults[0],
+        args.channel or defaults[1],
+        args.simulator or defaults[2],
+        tuple(ns) if ns else default_ns,
+        topology,
+    )
+
+
+def _add_grid_args(
+    parser: argparse.ArgumentParser, *, runner: bool = False
+) -> None:
     parser.add_argument(
         "--task",
         choices=sorted(set(TASKS) | set(NETWORK_TASKS)),
@@ -85,8 +187,7 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="default: chunk (single-hop) / local-broadcast (with --topology)",
     )
-    parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    add_common_run_args(parser, trials_default=10, runner=runner)
     parser.add_argument(
         "--cache-dir",
         default=_DEFAULT_CACHE_DIR,
@@ -100,22 +201,9 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _grid_from_args(args: argparse.Namespace) -> SweepGrid:
-    topology = parse_topology(args.topology) if args.topology else None
-    if topology is None:
-        task = args.task or "input-set"
-        channel = args.channel or "correlated"
-        simulator = args.simulator or "chunk"
-        ns = tuple(args.ns) if args.ns else (4, 8)
-    else:
-        task = args.task or "mis"
-        channel = args.channel or "independent"
-        simulator = args.simulator or (
-            "local-broadcast" if args.epsilon > 0 else "none"
-        )
-        if args.ns:
-            ns = tuple(args.ns)
-        else:
-            ns = (topology.size,) if topology.size is not None else (64,)
+    task, channel, simulator, ns, topology = scenario_from_args(
+        args, args.ns, single_hop_ns=(4, 8)
+    )
     return SweepGrid(
         task=task,
         ns=ns,
@@ -179,7 +267,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
             "total": grid.total_points,
         },
     )
-    runner = make_runner(args.workers, backend=args.backend)
+    runner = runner_from_args(args)
     try:
         with use_runner(runner):
             points = run_sweep_resumable(
@@ -212,9 +300,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
         # The auto planner's per-batch choices and the last runner-level
         # downgrade reason (None when every batch ran as selected).
         "backend_decisions": decisions,
-        "last_fallback_reason": getattr(
-            runner, "last_fallback_reason", None
-        ),
+        "last_fallback_reason": runner.last_fallback_reason,
     }
     _print_summary(
         summary,
@@ -373,20 +459,7 @@ def add_sweep_parser(subparsers: argparse._SubParsersAction) -> None:
         ("resume", "alias of run: cached points skip, the rest computes"),
     ):
         verb = verbs.add_parser(name, help=help_text)
-        _add_grid_args(verb)
-        verb.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="trial-runner workers (results identical for any count)",
-        )
-        verb.add_argument(
-            "--backend",
-            choices=RUNNER_BACKENDS,
-            default="auto",
-            help="trial-runner backend; cache keys are backend-invariant, "
-            "so a cache warmed by one backend hits from any other",
-        )
+        _add_grid_args(verb, runner=True)
         verb.add_argument(
             "--shard",
             metavar="J/K",

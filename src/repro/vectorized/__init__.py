@@ -20,14 +20,15 @@ bit-matrices, bitwise-equivalent to the scalar engine trial by trial:
   neighborhood-OR kernel and the batched graph drivers (neighbor-OR,
   broadcast, MIS, local-broadcast wrapper);
 * :mod:`repro.vectorized.runner` — :class:`VectorizedRunner`, with
-  scalar fallback for batches it cannot collapse;
-* :mod:`repro.vectorized.process_runner` —
-  :class:`VectorizedProcessRunner`, the composed backend striping a
-  batch across a process pool of vectorized workers.
+  scalar fallback for batches it cannot collapse.
 
-Select the backends with ``make_runner(backend="vectorized")`` /
-``make_runner(backend="vectorized-process")`` or the matching
-``--backend`` values on the CLI.
+Select the backend with ``make_runner(backend="vectorized")``.  The
+composed ``make_runner(backend="vectorized-process")`` is a
+:class:`~repro.parallel.ProcessPoolRunner` with
+``inner=VectorizedRunner``: it stripes a batch across a process pool,
+each worker runs its stripe through its own cached
+:class:`VectorizedRunner`, and the pool emits one ``worker_chunk`` trace
+event per stripe.  The CLI's ``--backend`` takes the same names.
 """
 
 from repro.vectorized.bitmatrix import (
@@ -50,7 +51,6 @@ from repro.vectorized.noise import (
     FlipStream,
     numpy_stream,
 )
-from repro.vectorized.process_runner import VectorizedProcessRunner
 from repro.vectorized.runner import VectorizedRunner
 from repro.vectorized.schemes import (
     CHANNEL_KINDS,
@@ -89,5 +89,4 @@ __all__ = [
     "classify_network",
     "network_records",
     "VectorizedRunner",
-    "VectorizedProcessRunner",
 ]

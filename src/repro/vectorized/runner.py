@@ -1,7 +1,8 @@
 """The trial-batched vectorized backend.
 
-:class:`VectorizedRunner` is the third :class:`~repro.parallel.runner.
-TrialRunner` backend, next to ``SerialRunner`` and ``ProcessPoolRunner``.
+:class:`VectorizedRunner` is an in-process backend (an
+:class:`~repro.parallel.runner.InProcessRunner`, like ``SerialRunner``);
+``ProcessPoolRunner(inner=VectorizedRunner)`` stripes it across a pool.
 It targets the scalar engine's worst cases — the chunk-commit scheme's
 ``n²`` inner-party replays and the rewind scheme's strictly sequential
 alarm rounds — by running each trial through the party-collapsed
@@ -45,23 +46,14 @@ from __future__ import annotations
 
 import random
 import time
-from typing import TYPE_CHECKING, Any, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observe import Observer
 
 from repro.parallel.executors import SimulationExecutor
 from repro.parallel.runner import (
     Executor,
+    InProcessRunner,
     SeedPair,
-    TrialBatch,
     TrialRecord,
-    TrialRunner,
-    _emit_batch_events,
-    _run_chunk,
-    _serial_records,
-    _timing,
-    resolve_trial_seeds,
+    _scalar_records,
 )
 from repro.simulation.chunked import ChunkCommitSimulator
 from repro.simulation.hierarchical import HierarchicalSimulator
@@ -124,7 +116,7 @@ def single_hop_route(
     return (simulator, collapsed), scheme, None
 
 
-class VectorizedRunner(TrialRunner):
+class VectorizedRunner(InProcessRunner):
     """In-process backend running batches through collapsed simulations.
 
     Args:
@@ -132,21 +124,21 @@ class VectorizedRunner(TrialRunner):
             the batch bit-matrix; draws beyond it continue seamlessly
             from each trial's transferred generator state.  Purely an
             amortization knob — results are identical for any value.
+
+    ``last_fallback_reason`` says why the last batch fell back to the
+    scalar loop (``None`` when it ran vectorized).
     """
+
+    #: One stripe per pool worker: large stripes amortize each worker's
+    #: batched noise prefetch and codebook memo over many trials.
+    STRIPES_PER_WORKER = 1
 
     def __init__(self, prefetch: int = 4096) -> None:
         self.prefetch = prefetch
-        #: Why the last batch fell back to the scalar loop (``None`` when
-        #: it ran vectorized), mirroring ``ProcessPoolRunner``.
-        self.last_fallback_reason: str | None = None
         # (chunk_length, rate_constant, code_seed, up, down) ->
         # (code, VectorizedMLDecoder); shared across batches so the
         # decode memo warms once per parameter point, not once per trial.
         self._codebooks: dict[tuple, tuple] = {}
-
-    @property
-    def workers(self) -> int:
-        return 1
 
     def _classify(self, executor: Executor, probe_seed: int):
         """The collapsed scheme for this batch, or a fallback reason.
@@ -168,48 +160,24 @@ class VectorizedRunner(TrialRunner):
             return net_route, None
         return None, f"{reason}; {net_reason}"
 
-    def _serial_fallback(
+    def _records(
         self,
-        task: Task,
-        executor: Executor,
-        pairs: list[SeedPair],
-        reason: str,
-        observe: "Observer | None",
-    ) -> TrialBatch:
-        self.last_fallback_reason = reason
-        tracing = observe is not None and observe.enabled
-        records, elapsed, times = _serial_records(
-            task, executor, pairs, collect_times=tracing
-        )
-        batch = TrialBatch(
-            records=records,
-            timing=_timing(
-                elapsed=elapsed,
-                trials=len(pairs),
-                workers=1,
-                chunks=1,
-                busy=elapsed,
-                parallel=False,
-                fallback=True,
-            ),
-        )
-        if tracing:
-            _emit_batch_events(observe, batch, trial_times=times)
-        return batch
-
-    def _route_records(
-        self,
-        route: Any,
         task: Task,
         executor: Executor,
         indices: list[int],
         pairs: list[SeedPair],
-        collect_times: bool = False,
-    ) -> tuple[list[TrialRecord], list[float] | None]:
-        """Dispatch a classified route to its batched implementation;
-        ``pairs[k]`` seeds trial ``indices[k]``."""
+        collect_times: bool,
+    ) -> tuple[list[TrialRecord], list[float] | None, str | None]:
+        """Dispatch the batch's route to its batched implementation, or
+        run the scalar loop with the reason when it has none."""
+        route, reason = self._classify(executor, pairs[0][1])
+        if route is None:
+            records, times = _scalar_records(
+                task, executor, indices, pairs, collect_times
+            )
+            return records, times, reason
         if isinstance(route, NetworkRoute):
-            return network_records(
+            records, times = network_records(
                 route,
                 task,
                 executor,
@@ -218,9 +186,11 @@ class VectorizedRunner(TrialRunner):
                 prefetch=self.prefetch,
                 collect_times=collect_times,
             )
-        return self._collapsed_records(
-            route, task, executor, indices, pairs, collect_times
-        )
+        else:
+            records, times = self._collapsed_records(
+                route, task, executor, indices, pairs, collect_times
+            )
+        return records, times, None
 
     def _collapsed_records(
         self,
@@ -282,78 +252,3 @@ class VectorizedRunner(TrialRunner):
                 times.append(now - last)
                 last = now
         return records, times
-
-    def run_indices(
-        self,
-        task: Task,
-        executor: Executor,
-        indices: list[int],
-        pairs: list[SeedPair],
-    ) -> tuple[list[TrialRecord], float]:
-        """Run an arbitrary list of global trial indices, ``pairs[k]``
-        seeding trial ``indices[k]`` — the composed process backend's
-        stripe unit.
-
-        Returns ``(records, busy_seconds)``.  Batches that cannot
-        collapse run the scalar :func:`run_trial` loop over the same
-        trials (``last_fallback_reason`` records why), so a stripe is
-        always bitwise-identical to the corresponding slice of any other
-        backend's batch.
-        """
-        start = time.perf_counter()
-        indices = list(indices)
-        pairs = list(pairs)
-        route, reason = self._classify(executor, pairs[0][1])
-        if route is None:
-            self.last_fallback_reason = reason
-            return _run_chunk(task, executor, indices, pairs)
-        self.last_fallback_reason = None
-        records, _ = self._route_records(
-            route, task, executor, indices, pairs
-        )
-        return records, time.perf_counter() - start
-
-    def run_trials(
-        self,
-        task: Task,
-        executor: Executor,
-        trials: int,
-        *,
-        seed: int = 0,
-        observe: "Observer | None" = None,
-        trial_seeds: Sequence[SeedPair] | None = None,
-    ) -> TrialBatch:
-        pairs = resolve_trial_seeds(seed, trials, trial_seeds)
-        route, reason = self._classify(executor, pairs[0][1])
-        if route is None:
-            return self._serial_fallback(
-                task, executor, pairs, reason, observe
-            )
-        self.last_fallback_reason = None
-        tracing = observe is not None and observe.enabled
-
-        start = time.perf_counter()
-        records, times = self._route_records(
-            route,
-            task,
-            executor,
-            list(range(trials)),
-            pairs,
-            collect_times=tracing,
-        )
-        elapsed = time.perf_counter() - start
-        batch = TrialBatch(
-            records=records,
-            timing=_timing(
-                elapsed=elapsed,
-                trials=trials,
-                workers=1,
-                chunks=1,
-                busy=elapsed,
-                parallel=False,
-                fallback=False,
-            ),
-        )
-        if tracing:
-            _emit_batch_events(observe, batch, trial_times=times)
-        return batch

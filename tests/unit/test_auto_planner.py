@@ -41,7 +41,7 @@ from repro.simulation import (
 )
 from repro.tasks import ParityTask
 
-from repro.vectorized import VectorizedProcessRunner, VectorizedRunner
+from repro.vectorized import VectorizedRunner
 
 
 def _executor(task, channel_spec, simulator):
@@ -80,7 +80,8 @@ class TestMakeRunnerRouting:
     def test_vectorized_process_backend(self):
         runner = make_runner(2, backend="vectorized-process")
         try:
-            assert isinstance(runner, VectorizedProcessRunner)
+            assert isinstance(runner, ProcessPoolRunner)
+            assert runner.inner is VectorizedRunner
             assert runner.workers == 2
         finally:
             runner.close()
@@ -125,10 +126,39 @@ class TestCrossoverTable:
         finally:
             _reset_crossover_cache()
 
-    def test_unreadable_table_degrades_to_defaults(self, tmp_path):
+    #: Tables that fail to load or to validate, by what is wrong.
+    BAD_TABLES = {
+        "not json": "{not json",
+        "not a dict": json.dumps(["x"]),
+        "schemes not a dict": json.dumps({"schemes": ["x"]}),
+        "scheme entry not a dict": json.dumps(
+            {"schemes": {"ChunkCommitSimulator": 16}}
+        ),
+        "min n not an int": json.dumps(
+            {"schemes": {"ChunkCommitSimulator": {"vectorized_min_n": "eight"}}}
+        ),
+        "min n not positive": json.dumps(
+            {"schemes": {"RewindSimulator": {"vectorized_min_n": 0}}}
+        ),
+        "default min n a float": json.dumps({"default_vectorized_min_n": 2.5}),
+        "process min trials a bool": json.dumps({"process_min_trials": True}),
+    }
+
+    def test_unreadable_table_degrades_to_defaults(self, tmp_path, monkeypatch):
         _reset_crossover_cache()
         try:
             assert load_crossover(str(tmp_path / "missing.json")) == {}
+            task, executor = _chunk_executor(32)
+            for problem, content in self.BAD_TABLES.items():
+                path = tmp_path / "crossover.json"
+                path.write_text(content)
+                monkeypatch.setenv("REPRO_CROSSOVER", str(path))
+                _reset_crossover_cache()
+                assert load_crossover() == {}, problem
+                # The planner runs on its defaults instead of crashing.
+                with AutoRunner(workers=1) as runner:
+                    runner.run_trials(task, executor, 2, seed=1)
+                    assert runner.last_decision["backend"] == "vectorized"
         finally:
             _reset_crossover_cache()
 

@@ -47,6 +47,29 @@ class TestParser:
             build_parser().parse_args(["demo", "--simulator", "bogus"])
 
 
+class TestRunConfiguration:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "--workers", "0", "--backend", "process"],
+            ["demo", "--workers", "-3"],
+            ["demo", "--trials", "0"],
+            ["overhead", "--trials", "-1"],
+            ["report", "--workers", "0"],
+            ["sweep", "run", "--workers", "0"],
+            ["sweep", "status", "--trials", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_positive_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "must be >= 1" in err
+
+
 class TestInfo:
     def test_info_prints_summary(self, capsys):
         assert main(["info"]) == 0

@@ -22,9 +22,10 @@ runners over the graph protocol grid:
   the 8192-draw refill block, and the scalar records must show both
   up- and down-flips so the noise accounting is really compared;
 * sampled vectorized trials replay bitwise on the scalar engine from
-  their ``(seed, index)`` alone, observer events match, and the
-  composed vectorized-process backend stripes the same batch to the
-  same records.
+  their ``(seed, index)`` alone.
+
+Observer events and the pool backends' stripes are checked for every
+registered backend in ``test_runner_conformance.py``.
 """
 
 from __future__ import annotations
@@ -143,54 +144,6 @@ class TestNetworkCrossBackendEquivalence:
                 assert batch.records[index] == run_trial(
                     task, executor, 99, index
                 ), (noise, index)
-
-    def test_observer_events_match(self):
-        """Tracing emits the same trial events from either backend."""
-        from repro.observe import MetricsCollector, Observer
-
-        topology_spec = TOPOLOGY_SPECS["ring"]
-        task = BroadcastTask(topology_spec.build())
-        executor = ProtocolExecutor(
-            task, _channel_spec(topology_spec, "node")
-        )
-
-        def trial_events(runner):
-            collector = MetricsCollector()
-            with Observer([collector]) as observer:
-                runner.run_trials(task, executor, 3, seed=5, observe=observer)
-            return [
-                {
-                    key: value
-                    for key, value in event.items()
-                    if key not in ("ts", "elapsed_s")
-                }
-                for event in collector.events
-                if event["event"] == "trial"
-            ]
-
-        assert trial_events(VectorizedRunner()) == trial_events(
-            SerialRunner()
-        )
-
-    def test_vectorized_process_stripes_match(self):
-        """The composed backend stripes a network batch across worker
-        processes to the same records as one in-process batch."""
-        from repro.vectorized import VectorizedProcessRunner
-
-        topology_spec = TOPOLOGY_SPECS["grid"]
-        task = NeighborORTask(topology_spec.build())
-        executor = ProtocolExecutor(
-            task, _channel_spec(topology_spec, "node")
-        )
-        serial = SerialRunner().run_trials(
-            task, executor, 8, seed=31
-        ).records
-        runner = VectorizedProcessRunner(workers=2)
-        try:
-            striped = runner.run_trials(task, executor, 8, seed=31)
-        finally:
-            runner.close()
-        assert striped.records == serial
 
 
 #: 144 nodes: a k = 61 burst is 8784 flip draws per trial.

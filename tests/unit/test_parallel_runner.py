@@ -1,15 +1,15 @@
-"""Equivalence tests for the pluggable trial runners.
+"""Trial-runner bookkeeping, the default-runner registry and the
+picklable executor specs.
 
-The contract under test: for a fixed master seed, every backend — serial,
-process pool with any worker count and any chunk size, and every fallback
-path — produces **bitwise identical** ``SweepPoint.to_dict()`` output.
+Cross-backend record equality, fallbacks and pool failure paths are
+checked for every registered backend in ``test_runner_conformance.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import estimate_success, success_curve
+from repro.analysis import estimate_success
 from repro.channels import CorrelatedNoiseChannel, SuppressionNoiseChannel
 from repro.errors import ConfigurationError
 from repro.parallel import (
@@ -32,9 +32,6 @@ from repro.simulation import (
 )
 from repro.tasks import InputSetTask, OrTask
 
-GRID = [(3, 0.05), (4, 0.2)]
-
-
 def _raw_executor(n: int, epsilon: float):
     task = InputSetTask(n)
     return task, ProtocolExecutor(
@@ -50,88 +47,6 @@ def _simulated_executor(n: int, epsilon: float):
         channel=ChannelSpec.of(CorrelatedNoiseChannel, epsilon),
         simulator=SimulatorSpec.of(ChunkCommitSimulator),
     )
-
-
-def _grid_dicts(runner, build, trials=6, seed=20240801):
-    points = []
-    for index, (n, epsilon) in enumerate(GRID):
-        task, executor = build(n, epsilon)
-        points.append(
-            estimate_success(
-                task,
-                executor,
-                trials,
-                seed=seed + index,
-                params={"n": n, "epsilon": epsilon},
-                runner=runner,
-            ).to_dict()
-        )
-    return points
-
-
-class TestBackendEquivalence:
-    """Serial vs process pool across worker counts and chunk sizes."""
-
-    @pytest.mark.parametrize("build", [_raw_executor, _simulated_executor])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("chunk_size", [1, 3])
-    def test_grid_outputs_identical(self, build, workers, chunk_size):
-        reference = _grid_dicts(SerialRunner(), build)
-        with ProcessPoolRunner(
-            workers=workers, chunk_size=chunk_size
-        ) as runner:
-            assert _grid_dicts(runner, build) == reference
-
-    def test_success_curve_identical(self):
-        def point_builder(n):
-            task, executor = _simulated_executor(n, 0.1)
-            return task, executor, {"n": n}
-
-        serial = success_curve(
-            [3, 4], point_builder, trials=4, seed=5, runner=SerialRunner()
-        )
-        with ProcessPoolRunner(workers=2, chunk_size=2) as runner:
-            pooled = success_curve(
-                [3, 4], point_builder, trials=4, seed=5, runner=runner
-            )
-        assert [p.to_dict() for p in pooled] == [
-            p.to_dict() for p in serial
-        ]
-
-    def test_unpicklable_executor_falls_back_to_serial(self):
-        task, executor = _raw_executor(3, 0.1)
-        closure = lambda inputs, trial_seed: executor(inputs, trial_seed)
-        reference = estimate_success(
-            task, closure, 5, seed=9, runner=SerialRunner()
-        )
-        with ProcessPoolRunner(workers=2) as runner:
-            point = estimate_success(
-                task, closure, 5, seed=9, runner=runner
-            )
-            assert runner.last_fallback_reason == (
-                "unpicklable task/executor"
-            )
-        assert point.to_dict() == reference.to_dict()
-        assert point.timing["fallback"] == 1.0
-        assert point.timing["parallel"] == 0.0
-
-    def test_single_worker_runs_serially_without_pool(self):
-        task, executor = _raw_executor(3, 0.1)
-        runner = ProcessPoolRunner(workers=1)
-        point = estimate_success(task, executor, 3, seed=2, runner=runner)
-        assert runner._pool is None
-        assert runner.last_fallback_reason is None
-        assert point.timing["parallel"] == 0.0
-        assert point.timing["fallback"] == 0.0
-
-    def test_pool_reused_across_batches(self):
-        task, executor = _raw_executor(3, 0.1)
-        with ProcessPoolRunner(workers=2, chunk_size=2) as runner:
-            estimate_success(task, executor, 4, seed=0, runner=runner)
-            pool = runner._pool
-            assert pool is not None
-            estimate_success(task, executor, 4, seed=1, runner=runner)
-            assert runner._pool is pool
 
 
 class TestRunnerBookkeeping:
@@ -203,10 +118,10 @@ class TestDefaultRunnerRegistry:
     def test_make_runner_dispatch(self):
         assert isinstance(make_runner(1), SerialRunner)
         assert isinstance(make_runner(None), SerialRunner)
-        pooled = make_runner(3, chunk_size=2)
+        pooled = make_runner(3)
         assert isinstance(pooled, ProcessPoolRunner)
         assert pooled.workers == 3
-        assert pooled.chunk_size == 2
+        assert pooled.inner is SerialRunner
         pooled.close()
 
     def test_use_runner_scopes_and_restores(self):

@@ -153,35 +153,6 @@ class TestCrossBackendEquivalence:
                 task, executor, 99, index
             )
 
-    def test_observer_events_match(self):
-        """Tracing emits the same trial events from either backend."""
-        from repro.observe import MetricsCollector, Observer
-
-        task = ParityTask(3)
-        executor = SimulationExecutor(
-            task=task,
-            channel=CHANNEL_SPECS["correlated"],
-            simulator=SIMULATORS["chunk"],
-        )
-
-        def trial_events(runner):
-            collector = MetricsCollector()
-            with Observer([collector]) as observer:
-                runner.run_trials(task, executor, 3, seed=5, observe=observer)
-            return [
-                {
-                    key: value
-                    for key, value in event.items()
-                    if key not in ("ts", "elapsed_s")
-                }
-                for event in collector.events
-                if event["event"] == "trial"
-            ]
-
-        assert trial_events(VectorizedRunner()) == trial_events(
-            SerialRunner()
-        )
-
     def test_epsilon_grid_bitwise_equal(self):
         """Across the epsilon range (including 0), chunk and rewind
         records agree bitwise between backends."""
