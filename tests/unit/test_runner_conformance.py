@@ -136,7 +136,8 @@ def _pool(backend, workers=2, chunk_size=None):
 
 
 @pytest.mark.parametrize("batch", sorted(BATCHES))
-def test_explicit_pairs_give_the_scalar_records(runner, batch):
+def test_explicit_pair_records(runner, batch):
+    """Explicit seed pairs give the scalar ``run_trial`` records."""
     task, executor = BATCHES[batch]
     result = runner.run_trials(
         task, executor, TRIALS, seed=123, trial_seeds=EXPLICIT_PAIRS
@@ -156,7 +157,8 @@ def test_explicit_pairs_give_the_scalar_records(runner, batch):
 
 
 @pytest.mark.parametrize("batch", sorted(BATCHES))
-def test_derived_pairs_passed_explicitly_equal_seed_alone(runner, batch):
+def test_derived_pair_records(runner, batch):
+    """Derived pairs passed explicitly equal the seed alone and serial."""
     task, executor = BATCHES[batch]
     derived = [trial_seed_pair(31, index) for index in range(TRIALS)]
     explicit = runner.run_trials(
@@ -244,11 +246,11 @@ def test_default_stripes_follow_the_inner_rule(pool_backend):
 
 
 @pytest.mark.parametrize(
-    "workers, chunk_size", [(2, 1), (2, 3), (3, None), (3, 5)]
+    "workers, chunk_size",
+    [(2, 1), (2, 2), (2, 5), (2, TRIALS), (2, None), (3, 5)],
 )
-def test_stripes_and_workers_do_not_change_records(
-    pool_backend, workers, chunk_size
-):
+def test_stripes_keep_records(pool_backend, workers, chunk_size):
+    """Neither stripe size nor worker count changes a record."""
     with _pool(pool_backend, workers, chunk_size) as runner:
         for name in sorted(BATCHES):
             task, executor = BATCHES[name]
