@@ -550,11 +550,13 @@ class ProcessPoolRunner(TrialRunner):
     Runs the whole batch on an in-process ``inner`` instead — same
     records — when ``workers == 1``, when the task/executor cannot be
     pickled, or when the pool cannot start or breaks mid-batch.  A pool
-    that failed is not restarted.  ``last_fallback_reason`` records why
-    the batch did not run as intended: the downgrade, else the inner
-    runner's own fallback (e.g. a batch the vectorized runner cannot
-    collapse).  ``timing["fallback"]`` flags the downgrades;
-    ``workers == 1`` is a configuration, not a downgrade.
+    that failed is not restarted.  A trial's own exception is not a pool
+    failure: it propagates as it would serially and the pool is kept.
+    ``last_fallback_reason`` records why the batch did not run as
+    intended: the downgrade, else the inner runner's own fallback (e.g. a
+    batch the vectorized runner cannot collapse).  ``timing["fallback"]``
+    flags the downgrades; ``workers == 1`` is a configuration, not a
+    downgrade.
     """
 
     def __init__(
@@ -649,8 +651,11 @@ class ProcessPoolRunner(TrialRunner):
             return self._downgrade(
                 task, executor, pairs, self._pool_failure, observe
             )
+        from concurrent.futures.process import BrokenProcessPool
+
         stripes = self._stripes(trials)
         start = time.perf_counter()
+        futures = []
         try:
             futures = [
                 pool.submit(
@@ -664,7 +669,7 @@ class ProcessPoolRunner(TrialRunner):
                 for stripe in stripes
             ]
             outcomes = [future.result() for future in futures]
-        except Exception:
+        except BrokenProcessPool:
             # A worker died (OOM, signal) or the pool broke: recover the
             # batch in-process so the sweep still completes correctly.
             self.close()
@@ -672,6 +677,13 @@ class ProcessPoolRunner(TrialRunner):
             return self._downgrade(
                 task, executor, pairs, self._pool_failure, observe
             )
+        except BaseException:
+            # A trial's own exception is not a pool failure: it
+            # propagates as it would serially, and the pool stays up for
+            # the next batch without this batch's queued stripes.
+            for future in futures:
+                future.cancel()
+            raise
         elapsed = time.perf_counter() - start
         # Every stripe classifies the batch alike, so the first inner
         # fallback reason is the batch's.  The pool itself ran, so

@@ -9,6 +9,7 @@ stripe over a process pool (found by asking the registry, so both inner
 runners are covered) must also keep their records whatever the stripe
 size and worker count, reuse their pool across batches, and recover
 from a killed worker, a pool that cannot start and unpicklable work.
+A trial that raises propagates its exception and keeps the pool.
 A newly registered backend gets every check here without an edit.
 
 Kernel-level grids (scheme × channel, network bursts, flip sources)
@@ -273,6 +274,29 @@ def test_pool_reused_across_batches(pool_backend):
         assert pool is not None
         runner.run_trials(task, executor, 4, seed=1)
         assert runner._pool is pool
+
+
+def test_trial_exception_keeps_the_pool(pool_backend):
+    """A trial's own exception is not a pool failure: it propagates, and
+    the same pool runs the next batch in parallel."""
+    task, executor = BATCHES["chunk-commit"]
+    parity = ParityTask(4)
+    doomed = _chunk_executor(
+        parity, ChannelSpec.of(IndependentNoiseChannel, 0.15)
+    )
+    with _pool(pool_backend) as runner:
+        runner.run_trials(task, executor, 4, seed=0)
+        pool = runner._pool
+        assert pool is not None
+        with pytest.raises(
+            ConfigurationError, match="requires a correlated channel"
+        ):
+            runner.run_trials(parity, doomed, TRIALS, seed=3)
+        assert runner._pool is pool
+        batch = runner.run_trials(task, executor, TRIALS, seed=4)
+        assert batch.timing["parallel"] == 1.0
+        assert runner.last_fallback_reason is None
+        assert batch.records == _serial(task, executor, 4).records
 
 
 def test_single_worker_never_starts_a_pool(pool_backend):
