@@ -17,7 +17,7 @@ directory; nothing here is read back by the package at runtime):
   :func:`emit`; quoted verbatim in EXPERIMENTS.md.
 * ``BENCH_<suite>.json`` — one payload per ``bench_micro.py --suite``
   throughput suite: ``engine`` (fast path vs the frozen seed loop),
-  ``simulation`` (batch tokens vs the dense path), ``vectorized``
+  ``simulation`` (batch tokens vs desugared), ``vectorized``
   (trial-batched backends vs the scalar token engine) and ``network``
   (sparse vs dense topology rounds and the batched kernel).
 * ``BENCH_sweep_cache.json`` — cold/warm sweep-service rates, written by

@@ -15,9 +15,9 @@ payload to ``benchmarks/results/BENCH_<NAME>.json``:
   reference loop (:mod:`repro.core._legacy_engine`) over a correlated
   channel at n ∈ {8, 32, 128}, both ``record_sent`` modes, in rounds/s.
 * ``simulation`` — trials/s of the chunk-commit and rewind simulators at
-  n ∈ {8, 32, 128}, batch tokens on (the sparse scheduler) versus off
-  (the pre-token dense path, reached via
-  :func:`repro.simulation.primitives.batch_tokens`).
+  n ∈ {8, 32, 128}, batch tokens on (parties sleep through constant
+  stretches) versus off (the same scheduler fed the desugared per-round
+  bits, reached via :func:`repro.simulation.primitives.batch_tokens`).
 * ``vectorized`` — the trial-batched vectorized backend
   (:mod:`repro.vectorized`) against the scalar token engine over all four
   collapsed schemes, plus the calibrated ``auto`` planner against a plain
@@ -534,8 +534,8 @@ _SIM_BENCH_SCHEMES = ("chunked", "rewind")
 # --quick) so every mode times the same per-trial work over the same
 # channel seeds; only then are quick runs comparable to the archival
 # reference.  Counts shrink with n because per-trial cost grows
-# superlinearly — chunked at n=128 runs ~43k rounds per trial on the
-# dense path.  (The vectorized suite derives its counts from a
+# superlinearly — chunked at n=128 runs ~43k rounds per trial in
+# desugared form.  (The vectorized suite derives its counts from a
 # wall-clock budget instead; see _budgeted_trials.)
 _SIM_TRIALS = {
     ("chunked", 8): 20,
@@ -550,11 +550,12 @@ _SIM_TRIALS = {
 # the inlined ML-decode loop (commit 62d437b), measured once on the
 # machine that produced the committed reference with exactly this
 # script's trial grid, seeds and best-of-2 repeats.  The in-process
-# dense mode is not this baseline — it desugars the tokens but shares
-# the optimized decoder — so the "before" of the before/after speedup
-# is recorded here, frozen.  Meaningful only relative to the committed
-# reference's dense rates (same machine); the regression floor uses the
-# in-process dense anchor instead, which moves with the machine.
+# desugared mode (``dense_trials_per_sec``) is not this baseline — it
+# desugars the tokens but shares the scheduler and the optimized
+# decoder — so the "before" of the before/after speedup is recorded
+# here, frozen.  Meaningful only relative to the committed reference's
+# desugared rates (same machine); the regression floor uses the
+# in-process desugared anchor instead, which moves with the machine.
 _PRE_PR_TRIALS_PER_SEC = {
     ("chunked", 8): 161.753,
     ("chunked", 32): 6.629,
@@ -619,9 +620,11 @@ def _time_simulation(
 ) -> float:
     """Trials/second of one simulation scheme at one party count.
 
-    ``tokens`` selects between the sparse batch-token scheduler and the
-    desugared per-round dense path — the latter is the pre-token engine,
-    so it doubles as the machine-drift anchor for the regression floor.
+    ``tokens`` selects between batch tokens and their desugared per-round
+    bits (:func:`~repro.simulation.primitives.batch_tokens`).  Both run
+    the engine's one scheduler; the desugared rate keeps every party awake
+    every round and doubles as the machine-drift anchor for the
+    regression floor.
     """
     trial = _scalar_trial(scheme, n)
     with batch_tokens(tokens):
@@ -675,7 +678,8 @@ def _time_runner(runner, scheme: str, n: int, trials: int, repeats: int):
 
 
 def run_simulation_benchmark(quick: bool = False) -> dict:
-    """Token vs dense simulation throughput; returns the results payload."""
+    """Token vs desugared simulation throughput; returns the results
+    payload (the desugared rate is recorded as ``dense_trials_per_sec``)."""
     # Quick mode only drops n=128; trials and best-of-2 repeats stay the
     # full-mode values, so the configs it does run are measured exactly
     # like the committed reference's.

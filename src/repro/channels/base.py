@@ -224,7 +224,7 @@ class Channel(ABC):
         """Run-batched :meth:`transmit_shared`: ``count`` rounds in which
         the sent bits (hence the true OR and beep count) are constant.
 
-        The engine's sparse scheduler calls this when every unfinished
+        The engine's scheduler calls this when every unfinished
         party is asleep inside a batch token.  Statistics are recorded
         exactly as ``count`` individual ``transmit_shared`` calls would
         record them, and the delivered bits consume the same RNG draws in

@@ -59,7 +59,7 @@ class CorrelatedNoiseChannel(Channel):
         return or_value
 
     def _deliver_shared_run(self, or_value: int, count: int) -> bytes:
-        # Run-batched delivery for the sparse scheduler: a draw below
+        # Run-batched delivery for the engine's scheduler: a draw below
         # epsilon flips the round's OR.
         return self._threshold_run(count, or_value ^ 1, or_value)
 

@@ -310,7 +310,7 @@ class FormalProtocol(Protocol):
             is set, so reassigning ``broadcast`` switches it off.  With a
             schedule, executions run each party as
             :class:`~repro.core.party.Burst`/:class:`~repro.core.party.Silence`
-            tokens over the mask's runs (the engine's sparse scheduler then
+            tokens over the mask's runs (the engine's scheduler then
             transmits each stretch in one block, with the same channel
             draws), and :class:`BeepTable` reads masks off the schedule
             instead of calling ``broadcast`` once per round.

@@ -29,7 +29,7 @@ any sweep.
 E2, E5 and E6 run ``input_set_formal_protocol``, a non-adaptive
 :class:`~repro.core.formal.FormalProtocol` with a beep schedule: each
 execution runs its parties as ``Burst``/``Silence`` tokens, so the
-engine's sparse scheduler transmits each stretch in one block with the
+engine's scheduler transmits each stretch in one block with the
 same channel draws, and the exact ζ analysis reads beep masks off the
 schedule.  E4 runs each owners-phase execution through
 :func:`~repro.vectorized.simulate_owners`, the party-collapsed form of

@@ -42,9 +42,9 @@ re-derives the channel's counters exactly on network transcripts.
 Graph format: a :class:`~repro.network.topology.Topology` or any
 sequence of neighbor collections (``adjacency[i]`` = the nodes whose
 beeps node ``i`` hears).  Helpers :func:`ring`, :func:`grid` and
-:func:`complete` build the standard adjacency lists; the generator
-registry in :mod:`repro.network.topology` builds ``Topology`` objects
-(random geometric, scale-free, ...).
+:func:`complete` return the adjacency lists (neighbors ascending) of the
+generator registry's builders in :mod:`repro.network.topology`, which
+builds ``Topology`` objects (random geometric, scale-free, ...).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Iterable, Sequence
 
 from repro.channels.base import Channel, RoundOutcome
 from repro.errors import ChannelError, ConfigurationError
-from repro.network.topology import Topology
+from repro.network.topology import Topology, _complete, _grid, _ring
 from repro.util.bits import BitWord
 
 __all__ = ["NetworkBeepingChannel", "ring", "grid", "complete"]
@@ -62,41 +62,17 @@ __all__ = ["NetworkBeepingChannel", "ring", "grid", "complete"]
 
 def ring(n_nodes: int) -> list[tuple[int, ...]]:
     """Cycle topology: node i hears i±1 (mod n)."""
-    if n_nodes < 3:
-        raise ConfigurationError(f"a ring needs >= 3 nodes, got {n_nodes}")
-    return [
-        tuple(sorted(((i - 1) % n_nodes, (i + 1) % n_nodes)))
-        for i in range(n_nodes)
-    ]
+    return _ring(n=n_nodes).adjacency_lists()
 
 
 def grid(rows: int, columns: int) -> list[tuple[int, ...]]:
     """4-neighbor grid topology, nodes numbered row-major."""
-    if rows < 1 or columns < 1:
-        raise ConfigurationError("grid needs positive dimensions")
-    adjacency: list[tuple[int, ...]] = []
-    for row in range(rows):
-        for column in range(columns):
-            neighbors = []
-            if row > 0:
-                neighbors.append((row - 1) * columns + column)
-            if row < rows - 1:
-                neighbors.append((row + 1) * columns + column)
-            if column > 0:
-                neighbors.append(row * columns + column - 1)
-            if column < columns - 1:
-                neighbors.append(row * columns + column + 1)
-            adjacency.append(tuple(neighbors))
-    return adjacency
+    return _grid(rows=rows, cols=columns).adjacency_lists()
 
 
 def complete(n_nodes: int) -> list[tuple[int, ...]]:
     """Complete topology: everyone hears everyone else."""
-    if n_nodes < 1:
-        raise ConfigurationError(f"need >= 1 node, got {n_nodes}")
-    return [
-        tuple(j for j in range(n_nodes) if j != i) for i in range(n_nodes)
-    ]
+    return _complete(n=n_nodes).adjacency_lists()
 
 
 class NetworkBeepingChannel(Channel):

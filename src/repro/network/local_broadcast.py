@@ -32,7 +32,7 @@ erased — union-bounded by ``ε_node + ε_edge``).  The per-round machinery
 is shared with the single-hop repetition scheme
 (:class:`~repro.simulation.repetition_sim.RepetitionWrappedProtocol`
 driving :func:`~repro.simulation.primitives.repeated_bit` Burst tokens),
-so executions run on the engine's sparse scheduler.
+so executions run on the engine's scheduler.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ classic convention) and maximal (a node only decides out when a neighbor
 decided in).
 
 A decided node yields one :class:`~repro.core.party.Silence` token for all
-its remaining rounds, so the engine's sparse scheduler skips it entirely —
+its remaining rounds, so the engine's scheduler skips it entirely —
 on large graphs most nodes decide in the first few phases and the per-round
 work collapses toward the still-contended neighborhoods (tokens are bitwise
 sugar: the execution is identical to yielding 0 every round).

@@ -25,7 +25,7 @@ and all use the classic ``hear_self=False`` network convention, built via
 :meth:`channel` on each task.  Parties yield
 :class:`~repro.core.party.Burst`/:class:`~repro.core.party.Silence`
 tokens for their structured stretches (informed flooders, silent
-listeners), so executions run on the engine's sparse scheduler and the
+listeners), so executions run on the engine's scheduler and the
 per-round cost tracks the contended frontier rather than n.
 """
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.errors import ConfigurationError
 from repro.parallel.executors import (
     ChannelSpec,
     ProtocolExecutor,
@@ -97,7 +98,13 @@ def make_runner(
     historical rule: serial when ``workers <= 1``, a process pool
     otherwise.  Every backend honours the determinism contract, so the
     choice is purely a wall-clock decision.
+
+    Raises:
+        ConfigurationError: ``workers`` is below 1 (for every backend;
+            ``None`` is allowed), or ``backend`` is unknown.
     """
+    if workers is not None and workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if backend is None:
         backend = "serial" if workers is None or workers <= 1 else "process"
     if backend == "auto":
@@ -117,8 +124,6 @@ def make_runner(
         if backend == "vectorized":
             return VectorizedRunner()
         return ProcessPoolRunner(workers, inner=VectorizedRunner)
-    from repro.errors import ConfigurationError
-
     raise ConfigurationError(
         f"unknown runner backend {backend!r}; "
         f"expected one of {', '.join(RUNNER_BACKENDS)}"

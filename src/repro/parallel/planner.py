@@ -150,39 +150,18 @@ class AutoRunner(TrialRunner):
             return self._crossover
         return load_crossover()
 
-    def _collapse_probe(
-        self, executor: Executor, probe_seed: int
-    ) -> tuple[str | None, str | None]:
-        """``(scheme_name, None)`` when the batch can collapse, else
-        ``(scheme_name_or_None, reason)`` mirroring the vectorized
-        runner's classification.  ``probe_seed`` is the executor seed of
-        the batch's first trial.
-
-        Single-hop batches report the simulator name, suffixed
-        ``@independent`` under per-party noise (see
-        :func:`~repro.vectorized.runner.single_hop_route`).  Network
-        batches report the route's crossover key — the task type name
-        for raw protocol routes (``"MISTask"``), the simulator name for
-        the local-broadcast route — so graph schemes get their own
-        measured ``vectorized_min_n`` rows.
-        """
-        from repro.vectorized.network import classify_network
-        from repro.vectorized.runner import single_hop_route
-
-        route, scheme, reason = single_hop_route(executor, probe_seed)
-        if route is not None:
-            return scheme, None
-        route, net_reason = classify_network(executor, probe_seed)
-        if route is not None:
-            return route.scheme, None
-        return scheme, f"{reason}; {net_reason}"
-
     def _plan(
         self, task: Task, executor: Executor, trials: int, probe_seed: int
     ) -> tuple[str, str, str | None, int | None]:
-        """``(backend, reason, scheme, n)`` for this batch."""
+        """``(backend, reason, scheme, n)`` for this batch.
+
+        ``scheme`` is the batch's crossover key from
+        :func:`~repro.vectorized.runner.classify_batch`.
+        """
+        from repro.vectorized.runner import classify_batch
+
         table = self._table()
-        scheme, no_collapse = self._collapse_probe(executor, probe_seed)
+        _, scheme, no_collapse = classify_batch(executor, probe_seed)
         n = getattr(task, "n_parties", None)
         process_min_trials = int(
             table.get(

@@ -14,7 +14,7 @@ avoid per-round allocation: :func:`~repro.simulation.primitives.repeated_bit`
 keeps a running vote count, and the chunk lists below grow by one entry per
 *virtual* round, not per channel round.  Since the primitives emit batch
 tokens (``Burst``/``Silence``), each virtual round is also a *single*
-engine yield per party — the sparse scheduler delivers all
+engine yield per party — the engine's scheduler delivers all
 ``repetitions`` heard bits at once, so generator resumes scale with
 virtual rounds too.
 """

@@ -9,7 +9,7 @@ and the party's code reads like a single logical operation.
 
 By default each primitive emits **batch tokens**
 (:class:`~repro.core.party.Burst` / :class:`~repro.core.party.Silence`)
-instead of one bit per round: the engine's sparse scheduler then sleeps the
+instead of one bit per round: the engine's scheduler then sleeps the
 party for the whole constant-bit stretch and hands back the heard bits as
 one ``bytes`` slice on wake-up.  The results are bitwise identical to the
 per-round form — the tokens are pure scheduling sugar — and the desugared

@@ -14,8 +14,8 @@ is the workhorse of experiment E7's noise-model comparison.
 Each virtual round is a single engine yield per party: the repeated beep
 is one :class:`~repro.core.party.Burst` (via
 :func:`~repro.simulation.primitives.repeated_bit`), so over independent
-noise this exercises the sparse scheduler's per-party word-delivery path
-end to end.
+noise this exercises the engine's per-party word-delivery loop with
+tokens, end to end.
 """
 
 from __future__ import annotations

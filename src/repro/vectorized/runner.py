@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import random
 import time
+from typing import Any
 
 from repro.parallel.executors import SimulationExecutor
 from repro.parallel.runner import (
@@ -74,7 +75,7 @@ from repro.vectorized.schemes import (
 from repro.vectorized.schemes_hierarchical import simulate_hierarchical
 from repro.vectorized.schemes_repetition import simulate_repetition
 
-__all__ = ["VectorizedRunner", "single_hop_route"]
+__all__ = ["VectorizedRunner", "classify_batch"]
 
 #: Simulator types with a party-collapsed form.  Exact types: a subclass
 #: may override scheme steps the collapsed forms hard-code.
@@ -86,17 +87,41 @@ _COLLAPSED_SCHEMES = {
 }
 
 
-def single_hop_route(
+def classify_batch(
+    executor: Executor, probe_seed: int
+) -> tuple[Any, str | None, str | None]:
+    """``(route, crossover key, reason)`` for a batch.
+
+    Routes come in two shapes: a ``(simulator, collapsed)`` pair for the
+    single-hop party-collapsed schemes, or a
+    :class:`~repro.vectorized.network.NetworkRoute` for the batched graph
+    kernel.  Both are tried; ``route`` is ``None`` only when neither
+    applies, with both fallback reasons joined.  The crossover key names
+    the batch's row of the planner's crossover table: the route's
+    ``scheme`` for network routes (the task type name for raw protocol
+    routes, the simulator name for the local-broadcast route), else the
+    single-hop key of :func:`_single_hop_route`.  ``probe_seed`` is the
+    executor seed of the batch's first trial; the channel it builds is
+    only inspected, never run.
+    """
+    route, scheme, reason = _single_hop_route(executor, probe_seed)
+    if route is not None:
+        return route, scheme, None
+    net_route, net_reason = classify_network(executor, probe_seed)
+    if net_route is not None:
+        return net_route, net_route.scheme, None
+    return None, scheme, f"{reason}; {net_reason}"
+
+
+def _single_hop_route(
     executor: Executor, probe_seed: int
 ) -> tuple[tuple | None, str | None, str | None]:
     """``(route, crossover key, reason)`` for a single-hop batch.
 
     ``route`` is the ``(simulator, collapsed)`` pair, or ``None`` with
-    the fallback ``reason``.  The key names the batch's row of the
-    planner's crossover table: the simulator class name, suffixed
-    ``@independent`` under per-party noise, whose replay costs differ.
-    ``probe_seed`` is the executor seed of the batch's first trial; the
-    channel it builds is only inspected, never run.
+    the fallback ``reason``.  The key is the simulator class name,
+    suffixed ``@independent`` under per-party noise, whose replay costs
+    differ.
     """
     if not isinstance(executor, SimulationExecutor):
         return None, None, "executor is not a SimulationExecutor"
@@ -140,26 +165,6 @@ class VectorizedRunner(InProcessRunner):
         # decode memo warms once per parameter point, not once per trial.
         self._codebooks: dict[tuple, tuple] = {}
 
-    def _classify(self, executor: Executor, probe_seed: int):
-        """The collapsed scheme for this batch, or a fallback reason.
-
-        ``probe_seed`` is the executor seed of the batch's first trial;
-        the channel it builds is only inspected, never run.
-
-        Routes come in two shapes: a ``(simulator, collapsed)`` pair for
-        the single-hop party-collapsed schemes, or a
-        :class:`~repro.vectorized.network.NetworkRoute` for the batched
-        graph kernel.  Both are tried; a batch falls back to the scalar
-        loop only when neither applies, with the reasons joined.
-        """
-        route, _, reason = single_hop_route(executor, probe_seed)
-        if route is not None:
-            return route, None
-        net_route, net_reason = classify_network(executor, probe_seed)
-        if net_route is not None:
-            return net_route, None
-        return None, f"{reason}; {net_reason}"
-
     def _records(
         self,
         task: Task,
@@ -170,7 +175,7 @@ class VectorizedRunner(InProcessRunner):
     ) -> tuple[list[TrialRecord], list[float] | None, str | None]:
         """Dispatch the batch's route to its batched implementation, or
         run the scalar loop with the reason when it has none."""
-        route, reason = self._classify(executor, pairs[0][1])
+        route, _, reason = classify_batch(executor, pairs[0][1])
         if route is None:
             records, times = _scalar_records(
                 task, executor, indices, pairs, collect_times

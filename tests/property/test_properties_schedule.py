@@ -8,7 +8,7 @@ contracts are checked against references that never read the schedule:
   transcript, and so do the :class:`~repro.core.formal.BeepTable` masks
   and feasibility bits read off it;
 * running the protocol on its schedule (batch-token parties, the engine's
-  sparse scheduler) is bitwise identical to running the same functions
+  scheduler) is bitwise identical to running the same functions
   through :class:`~repro.core.party.FunctionalParty` round by round:
   transcript columns with ``record_sent`` on and off, outputs,
   ``beeps_per_party``, channel statistics and the channel's noise state

@@ -6,9 +6,14 @@ rounds — transcript columns, outputs, ``beeps_per_party`` and channel-stats
 deltas all match, for every channel family, both ``record_sent`` modes, and
 both runner backends.  Hypothesis generates random per-party mixes of
 plain-bit rounds and batch tokens (all parties agreeing on the total round
-count, as the lock-step model demands) and random channel seeds.
+count, as the lock-step model demands) and random channel seeds.  The
+desugared side is also run through the seed reference loop
+(:mod:`repro.core._legacy_engine`), so the property does not rest on the
+engine agreeing with itself; a ``slow``-marked copy (``RUN_SLOW=1``)
+draws 2,000 examples.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +31,7 @@ from repro.channels import (
 )
 from repro import SweepSpec, run_sweep_point
 from repro.core import Burst, Party, Protocol, Silence, run_protocol
+from repro.core._legacy_engine import legacy_run_protocol
 from repro.parallel import (
     ChannelSpec,
     ProcessPoolRunner,
@@ -133,37 +139,63 @@ def _assert_bitwise_equal(tokened, desugared):
         assert token_t.view(party) == plain_t.view(party)
 
 
-class TestTokenDesugarEquivalence:
-    @given(
-        scripts=token_scripts(),
-        channel_name=st.sampled_from(sorted(CHANNEL_FACTORIES)),
-        seed=st.integers(min_value=0, max_value=2**16),
-        record_sent=st.booleans(),
+def _check_engine_equivalence(scripts, channel_name, seed, record_sent):
+    """Tokened and desugared scripts through the engine, and the desugared
+    scripts through the seed reference loop, which shares no code with
+    the engine's scheduler: all three are bitwise equal."""
+    make_channel = CHANNEL_FACTORIES[channel_name]
+    inputs = [None] * len(scripts)
+    plain = [_desugar_steps(s) for s in scripts]
+    tokened = run_protocol(
+        _StepProtocol(scripts),
+        inputs,
+        make_channel(seed),
+        record_sent=record_sent,
     )
+    desugared = run_protocol(
+        _StepProtocol(plain),
+        inputs,
+        make_channel(seed),
+        record_sent=record_sent,
+    )
+    reference = legacy_run_protocol(
+        _StepProtocol(plain),
+        inputs,
+        make_channel(seed),
+        record_sent=record_sent,
+    )
+    _assert_bitwise_equal(tokened, desugared)
+    _assert_bitwise_equal(tokened, reference)
+    if record_sent:
+        for party in range(len(scripts)):
+            sent = tokened.transcript.sent_bits(party)
+            assert sent == desugared.transcript.sent_bits(party)
+            assert sent == reference.transcript.sent_bits(party)
+
+
+ENGINE_CASES = given(
+    scripts=token_scripts(),
+    channel_name=st.sampled_from(sorted(CHANNEL_FACTORIES)),
+    seed=st.integers(min_value=0, max_value=2**16),
+    record_sent=st.booleans(),
+)
+
+
+class TestTokenDesugarEquivalence:
+    @ENGINE_CASES
     @settings(max_examples=120, deadline=None)
     def test_engine_equivalence(
         self, scripts, channel_name, seed, record_sent
     ):
-        make_channel = CHANNEL_FACTORIES[channel_name]
-        inputs = [None] * len(scripts)
-        tokened = run_protocol(
-            _StepProtocol(scripts),
-            inputs,
-            make_channel(seed),
-            record_sent=record_sent,
-        )
-        desugared = run_protocol(
-            _StepProtocol([_desugar_steps(s) for s in scripts]),
-            inputs,
-            make_channel(seed),
-            record_sent=record_sent,
-        )
-        _assert_bitwise_equal(tokened, desugared)
-        if record_sent:
-            for party in range(len(scripts)):
-                assert tokened.transcript.sent_bits(
-                    party
-                ) == desugared.transcript.sent_bits(party)
+        _check_engine_equivalence(scripts, channel_name, seed, record_sent)
+
+    @pytest.mark.slow
+    @ENGINE_CASES
+    @settings(max_examples=2000, deadline=None)
+    def test_engine_equivalence_slow(
+        self, scripts, channel_name, seed, record_sent
+    ):
+        _check_engine_equivalence(scripts, channel_name, seed, record_sent)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),

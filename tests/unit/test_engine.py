@@ -477,7 +477,7 @@ class TestBatchTokens:
 
     def test_max_rounds_inside_a_batch_charges_the_channel(self):
         # The clipped run still transmits max_rounds rounds, like the
-        # dense loop does before its guard fires.
+        # per-round form does before its guard fires.
         channel = NoiselessChannel()
         with pytest.raises(ProtocolError):
             run_protocol(

@@ -297,7 +297,7 @@ class TestSimulatorTokenEquivalence:
         _assert_equivalent(tokened, desugared)
 
     def test_repetition_over_independent_noise(self):
-        # The word-path sparse loop end to end.
+        # The engine's word-delivery loop with tokens, end to end.
         task = ParityTask(3)
         inputs = [1, 1, 0]
 

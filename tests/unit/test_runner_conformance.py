@@ -178,6 +178,13 @@ def test_wrong_number_of_pairs_raises(runner, count):
         )
 
 
+@pytest.mark.parametrize("backend", RUNNER_BACKENDS)
+@pytest.mark.parametrize("workers", [0, -3])
+def test_make_runner_rejects_workers_below_one(backend, workers):
+    with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+        make_runner(workers, backend=backend)
+
+
 def _raised(runner, task, executor):
     try:
         runner.run_trials(task, executor, TRIALS, seed=3)
