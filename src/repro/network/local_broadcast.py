@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
 
 from repro.channels.base import Channel
-from repro.core.engine import run_protocol
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
 from repro.errors import ConfigurationError
@@ -107,15 +106,9 @@ class LocalBroadcastSimulator(Simulator):
     flip probability (per-node ε plus per-edge erasure ε).
     """
 
-    def simulate(
-        self,
-        protocol: Protocol,
-        inputs: Sequence[Any],
-        channel: Channel,
-        *,
-        shared_seed: int | None = None,
-        observe: "Observer | None" = None,
-    ) -> ExecutionResult:
+    def plan(
+        self, protocol: Protocol, channel: Channel
+    ) -> tuple[SimulationReport, None]:
         if not isinstance(channel, NetworkBeepingChannel):
             raise ConfigurationError(
                 "LocalBroadcastSimulator needs a NetworkBeepingChannel; "
@@ -128,36 +121,32 @@ class LocalBroadcastSimulator(Simulator):
         else:
             epsilon = channel.max_epsilon + channel.edge_epsilon
         max_degree = channel.topology.max_in_degree
-        if self.params.repetitions is not None:
-            repetitions = self.params.repetitions
-        else:
+        repetitions = self.params.repetitions
+        if repetitions is None:
             repetitions = local_broadcast_repetitions(
-                max_degree,
-                inner_length,
-                epsilon,
-                self.params.error_exponent,
+                max_degree, inner_length, epsilon, self.params.error_exponent
             )
-        wrapped = RepetitionWrappedProtocol(protocol, repetitions)
-        result = run_protocol(
-            wrapped,
-            inputs,
-            channel,
-            shared_seed=shared_seed,
-            record_sent=False,
-            observe=observe,
+        report = self._report(
+            inner_length,
+            repetitions=repetitions,
+            max_degree=max_degree,
+            epsilon=epsilon,
         )
-        report = SimulationReport(
-            scheme=type(self).__name__,
-            inner_length=inner_length,
-            simulated_rounds=result.rounds,
-            completed=True,
-            extra={
-                "repetitions": repetitions,
-                "max_degree": max_degree,
-                "epsilon": epsilon,
-            },
+        return report, None
+
+    def simulate(
+        self,
+        protocol: Protocol,
+        inputs: Sequence[Any],
+        channel: Channel,
+        *,
+        shared_seed: int | None = None,
+        observe: "Observer | None" = None,
+    ) -> ExecutionResult:
+        report, _ = self.plan(protocol, channel)
+        wrapped = RepetitionWrappedProtocol(
+            protocol, report.extra["repetitions"]
         )
-        result.metadata["report"] = report
-        if self._tracing(observe):
-            self._emit_simulation(observe, report)
-        return result
+        return self._execute(
+            wrapped, inputs, channel, report, shared_seed, observe
+        )

@@ -3,7 +3,13 @@
 A :class:`Simulator` takes a protocol written for the noiseless beeping
 channel and executes it over a noisy channel, returning the usual
 :class:`~repro.core.result.ExecutionResult` whose ``metadata`` carries a
-:class:`SimulationReport` (overhead, retries, committed progress).
+:class:`SimulationReport` (overhead, retries, committed progress).  Each
+scheme derives its round budget once, in :meth:`Simulator.plan`; the
+scalar ``simulate`` and the party-collapsed forms in
+:mod:`repro.vectorized` both run on that plan.
+
+:class:`ReplayingProtocol` is the outer protocol of the schemes whose
+parties re-create their inner party to replay a received prefix.
 
 :func:`infer_noise_model` recovers the per-round flip probabilities of the
 standard channels so simulators can build matched ML decoders without the
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
@@ -29,13 +35,20 @@ from repro.channels.one_sided import (
     SuppressionNoiseChannel,
 )
 from repro.channels.reduction import SharedFlipReductionChannel
+from repro.core.engine import run_protocol
 from repro.core.formal import NoiseModel
+from repro.core.party import Party
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationBudgetExceeded
 from repro.simulation.params import SimulationParameters
 
-__all__ = ["Simulator", "SimulationReport", "infer_noise_model"]
+__all__ = [
+    "ReplayingProtocol",
+    "Simulator",
+    "SimulationReport",
+    "infer_noise_model",
+]
 
 
 def infer_noise_model(channel: Channel) -> NoiseModel:
@@ -127,6 +140,50 @@ class SimulationReport:
         }
 
 
+class ReplayingProtocol(Protocol):
+    """The outer protocol of a scheme whose parties replay their inner party.
+
+    Outer party ``i`` is ``make_party(i, make_inner)``; each
+    ``make_inner()`` call returns a fresh copy of the inner protocol's
+    party ``i`` on the same inputs and shared seed, which is what a party
+    needs to replay a received prefix after a rewind.  ``length`` is the
+    outer round count when the scheme fixes it in advance.
+    """
+
+    def __init__(
+        self,
+        inner: Protocol,
+        make_party: Callable[[int, Callable[[], Party]], Party],
+        length: int | None = None,
+    ) -> None:
+        super().__init__(inner.n_parties)
+        self.inner = inner
+        self.make_party = make_party
+        self._length = length
+
+    def length(self) -> int | None:
+        return self._length
+
+    def create_parties(
+        self, inputs: Sequence[Any], shared_seed: int | None = None
+    ) -> list[Party]:
+        self._check_inputs(inputs)
+        inputs = list(inputs)
+
+        def make_factory(index: int) -> Callable[[], Party]:
+            def make() -> Party:
+                return self.inner.create_parties(
+                    inputs, shared_seed=shared_seed
+                )[index]
+
+            return make
+
+        return [
+            self.make_party(index, make_factory(index))
+            for index in range(self.n_parties)
+        ]
+
+
 class Simulator(ABC):
     """Base class of the noise-resilient simulation schemes.
 
@@ -157,18 +214,76 @@ class Simulator(ABC):
         self.noise_model = noise_model
         self.on_incomplete = on_incomplete
 
-    def _enforce_completion(self, report: "SimulationReport") -> None:
-        """Apply the ``on_incomplete`` policy after an execution."""
-        if self.on_incomplete == "raise" and not report.completed:
-            from repro.errors import SimulationBudgetExceeded
+    @abstractmethod
+    def plan(
+        self, protocol: Protocol, channel: Channel
+    ) -> tuple[SimulationReport, NoiseModel | None]:
+        """Check ``channel`` and derive the scheme's round plan.
 
+        Returns a fresh :class:`SimulationReport` whose ``extra`` holds
+        every count the scheme runs on (repetitions, chunk length,
+        attempt cap, depth, iterations), and the noise model the scheme's
+        decoder assumes (``None`` for schemes without a decoder).  Raises
+        :class:`ConfigurationError` for a channel the scheme rejects or an
+        inner protocol without a fixed length.  The scalar ``simulate``
+        and the party-collapsed forms both run on this plan.
+        """
+
+    def _report(self, inner_length: int, **extra: Any) -> SimulationReport:
+        """A fresh report of this scheme carrying the plan's counts."""
+        return SimulationReport(type(self).__name__, inner_length, extra=extra)
+
+    def _execute(
+        self,
+        wrapped: Protocol,
+        inputs: Sequence[Any],
+        channel: Channel,
+        report: SimulationReport,
+        shared_seed: int | None,
+        observe: "Observer | None",
+        trace: list | None = None,
+    ) -> ExecutionResult:
+        """Run the outer protocol and finish ``report``: record its rounds,
+        attach it to the result, emit the trace events and apply the
+        ``on_incomplete`` policy.
+
+        ``record_sent=False``: no scheme reads its own sent bits, so the
+        columnar transcript stores three bytes per round regardless of n.
+        """
+        result = run_protocol(
+            wrapped,
+            inputs,
+            channel,
+            shared_seed=shared_seed,
+            record_sent=False,
+            observe=observe,
+        )
+        report.simulated_rounds = result.rounds
+        result.metadata["report"] = report
+        if self._tracing(observe):
+            self._emit_trace(observe, trace)
+            self._emit_simulation(observe, report)
+        self._enforce_completion(report)
+        return result
+
+    def _enforce_completion(self, report: SimulationReport) -> None:
+        """Apply the ``on_incomplete`` policy after an execution.
+
+        The committed prefix is the rewind walk's final working length
+        (``extra["working_length"]``), else the committed chunks times
+        the chunk length.
+        """
+        if self.on_incomplete == "raise" and not report.completed:
+            extra = report.extra
             committed = int(
-                report.chunk_commits
-                * report.extra.get("chunk_length", 0)
+                extra.get(
+                    "working_length",
+                    report.chunk_commits * extra.get("chunk_length", 0),
+                )
             )
             raise SimulationBudgetExceeded(
                 f"{report.scheme} exhausted its budget after "
-                f"{report.chunk_attempts} attempts with only "
+                f"{report.simulated_rounds} rounds with only "
                 f"{committed} of {report.inner_length} rounds committed",
                 committed_rounds=committed,
             )
@@ -183,8 +298,13 @@ class Simulator(ABC):
         """Whether to collect trace detail for this ``simulate`` call."""
         return observe is not None and observe.enabled
 
+    @staticmethod
+    def _emit_trace(observe: "Observer", trace: list | None) -> None:
+        """Replay party 0's scheme-specific trace log as events (schemes
+        without one emit only the ``simulation`` summary)."""
+
     def _emit_simulation(
-        self, observe: "Observer", report: "SimulationReport"
+        self, observe: "Observer", report: SimulationReport
     ) -> None:
         """The per-``simulate`` summary event, shared by every scheme."""
         observe.emit(

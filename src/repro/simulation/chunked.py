@@ -47,67 +47,34 @@ extends this to arbitrary lengths, is discussed in DESIGN.md.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
 
 from repro.channels.base import Channel
-from repro.coding.ml import MLDecoder
-from repro.core.engine import run_protocol
-from repro.core.party import Party
+from repro.core.formal import NoiseModel
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
-from repro.errors import ConfigurationError, ProtocolError
 from repro.simulation.base import SimulationReport, Simulator
 from repro.simulation.chunk_common import (
-    InnerReplay,
-    simulate_chunk_with_owners,
+    ChunkSchemeParty,
+    emit_owners_phase,
+    plan_chunks,
 )
-from repro.simulation.owners import build_owners_code
 from repro.simulation.primitives import repeated_bit
 
 __all__ = ["ChunkCommitSimulator"]
 
 
-class _ChunkParty(Party):
+class _ChunkParty(ChunkSchemeParty):
     """One party of the chunk-commit scheme."""
 
-    def __init__(
-        self,
-        party_index: int,
-        n_parties: int,
-        make_inner: Callable[[], Party],
-        inner_length: int,
-        chunk_length: int,
-        repetitions: int,
-        verification_repetitions: int,
-        max_attempts: int,
-        code,
-        decoder: MLDecoder,
-        report: SimulationReport,
-        trace: list | None = None,
-    ) -> None:
-        self.party_index = party_index
-        self.n_parties = n_parties
-        self.make_inner = make_inner
-        self.inner_length = inner_length
-        self.chunk_length = chunk_length
-        self.repetitions = repetitions
-        self.verification_repetitions = verification_repetitions
-        self.max_attempts = max_attempts
-        self.code = code
-        self.decoder = decoder
-        self.report = report
-        # Per-attempt trace log (party 0 only, observability opt-in).
-        # Appending is pure bookkeeping over already-shared state — it
-        # consumes no RNG draws and never alters the round structure.
-        self.trace = trace
-
     def run(self):
+        max_attempts = self.report.extra["max_attempts"]
         committed: list[int] = []  # shared committed received prefix
         attempts = 0
-        while len(committed) < self.inner_length and attempts < self.max_attempts:
+        while len(committed) < self.inner_length and attempts < max_attempts:
             attempts += 1
             committed_before = len(committed)
             chunk_rounds = min(
@@ -116,16 +83,7 @@ class _ChunkParty(Party):
 
             # Phases 1 + 2 (Algorithm 1): replay the committed prefix,
             # simulate the chunk by repetition + majority, find owners.
-            replay = InnerReplay(self.make_inner, committed)
-            chunk = yield from simulate_chunk_with_owners(
-                self.party_index,
-                self.n_parties,
-                replay,
-                chunk_rounds,
-                self.repetitions,
-                self.code,
-                self.decoder,
-            )
+            chunk = yield from self.simulate_chunk(committed, chunk_rounds)
 
             # Phase 3: verification vote; commit on a clean vote.
             flag = chunk.party_flag(self.party_index)
@@ -138,106 +96,18 @@ class _ChunkParty(Party):
                     self.report.chunk_commits += 1
             if self.party_index == 0:
                 self.report.chunk_attempts = attempts
-                if self.trace is not None:
-                    owners = chunk.owners
-                    unowned = sum(
-                        1
-                        for position, value in enumerate(chunk.pi)
-                        if value and position not in owners.owners
-                    )
-                    self.trace.append(
-                        {
-                            "attempt": attempts,
-                            "committed_rounds": committed_before,
-                            "chunk_rounds": chunk_rounds,
-                            "sim_rounds": chunk_rounds * self.repetitions,
-                            "owner_iterations": owners.iterations,
-                            "owner_rounds": owners.iterations
-                            * self.code.codeword_length,
-                            "verify_rounds": self.verification_repetitions,
-                            "ones": sum(chunk.pi),
-                            "owners_assigned": len(owners.owners),
-                            "unowned_ones": unowned,
-                            "flag": flag,
-                            "verdict": verdict,
-                            "committed": verdict == 0,
-                        }
-                    )
+            if self.trace is not None:
+                entry = self.chunk_trace(chunk, attempts, committed_before)
+                entry.update(
+                    verify_rounds=self.verification_repetitions,
+                    verdict=verdict,
+                    committed=verdict == 0,
+                )
+                self.trace.append(entry)
 
         if self.party_index == 0:
             self.report.completed = len(committed) == self.inner_length
-
-        # Final output: the inner party's output over the committed
-        # transcript (zero-padded when the budget ran out — a detectable
-        # failure recorded in the report).
-        padded = committed + [0] * (self.inner_length - len(committed))
-        replay = InnerReplay(self.make_inner, padded)
-        if not replay.finished:
-            raise ProtocolError(
-                "inner protocol did not finish at its declared length"
-            )
-        return replay.output
-
-
-class _ChunkProtocol(Protocol):
-    """Wrapper protocol assembling the chunk parties."""
-
-    def __init__(
-        self,
-        inner: Protocol,
-        inner_length: int,
-        chunk_length: int,
-        repetitions: int,
-        verification_repetitions: int,
-        max_attempts: int,
-        code,
-        decoder: MLDecoder,
-        report: SimulationReport,
-        trace: list | None = None,
-    ) -> None:
-        super().__init__(inner.n_parties)
-        self.inner = inner
-        self.inner_length = inner_length
-        self.chunk_length = chunk_length
-        self.repetitions = repetitions
-        self.verification_repetitions = verification_repetitions
-        self.max_attempts = max_attempts
-        self.code = code
-        self.decoder = decoder
-        self.report = report
-        self.trace = trace
-
-    def create_parties(
-        self, inputs: Sequence[Any], shared_seed: int | None = None
-    ) -> list[Party]:
-        self._check_inputs(inputs)
-        inputs = list(inputs)
-
-        def make_factory(index: int) -> Callable[[], Party]:
-            def make() -> Party:
-                return self.inner.create_parties(
-                    inputs, shared_seed=shared_seed
-                )[index]
-
-            return make
-
-        return [
-            _ChunkParty(
-                party_index=index,
-                n_parties=self.n_parties,
-                make_inner=make_factory(index),
-                inner_length=self.inner_length,
-                chunk_length=self.chunk_length,
-                repetitions=self.repetitions,
-                verification_repetitions=self.verification_repetitions,
-                max_attempts=self.max_attempts,
-                code=self.code,
-                decoder=self.decoder,
-                report=self.report,
-                trace=self.trace,
-            )
-            for index in range(self.n_parties)
-        ]
+        return self.output_over(committed)
 
 
 class ChunkCommitSimulator(Simulator):
@@ -246,6 +116,23 @@ class ChunkCommitSimulator(Simulator):
     See the module docstring for the scheme; see
     :class:`~repro.simulation.params.SimulationParameters` for the knobs.
     """
+
+    def plan(
+        self, protocol: Protocol, channel: Channel
+    ) -> tuple[SimulationReport, NoiseModel]:
+        report, noise, num_chunks = plan_chunks(
+            self,
+            protocol,
+            channel,
+            "ChunkCommitSimulator relies on a shared transcript and "
+            "requires a correlated channel; use RepetitionSimulator "
+            "for independent noise",
+        )
+        report.extra["max_attempts"] = (
+            math.ceil(self.params.attempt_slack * num_chunks)
+            + self.params.attempt_extra
+        )
+        return report, noise
 
     def simulate(
         self,
@@ -256,79 +143,17 @@ class ChunkCommitSimulator(Simulator):
         shared_seed: int | None = None,
         observe: "Observer | None" = None,
     ) -> ExecutionResult:
-        if not channel.correlated:
-            raise ConfigurationError(
-                "ChunkCommitSimulator relies on a shared transcript and "
-                "requires a correlated channel; use RepetitionSimulator "
-                "for independent noise"
-            )
-        inner_length = self._require_fixed_length(protocol)
-        noise = self._resolve_noise_model(channel)
-        epsilon = max(noise.up, noise.down)
-
-        n_parties = protocol.n_parties
-        chunk_length = self.params.resolve_chunk_length(n_parties)
-        repetitions = self.params.resolve_repetitions(n_parties, epsilon)
-        verification_repetitions = (
-            self.params.resolve_verification_repetitions(n_parties, epsilon)
-        )
-        num_chunks = max(1, math.ceil(inner_length / chunk_length))
-        max_attempts = (
-            math.ceil(self.params.attempt_slack * num_chunks)
-            + self.params.attempt_extra
-        )
-        code = build_owners_code(
-            chunk_length,
-            rate_constant=self.params.code_rate_constant,
-            seed=self.params.code_seed,
-        )
-        decoder = MLDecoder(code, noise)
-
-        report = SimulationReport(
-            scheme=type(self).__name__,
-            inner_length=inner_length,
-            extra={
-                "repetitions": repetitions,
-                "verification_repetitions": verification_repetitions,
-                "chunk_length": chunk_length,
-                "max_attempts": max_attempts,
-                "codeword_length": code.codeword_length,
-            },
-        )
+        report, noise = self.plan(protocol, channel)
         trace: list | None = [] if self._tracing(observe) else None
-        wrapped = _ChunkProtocol(
-            inner=protocol,
-            inner_length=inner_length,
-            chunk_length=chunk_length,
-            repetitions=repetitions,
-            verification_repetitions=verification_repetitions,
-            max_attempts=max_attempts,
-            code=code,
-            decoder=decoder,
-            report=report,
-            trace=trace,
+        wrapped = _ChunkParty.outer_protocol(
+            protocol, self, report, noise, trace
         )
-        # record_sent=False: the simulation transcript is Θ(n log n) rounds
-        # and the scheme never reads its own sent bits, so the columnar
-        # transcript stores three bytes per round regardless of n.
-        result = run_protocol(
-            wrapped,
-            inputs,
-            channel,
-            shared_seed=shared_seed,
-            record_sent=False,
-            observe=observe,
+        return self._execute(
+            wrapped, inputs, channel, report, shared_seed, observe, trace
         )
-        report.simulated_rounds = result.rounds
-        result.metadata["report"] = report
-        if trace is not None:
-            self._emit_chunk_events(observe, trace)
-            self._emit_simulation(observe, report)
-        self._enforce_completion(report)
-        return result
 
     @staticmethod
-    def _emit_chunk_events(observe: "Observer", trace: list) -> None:
+    def _emit_trace(observe: "Observer", trace: list) -> None:
         """Replay party 0's attempt log as ``chunk_attempt`` +
         ``owners_phase`` event pairs."""
         for entry in trace:
@@ -344,13 +169,4 @@ class ChunkCommitSimulator(Simulator):
                 verdict=entry["verdict"],
                 committed=entry["committed"],
             )
-            observe.emit(
-                "owners_phase",
-                attempt=entry["attempt"],
-                iterations=entry["owner_iterations"],
-                owner_rounds=entry["owner_rounds"],
-                ones=entry["ones"],
-                owners_assigned=entry["owners_assigned"],
-                unowned_ones=entry["unowned_ones"],
-                disagreement=bool(entry["flag"]),
-            )
+            emit_owners_phase(observe, entry)

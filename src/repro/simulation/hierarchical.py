@@ -33,64 +33,36 @@ preserved).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
 
 from repro.channels.base import Channel
-from repro.coding.ml import MLDecoder
-from repro.core.engine import run_protocol
-from repro.core.party import Party
+from repro.core.formal import NoiseModel
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError
 from repro.simulation.base import SimulationReport, Simulator
 from repro.simulation.chunk_common import (
-    InnerReplay,
+    ChunkSchemeParty,
     SimulatedChunk,
-    simulate_chunk_with_owners,
+    emit_owners_phase,
+    plan_chunks,
 )
-from repro.simulation.owners import build_owners_code
 from repro.simulation.primitives import repeated_bit
 
 __all__ = ["HierarchicalSimulator"]
 
 
-class _HierarchicalParty(Party):
+class _HierarchicalParty(ChunkSchemeParty):
     """One party of the A_L hierarchy."""
 
     def __init__(
-        self,
-        party_index: int,
-        n_parties: int,
-        make_inner: Callable[[], Party],
-        inner_length: int,
-        chunk_length: int,
-        repetitions: int,
-        verification_repetitions: int,
-        level_repetition_step: int,
-        depth: int,
-        code,
-        decoder: MLDecoder,
-        report: SimulationReport,
-        trace: list | None = None,
+        self, *args: Any, level_repetition_step: int, **kwargs: Any
     ) -> None:
-        self.party_index = party_index
-        self.n_parties = n_parties
-        self.make_inner = make_inner
-        self.inner_length = inner_length
-        self.chunk_length = chunk_length
-        self.repetitions = repetitions
-        self.verification_repetitions = verification_repetitions
+        super().__init__(*args, **kwargs)
         self.level_repetition_step = level_repetition_step
-        self.depth = depth
-        self.code = code
-        self.decoder = decoder
-        self.report = report
-        # Trace log (party 0 only; pure bookkeeping over shared state,
-        # consumes no RNG draws — see repro.observe).
-        self.trace = trace
         # Working state (chunks[i].pi / .owners are shared-consistent).
         self.chunks: list[SimulatedChunk] = []
         self._leaf_calls = 0
@@ -104,11 +76,8 @@ class _HierarchicalParty(Party):
     def _working_rounds(self) -> int:
         return sum(len(chunk.pi) for chunk in self.chunks)
 
-    def _working_bits(self, num_chunks: int) -> list[int]:
-        bits: list[int] = []
-        for chunk in self.chunks[:num_chunks]:
-            bits.extend(chunk.pi)
-        return bits
+    def _working_bits(self) -> list[int]:
+        return [bit for chunk in self.chunks for bit in chunk.pi]
 
     def _prefix_flag(self, num_chunks: int) -> int:
         """1 iff this party sees an inconsistency in the first
@@ -129,40 +98,14 @@ class _HierarchicalParty(Party):
         if done >= self.inner_length:
             return  # idle leaf; shared decision, zero rounds
         chunk_rounds = min(self.chunk_length, self.inner_length - done)
-        replay = InnerReplay(self.make_inner, self._working_bits(len(self.chunks)))
-        chunk = yield from simulate_chunk_with_owners(
-            self.party_index,
-            self.n_parties,
-            replay,
-            chunk_rounds,
-            self.repetitions,
-            self.code,
-            self.decoder,
+        chunk = yield from self.simulate_chunk(
+            self._working_bits(), chunk_rounds
         )
         self.chunks.append(chunk)
-        if self.trace is not None and self.party_index == 0:
-            owners = chunk.owners
-            unowned = sum(
-                1
-                for position, value in enumerate(chunk.pi)
-                if value and position not in owners.owners
-            )
-            self.trace.append(
-                {
-                    "kind": "leaf",
-                    "attempt": self._leaf_calls,
-                    "committed_rounds": done,
-                    "chunk_rounds": chunk_rounds,
-                    "sim_rounds": chunk_rounds * self.repetitions,
-                    "owner_iterations": owners.iterations,
-                    "owner_rounds": owners.iterations
-                    * self.code.codeword_length,
-                    "ones": sum(chunk.pi),
-                    "owners_assigned": len(owners.owners),
-                    "unowned_ones": unowned,
-                    "flag": chunk.party_flag(self.party_index),
-                }
-            )
+        if self.trace is not None:
+            entry = self.chunk_trace(chunk, self._leaf_calls, done)
+            entry["kind"] = "leaf"
+            self.trace.append(entry)
 
     def _progress_check(self, level: int):
         """Binary-search the longest consistent working prefix; truncate.
@@ -188,7 +131,7 @@ class _HierarchicalParty(Party):
         if low < len(self.chunks):
             self._truncated_chunks += len(self.chunks) - low
             del self.chunks[low:]
-        if self.trace is not None and self.party_index == 0:
+        if self.trace is not None:
             self.trace.append(
                 {
                     "kind": "check",
@@ -209,7 +152,7 @@ class _HierarchicalParty(Party):
         yield from self._progress_check(level)
 
     def run(self):
-        yield from self._run_level(self.depth)
+        yield from self._run_level(self.report.extra["depth"])
 
         if self.party_index == 0:
             self.report.chunk_attempts = self._leaf_calls
@@ -219,52 +162,7 @@ class _HierarchicalParty(Party):
                 self._working_rounds() == self.inner_length
             )
             self.report.extra["progress_checks"] = self._checks
-
-        committed = self._working_bits(len(self.chunks))
-        committed = committed[: self.inner_length]
-        padded = committed + [0] * (self.inner_length - len(committed))
-        replay = InnerReplay(self.make_inner, padded)
-        if not replay.finished:
-            raise ProtocolError(
-                "inner protocol did not finish at its declared length"
-            )
-        return replay.output
-
-
-class _HierarchicalProtocol(Protocol):
-    def __init__(self, party_kwargs: dict, n_parties: int) -> None:
-        super().__init__(n_parties)
-        self.party_kwargs = party_kwargs
-
-    def create_parties(
-        self, inputs: Sequence[Any], shared_seed: int | None = None
-    ) -> list[Party]:
-        self._check_inputs(inputs)
-        inputs = list(inputs)
-        inner = self.party_kwargs["inner"]
-
-        def make_factory(index: int) -> Callable[[], Party]:
-            def make() -> Party:
-                return inner.create_parties(
-                    inputs, shared_seed=shared_seed
-                )[index]
-
-            return make
-
-        kwargs = {
-            key: value
-            for key, value in self.party_kwargs.items()
-            if key != "inner"
-        }
-        return [
-            _HierarchicalParty(
-                party_index=index,
-                n_parties=self.n_parties,
-                make_inner=make_factory(index),
-                **kwargs,
-            )
-            for index in range(self.n_parties)
-        ]
+        return self.output_over(self._working_bits())
 
 
 class HierarchicalSimulator(Simulator):
@@ -302,6 +200,20 @@ class HierarchicalSimulator(Simulator):
         self.extra_levels = extra_levels
         self.level_repetition_step = level_repetition_step
 
+    def plan(
+        self, protocol: Protocol, channel: Channel
+    ) -> tuple[SimulationReport, NoiseModel]:
+        report, noise, num_chunks = plan_chunks(
+            self,
+            protocol,
+            channel,
+            "HierarchicalSimulator relies on a shared transcript and "
+            "requires a correlated channel",
+        )
+        depth = math.ceil(math.log2(num_chunks)) + self.extra_levels
+        report.extra.update(depth=depth, leaf_budget=1 << depth)
+        return report, noise
+
     def simulate(
         self,
         protocol: Protocol,
@@ -311,77 +223,22 @@ class HierarchicalSimulator(Simulator):
         shared_seed: int | None = None,
         observe: "Observer | None" = None,
     ) -> ExecutionResult:
-        if not channel.correlated:
-            raise ConfigurationError(
-                "HierarchicalSimulator relies on a shared transcript and "
-                "requires a correlated channel"
-            )
-        inner_length = self._require_fixed_length(protocol)
-        noise = self._resolve_noise_model(channel)
-        epsilon = max(noise.up, noise.down)
-
-        n_parties = protocol.n_parties
-        chunk_length = self.params.resolve_chunk_length(n_parties)
-        repetitions = self.params.resolve_repetitions(n_parties, epsilon)
-        verification_repetitions = (
-            self.params.resolve_verification_repetitions(n_parties, epsilon)
-        )
-        num_chunks = max(1, math.ceil(inner_length / chunk_length))
-        depth = math.ceil(math.log2(num_chunks)) + self.extra_levels
-        code = build_owners_code(
-            chunk_length,
-            rate_constant=self.params.code_rate_constant,
-            seed=self.params.code_seed,
-        )
-        decoder = MLDecoder(code, noise)
-
-        report = SimulationReport(
-            scheme=type(self).__name__,
-            inner_length=inner_length,
-            extra={
-                "repetitions": repetitions,
-                "verification_repetitions": verification_repetitions,
-                "chunk_length": chunk_length,
-                "depth": depth,
-                "leaf_budget": 1 << depth,
-                "codeword_length": code.codeword_length,
-            },
-        )
+        report, noise = self.plan(protocol, channel)
         trace: list | None = [] if self._tracing(observe) else None
-        wrapped = _HierarchicalProtocol(
-            {
-                "inner": protocol,
-                "inner_length": inner_length,
-                "chunk_length": chunk_length,
-                "repetitions": repetitions,
-                "verification_repetitions": verification_repetitions,
-                "level_repetition_step": self.level_repetition_step,
-                "depth": depth,
-                "code": code,
-                "decoder": decoder,
-                "report": report,
-                "trace": trace,
-            },
-            n_parties=n_parties,
+        wrapped = _HierarchicalParty.outer_protocol(
+            protocol,
+            self,
+            report,
+            noise,
+            trace,
+            level_repetition_step=self.level_repetition_step,
         )
-        result = run_protocol(
-            wrapped,
-            inputs,
-            channel,
-            shared_seed=shared_seed,
-            record_sent=False,
-            observe=observe,
+        return self._execute(
+            wrapped, inputs, channel, report, shared_seed, observe, trace
         )
-        report.simulated_rounds = result.rounds
-        result.metadata["report"] = report
-        if trace is not None:
-            self._emit_hierarchy_events(observe, trace)
-            self._emit_simulation(observe, report)
-        self._enforce_completion(report)
-        return result
 
     @staticmethod
-    def _emit_hierarchy_events(observe: "Observer", trace: list) -> None:
+    def _emit_trace(observe: "Observer", trace: list) -> None:
         """Replay party 0's log: non-idle leaves as ``chunk_attempt`` +
         ``owners_phase`` (no verdict — verification arrives later via a
         progress check), checks as ``progress_check``."""
@@ -395,16 +252,7 @@ class HierarchicalSimulator(Simulator):
                     sim_rounds=entry["sim_rounds"],
                     owner_rounds=entry["owner_rounds"],
                 )
-                observe.emit(
-                    "owners_phase",
-                    attempt=entry["attempt"],
-                    iterations=entry["owner_iterations"],
-                    owner_rounds=entry["owner_rounds"],
-                    ones=entry["ones"],
-                    owners_assigned=entry["owners_assigned"],
-                    unowned_ones=entry["unowned_ones"],
-                    disagreement=bool(entry["flag"]),
-                )
+                emit_owners_phase(observe, entry)
             else:
                 observe.emit(
                     "progress_check",

@@ -61,6 +61,7 @@ __all__ = [
     "position_symbol",
     "symbol_position",
     "build_owners_code",
+    "owners_code_length",
     "check_owners_inputs",
     "owners_phase",
     "OwnersResult",
@@ -97,14 +98,18 @@ def build_owners_code(
     pairwise-distance floor so they remain decodable against silence-plus-
     noise as well as against each other.
     """
-    alphabet = max_positions + _POSITION_BASE
-    length = default_code_length(alphabet, rate_constant)
     return GreedyRandomCode(
-        alphabet,
-        length,
+        max_positions + _POSITION_BASE,
+        owners_code_length(max_positions, rate_constant),
         include_zero_word=True,
         seed=seed,
     )
+
+
+def owners_code_length(max_positions: int, rate_constant: float = 12.0) -> int:
+    """The codeword length of :func:`build_owners_code`, without building
+    the code."""
+    return default_code_length(max_positions + _POSITION_BASE, rate_constant)
 
 
 def check_owners_inputs(

@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
 
 from repro.channels.base import Channel
-from repro.core.engine import run_protocol
 from repro.core.party import Burst, Party
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
@@ -115,6 +114,18 @@ class RepetitionSimulator(Simulator):
     :func:`~repro.simulation.params.repetitions_for`.
     """
 
+    def plan(
+        self, protocol: Protocol, channel: Channel
+    ) -> tuple[SimulationReport, None]:
+        inner_length = self._require_fixed_length(protocol)
+        noise = self._resolve_noise_model(channel)
+        # Repetition must beat the worse of the two flip directions.
+        epsilon = max(noise.up, noise.down)
+        repetitions = self.params.resolve_repetitions(
+            protocol.n_parties, epsilon
+        )
+        return self._report(inner_length, repetitions=repetitions), None
+
     def simulate(
         self,
         protocol: Protocol,
@@ -124,30 +135,10 @@ class RepetitionSimulator(Simulator):
         shared_seed: int | None = None,
         observe: "Observer | None" = None,
     ) -> ExecutionResult:
-        inner_length = self._require_fixed_length(protocol)
-        noise = self._resolve_noise_model(channel)
-        # Repetition must beat the worse of the two flip directions.
-        epsilon = max(noise.up, noise.down)
-        repetitions = self.params.resolve_repetitions(
-            protocol.n_parties, epsilon
+        report, _ = self.plan(protocol, channel)
+        wrapped = RepetitionWrappedProtocol(
+            protocol, report.extra["repetitions"]
         )
-        wrapped = RepetitionWrappedProtocol(protocol, repetitions)
-        result = run_protocol(
-            wrapped,
-            inputs,
-            channel,
-            shared_seed=shared_seed,
-            record_sent=False,
-            observe=observe,
+        return self._execute(
+            wrapped, inputs, channel, report, shared_seed, observe
         )
-        report = SimulationReport(
-            scheme=type(self).__name__,
-            inner_length=inner_length,
-            simulated_rounds=result.rounds,
-            completed=True,
-            extra={"repetitions": repetitions},
-        )
-        result.metadata["report"] = report
-        if self._tracing(observe):
-            self._emit_simulation(observe, report)
-        return result

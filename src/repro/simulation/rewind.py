@@ -47,18 +47,22 @@ advance — there is no constant run to batch.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
 
 from repro.channels.base import Channel
-from repro.core.engine import run_protocol
 from repro.core.party import Party
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
 from repro.errors import ConfigurationError
-from repro.simulation.base import SimulationReport, Simulator
+from repro.simulation.base import (
+    ReplayingProtocol,
+    SimulationReport,
+    Simulator,
+)
 
 __all__ = ["RewindSimulator"]
 
@@ -70,19 +74,15 @@ class _RewindParty(Party):
         self,
         party_index: int,
         make_inner: Callable[[], Party],
-        inner_length: int,
-        iterations: int,
         report: SimulationReport,
         trace: list | None = None,
     ) -> None:
         self.party_index = party_index
         self.make_inner = make_inner
-        self.inner_length = inner_length
-        self.iterations = iterations
         self.report = report
         # Per-pop trace log (party 0 only; pure bookkeeping over shared
         # state, consumes no RNG draws — see repro.observe).
-        self.trace = trace
+        self.trace = trace if party_index == 0 else None
 
     def _replay(self, working: Sequence[int]):
         """A fresh inner coroutine advanced past ``working``.
@@ -102,6 +102,7 @@ class _RewindParty(Party):
         return program, next_bit
 
     def run(self):
+        inner_length = self.report.inner_length
         # Incremental state.  ``my_beeps[m]`` is what I beeped in round
         # ``m`` given ``working[:m]``; it stays valid under append/pop
         # because a round's beep depends only on the prefix before it.
@@ -115,7 +116,7 @@ class _RewindParty(Party):
         program, next_bit = self._replay(working)
         stale = False
 
-        for iteration in range(self.iterations):
+        for iteration in range(self.report.extra["iterations"]):
             if stale:
                 program, next_bit = self._replay(working)
                 stale = False
@@ -135,7 +136,7 @@ class _RewindParty(Party):
                     disputed.discard(popped)
                     rewinds += 1
                     stale = True
-                    if self.trace is not None and self.party_index == 0:
+                    if self.trace is not None:
                         self.trace.append(
                             {"iteration": iteration, "position": popped}
                         )
@@ -146,7 +147,7 @@ class _RewindParty(Party):
                 # Simulation round: extend the working transcript by one
                 # round (parties past the protocol's end stay silent).
                 position = len(working)
-                simulating = position < self.inner_length
+                simulating = position < inner_length
                 my_bit = (
                     next_bit
                     if simulating and next_bit is not None
@@ -166,10 +167,11 @@ class _RewindParty(Party):
         if self.party_index == 0:
             self.report.rewinds = rewinds
             self.report.completed = (
-                len(working) == self.inner_length and not disputed
+                len(working) == inner_length and not disputed
             )
+            self.report.extra["working_length"] = len(working)
 
-        padded = working + [0] * (self.inner_length - len(working))
+        padded = working + [0] * (inner_length - len(working))
         final_program = self.make_inner().run()
         output: Any = None
         try:
@@ -181,52 +183,6 @@ class _RewindParty(Party):
         return output
 
 
-class _RewindProtocol(Protocol):
-    def __init__(
-        self,
-        inner: Protocol,
-        inner_length: int,
-        iterations: int,
-        report: SimulationReport,
-        trace: list | None = None,
-    ) -> None:
-        super().__init__(inner.n_parties)
-        self.inner = inner
-        self.inner_length = inner_length
-        self.iterations = iterations
-        self.report = report
-        self.trace = trace
-
-    def length(self) -> int:
-        return 2 * self.iterations
-
-    def create_parties(
-        self, inputs: Sequence[Any], shared_seed: int | None = None
-    ) -> list[Party]:
-        self._check_inputs(inputs)
-        inputs = list(inputs)
-
-        def make_factory(index: int) -> Callable[[], Party]:
-            def make() -> Party:
-                return self.inner.create_parties(
-                    inputs, shared_seed=shared_seed
-                )[index]
-
-            return make
-
-        return [
-            _RewindParty(
-                party_index=index,
-                make_inner=make_factory(index),
-                inner_length=self.inner_length,
-                iterations=self.iterations,
-                report=self.report,
-                trace=self.trace,
-            )
-            for index in range(self.n_parties)
-        ]
-
-
 class RewindSimulator(Simulator):
     """The constant-overhead rewind scheme (sound under 1→0-only noise).
 
@@ -234,21 +190,17 @@ class RewindSimulator(Simulator):
     of (simulate one round, alarm vote), i.e. a fixed round count of
     ``2·(budget_factor·T + extra)`` — a *constant* multiple of T, the
     separation from the Θ(log n) chunk scheme that experiment E3 measures.
+    The report's ``extra["working_length"]`` is the walk's final
+    working-prefix length, the committed prefix an incomplete run reports.
 
     The scheme is well-defined over any correlated channel, but its
     correctness argument needs suppression noise; over 0→1 noise it serves
     as the negative control demonstrating the paper's asymmetry.
     """
 
-    def simulate(
-        self,
-        protocol: Protocol,
-        inputs: Sequence[Any],
-        channel: Channel,
-        *,
-        shared_seed: int | None = None,
-        observe: "Observer | None" = None,
-    ) -> ExecutionResult:
+    def plan(
+        self, protocol: Protocol, channel: Channel
+    ) -> tuple[SimulationReport, None]:
         if not channel.correlated:
             raise ConfigurationError(
                 "RewindSimulator requires a correlated channel (the working "
@@ -259,38 +211,32 @@ class RewindSimulator(Simulator):
             math.ceil(self.params.rewind_budget_factor * inner_length)
             + self.params.rewind_budget_extra
         )
-        report = SimulationReport(
-            scheme=type(self).__name__,
-            inner_length=inner_length,
-            extra={"iterations": iterations},
-        )
+        return self._report(inner_length, iterations=iterations), None
+
+    def simulate(
+        self,
+        protocol: Protocol,
+        inputs: Sequence[Any],
+        channel: Channel,
+        *,
+        shared_seed: int | None = None,
+        observe: "Observer | None" = None,
+    ) -> ExecutionResult:
+        report, _ = self.plan(protocol, channel)
         trace: list | None = [] if self._tracing(observe) else None
-        wrapped = _RewindProtocol(
-            inner=protocol,
-            inner_length=inner_length,
-            iterations=iterations,
-            report=report,
-            trace=trace,
+        wrapped = ReplayingProtocol(
+            protocol,
+            partial(_RewindParty, report=report, trace=trace),
+            length=2 * report.extra["iterations"],
         )
-        # record_sent=False: with the columnar transcript this costs three
-        # bytes per simulated round, independent of the party count.
-        result = run_protocol(
-            wrapped,
-            inputs,
-            channel,
-            shared_seed=shared_seed,
-            record_sent=False,
-            observe=observe,
+        return self._execute(
+            wrapped, inputs, channel, report, shared_seed, observe, trace
         )
-        report.simulated_rounds = result.rounds
-        result.metadata["report"] = report
-        if trace is not None:
-            for entry in trace:
-                observe.emit(
-                    "rewind",
-                    iteration=entry["iteration"],
-                    position=entry["position"],
-                )
-            self._emit_simulation(observe, report)
-        self._enforce_completion(report)
-        return result
+
+    @staticmethod
+    def _emit_trace(observe: "Observer", trace: list) -> None:
+        """Replay party 0's pop log as ``rewind`` events."""
+        for entry in trace:
+            observe.emit(
+                "rewind", iteration=entry["iteration"], position=entry["position"]
+            )

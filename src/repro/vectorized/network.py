@@ -22,7 +22,10 @@ on the per-trial bits, so it is cached and reused while the beeping set
 is unchanged.
 
 The local-broadcast wrapper repeats every inner round ``k`` times and
-each node majority-decodes its ``k`` copies.  The batched drivers run
+each node majority-decodes its ``k`` copies; ``k`` is read from
+:meth:`LocalBroadcastSimulator.plan
+<repro.network.local_broadcast.LocalBroadcastSimulator.plan>`, the plan
+the scalar scheme runs on.  The batched drivers run
 such a burst as one *virtual round*: one kernel step (``B``, hence the
 clean reception, is fixed for the burst) plus, under per-node noise, one
 ``k·n`` flip draw per trial, which is exactly the scalar draw order (the
@@ -51,10 +54,7 @@ from typing import Any, Callable, Sequence
 import numpy as _np
 
 from repro.network.channel import NetworkBeepingChannel
-from repro.network.local_broadcast import (
-    LocalBroadcastSimulator,
-    local_broadcast_repetitions,
-)
+from repro.network.local_broadcast import LocalBroadcastSimulator
 from repro.network.mis import _MISProtocol
 from repro.network.tasks import _BroadcastProtocol, _NeighborORProtocol
 from repro.network.topology import Topology
@@ -502,25 +502,6 @@ def classify_network(executor, probe_seed: int):
     return NetworkRoute(scheme, driver, protocol, probe, simulator), None
 
 
-def _local_broadcast_k(route: NetworkRoute) -> int:
-    """The wrapper's repetition count, via the simulator's exact rule."""
-    simulator = route.simulator
-    channel = route.channel
-    inner_length = simulator._require_fixed_length(route.protocol)
-    if simulator.noise_model is not None:
-        epsilon = max(simulator.noise_model.up, simulator.noise_model.down)
-    else:
-        epsilon = channel.max_epsilon + channel.edge_epsilon
-    if simulator.params.repetitions is not None:
-        return simulator.params.repetitions
-    return local_broadcast_repetitions(
-        channel.topology.max_in_degree,
-        inner_length,
-        epsilon,
-        simulator.params.error_exponent,
-    )
-
-
 def network_records(
     route: NetworkRoute,
     task,
@@ -546,9 +527,10 @@ def network_records(
         for input_seed, _ in pairs
     ]
     probe = route.channel
-    repetitions = (
-        _local_broadcast_k(route) if route.simulator is not None else 1
-    )
+    repetitions = 1
+    if route.simulator is not None:
+        report, _ = route.simulator.plan(route.protocol, probe)
+        repetitions = report.extra["repetitions"]
     epsilon = probe.epsilon
     edge_epsilon = probe.edge_epsilon
     streams = None

@@ -17,7 +17,12 @@ same decoded symbols (via the byte-packed
 :class:`~repro.vectorized.decoder.VectorizedMLDecoder`), same rounds,
 channel statistics, per-party energy, outputs and report fields.  The
 cross-backend equivalence suite (``tests/unit/test_vectorized_equivalence``)
-enforces this against the scalar engine trial by trial.
+enforces this against the scalar engine trial by trial.  Each collapsed
+form starts from the simulator's
+:meth:`~repro.simulation.base.Simulator.plan` — the report whose
+``extra`` carries the chunk length, repetition and vote counts, attempt
+cap or iteration budget — the same plan the scalar ``simulate`` runs on,
+so the two forms never derive a count twice.
 
 :data:`CHANNEL_KINDS` lists the channel classes that replay, each with
 its draw rule and flip source:
@@ -46,7 +51,6 @@ after pops), so the collapsed forms add no new assumption.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
@@ -96,7 +100,7 @@ __all__ = [
 # NOTE: the collapsed repetition and hierarchical forms live in
 # repro.vectorized.schemes_repetition / schemes_hierarchical; they build
 # on the shared machinery here (_SharedChannel, _InnerPrograms,
-# _chunk_phase12, _chunk_flags, _shared_codebook).
+# _chunk_phase12, _chunk_flags, _owners_decoder).
 
 
 class ChannelKind(NamedTuple):
@@ -461,9 +465,11 @@ def _shared_channel(
     return _SharedChannel(kind.rule, flips)
 
 
-def _shared_codebook(params, chunk_length: int, noise, codebook_cache):
-    """The owners codebook + vectorized decoder for one parameter point,
-    via the batch-shared cache.
+def _owners_decoder(
+    params, chunk_length: int, noise: NoiseModel, codebook_cache
+) -> VectorizedMLDecoder:
+    """The vectorized decoder (and codebook) of the owners code for one
+    parameter point, via the batch-shared cache.
 
     Both chunk schemes — the iterative chunk-commit and the hierarchical
     ``A_l`` — construct the codebook with identical parameters, so a
@@ -488,8 +494,8 @@ def _shared_codebook(params, chunk_length: int, noise, codebook_cache):
     )
     decoder = VectorizedMLDecoder(code, noise)
     if codebook_cache is not None:
-        codebook_cache[cache_key] = (code, decoder)
-    return code, decoder
+        codebook_cache[cache_key] = decoder
+    return decoder
 
 
 def _owners_phase(
@@ -650,42 +656,15 @@ def simulate_chunked(
     vectorized decoder (including its memo) across the trials of a batch —
     the scalar scheme rebuilds both per trial.
     """
-    if not channel.correlated:
-        raise ConfigurationError(
-            "ChunkCommitSimulator relies on a shared transcript and "
-            "requires a correlated channel; use RepetitionSimulator "
-            "for independent noise"
-        )
-    inner_length = simulator._require_fixed_length(protocol)
-    noise = simulator._resolve_noise_model(channel)
-    epsilon = max(noise.up, noise.down)
-    params = simulator.params
-
+    report, noise = simulator.plan(protocol, channel)
+    inner_length = report.inner_length
     n_parties = protocol.n_parties
-    chunk_length = params.resolve_chunk_length(n_parties)
-    repetitions = params.resolve_repetitions(n_parties, epsilon)
-    verification_repetitions = params.resolve_verification_repetitions(
-        n_parties, epsilon
-    )
-    num_chunks = max(1, math.ceil(inner_length / chunk_length))
-    max_attempts = (
-        math.ceil(params.attempt_slack * num_chunks) + params.attempt_extra
-    )
-
-    code, decoder = _shared_codebook(
-        params, chunk_length, noise, codebook_cache
-    )
-
-    report = SimulationReport(
-        scheme=type(simulator).__name__,
-        inner_length=inner_length,
-        extra={
-            "repetitions": repetitions,
-            "verification_repetitions": verification_repetitions,
-            "chunk_length": chunk_length,
-            "max_attempts": max_attempts,
-            "codeword_length": code.codeword_length,
-        },
+    chunk_length = report.extra["chunk_length"]
+    repetitions = report.extra["repetitions"]
+    verification_repetitions = report.extra["verification_repetitions"]
+    max_attempts = report.extra["max_attempts"]
+    decoder = _owners_decoder(
+        simulator.params, chunk_length, noise, codebook_cache
     )
 
     shared = _shared_channel(channel, flips)
@@ -734,16 +713,7 @@ def simulate_chunked(
     else:
         padded = committed + [0] * (inner_length - len(committed))
         outputs = programs.outputs_over(padded)
-
-    report.simulated_rounds = shared.stats.rounds
-    simulator._enforce_completion(report)
-    return CollapsedOutcome(
-        outputs=outputs,
-        rounds=shared.stats.rounds,
-        channel_stats=shared.stats,
-        beeps_per_party=tuple(int(value) for value in energy),
-        report=report,
-    )
+    return _finish(simulator, report, shared, energy, outputs)
 
 
 def simulate_rewind(
@@ -769,22 +739,8 @@ def simulate_rewind(
     symmetry; the rewind scheme has no codebook.)
     """
     del codebook_cache
-    if not channel.correlated:
-        raise ConfigurationError(
-            "RewindSimulator requires a correlated channel (the working "
-            "transcript must be shared)"
-        )
-    inner_length = simulator._require_fixed_length(protocol)
-    params = simulator.params
-    iterations = (
-        math.ceil(params.rewind_budget_factor * inner_length)
-        + params.rewind_budget_extra
-    )
-    report = SimulationReport(
-        scheme=type(simulator).__name__,
-        inner_length=inner_length,
-        extra={"iterations": iterations},
-    )
+    report, _ = simulator.plan(protocol, channel)
+    inner_length = report.inner_length
 
     shared = _shared_channel(channel, flips)
     n_parties = protocol.n_parties
@@ -803,7 +759,7 @@ def simulate_rewind(
     rewinds = 0
     stale = False  # live programs out of sync with ``working``
 
-    for _ in range(iterations):
+    for _ in range(report.extra["iterations"]):
         # Alarm round: a party beeps iff it currently disputes a position.
         alarm_beeps = int((disputes > 0).sum())
         or_alarm = 1 if alarm_beeps else 0
@@ -868,10 +824,22 @@ def simulate_rewind(
     report.completed = (
         len(working) == inner_length and int(disputes[0]) == 0
     )
+    report.extra["working_length"] = len(working)
 
     padded = working + [0] * (inner_length - len(working))
     outputs = programs.outputs_over(padded)
+    return _finish(simulator, report, shared, energy, outputs)
 
+
+def _finish(
+    simulator: Simulator,
+    report: SimulationReport,
+    shared: _SharedChannel,
+    energy: Sequence[int],
+    outputs: list[Any],
+) -> CollapsedOutcome:
+    """Record the rounds in ``report``, apply the simulator's
+    ``on_incomplete`` policy and package the outcome."""
     report.simulated_rounds = shared.stats.rounds
     simulator._enforce_completion(report)
     return CollapsedOutcome(

@@ -11,31 +11,32 @@ vote is one windowed draw, and per-party error flags become a boolean
 vector per chunk, OR-reduced over prefixes.  Inner parties stay *live*
 across leaves — the scalar scheme re-replays the full working prefix in
 every leaf, ``n`` times over — and are rebuilt only after a truncation
-actually rewinds them.  Bitwise equal to the scalar execution: same RNG
-draw order, rounds, channel statistics, per-party energy, outputs,
-report fields and error parity.
+actually rewinds them.  The depth, chunk length and vote counts come
+from :meth:`HierarchicalSimulator.plan
+<repro.simulation.hierarchical.HierarchicalSimulator.plan>`, as in the
+scalar scheme.  Bitwise equal to the scalar execution: same RNG draw
+order, rounds, channel statistics, per-party energy, outputs, report
+fields and error parity.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Sequence
 
 import numpy as _np
 
 from repro.channels.base import Channel
 from repro.core.protocol import Protocol
-from repro.errors import ConfigurationError
-from repro.simulation.base import SimulationReport
 from repro.simulation.hierarchical import HierarchicalSimulator
 from repro.vectorized.noise import FlipSource
 from repro.vectorized.schemes import (
     CollapsedOutcome,
     _chunk_flags,
     _chunk_phase12,
+    _finish,
     _InnerPrograms,
+    _owners_decoder,
     _shared_channel,
-    _shared_codebook,
 )
 
 __all__ = ["simulate_hierarchical"]
@@ -60,40 +61,15 @@ def simulate_hierarchical(
     vectorized decoder across the trials of a batch — and with the
     chunk-commit collapse, whose codebook parameters are identical.
     """
-    if not channel.correlated:
-        raise ConfigurationError(
-            "HierarchicalSimulator relies on a shared transcript and "
-            "requires a correlated channel"
-        )
-    inner_length = simulator._require_fixed_length(protocol)
-    noise = simulator._resolve_noise_model(channel)
-    epsilon = max(noise.up, noise.down)
-    params = simulator.params
-
+    report, noise = simulator.plan(protocol, channel)
+    inner_length = report.inner_length
     n_parties = protocol.n_parties
-    chunk_length = params.resolve_chunk_length(n_parties)
-    repetitions = params.resolve_repetitions(n_parties, epsilon)
-    verification_repetitions = params.resolve_verification_repetitions(
-        n_parties, epsilon
-    )
-    num_chunks = max(1, math.ceil(inner_length / chunk_length))
-    depth = math.ceil(math.log2(num_chunks)) + simulator.extra_levels
+    chunk_length = report.extra["chunk_length"]
+    repetitions = report.extra["repetitions"]
+    verification_repetitions = report.extra["verification_repetitions"]
     level_repetition_step = simulator.level_repetition_step
-    code, decoder = _shared_codebook(
-        params, chunk_length, noise, codebook_cache
-    )
-
-    report = SimulationReport(
-        scheme=type(simulator).__name__,
-        inner_length=inner_length,
-        extra={
-            "repetitions": repetitions,
-            "verification_repetitions": verification_repetitions,
-            "chunk_length": chunk_length,
-            "depth": depth,
-            "leaf_budget": 1 << depth,
-            "codeword_length": code.codeword_length,
-        },
+    decoder = _owners_decoder(
+        simulator.params, chunk_length, noise, codebook_cache
     )
 
     shared = _shared_channel(channel, flips)
@@ -170,6 +146,7 @@ def simulate_hierarchical(
     # check follows every ``2**l``-th leaf (lowest level first).  A loop,
     # not a recursive closure: that would form a reference cycle holding
     # the trial's noise stream and programs until a gen-2 collection.
+    depth = report.extra["depth"]
     for index in range(1 << depth):
         leaf()
         level = 1
@@ -189,16 +166,6 @@ def simulate_hierarchical(
         outputs = programs.outputs()
     else:
         committed = [bit for chunk in chunk_pis for bit in chunk]
-        committed = committed[:inner_length]
         padded = committed + [0] * (inner_length - len(committed))
         outputs = programs.outputs_over(padded)
-
-    report.simulated_rounds = shared.stats.rounds
-    simulator._enforce_completion(report)
-    return CollapsedOutcome(
-        outputs=outputs,
-        rounds=shared.stats.rounds,
-        channel_stats=shared.stats,
-        beeps_per_party=tuple(int(value) for value in energy),
-        report=report,
-    )
+    return _finish(simulator, report, shared, energy, outputs)

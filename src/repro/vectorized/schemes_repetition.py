@@ -31,11 +31,11 @@ import numpy as _np
 from repro.channels.base import Channel
 from repro.core.protocol import Protocol
 from repro.errors import ProtocolDesyncError
-from repro.simulation.base import SimulationReport
 from repro.simulation.repetition_sim import RepetitionSimulator
 from repro.vectorized.noise import FlipSource
 from repro.vectorized.schemes import (
     CollapsedOutcome,
+    _finish,
     _InnerPrograms,
     _shared_channel,
 )
@@ -62,12 +62,9 @@ def simulate_repetition(
     the repetition scheme has no codebook.
     """
     del codebook_cache
-    inner_length = simulator._require_fixed_length(protocol)
-    noise = simulator._resolve_noise_model(channel)
-    # Repetition must beat the worse of the two flip directions.
-    epsilon = max(noise.up, noise.down)
+    report, _ = simulator.plan(protocol, channel)
+    repetitions = report.extra["repetitions"]
     n_parties = protocol.n_parties
-    repetitions = simulator.params.resolve_repetitions(n_parties, epsilon)
 
     shared = _shared_channel(channel, flips)
     per_party = shared.kind == "per_party"
@@ -102,17 +99,4 @@ def simulate_repetition(
         decoded = 1 if 2 * ones > repetitions else 0
         programs.advance(decoded)
 
-    report = SimulationReport(
-        scheme=type(simulator).__name__,
-        inner_length=inner_length,
-        simulated_rounds=shared.stats.rounds,
-        completed=True,
-        extra={"repetitions": repetitions},
-    )
-    return CollapsedOutcome(
-        outputs=programs.outputs(),
-        rounds=shared.stats.rounds,
-        channel_stats=shared.stats,
-        beeps_per_party=tuple(energy),
-        report=report,
-    )
+    return _finish(simulator, report, shared, energy, programs.outputs())

@@ -1,16 +1,21 @@
 """Unit tests for the exception hierarchy and failure policies."""
 
+import random
+from functools import partial
+
 import pytest
 
 from repro import errors
-from repro.channels import CorrelatedNoiseChannel
+from repro.channels import CorrelatedNoiseChannel, SuppressionNoiseChannel
 from repro.errors import ConfigurationError, SimulationBudgetExceeded
 from repro.simulation import (
     ChunkCommitSimulator,
     HierarchicalSimulator,
+    RewindSimulator,
     SimulationParameters,
 )
 from repro.tasks import InputSetTask
+from repro.vectorized import simulate_rewind
 
 
 class TestHierarchy:
@@ -130,6 +135,28 @@ class TestOnIncompletePolicy:
             except SimulationBudgetExceeded:
                 raised += 1
         assert raised >= 3
+
+    def test_rewind_raise_reports_working_length(self):
+        """An exhausted rewind walk raises with its final working-prefix
+        length, in the scalar and the collapsed form alike."""
+        task = InputSetTask(8)
+        protocol = task.noiseless_protocol()
+        inputs = task.sample_inputs(random.Random(0))
+        params = SimulationParameters(
+            rewind_budget_factor=1.0, rewind_budget_extra=2
+        )
+        padded = RewindSimulator(params).simulate(
+            protocol, inputs, SuppressionNoiseChannel(0.3, rng=1)
+        )
+        report = padded.metadata["report"]
+        assert not report.completed
+        working_length = report.extra["working_length"]
+        assert working_length > 0
+        strict = RewindSimulator(params, on_incomplete="raise")
+        for run in (strict.simulate, partial(simulate_rewind, strict)):
+            with pytest.raises(SimulationBudgetExceeded) as caught:
+                run(protocol, inputs, SuppressionNoiseChannel(0.3, rng=1))
+            assert caught.value.committed_rounds == working_length
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ConfigurationError):

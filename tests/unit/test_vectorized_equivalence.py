@@ -22,7 +22,11 @@ rewind), mirroring that suite's structure:
 
 from __future__ import annotations
 
+import random
+
 import pytest
+
+import repro.vectorized.network as vnetwork
 
 from repro.channels import (
     BudgetedAdversaryChannel,
@@ -49,14 +53,24 @@ from repro.simulation import (
     RepetitionSimulator,
     RewindSimulator,
 )
+from repro.core.formal import NoiseModel
 from repro.errors import ConfigurationError
+from repro.network import (
+    LocalBroadcastSimulator,
+    MISTask,
+    NetworkBeepingChannel,
+    TopologySpec,
+)
 from repro.simulation import SimulationParameters
-from repro.tasks import ParityTask
+from repro.tasks import InputSetTask, ParityTask
 from repro.vectorized import (
     CHANNEL_KINDS,
     ChannelKind,
     VectorizedRunner,
     simulate_chunked,
+    simulate_hierarchical,
+    simulate_repetition,
+    simulate_rewind,
 )
 
 # The ten channel families of test_legacy_equivalence, as picklable specs.
@@ -229,3 +243,94 @@ class TestFlipSources:
                 [0, 1, 1],
                 _UnsourcedChannel(0.2, rng=1),
             )
+
+
+#: (collapsed form, simulator) pairs: each scheme at its defaults and at
+#: one non-default plan.
+PLAN_CASES = {
+    "chunk": (simulate_chunked, ChunkCommitSimulator()),
+    "chunk-tuned": (
+        simulate_chunked,
+        ChunkCommitSimulator(
+            SimulationParameters(
+                chunk_length=3, repetitions=5, attempt_slack=2.0
+            )
+        ),
+    ),
+    "hierarchical": (simulate_hierarchical, HierarchicalSimulator()),
+    "hierarchical-flat": (
+        simulate_hierarchical,
+        HierarchicalSimulator(extra_levels=0),
+    ),
+    "rewind": (simulate_rewind, RewindSimulator()),
+    "rewind-tight": (
+        simulate_rewind,
+        RewindSimulator(SimulationParameters(rewind_budget_factor=1.5)),
+    ),
+    "repetition": (simulate_repetition, RepetitionSimulator()),
+    "repetition-tuned": (
+        simulate_repetition,
+        RepetitionSimulator(SimulationParameters(repetitions=3)),
+    ),
+}
+
+
+class TestOnePlan:
+    """The scalar and collapsed forms run on one round plan: their whole
+    reports agree, including the ``extra`` counts no ``TrialRecord``
+    carries."""
+
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    def test_reports_equal(self, case):
+        collapsed, simulator = PLAN_CASES[case]
+        channel_type = (
+            SuppressionNoiseChannel
+            if collapsed is simulate_rewind
+            else CorrelatedNoiseChannel
+        )
+        task = InputSetTask(4)
+        protocol = task.noiseless_protocol()
+        for seed in range(3):
+            inputs = task.sample_inputs(random.Random(seed))
+            scalar = simulator.simulate(
+                protocol, inputs, channel_type(0.2, rng=seed)
+            )
+            outcome = collapsed(
+                simulator, protocol, inputs, channel_type(0.2, rng=seed)
+            )
+            assert (
+                outcome.report.to_dict()
+                == scalar.metadata["report"].to_dict()
+            ), seed
+
+    @pytest.mark.parametrize("repetitions", [None, 3])
+    @pytest.mark.parametrize("noise_model", [None, NoiseModel.two_sided(0.1)])
+    def test_local_broadcast_k_is_the_scalar_repetitions(
+        self, monkeypatch, repetitions, noise_model
+    ):
+        """The batched kernel repeats each inner round exactly the
+        scalar report's ``extra["repetitions"]`` times."""
+        kernel_channel = vnetwork._BatchNetworkChannel
+        kernel_ks = []
+
+        def spy(*args, **kwargs):
+            kernel_ks.append(kwargs["repetitions"])
+            return kernel_channel(*args, **kwargs)
+
+        monkeypatch.setattr(vnetwork, "_BatchNetworkChannel", spy)
+        spec = TopologySpec.of("grid", rows=3, cols=3)
+        task = MISTask(spec.build(), cycles=1)
+        executor = SimulationExecutor(
+            task=task,
+            channel=ChannelSpec.of(NetworkBeepingChannel, 0.05, topology=spec),
+            simulator=SimulatorSpec.of(
+                LocalBroadcastSimulator,
+                SimulationParameters(repetitions=repetitions),
+                noise_model,
+            ),
+        )
+        runner = VectorizedRunner()
+        runner.run_trials(task, executor, 2, seed=5)
+        assert runner.last_fallback_reason is None
+        scalar = executor(task.sample_inputs(random.Random(0)), 0)
+        assert kernel_ks == [scalar.metadata["report"].extra["repetitions"]]
