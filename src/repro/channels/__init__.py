@@ -20,9 +20,14 @@ subpackage implements every channel variant the paper discusses:
   a two-sided ε=1/4 channel.
 * :class:`BurstNoiseChannel` — Gilbert–Elliott bursty correlated noise,
   modelling §1.2's "global interferences" arriving in runs.
+
+The noiseless, correlated, one-sided, suppression and independent channels
+share one implementation, :class:`ThresholdNoiseChannel`, and differ only
+in the ``flips`` pair they declare: which true OR values a ``u < ε`` draw
+can flip.
 """
 
-from repro.channels.base import Channel, RoundOutcome
+from repro.channels.base import Channel, RoundOutcome, ThresholdNoiseChannel
 from repro.channels.stats import ChannelStats
 from repro.channels.noiseless import NoiselessChannel
 from repro.channels.correlated import CorrelatedNoiseChannel
@@ -39,6 +44,7 @@ from repro.channels.scripted import ScriptedChannel
 __all__ = [
     "Channel",
     "RoundOutcome",
+    "ThresholdNoiseChannel",
     "ChannelStats",
     "NoiselessChannel",
     "CorrelatedNoiseChannel",

@@ -4,6 +4,11 @@ A channel is the only shared medium in the beeping model.  Its one operation,
 :meth:`Channel.transmit`, takes the bits beeped by the parties in a round and
 returns a :class:`RoundOutcome` describing what each party received.
 
+:class:`ThresholdNoiseChannel` is the one implementation of the paper's
+i.i.d. ε-noise laws: a channel class declares only its ``flips`` pair —
+which true OR values a ``u < ε`` draw can flip — and inherits every
+delivery path.
+
 Channels own their randomness: each instance carries its own
 :class:`random.Random`, seeded at construction, so that an execution is fully
 reproducible from ``(protocol seed, channel seed)``.
@@ -17,11 +22,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.channels.stats import ChannelStats
-from repro.errors import ChannelError, TranscriptError
+from repro.errors import ChannelError, ConfigurationError, TranscriptError
 from repro.rng import ensure_rng
 from repro.util.bits import BitWord, or_reduce, validate_bits
 
-__all__ = ["Channel", "RoundOutcome"]
+__all__ = ["Channel", "RoundOutcome", "ThresholdNoiseChannel"]
 
 
 @dataclass(frozen=True)
@@ -79,15 +84,18 @@ class Channel(ABC):
 
     Subclasses implement :meth:`_deliver`, mapping the true OR of a round to
     the tuple of received bits.  ``transmit`` validates inputs, computes the
-    OR, delegates to ``_deliver`` and records statistics.
+    OR, delegates to ``_deliver`` and records statistics.  The ε-noise
+    channels do not: they declare a ``flips`` pair on
+    :class:`ThresholdNoiseChannel`, which implements every delivery path.
 
     Correlated channels additionally expose the block interface used by the
     engine's fast path: :meth:`transmit_shared` returns the single shared
     received bit (every party's view) without ever building the
-    ``(bit,) * n`` received tuple or a :class:`RoundOutcome`.  Channels
-    whose noise is driven by uniform draws consume them through
-    :meth:`_next_noise_float`, which pre-draws ``random()`` values in
-    fixed-size blocks.  The *call sequence* into the underlying
+    ``(bit,) * n`` received tuple or a :class:`RoundOutcome`, and
+    :meth:`transmit_shared_run` delivers a run of rounds with one true
+    OR.  Channels whose noise is driven by uniform draws consume them
+    through :meth:`_next_noise_float`, which pre-draws ``random()``
+    values in fixed-size blocks.  The *call sequence* into the underlying
     :class:`random.Random` is the per-round sequence of the seed engine
     (one ``random()`` per decision, in the same order), so delivered bits
     are bitwise identical to per-round drawing for any seed.
@@ -131,8 +139,9 @@ class Channel(ABC):
 
         Default: delegate to :meth:`_deliver` for a single party, which is
         draw-order identical for every correlated channel here (their
-        randomness never depends on the party count).  Hot channels
-        override this to skip the 1-tuple entirely.
+        randomness never depends on the party count).
+        :class:`ThresholdNoiseChannel` overrides this to skip the 1-tuple
+        entirely.
         """
         return self._deliver(or_value, 1)[0]
 
@@ -180,43 +189,11 @@ class Channel(ABC):
         Default: ``count`` sequential :meth:`_deliver_shared` calls, which
         is draw-order identical to per-round transmission for every
         channel (including stateful ones — each round's decision happens
-        in order).  Hot channels override this with a block loop over the
-        buffered noise floats.
+        in order).  :class:`ThresholdNoiseChannel` overrides this with a
+        block loop over the buffered noise floats.
         """
         deliver = self._deliver_shared
         return bytes(bytearray(deliver(or_value) for _ in range(count)))
-
-    def _threshold_run(self, count: int, hit: int, miss: int) -> bytes:
-        """``count`` noise draws as bytes: ``hit`` where the draw is below
-        ``self.epsilon``, ``miss`` elsewhere.
-
-        The run loop of the ε-threshold channels' :meth:`_deliver_shared_run`
-        overrides.  It slices the buffered float blocks directly, consuming
-        exactly the draws (and the order) of ``count``
-        :meth:`_next_noise_float` calls, and leaves the block buffer in the
-        state those calls would.
-        """
-        epsilon = self.epsilon
-        received = b""
-        while count:
-            pos = self._noise_pos
-            floats = self._noise_floats
-            if pos >= len(floats):
-                rand = self._rng.random
-                floats = [rand() for _ in range(self._NOISE_BLOCK)]
-                self._noise_floats = floats
-                pos = 0
-            take = len(floats) - pos
-            if take > count:
-                take = count
-            end = pos + take
-            # A list comprehension: bytes() of a list beats a generator.
-            received += bytes(
-                [hit if value < epsilon else miss for value in floats[pos:end]]
-            )
-            self._noise_pos = end
-            count -= take
-        return received
 
     def transmit_shared_run(
         self, or_value: int, beeps: int, count: int
@@ -296,3 +273,100 @@ class Channel(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+class ThresholdNoiseChannel(Channel):
+    """i.i.d. ε-noise: a round whose true OR draws is XOR-ed with ``u < ε``.
+
+    The paper's single-hop noise laws differ only in which true OR values
+    a noise draw can flip, so each is a class-level ``flips`` declaration
+    ``(OR = 0 rounds draw, OR = 1 rounds draw)``: two-sided (True, True),
+    one-sided 0→1 (True, False), suppression 1→0 (False, True) and
+    noiseless (False, False).  A round whose OR does not draw is delivered
+    unchanged and consumes no draw, so the draw sequence is data-dependent
+    exactly as the paper's channels are.  This class implements every
+    delivery path — per round, shared and run — once.
+
+    Args:
+        epsilon: Flip probability of a drawing round; must lie in
+            ``[0, 1)``.
+        rng: Noise source (seed, generator, or ``None`` for
+            nondeterministic).
+    """
+
+    #: (OR = 0 rounds draw, OR = 1 rounds draw).
+    flips: tuple[bool, bool] = (True, True)
+
+    def __init__(
+        self, epsilon: float, rng: random.Random | int | None = None
+    ) -> None:
+        if not 0.0 <= epsilon < 1.0:
+            raise ConfigurationError(
+                f"epsilon must be in [0, 1), got {epsilon}"
+            )
+        super().__init__(rng)
+        self.epsilon = epsilon
+
+    def _deliver(self, or_value: int, n_parties: int) -> BitWord:
+        if self.flips[or_value] and self._next_noise_float() < self.epsilon:
+            or_value ^= 1
+        return (or_value,) * n_parties
+
+    def _deliver_shared(self, or_value: int) -> int:
+        # The engine's hot path: block-buffered draw, inlined to avoid a
+        # second function call per round.  Same draw sequence as _deliver.
+        if not self.flips[or_value]:
+            return or_value
+        pos = self._noise_pos
+        floats = self._noise_floats
+        if pos >= len(floats):
+            rand = self._rng.random
+            floats = [rand() for _ in range(self._NOISE_BLOCK)]
+            self._noise_floats = floats
+            pos = 0
+        self._noise_pos = pos + 1
+        if floats[pos] < self.epsilon:
+            return or_value ^ 1
+        return or_value
+
+    def _deliver_shared_run(self, or_value: int, count: int) -> bytes:
+        # A non-drawing run passes through draw-free; a drawing run
+        # consumes one draw per round, same order as per-round.
+        if not self.flips[or_value]:
+            return bytes((or_value,)) * count
+        return self._threshold_run(count, or_value ^ 1, or_value)
+
+    def _threshold_run(self, count: int, hit: int, miss: int) -> bytes:
+        """``count`` noise draws as bytes: ``hit`` where the draw is below
+        ``self.epsilon``, ``miss`` elsewhere.
+
+        The run loop of :meth:`_deliver_shared_run`, and the collapsed
+        replay's standalone flip source.  It slices the buffered float
+        blocks directly, consuming exactly the draws (and the order) of
+        ``count`` :meth:`_next_noise_float` calls, and leaves the block
+        buffer in the state those calls would.
+        """
+        epsilon = self.epsilon
+        received = b""
+        while count:
+            pos = self._noise_pos
+            floats = self._noise_floats
+            if pos >= len(floats):
+                rand = self._rng.random
+                floats = [rand() for _ in range(self._NOISE_BLOCK)]
+                self._noise_floats = floats
+                pos = 0
+            take = len(floats) - pos
+            if take > count:
+                take = count
+            end = pos + take
+            # A list comprehension: bytes() of a list beats a generator.
+            received += bytes(
+                [hit if value < epsilon else miss for value in floats[pos:end]]
+            )
+            self._noise_pos = end
+            count -= take
+        return received
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}(epsilon={self.epsilon})"

@@ -47,6 +47,9 @@ class BurstNoiseChannel(Channel):
     """
 
     correlated = True
+    #: Every round draws, whatever its OR (the
+    #: :class:`~repro.channels.base.ThresholdNoiseChannel` declaration).
+    flips = (True, True)
 
     def __init__(
         self,

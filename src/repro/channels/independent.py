@@ -9,34 +9,23 @@ simulation here.  Experiment E7 contrasts the two noise models empirically.
 
 from __future__ import annotations
 
-import random
-
-from repro.channels.base import Channel
-from repro.errors import ConfigurationError
+from repro.channels.base import ThresholdNoiseChannel
 from repro.util.bits import BitWord
 
 __all__ = ["IndependentNoiseChannel"]
 
 
-class IndependentNoiseChannel(Channel):
+class IndependentNoiseChannel(ThresholdNoiseChannel):
     """Every party independently receives ``OR ⊕ N_ε``.
 
     ``correlated`` is False: protocol code requiring a shared transcript
     (e.g. the owners phase bookkeeping) must tolerate divergent views or
-    refuse to run over this channel.
+    refuse to run over this channel.  Every reception draws:
+    ``flips = (True, True)``, once per party.
     """
 
     correlated = False
-
-    def __init__(
-        self, epsilon: float, rng: random.Random | int | None = None
-    ) -> None:
-        if not 0.0 <= epsilon < 1.0:
-            raise ConfigurationError(
-                f"epsilon must be in [0, 1), got {epsilon}"
-            )
-        super().__init__(rng)
-        self.epsilon = epsilon
+    flips = (True, True)
 
     def _deliver(self, or_value: int, n_parties: int) -> BitWord:
         # One block-buffered draw per party, in party order — the seed
@@ -47,6 +36,3 @@ class IndependentNoiseChannel(Channel):
             or_value ^ 1 if next_float() < epsilon else or_value
             for _ in range(n_parties)
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"IndependentNoiseChannel(epsilon={self.epsilon})"

@@ -7,25 +7,23 @@ every noisy channel in this package.
 
 from __future__ import annotations
 
-from repro.channels.base import Channel
-from repro.util.bits import BitWord
+import random
+
+from repro.channels.base import ThresholdNoiseChannel
 
 __all__ = ["NoiselessChannel"]
 
 
-class NoiselessChannel(Channel):
-    """Delivers the true OR to every party, always."""
+class NoiselessChannel(ThresholdNoiseChannel):
+    """Delivers the true OR to every party, always.
 
-    correlated = True
+    No round draws: ``flips = (False, False)``, at ε = 0.
+    """
 
-    def _deliver(self, or_value: int, n_parties: int) -> BitWord:
-        return (or_value,) * n_parties
+    flips = (False, False)
 
-    def _deliver_shared(self, or_value: int) -> int:
-        return or_value
-
-    def _deliver_shared_run(self, or_value: int, count: int) -> bytes:
-        return (b"\x01" if or_value else b"\x00") * count
+    def __init__(self, rng: random.Random | int | None = None) -> None:
+        super().__init__(0.0, rng)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "NoiselessChannel()"

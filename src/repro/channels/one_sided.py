@@ -16,97 +16,28 @@ the conceptual heart of the paper and is measured by experiment E3.
 
 from __future__ import annotations
 
-import random
-
-from repro.channels.base import Channel
-from repro.errors import ConfigurationError
-from repro.util.bits import BitWord
+from repro.channels.base import ThresholdNoiseChannel
 
 __all__ = ["OneSidedNoiseChannel", "SuppressionNoiseChannel"]
 
 
-class OneSidedNoiseChannel(Channel):
+class OneSidedNoiseChannel(ThresholdNoiseChannel):
     """Noise flips 0→1 only: ``π_m = OR`` if ``OR = 1``, else ``N_ε``.
 
     This is the model of Theorem C.1; a received 0 is always correct.
+    Only silent rounds draw: ``flips = (True, False)``.
     """
 
-    correlated = True
-
-    def __init__(
-        self, epsilon: float, rng: random.Random | int | None = None
-    ) -> None:
-        if not 0.0 <= epsilon < 1.0:
-            raise ConfigurationError(
-                f"epsilon must be in [0, 1), got {epsilon}"
-            )
-        super().__init__(rng)
-        self.epsilon = epsilon
-
-    def _deliver(self, or_value: int, n_parties: int) -> BitWord:
-        if or_value == 1:
-            received = 1
-        else:
-            received = 1 if self._next_noise_float() < self.epsilon else 0
-        return (received,) * n_parties
-
-    def _deliver_shared(self, or_value: int) -> int:
-        # A beep always gets through; only silent rounds draw noise (the
-        # same data-dependent draw sequence as _deliver).
-        if or_value == 1:
-            return 1
-        return 1 if self._next_noise_float() < self.epsilon else 0
-
-    def _deliver_shared_run(self, or_value: int, count: int) -> bytes:
-        # Beeping runs pass through draw-free; silent runs consume one
-        # draw per round, same order as per-round.
-        if or_value == 1:
-            return b"\x01" * count
-        return self._threshold_run(count, 1, 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"OneSidedNoiseChannel(epsilon={self.epsilon})"
+    flips = (True, False)
 
 
-class SuppressionNoiseChannel(Channel):
+class SuppressionNoiseChannel(ThresholdNoiseChannel):
     """Noise flips 1→0 only: a beep may be suppressed, silence never lies.
 
     A received 1 is always correct, so any party whose beep disappeared can
     raise a trustworthy alarm — the property behind the constant-overhead
-    simulation (experiment E3).
+    simulation (experiment E3).  Only beeping rounds draw:
+    ``flips = (False, True)``.
     """
 
-    correlated = True
-
-    def __init__(
-        self, epsilon: float, rng: random.Random | int | None = None
-    ) -> None:
-        if not 0.0 <= epsilon < 1.0:
-            raise ConfigurationError(
-                f"epsilon must be in [0, 1), got {epsilon}"
-            )
-        super().__init__(rng)
-        self.epsilon = epsilon
-
-    def _deliver(self, or_value: int, n_parties: int) -> BitWord:
-        if or_value == 0:
-            received = 0
-        else:
-            received = 0 if self._next_noise_float() < self.epsilon else 1
-        return (received,) * n_parties
-
-    def _deliver_shared(self, or_value: int) -> int:
-        # Silence is never flipped; only beeping rounds draw noise.
-        if or_value == 0:
-            return 0
-        return 0 if self._next_noise_float() < self.epsilon else 1
-
-    def _deliver_shared_run(self, or_value: int, count: int) -> bytes:
-        # Silent runs pass through draw-free; beeping runs consume one
-        # draw per round, same order as per-round.
-        if or_value == 0:
-            return b"\x00" * count
-        return self._threshold_run(count, 0, 1)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SuppressionNoiseChannel(epsilon={self.epsilon})"
+    flips = (False, True)

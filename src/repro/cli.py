@@ -47,6 +47,8 @@ from repro.analysis.sweep import SweepSpec, run_sweep_point
 from repro.service.cli import (
     add_common_run_args,
     add_sweep_parser,
+    positive_int,
+    probability,
     runner_from_args,
     scenario_from_args,
 )
@@ -418,7 +420,7 @@ def _add_scenario_args(
     )
     parser.add_argument(
         "--n",
-        type=int,
+        type=positive_int,
         default=None,
         help="party count (default: 8; with --topology: the spec's "
         "pinned size, or 64)",
@@ -431,7 +433,7 @@ def _add_scenario_args(
         help="default: correlated (single-hop) / independent "
         "(with --topology)",
     )
-    parser.add_argument("--epsilon", type=float, default=0.1)
+    parser.add_argument("--epsilon", type=probability, default=0.1)
     simulators = sorted(_SIMULATORS)
     if not include_simulator_none:
         simulators = [name for name in simulators if name != "none"]
@@ -488,13 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     overhead.add_argument(
         "--ns",
-        type=int,
+        type=positive_int,
         nargs="+",
         default=None,
         help="party counts (default: 4 8 16 32; with --topology: the "
         "spec's pinned size, or 64 256)",
     )
-    overhead.add_argument("--epsilon", type=float, default=0.1)
+    overhead.add_argument("--epsilon", type=probability, default=0.1)
     _add_topology_arg(overhead)
     overhead.add_argument(
         "--simulator",
@@ -520,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate.add_argument(
         "--ns",
-        type=int,
+        type=positive_int,
         nargs="+",
         default=[2, 4, 8, 16, 32],
         help="party counts to measure (crossovers are monotone in n)",

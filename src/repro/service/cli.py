@@ -57,6 +57,7 @@ __all__ = [
     "runner_from_args",
     "scenario_from_args",
     "positive_int",
+    "probability",
 ]
 
 _DEFAULT_CACHE_DIR = ".repro-cache"
@@ -67,6 +68,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def probability(text: str) -> float:
+    """``argparse`` type for noise rates, which must lie in ``[0, 1)``."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
     return value
 
 
@@ -161,7 +170,7 @@ def _add_grid_args(
     )
     parser.add_argument(
         "--ns",
-        type=int,
+        type=positive_int,
         nargs="+",
         default=None,
         help="party counts, one grid point each "
@@ -180,7 +189,7 @@ def _add_grid_args(
         default=None,
         help="default: correlated (single-hop) / independent (with --topology)",
     )
-    parser.add_argument("--epsilon", type=float, default=0.1)
+    parser.add_argument("--epsilon", type=probability, default=0.1)
     parser.add_argument(
         "--simulator",
         choices=sorted(SIMULATORS),

@@ -260,7 +260,7 @@ class SweepGrid:
         ns: Party counts, one grid point each (order is identity: the
             same values in a different order is a different sweep).
         channel: Channel registry name (see :data:`CHANNELS`).
-        epsilon: Channel noise rate.
+        epsilon: Channel noise rate, in ``[0, 1)``.
         simulator: Simulator registry name; ``"none"`` runs the raw
             noiseless protocol over the noisy channel.
         trials: Trials per grid point.
@@ -293,6 +293,10 @@ class SweepGrid:
         if self.trials < 1:
             raise ConfigurationError(
                 f"trials must be >= 1, got {self.trials}"
+            )
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ConfigurationError(
+                f"epsilon must be in [0, 1), got {self.epsilon}"
             )
         topology = self.topology
         if topology is not None and not isinstance(topology, TopologySpec):

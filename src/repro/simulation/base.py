@@ -25,15 +25,8 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
 
-from repro.channels.base import Channel
+from repro.channels.base import Channel, ThresholdNoiseChannel
 from repro.channels.burst import BurstNoiseChannel
-from repro.channels.correlated import CorrelatedNoiseChannel
-from repro.channels.independent import IndependentNoiseChannel
-from repro.channels.noiseless import NoiselessChannel
-from repro.channels.one_sided import (
-    OneSidedNoiseChannel,
-    SuppressionNoiseChannel,
-)
 from repro.channels.reduction import SharedFlipReductionChannel
 from repro.core.engine import run_protocol
 from repro.core.formal import NoiseModel
@@ -56,22 +49,18 @@ def infer_noise_model(channel: Channel) -> NoiseModel:
 
     Raises :class:`ConfigurationError` for channel types whose noise law is
     not known here — pass an explicit ``noise_model`` to the simulator in
-    that case.
+    that case.  A :class:`~repro.channels.base.ThresholdNoiseChannel`
+    flips with probability ε exactly the true OR values its ``flips``
+    pair declares.
     """
-    if isinstance(channel, NoiselessChannel):
-        return NoiseModel(up=0.0, down=0.0)
-    if isinstance(channel, OneSidedNoiseChannel):
-        return NoiseModel.one_sided(channel.epsilon)
-    if isinstance(channel, SuppressionNoiseChannel):
-        return NoiseModel.suppression(channel.epsilon)
-    if isinstance(channel, SharedFlipReductionChannel):
-        down, up = (
-            channel.emulated_epsilon[0],
-            channel.emulated_epsilon[1],
+    if isinstance(channel, ThresholdNoiseChannel):
+        up, down = channel.flips
+        return NoiseModel(
+            up=channel.epsilon * up, down=channel.epsilon * down
         )
+    if isinstance(channel, SharedFlipReductionChannel):
+        down, up = channel.emulated_epsilon
         return NoiseModel(up=up, down=down)
-    if isinstance(channel, (CorrelatedNoiseChannel, IndependentNoiseChannel)):
-        return NoiseModel.two_sided(channel.epsilon)
     if isinstance(channel, BurstNoiseChannel):
         # The schemes are designed for i.i.d. noise; the stationary flip
         # rate is the honest i.i.d. approximation of a bursty channel and

@@ -11,7 +11,7 @@ bit-matrices, bitwise-equivalent to the scalar engine trial by trial:
 * :mod:`repro.vectorized.decoder` — whole-codebook ML decoding;
 * :mod:`repro.vectorized.schemes` — the collapsed chunk-commit and
   rewind simulations, the collapsed finding-owners phase
-  (:func:`simulate_owners`), the replayable channel kinds and their
+  (:func:`simulate_owners`), the replayable channel types and their
   flip sources, plus the shared phase-1/2 machinery;
 * :mod:`repro.vectorized.schemes_repetition` /
   :mod:`repro.vectorized.schemes_hierarchical` — the collapsed
@@ -54,7 +54,6 @@ from repro.vectorized.noise import (
 from repro.vectorized.runner import VectorizedRunner
 from repro.vectorized.schemes import (
     CHANNEL_KINDS,
-    ChannelKind,
     CollapsedOutcome,
     flip_sources,
     simulate_chunked,
@@ -76,7 +75,6 @@ __all__ = [
     "popcount_rows",
     "VectorizedMLDecoder",
     "CHANNEL_KINDS",
-    "ChannelKind",
     "CollapsedOutcome",
     "flip_sources",
     "simulate_chunked",

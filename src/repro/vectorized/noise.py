@@ -1,11 +1,12 @@
 """Vectorized shared-noise streams, bitwise-matched to the scalar channels.
 
-Every correlated channel in this package decides its per-round noise with a
-single comparison ``u < ε`` against the next uniform draw of its
-``random.Random`` (see ``Channel._next_noise_float`` and the
-``_deliver_shared`` overrides): the correlated channel draws every round,
-the one-sided channel only on silent rounds, the suppression channel only
-on beeping rounds.  That means the *flip indicator stream* — the sequence
+Every i.i.d. noise channel in this package decides its per-round noise
+with a single comparison ``u < ε`` against the next uniform draw of its
+``random.Random`` (see :class:`~repro.channels.base.ThresholdNoiseChannel`
+and ``Channel._next_noise_float``), made only in the rounds whose true OR
+its ``flips`` pair marks as drawing: the correlated channel draws every
+round, the one-sided channel only on silent rounds, the suppression
+channel only on beeping rounds.  That means the *flip indicator stream* — the sequence
 ``[u_0 < ε, u_1 < ε, ...]`` in draw order — fully determines a channel's
 behaviour, and a trial's noise can be replayed bitwise from any generator
 producing the same uniforms.

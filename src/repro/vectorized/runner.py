@@ -131,12 +131,11 @@ def _single_hop_route(
     if collapsed is None:
         return None, scheme, f"no collapsed form for {scheme}"
     probe = executor.channel.make(probe_seed)
-    kind = CHANNEL_KINDS.get(type(probe))
-    if kind is None:
+    if type(probe) not in CHANNEL_KINDS:
         return None, scheme, (
             f"no collapsed replay for {type(probe).__name__}"
         )
-    if kind.rule == "per_party":
+    if not probe.correlated:
         scheme += "@independent"
     return (simulator, collapsed), scheme, None
 

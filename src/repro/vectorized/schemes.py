@@ -25,19 +25,17 @@ cap or iteration budget — the same plan the scalar ``simulate`` runs on,
 so the two forms never derive a count twice.
 
 :data:`CHANNEL_KINDS` lists the channel classes that replay, each with
-its draw rule and flip source:
-
-* noiseless — no draws;
-* correlated and burst — the OR XOR-ed with one shared noise bit per
-  round.  Correlated noise is an i.i.d. ``u < ε`` stream; burst noise
-  (Gilbert–Elliott) is pulled from the channel's own delivery, which
-  advances its Markov state;
-* one-sided and suppression — one ``u < ε`` draw per silent (resp.
-  beeping) round only;
-* independent — one ``u < ε`` draw per party per round, in party order.
-  Only the repetition scheme replays it (each party majority-votes its
-  own receptions); the shared-transcript schemes raise the scalar
-  "requires a correlated channel" error.
+its flip source.  The draw rule is the channel's own declared ``flips``
+pair (:class:`~repro.channels.base.ThresholdNoiseChannel`): a round whose
+true OR draws is XOR-ed with the next flip indicator, any other round is
+delivered unchanged — noiseless (no draws), correlated and burst (every
+round), one-sided (silent rounds), suppression (beeping rounds).
+Correlated noise is an i.i.d. ``u < ε`` stream; burst noise
+(Gilbert–Elliott) is pulled from the channel's own delivery, which
+advances its Markov state.  Independent noise draws one ``u < ε`` per
+party per round, in party order.  Only the repetition scheme replays it
+(each party majority-votes its own receptions); the shared-transcript
+schemes raise the scalar "requires a correlated channel" error.
 
 :func:`simulate_owners` runs Algorithm 1's finding-owners phase
 (:class:`~repro.simulation.owners.OwnersProtocol`) on the same collapsed
@@ -53,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as _np
 
@@ -89,7 +87,6 @@ from repro.vectorized.noise import BatchFlips, ChannelFlips, FlipSource
 
 __all__ = [
     "CHANNEL_KINDS",
-    "ChannelKind",
     "CollapsedOutcome",
     "flip_sources",
     "simulate_chunked",
@@ -103,31 +100,19 @@ __all__ = [
 # _chunk_phase12, _chunk_flags, _owners_decoder).
 
 
-class ChannelKind(NamedTuple):
-    """How a registered channel class is replayed.
-
-    ``rule`` is the draw rule :class:`_SharedChannel` applies:
-    ``"noiseless"``, ``"xor"`` (one flip indicator per round, XOR-ed
-    into the OR), ``"one_sided"``, ``"suppression"`` or ``"per_party"``
-    (one indicator per party per round).  ``flips`` names the flip
-    source :func:`flip_sources` builds: ``"none"`` (never drawn),
-    ``"epsilon"`` (i.i.d. ``u < channel.epsilon`` draws) or
-    ``"channel"`` (pulled from ``channel._deliver_shared_run(0, k)``).
-    """
-
-    rule: str
-    flips: str | None
-
-
-#: Channel classes the collapsed schemes can replay bitwise.  Exact
-#: types: a subclass may override delivery and must take the scalar path.
-CHANNEL_KINDS: dict[type, ChannelKind] = {
-    NoiselessChannel: ChannelKind("noiseless", "none"),
-    CorrelatedNoiseChannel: ChannelKind("xor", "epsilon"),
-    OneSidedNoiseChannel: ChannelKind("one_sided", "epsilon"),
-    SuppressionNoiseChannel: ChannelKind("suppression", "epsilon"),
-    BurstNoiseChannel: ChannelKind("xor", "channel"),
-    IndependentNoiseChannel: ChannelKind("per_party", "epsilon"),
+#: Channel classes the collapsed schemes can replay bitwise, each mapped
+#: to the flip source :func:`flip_sources` builds for it: ``"none"``
+#: (never drawn), ``"epsilon"`` (i.i.d. ``u < channel.epsilon`` draws) or
+#: ``"channel"`` (pulled from ``channel._deliver_shared_run(0, k)``).
+#: Exact types: a subclass may override delivery and must take the
+#: scalar path.
+CHANNEL_KINDS: dict[type, str | None] = {
+    NoiselessChannel: "none",
+    CorrelatedNoiseChannel: "epsilon",
+    OneSidedNoiseChannel: "epsilon",
+    SuppressionNoiseChannel: "epsilon",
+    BurstNoiseChannel: "channel",
+    IndependentNoiseChannel: "epsilon",
 }
 
 
@@ -164,50 +149,44 @@ class _SharedChannel:
     single round (rewind) and, under per-party noise, a per-party vote
     window (repetition).  Statistics accrue exactly as
     ``transmit_shared``/``transmit_shared_run`` (resp. ``transmit``)
-    record them.  ``kind`` is the :attr:`ChannelKind.rule`.
+    record them.  ``noisy`` is the channel's ``flips`` pair: a round of
+    true OR ``b`` takes the next indicator from ``flips`` iff
+    ``noisy[b]`` and is XOR-ed with it.  A ``per_party`` channel has no
+    shared received bit and serves :meth:`votes` only.
     """
 
-    __slots__ = ("kind", "flips", "stats")
+    __slots__ = ("noisy", "flips", "per_party", "stats")
 
-    def __init__(self, kind: str, flips: FlipSource | None) -> None:
-        self.kind = kind
+    def __init__(
+        self,
+        noisy: tuple[bool, bool],
+        flips: FlipSource | None,
+        per_party: bool,
+    ) -> None:
+        self.noisy = noisy
         self.flips = flips
+        self.per_party = per_party
         self.stats = ChannelStats()
 
     def _no_shared_bit(self) -> ConfigurationError:
-        return ConfigurationError(
-            f"{self.kind} noise has no shared received bit"
-        )
+        return ConfigurationError("per-party noise has no shared received bit")
 
     def window(self, or_value: int, beeps: int, rounds: int) -> int:
         """Transmit ``rounds`` rounds of constant OR; return received ones."""
+        if self.per_party:
+            raise self._no_shared_bit()
         stats = self.stats
         stats.rounds += rounds
         stats.beeps_sent += beeps * rounds
         stats.or_ones += or_value * rounds
-        kind = self.kind
-        if kind == "xor":
-            flipped = self.flips.count(rounds)
-            if or_value:
-                stats.flips_down += flipped
-                return rounds - flipped
-            stats.flips_up += flipped
-            return flipped
-        if kind == "one_sided":
-            if or_value:
-                return rounds
-            flipped = self.flips.count(rounds)
-            stats.flips_up += flipped
-            return flipped
-        if kind == "suppression":
-            if not or_value:
-                return 0
-            flipped = self.flips.count(rounds)
+        if not self.noisy[or_value]:
+            return or_value * rounds
+        flipped = self.flips.count(rounds)
+        if or_value:
             stats.flips_down += flipped
             return rounds - flipped
-        if kind == "noiseless":
-            return or_value * rounds
-        raise self._no_shared_bit()
+        stats.flips_up += flipped
+        return flipped
 
     def votes(self, bits: Sequence[int], rounds: int) -> "_np.ndarray":
         """Per-party received ones over ``rounds`` rounds of constant sent
@@ -242,68 +221,47 @@ class _SharedChannel:
         ``bits`` is the round-wise true OR (only the speaker beeps, so the
         OR *is* its codeword); ``weight`` is its popcount.
         """
+        if self.per_party:
+            raise self._no_shared_bit()
         length = len(bits)
         stats = self.stats
         stats.rounds += length
         stats.beeps_sent += weight
         stats.or_ones += weight
-        kind = self.kind
-        if kind == "xor":
+        up, down = self.noisy
+        if up and down:
             flipped = self.flips.take(length)
-            down = int((flipped & bits).sum())
-            stats.flips_down += down
-            stats.flips_up += int(flipped.sum()) - down
-            return bits ^ flipped
-        if kind == "one_sided":
-            received = bits.copy()
-            silent = length - weight
-            if silent:
-                flipped = self.flips.take(silent)
-                received[bits == 0] = flipped
-                stats.flips_up += int(flipped.sum())
-            return received
-        if kind == "suppression":
-            received = bits.copy()
-            if weight:
-                flipped = self.flips.take(weight)
-                received[bits == 1] = 1 - flipped
-                stats.flips_down += int(flipped.sum())
-            return received
-        if kind == "noiseless":
+        elif up or down:
+            # Only the drawing rounds (OR == down: the beeping rounds
+            # under suppression, the silent ones under one-sided noise)
+            # consume indicators, in round order.
+            draws = weight if down else length - weight
+            if not draws:
+                return bits
+            flipped = _np.zeros(length, dtype=_np.uint8)
+            flipped[bits == down] = self.flips.take(draws)
+        else:
             return bits
-        raise self._no_shared_bit()
+        flipped_down = int((flipped & bits).sum())
+        stats.flips_down += flipped_down
+        stats.flips_up += int(flipped.sum()) - flipped_down
+        return bits ^ flipped
 
     def round(self, or_value: int, beeps: int) -> int:
         """Transmit a single round; return the shared received bit."""
+        if self.per_party:
+            raise self._no_shared_bit()
         stats = self.stats
         stats.rounds += 1
         stats.beeps_sent += beeps
         stats.or_ones += or_value
-        kind = self.kind
-        if kind == "xor":
-            flipped = self.flips.take1()
-            if flipped:
-                if or_value:
-                    stats.flips_down += 1
-                    return 0
-                stats.flips_up += 1
-                return 1
-            return or_value
-        if kind == "one_sided":
+        if self.noisy[or_value] and self.flips.take1():
             if or_value:
-                return 1
-            flipped = self.flips.take1()
-            stats.flips_up += flipped
-            return flipped
-        if kind == "suppression":
-            if not or_value:
+                stats.flips_down += 1
                 return 0
-            flipped = self.flips.take1()
-            stats.flips_down += flipped
-            return 0 if flipped else 1
-        if kind == "noiseless":
-            return or_value
-        raise self._no_shared_bit()
+            stats.flips_up += 1
+            return 1
+        return or_value
 
 
 class _InnerPrograms:
@@ -399,21 +357,21 @@ class _InnerPrograms:
         return self.outputs()
 
 
-def _channel_kind(channel: Channel) -> ChannelKind:
-    kind = CHANNEL_KINDS.get(type(channel))
-    if kind is None:
+def _flip_kind(channel: Channel) -> str | None:
+    """The registered flip source of ``channel``'s exact type."""
+    if type(channel) not in CHANNEL_KINDS:
         raise ConfigurationError(
             f"collapsed simulation cannot replay {type(channel).__name__}; "
             "use the scalar engine"
         )
-    return kind
+    return CHANNEL_KINDS[type(channel)]
 
 
 def flip_sources(
     channels: Sequence[Channel], prefetch: int | None = None
 ) -> list[FlipSource | None]:
     """One flip source per channel — the single place a registered
-    kind's noise source is chosen.  All channels share one type.
+    type's noise source is chosen.  All channels share one type.
 
     * ``"none"`` (noiseless): ``None``; the replay never draws.
     * ``"channel"`` (burst): :class:`ChannelFlips` over the channel's
@@ -427,18 +385,18 @@ def flip_sources(
       leaves it.
 
     Raises :class:`ConfigurationError` for unregistered channel types and
-    for a kind with no known flip source — never a silent noiseless
+    for a type with no known flip source — never a silent noiseless
     replay.
     """
-    kind = _channel_kind(channels[0])
-    if kind.flips == "none":
+    kind = _flip_kind(channels[0])
+    if kind == "none":
         return [None] * len(channels)
-    if kind.flips == "channel":
+    if kind == "channel":
         return [
             ChannelFlips(partial(channel._deliver_shared_run, 0))
             for channel in channels
         ]
-    if kind.flips == "epsilon":
+    if kind == "epsilon":
         if prefetch is None:
             return [
                 ChannelFlips(partial(channel._threshold_run, hit=1, miss=0))
@@ -452,17 +410,17 @@ def flip_sources(
         return [rows.stream(row) for row in range(len(channels))]
     raise ConfigurationError(
         f"no flip source registered for {type(channels[0]).__name__} "
-        f"(flips={kind.flips!r})"
+        f"(flips={kind!r})"
     )
 
 
 def _shared_channel(
     channel: Channel, flips: FlipSource | None
 ) -> _SharedChannel:
-    kind = _channel_kind(channel)
+    _flip_kind(channel)
     if flips is None:
         flips = flip_sources([channel])[0]
-    return _SharedChannel(kind.rule, flips)
+    return _SharedChannel(channel.flips, flips, not channel.correlated)
 
 
 def _owners_decoder(
@@ -897,8 +855,8 @@ def simulate_owners(
     channel without a shared received bit (independent noise: use
     ``run_protocol``) or a codebook whose SILENCE word is not all-zero.
     """
-    kind = _channel_kind(channel)
-    if kind.rule == "per_party":
+    _flip_kind(channel)
+    if not channel.correlated:
         raise ConfigurationError(
             f"simulate_owners needs a shared received bit; "
             f"{type(channel).__name__} gives per-party views (use "

@@ -67,7 +67,7 @@ def simulate_repetition(
     n_parties = protocol.n_parties
 
     shared = _shared_channel(channel, flips)
-    per_party = shared.kind == "per_party"
+    per_party = not channel.correlated
     programs = _InnerPrograms(protocol, inputs, shared_seed, strict=False)
     energy = [0] * n_parties
 

@@ -17,6 +17,11 @@ checked here over randomized instances:
    memoized :class:`MLDecoder` symbol-for-symbol on random codebooks,
    noise models and received words, across the finite-weights fast path,
    the ``-inf``-guarded path, and the min-distance fallback regime.
+4. **Channel replay** — the collapsed schemes' windowed channel
+   (``window``/``word``/``round``) delivers the bits and statistics of
+   the scalar channel's ``transmit_shared``/``transmit_shared_run`` for
+   every shared-bit channel family, from standalone and prefetched flip
+   sources alike.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channels import (
+    BurstNoiseChannel,
     CorrelatedNoiseChannel,
+    NoiselessChannel,
     OneSidedNoiseChannel,
     SuppressionNoiseChannel,
 )
@@ -40,6 +47,7 @@ from repro.vectorized import (
     FlipStream,
     VectorizedMLDecoder,
     bits_from_mask,
+    flip_sources,
     mask_int,
     numpy_stream,
     pack_rows,
@@ -47,6 +55,7 @@ from repro.vectorized import (
     unpack_rows,
 )
 from repro.vectorized.noise import _FLIP_BLOCK, random_block
+from repro.vectorized.schemes import _shared_channel
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -260,3 +269,84 @@ def test_vectorized_decode_matches_scalar(seed, num_symbols, up, down):
     assert list(vectorized.decode_batch(matrix)) == [
         scalar.decode(tuple(word)) for word in words
     ]
+
+
+# ----------------------------------------------------------------------
+# 4. Collapsed channel replay vs the scalar shared-bit delivery
+# ----------------------------------------------------------------------
+
+#: Every shared-bit channel family the collapsed schemes replay, built
+#: from ``(epsilon, seed)``.
+REPLAY_CHANNELS = {
+    "noiseless": lambda epsilon, seed: NoiselessChannel(rng=seed),
+    "correlated": CorrelatedNoiseChannel,
+    "one-sided": OneSidedNoiseChannel,
+    "suppression": SuppressionNoiseChannel,
+    "burst": lambda epsilon, seed: BurstNoiseChannel(
+        epsilon, 0.5, 0.2, 0.3, rng=seed
+    ),
+}
+
+replay_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("window"),
+            st.integers(0, 1),
+            st.integers(1, 3),
+            st.integers(1, 40),
+        ),
+        st.tuples(
+            st.just("word"), st.lists(st.integers(0, 1), min_size=1, max_size=40)
+        ),
+        st.tuples(st.just("round"), st.integers(0, 1), st.integers(1, 3)),
+    ),
+    max_size=25,
+)
+
+
+@given(
+    family=st.sampled_from(sorted(REPLAY_CHANNELS)),
+    seed=seeds,
+    epsilon=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+    prefetch=st.sampled_from([None, 0, 7, 64]),
+    ops=replay_ops,
+)
+@settings(max_examples=150, deadline=None)
+def test_shared_channel_replays_scalar_delivery(
+    family, seed, epsilon, prefetch, ops
+):
+    """Random ``window``/``word``/``round`` sequences on the collapsed
+    channel give the received bits and :class:`ChannelStats` of the
+    scalar ``transmit_shared_run``/``transmit_shared`` calls on a
+    same-seed channel.  Standalone flips (``prefetch=None``) pull from
+    the replayed channel itself, which must end where the scalar channel
+    does; a :class:`BatchFlips` prefetch of any width serves the same
+    flips."""
+    make = REPLAY_CHANNELS[family]
+    channel, scalar = make(epsilon, seed), make(epsilon, seed)
+    flips = (
+        None
+        if prefetch is None
+        else flip_sources([channel], prefetch=prefetch)[0]
+    )
+    shared = _shared_channel(channel, flips)
+    for op in ops:
+        if op[0] == "window":
+            _, or_value, beeps, rounds = op
+            beeps *= or_value
+            received = scalar.transmit_shared_run(or_value, beeps, rounds)
+            assert shared.window(or_value, beeps, rounds) == received.count(1)
+        elif op[0] == "word":
+            bits = np.array(op[1], dtype=np.uint8)
+            expected = [scalar.transmit_shared(bit, bit) for bit in op[1]]
+            received = shared.word(bits, int(bits.sum()))
+            assert [int(bit) for bit in received] == expected
+        else:
+            _, or_value, beeps = op
+            beeps *= or_value
+            expected = scalar.transmit_shared(or_value, beeps)
+            assert shared.round(or_value, beeps) == expected
+    assert shared.stats == scalar.stats
+    if prefetch is None:
+        assert channel._rng.getstate() == scalar._rng.getstate()
+        assert channel._noise_pos == scalar._noise_pos

@@ -58,6 +58,11 @@ class TestRunConfiguration:
             ["report", "--workers", "0"],
             ["sweep", "run", "--workers", "0"],
             ["sweep", "status", "--trials", "0"],
+            ["demo", "--n", "0"],
+            ["trace", "--n", "-2"],
+            ["overhead", "--ns", "0"],
+            ["overhead", "--ns", "4", "-1"],
+            ["sweep", "run", "--ns", "0"],
         ],
         ids=" ".join,
     )
@@ -68,6 +73,25 @@ class TestRunConfiguration:
         err = capsys.readouterr().err
         assert err.startswith("usage: ")
         assert "must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "--epsilon", "1.5"],
+            ["demo", "--epsilon", "-0.1"],
+            ["trace", "--epsilon", "1"],
+            ["overhead", "--epsilon", "nan"],
+            ["sweep", "run", "--epsilon", "1.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_epsilon_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "must be in [0, 1)" in err
 
 
 class TestInfo:

@@ -8,8 +8,10 @@ from repro.channels import (
     NoiselessChannel,
     OneSidedNoiseChannel,
     SuppressionNoiseChannel,
+    ThresholdNoiseChannel,
 )
 from repro.core import FunctionalProtocol, run_protocol
+from repro.core.formal import NoiseModel
 from repro.errors import ConfigurationError
 from repro.simulation import (
     ChunkCommitSimulator,
@@ -20,6 +22,7 @@ from repro.simulation import (
 from repro.simulation.base import infer_noise_model
 from repro.simulation.repetition_sim import RepetitionWrappedProtocol
 from repro.tasks import InputSetTask, MaxIdTask, ParityTask
+from repro.vectorized import CHANNEL_KINDS
 
 
 def _run(task, simulator, channel, inputs):
@@ -46,6 +49,33 @@ class TestInferNoiseModel:
     def test_independent(self):
         model = infer_noise_model(IndependentNoiseChannel(0.15))
         assert model.up == model.down == 0.15
+
+    def test_replayable_channels_declare_flips(self):
+        """The collapsed replay reads every registered type's draw rule
+        from its ``flips`` pair."""
+        for channel_type in CHANNEL_KINDS:
+            flips = channel_type.flips
+            assert len(flips) == 2, channel_type
+            assert all(type(draws) is bool for draws in flips), channel_type
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NoiselessChannel(rng=1),
+            lambda: CorrelatedNoiseChannel(0.2, rng=1),
+            lambda: OneSidedNoiseChannel(0.3, rng=1),
+            lambda: SuppressionNoiseChannel(0.35, rng=1),
+            lambda: IndependentNoiseChannel(0.15, rng=1),
+        ],
+        ids=["noiseless", "correlated", "one-sided", "suppression", "independent"],
+    )
+    def test_threshold_channels_follow_their_flips(self, make):
+        channel = make()
+        assert isinstance(channel, ThresholdNoiseChannel)
+        up, down = channel.flips
+        assert infer_noise_model(channel) == NoiseModel(
+            up=channel.epsilon * up, down=channel.epsilon * down
+        )
 
     def test_unknown_channel_rejected(self):
         class _Odd(NoiselessChannel):

@@ -187,6 +187,11 @@ class TestSweepGrid:
         with pytest.raises(ConfigurationError):
             SweepGrid(trials=0)
 
+    @pytest.mark.parametrize("epsilon", [1.5, 1.0, -0.1])
+    def test_rejects_epsilon_outside_unit_interval(self, epsilon):
+        with pytest.raises(ConfigurationError, match=r"epsilon must be in"):
+            SweepGrid(epsilon=epsilon)
+
     def test_from_json_rejects_other_schema(self):
         payload = json.loads(small_grid().to_json())
         payload["schema"] = 99

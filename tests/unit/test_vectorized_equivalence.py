@@ -65,7 +65,6 @@ from repro.simulation import SimulationParameters
 from repro.tasks import InputSetTask, ParityTask
 from repro.vectorized import (
     CHANNEL_KINDS,
-    ChannelKind,
     VectorizedRunner,
     simulate_chunked,
     simulate_hierarchical,
@@ -225,9 +224,7 @@ class TestFlipSources:
     def test_registered_kind_without_flip_source_raises(self, monkeypatch):
         """A registered channel type with no flip source fails loudly
         instead of replaying as noiseless."""
-        monkeypatch.setitem(
-            CHANNEL_KINDS, _UnsourcedChannel, ChannelKind("xor", None)
-        )
+        monkeypatch.setitem(CHANNEL_KINDS, _UnsourcedChannel, None)
         task = ParityTask(3)
         executor = SimulationExecutor(
             task=task,
