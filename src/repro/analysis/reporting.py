@@ -30,9 +30,10 @@ def generate_report(
     Args:
         seed: Master seed forwarded to every experiment.
         scale: Trial multiplier forwarded to every experiment.
-        only: Restrict to these experiment ids (default: all).  Every id
-            is resolved before any experiment runs, so an unknown one
-            raises :class:`~repro.errors.ConfigurationError` up front.
+        only: Restrict to these experiment ids (default: all).  Every id,
+            and ``scale``, is checked before any experiment runs, so an
+            unknown id or a non-positive scale raises
+            :class:`~repro.errors.ConfigurationError` up front.
         progress: Optional callback invoked with each experiment id as it
             starts (the CLI uses it for live feedback).
         workers: Trial-runner workers for the experiments' sweeps.
@@ -52,7 +53,9 @@ def generate_report(
     # (the sweep/fit/table tooling), so a module-level import here would
     # be circular.
     from repro.experiments import REGISTRY, get_experiment, run_experiment
+    from repro.experiments.base import validate_scale
 
+    validate_scale(scale)
     if only is None:
         modules = list(REGISTRY.values())
     else:

@@ -217,6 +217,11 @@ class SweepSpec:
             observe=self.observe,
         )
 
+    def for_point(self, index: int) -> "SweepSpec":
+        """The spec grid point ``index`` runs under: its seed is
+        ``derive_seed(seed, f"point[{index}]")``."""
+        return self.with_seed(derive_seed(self.seed, f"point[{index}]"))
+
     #: Version of the serialized form.  Bump on any change to the field
     #: set or meaning; :meth:`from_json` rejects other versions so stale
     #: payloads (and cache keys built from them) fail loudly.
@@ -324,10 +329,7 @@ def run_sweep(
         task, executor, params = point_builder(value)
         points.append(
             run_sweep_point(
-                task,
-                executor,
-                spec.with_seed(derive_seed(spec.seed, f"point[{index}]")),
-                params=params,
+                task, executor, spec.for_point(index), params=params
             )
         )
     return points

@@ -21,11 +21,22 @@ Commands:
 Every subcommand that runs trials, the sweep service's included, shares
 one run-configuration argument group
 (:func:`~repro.service.cli.add_common_run_args`:
-``--trials/--seed/--workers/--backend``, counts validated as positive),
-builds picklable :class:`~repro.parallel.ChannelSpec`-based executors,
-and gets its runner from
-:func:`~repro.service.cli.runner_from_args`, so ``--workers N`` behaves
-identically everywhere and results are bitwise independent of it.
+``--trials/--seed/--workers/--backend``, counts validated as positive)
+and gets its runner from :func:`~repro.service.cli.runner_from_args`, so
+``--workers N`` behaves identically everywhere and results are bitwise
+independent of it.
+
+``demo``, ``trace``, ``overhead`` and the ``sweep`` verbs share one
+scenario path: the flags of
+:func:`~repro.service.cli.add_scenario_args` (plus each command's own
+``--n`` or ``--ns``) resolve through
+:func:`~repro.service.cli.scenario_from_args` into a
+:class:`~repro.service.grid.SweepGrid`, whose construction checks the
+names and the single-hop/network rules, and whose
+:meth:`~repro.service.grid.SweepGrid.build_point` builds each task and
+picklable executor.  A :class:`~repro.errors.ConfigurationError` raised
+after parsing (a flag combination that cannot run) ends in :func:`main`
+as a usage error: exit 2 and a ``usage:`` line, no traceback.
 
 Every command is a plain function taking parsed arguments and returning an
 exit code, so the CLI is unit-testable without subprocesses.
@@ -39,16 +50,16 @@ from typing import Sequence
 
 from repro import __version__
 from repro.analysis import fit_log, format_table
-from repro.analysis.sweep import SweepSpec, run_sweep_point
+from repro.analysis.sweep import run_sweep_point
+from repro.errors import ConfigurationError
 
-# Task/channel/simulator registries and executor construction live in
-# repro.service.grid — one source of truth shared with the sweep service,
-# so every scenario the CLI can run the service can cache and shard.
+# Every scenario command resolves its flags into a SweepGrid — the record
+# the sweep service caches and shards — and runs the grid's points.
 from repro.service.cli import (
     add_common_run_args,
+    add_scenario_args,
     add_sweep_parser,
     positive_int,
-    probability,
     runner_from_args,
     scenario_from_args,
 )
@@ -57,11 +68,8 @@ from repro.service.grid import (
     NETWORK_CHANNELS as _NETWORK_CHANNELS,
     NETWORK_TASKS as _NETWORK_TASKS,
     SIMULATORS as _SIMULATORS,
-    TASKS as _TASKS,
     TOPOLOGIES as _TOPOLOGIES,
-    make_executor as _make_executor,
-    make_task as _make_task,
-    parse_topology as _parse_topology,
+    SweepGrid,
 )
 
 __all__ = ["main", "build_parser", "add_common_run_args"]
@@ -91,52 +99,36 @@ def cmd_info(_args: argparse.Namespace) -> int:
 
 
 def _resolve_scenario(args: argparse.Namespace):
-    """Build (task, executor, scenario-label dict) from scenario flags,
-    with :func:`~repro.service.cli.scenario_from_args`'s defaults (a
-    single-hop run defaults to ``n = 8``)."""
-    task_name, channel, simulator, (n,), topology = scenario_from_args(
+    """The one-point :class:`~repro.service.grid.SweepGrid` ``demo`` and
+    ``trace`` run (a single-hop run defaults to ``n = 8``), with the task,
+    executor and params of its point."""
+    grid = scenario_from_args(
         args, None if args.n is None else [args.n], single_hop_ns=(8,)
     )
-    if topology is not None:
-        topology = topology.with_n(n)
-    task = _make_task(task_name, n, topology=topology)
-    executor = _make_executor(
-        task, channel, args.epsilon, simulator, topology=topology
-    )
-    scenario = {
-        "task": task_name,
-        "channel": channel,
-        "simulator": simulator,
-        "topology": None if topology is None else topology.label(),
-    }
-    return task, executor, scenario
+    return (grid, *grid.build_point(grid.ns[0]))
 
 
-def _scenario_line(scenario: dict, task, epsilon: float) -> str:
-    line = f"task={scenario['task']} n={task.n_parties}"
-    if scenario["topology"] is not None:
-        line += f" topology={scenario['topology']}"
+def _scenario_line(grid: SweepGrid, task, params: dict) -> str:
+    line = f"task={grid.task} n={task.n_parties}"
+    if "topology" in params:
+        line += f" topology={params['topology']}"
     return (
         line
-        + f" channel={scenario['channel']} epsilon={epsilon}"
-        + f" simulator={scenario['simulator']}"
+        + f" channel={grid.channel} epsilon={grid.epsilon}"
+        + f" simulator={grid.simulator}"
     )
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    task, executor, scenario = _resolve_scenario(args)
+    grid, task, executor, params = _resolve_scenario(args)
     runner = runner_from_args(args)
     try:
-        point = run_sweep_point(
-            task,
-            executor,
-            SweepSpec(trials=args.trials, seed=args.seed, runner=runner),
-        )
+        point = run_sweep_point(task, executor, grid.spec(runner=runner))
     finally:
         runner.close()
     wins = point.success.successes
     overhead = point.mean_overhead
-    print(_scenario_line(scenario, task, args.epsilon))
+    print(_scenario_line(grid, task, params))
     print(
         f"success: {wins}/{args.trials}   rounds: {point.mean_rounds:.0f} "
         f"(overhead x{overhead:.1f} vs {task.noiseless_length()} noiseless)"
@@ -172,7 +164,7 @@ def _trace_trials(task, executor, seed: int, trials: int, observer):
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.observe import JsonlSink, Observer, SummarySink
 
-    task, executor, scenario = _resolve_scenario(args)
+    grid, task, executor, params = _resolve_scenario(args)
 
     sinks = []
     if args.output:
@@ -188,7 +180,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     wins = sum(record.success for record in records)
     print(
         f"traced {args.trials} trial(s): "
-        + _scenario_line(scenario, task, args.epsilon)
+        + _scenario_line(grid, task, params)
         + f" success={wins}/{args.trials}",
         file=sys.stderr,
     )
@@ -231,52 +223,44 @@ def _add_profile_arg(parser: argparse.ArgumentParser, default_path: str):
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
-    if args.simulator == "none":
-        print("overhead needs a real simulator (not 'none')", file=sys.stderr)
-        return 2
     return _with_profile(
         args.profile, "profile_overhead.pstats", lambda: _run_overhead(args)
     )
 
 
 def _run_overhead(args: argparse.Namespace) -> int:
-    topology = _parse_topology(args.topology) if args.topology else None
-    if topology is None:
-        task_name, channel = "input-set", "correlated"
-        simulator = args.simulator or "chunk"
-        ns = args.ns or [4, 8, 16, 32]
-        subject = "InputSet_n"
-    else:
-        # One-round neighborhood OR isolates the scheme's overhead; the
-        # independent network channel is what local-broadcast calibrates
-        # against (per-node flips at rate epsilon).
-        task_name, channel = "neighbor-or", "independent"
-        simulator = args.simulator or "local-broadcast"
-        if args.ns:
-            ns = args.ns
-        else:
-            ns = [topology.size] if topology.size is not None else [64, 256]
-        subject = f"{task_name} @ {topology.label()}"
+    # The task and channel are fixed.  On a network, one-round
+    # neighborhood OR isolates the scheme's overhead, and the independent
+    # channel is what local-broadcast calibrates against (per-node flips
+    # at rate epsilon); local-broadcast stays the default even at
+    # epsilon 0.
+    network = args.topology is not None
+    fixed = {
+        "task": "neighbor-or" if network else "input-set",
+        "channel": "independent" if network else "correlated",
+        "simulator": args.simulator
+        or ("local-broadcast" if network else "chunk"),
+    }
+    grid = scenario_from_args(
+        argparse.Namespace(**{**vars(args), **fixed}),
+        args.ns,
+        single_hop_ns=(4, 8, 16, 32),
+        network_ns=(64, 256),
+    )
+    subject = (
+        f"{grid.task} @ {grid.topology.label()}" if network else "InputSet_n"
+    )
     rows = []
     overheads = []
     trials_per_s = []
     runner = runner_from_args(args)
     try:
-        for n in ns:
-            pinned = None if topology is None else topology.with_n(n)
-            task = _make_task(task_name, n, topology=pinned)
-            # Picklable executor so --workers > 1 can fan trials out to a
-            # process pool; results are identical for every worker count.
-            executor = _make_executor(
-                task, channel, args.epsilon, simulator, topology=pinned
-            )
-            point = run_sweep_point(
-                task,
-                executor,
-                SweepSpec(
-                    trials=args.trials, seed=args.seed + n, runner=runner
-                ),
-            )
+        for n in grid.ns:
+            task, executor, _params = grid.build_point(n)
+            # Each point runs on seed + n, not the grid's derived point
+            # seed, so the published overhead numbers stay put.
+            spec = grid.spec(runner=runner).with_seed(grid.seed + n)
+            point = run_sweep_point(task, executor, spec)
             overheads.append(point.mean_overhead)
             trials_per_s.append(point.timing.get("trials_per_s", 0.0))
             rows.append(
@@ -293,12 +277,12 @@ def _run_overhead(args: argparse.Namespace) -> int:
         ["n", "noiseless T", "overhead", "success"],
         rows,
         title=(
-            f"{simulator} overhead on {subject} "
-            f"(epsilon={args.epsilon})"
+            f"{grid.simulator} overhead on {subject} "
+            f"(epsilon={grid.epsilon})"
         ),
     ))
-    if len(ns) >= 2:
-        fit = fit_log(ns, overheads)
+    if len(grid.ns) >= 2:
+        fit = fit_log(grid.ns, overheads)
         print(
             f"fit: overhead = {fit.intercept:.1f} + "
             f"{fit.slope:.1f} * log2(n)   R^2 = {fit.r_squared:.3f}"
@@ -389,60 +373,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-_TASK_CHOICES = sorted(set(_TASKS) | set(_NETWORK_TASKS))
-
-
-def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--topology",
-        metavar="SPEC",
-        default=None,
-        help="run on a beeping network: kind:params shorthand resolved "
-        "through the TOPOLOGIES registry (grid:8x8, "
-        "geometric:n=10000,r=0.02,seed=7, scale-free:m=2,seed=1, "
-        "ring, complete)",
-    )
-
-
-def _add_scenario_args(
-    parser: argparse.ArgumentParser, *, include_simulator_none: bool = True
-) -> None:
-    """Task/channel/simulator selection shared by demo and trace.
-
-    Defaults are ``None`` sentinels filled by :func:`_resolve_scenario`,
-    because they depend on whether ``--topology`` was given.
-    """
-    parser.add_argument(
-        "--task",
-        choices=_TASK_CHOICES,
-        default=None,
-        help="default: input-set (single-hop) / mis (with --topology)",
-    )
+def _add_n_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--n",
         type=positive_int,
         default=None,
         help="party count (default: 8; with --topology: the spec's "
         "pinned size, or 64)",
-    )
-    _add_topology_arg(parser)
-    parser.add_argument(
-        "--channel",
-        choices=sorted(set(_CHANNEL_SPECS) | set(_NETWORK_CHANNELS)),
-        default=None,
-        help="default: correlated (single-hop) / independent "
-        "(with --topology)",
-    )
-    parser.add_argument("--epsilon", type=probability, default=0.1)
-    simulators = sorted(_SIMULATORS)
-    if not include_simulator_none:
-        simulators = [name for name in simulators if name != "none"]
-    parser.add_argument(
-        "--simulator",
-        choices=simulators,
-        default=None,
-        help="default: chunk (single-hop) / local-broadcast "
-        "(with --topology; 'none' at epsilon 0)",
     )
 
 
@@ -462,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo = subparsers.add_parser(
         "demo", help="run a task over a noisy channel"
     )
-    _add_scenario_args(demo)
+    add_scenario_args(demo)
+    _add_n_arg(demo)
     add_common_run_args(demo, trials_default=10)
     demo.set_defaults(func=cmd_demo)
 
@@ -470,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run with the observability layer attached and emit events",
     )
-    _add_scenario_args(trace)
+    add_scenario_args(trace)
+    _add_n_arg(trace)
     add_common_run_args(trace, trials_default=1)
     trace.add_argument(
         "-o",
@@ -496,15 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="party counts (default: 4 8 16 32; with --topology: the "
         "spec's pinned size, or 64 256)",
     )
-    overhead.add_argument("--epsilon", type=probability, default=0.1)
-    _add_topology_arg(overhead)
-    overhead.add_argument(
-        "--simulator",
-        choices=[name for name in sorted(_SIMULATORS) if name != "none"],
-        default=None,
-        help="default: chunk (single-hop) / local-broadcast "
-        "(with --topology)",
-    )
+    add_scenario_args(overhead, choose_task=False)
     add_common_run_args(overhead, trials_default=3)
     _add_profile_arg(overhead, "profile_overhead.pstats")
     overhead.set_defaults(func=cmd_overhead)
@@ -587,6 +518,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConfigurationError as error:
+        # A combination of flags that parsed but cannot run (a size a
+        # pinned topology rejects, a network-only name without a
+        # topology, a bad --shard or --scale) is a usage error too.
+        parser.error(str(error))
     except BrokenPipeError:
         # Piping into `head` etc. closes stdout early; exit quietly like
         # a well-behaved Unix tool.

@@ -32,7 +32,7 @@ one block through :func:`~repro.vectorized.noise.numpy_stream`, which
 continues ``Random.random`` bitwise).
 
 Registry: :data:`TOPOLOGIES` maps the generator name to a
-:class:`TopologyFamily` (builder + docs), mirroring the
+:class:`TopologyFamily` holding its builder, mirroring the
 ``CHANNELS``/``SIMULATORS``/``TASKS`` tables in
 :mod:`repro.service.grid` (which re-exports it).  The CLI shorthand
 ``grid:32x32`` / ``geometric:n=10000,r=0.02,seed=7`` parses with
@@ -329,12 +329,14 @@ def _undirected(n: int, a, b) -> Topology:
 
 
 def _complete(*, n: int) -> Topology:
+    """Complete graph: the paper's single-hop channel."""
     if n < 1:
         raise ConfigurationError(f"need >= 1 node, got {n}")
     return _undirected(n, *np.triu_indices(n, 1))
 
 
 def _ring(*, n: int) -> Topology:
+    """Cycle: node ``i`` hears ``i ± 1 (mod n)``."""
     if n < 3:
         raise ConfigurationError(f"a ring needs >= 3 nodes, got {n}")
     nodes = np.arange(n)
@@ -496,40 +498,20 @@ def _scale_free(*, n: int, m: int = 2, seed: int = 0) -> Topology:
 
 @dataclass(frozen=True)
 class TopologyFamily:
-    """One row of the :data:`TOPOLOGIES` registry."""
+    """One row of the :data:`TOPOLOGIES` registry: the family's builder,
+    whose docstring describes the graph.  Kept as a record (not the bare
+    builder) so a profiler can swap the builder with
+    :func:`dataclasses.replace`."""
 
-    name: str
     builder: Callable[..., Topology]
-    description: str
-    #: Params beyond the size that the builder accepts.
-    params: tuple[str, ...] = ()
-    #: Whether the family takes a generator seed (random families).
-    seeded: bool = False
 
 
 TOPOLOGIES: dict[str, TopologyFamily] = {
-    "complete": TopologyFamily(
-        "complete", _complete,
-        "complete graph (the paper's single-hop channel)",
-    ),
-    "ring": TopologyFamily(
-        "ring", _ring, "cycle: node i hears i±1 (mod n)"
-    ),
-    "grid": TopologyFamily(
-        "grid", _grid,
-        "4-neighbor grid (rows x cols, or near-square from n)",
-        params=("rows", "cols"),
-    ),
-    "geometric": TopologyFamily(
-        "geometric", _geometric,
-        "random geometric graph in the unit square (radius r)",
-        params=("radius",), seeded=True,
-    ),
-    "scale-free": TopologyFamily(
-        "scale-free", _scale_free,
-        "Barabási–Albert preferential attachment (m links per node)",
-        params=("m",), seeded=True,
-    ),
+    "complete": TopologyFamily(_complete),
+    "ring": TopologyFamily(_ring),
+    "grid": TopologyFamily(_grid),
+    "geometric": TopologyFamily(_geometric),
+    "scale-free": TopologyFamily(_scale_free),
 }
 
 #: CLI shorthand aliases accepted by :func:`parse_topology`.

@@ -44,7 +44,7 @@ from repro.service.canon import (
     point_key,
 )
 from repro.service.driver import run_sweep_resumable, sweep_status
-from repro.service.grid import SweepGrid, make_executor, make_task
+from repro.service.grid import SweepGrid
 from repro.service.shards import (
     ShardSpec,
     merge_sweep,
@@ -60,8 +60,6 @@ __all__ = [
     "point_key",
     "ResultStore",
     "SweepGrid",
-    "make_task",
-    "make_executor",
     "run_sweep_resumable",
     "sweep_status",
     "ShardSpec",

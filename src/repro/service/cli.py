@@ -1,7 +1,16 @@
-"""The ``repro sweep`` command group: the sweep service from a shell.
+"""The ``repro sweep`` command group, and the scenario flags every CLI
+command shares.
 
-Verbs (all sharing the grid flags ``--task/--ns/--channel/--epsilon/
---simulator/--trials/--seed`` plus ``--cache-dir``):
+:func:`add_scenario_args` declares ``--task/--topology/--channel/
+--epsilon/--simulator`` once, for ``demo``, ``trace``, ``overhead`` and
+the sweep verbs; :func:`scenario_from_args` resolves them, with the
+defaults that depend on ``--topology``, into a
+:class:`~repro.service.grid.SweepGrid`.  Every command runs that grid's
+:meth:`~repro.service.grid.SweepGrid.build_point`, so every scenario the
+CLI can run, the sweep service can cache and shard.
+
+Verbs (all sharing the scenario flags, ``--ns``, ``--trials/--seed`` and
+``--cache-dir``):
 
 * ``run``    — run the sweep through the result cache, checkpointing
   every completed point; safe to kill at any instant.
@@ -25,13 +34,14 @@ smoke job asserts ``computed == 0`` on a warm re-run from it).
 from __future__ import annotations
 
 import argparse
+from collections import Counter
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
+from repro.analysis.sweep import SweepPoint
 from repro.errors import ConfigurationError, ReproError
 from repro.observe import JsonlSink, MetricsCollector, Observer, read_jsonl
-from repro.network.topology import TopologySpec
 from repro.parallel import (
     RUNNER_BACKENDS,
     TrialRunner,
@@ -54,6 +64,7 @@ from repro.service.store import ResultStore
 __all__ = [
     "add_sweep_parser",
     "add_common_run_args",
+    "add_scenario_args",
     "runner_from_args",
     "scenario_from_args",
     "positive_int",
@@ -126,18 +137,71 @@ def runner_from_args(args: argparse.Namespace) -> TrialRunner:
     return make_runner(args.workers, backend=args.backend)
 
 
+def add_scenario_args(
+    parser: argparse.ArgumentParser, *, choose_task: bool = True
+) -> None:
+    """The scenario flags ``--task/--topology/--channel/--epsilon/
+    --simulator`` every scenario command shares; each command adds its
+    own size flag (``--n`` or ``--ns``).
+
+    Task, channel and simulator parse as ``None`` sentinels, filled by
+    :func:`scenario_from_args`, because their defaults depend on
+    ``--topology``.  ``choose_task=False`` (``overhead``) leaves out
+    ``--task`` and ``--channel``, which that command fixes, and the
+    ``none`` simulator, which has no overhead to measure.
+    """
+    if choose_task:
+        parser.add_argument(
+            "--task",
+            choices=sorted(set(TASKS) | set(NETWORK_TASKS)),
+            default=None,
+            help="default: input-set (single-hop) / mis (with --topology)",
+        )
+        parser.add_argument(
+            "--channel",
+            choices=sorted(set(CHANNELS) | set(NETWORK_CHANNELS)),
+            default=None,
+            help="default: correlated (single-hop) / independent "
+            "(with --topology)",
+        )
+    parser.add_argument(
+        "--topology",
+        metavar="SPEC",
+        default=None,
+        help="run on a beeping network: kind:params shorthand resolved "
+        "through the TOPOLOGIES registry (grid:8x8, "
+        "geometric:n=10000,r=0.02,seed=7, scale-free:m=2,seed=1, "
+        "ring, complete)",
+    )
+    parser.add_argument("--epsilon", type=probability, default=0.1)
+    parser.add_argument(
+        "--simulator",
+        choices=[
+            name
+            for name in sorted(SIMULATORS)
+            if choose_task or name != "none"
+        ],
+        default=None,
+        help="default: chunk (single-hop) / local-broadcast (with --topology"
+        + ("; 'none' at epsilon 0)" if choose_task else ")"),
+    )
+
+
 def scenario_from_args(
     args: argparse.Namespace,
     ns: Sequence[int] | None,
+    *,
     single_hop_ns: tuple[int, ...],
-) -> tuple[str, str, str, tuple[int, ...], TopologySpec | None]:
-    """``(task, channel, simulator, ns, topology)`` from the scenario
-    flags, with the defaults that depend on ``--topology`` filled in.
+    network_ns: tuple[int, ...] = (64,),
+) -> SweepGrid:
+    """The :class:`SweepGrid` the scenario flags describe, over ``ns``,
+    with the defaults that depend on ``--topology`` filled in.
 
-    The flags parse as ``None`` sentinels.  Single-hop runs default to
-    input-set over correlated noise under chunk-commit, on
-    ``single_hop_ns``; network runs to mis over independent noise under
-    local-broadcast ("none" at ε=0), on the spec's pinned size, or 64.
+    Single-hop runs default to input-set over correlated noise under
+    chunk-commit, on ``single_hop_ns``; network runs to mis over
+    independent noise under local-broadcast ("none" at ε=0), on the
+    spec's pinned size, or ``network_ns``.  The grid's own checks are
+    the only check of the names and the single-hop/network rules.
     """
     topology = parse_topology(args.topology) if args.topology else None
     if topology is None:
@@ -149,25 +213,25 @@ def scenario_from_args(
             "independent",
             "local-broadcast" if args.epsilon > 0 else "none",
         )
-        default_ns = (topology.size if topology.size is not None else 64,)
-    return (
-        args.task or defaults[0],
-        args.channel or defaults[1],
-        args.simulator or defaults[2],
-        tuple(ns) if ns else default_ns,
-        topology,
+        default_ns = (
+            network_ns if topology.size is None else (topology.size,)
+        )
+    return SweepGrid(
+        task=args.task or defaults[0],
+        ns=tuple(ns) if ns else default_ns,
+        channel=args.channel or defaults[1],
+        epsilon=args.epsilon,
+        simulator=args.simulator or defaults[2],
+        trials=args.trials,
+        seed=args.seed,
+        topology=topology,
     )
 
 
 def _add_grid_args(
     parser: argparse.ArgumentParser, *, runner: bool = False
 ) -> None:
-    parser.add_argument(
-        "--task",
-        choices=sorted(set(TASKS) | set(NETWORK_TASKS)),
-        default=None,
-        help="default: input-set (single-hop) / mis (with --topology)",
-    )
+    add_scenario_args(parser)
     parser.add_argument(
         "--ns",
         type=positive_int,
@@ -175,26 +239,6 @@ def _add_grid_args(
         default=None,
         help="party counts, one grid point each "
         "(default: 4 8; with --topology: the spec's pinned size, or 64)",
-    )
-    parser.add_argument(
-        "--topology",
-        metavar="SPEC",
-        default=None,
-        help="network sweep over a graph family: kind:params shorthand "
-        "(e.g. grid:8x8, geometric:r=0.2,seed=3, scale-free:m=2,seed=1)",
-    )
-    parser.add_argument(
-        "--channel",
-        choices=sorted(set(CHANNELS) | set(NETWORK_CHANNELS)),
-        default=None,
-        help="default: correlated (single-hop) / independent (with --topology)",
-    )
-    parser.add_argument("--epsilon", type=probability, default=0.1)
-    parser.add_argument(
-        "--simulator",
-        choices=sorted(SIMULATORS),
-        default=None,
-        help="default: chunk (single-hop) / local-broadcast (with --topology)",
     )
     add_common_run_args(parser, trials_default=10, runner=runner)
     parser.add_argument(
@@ -210,19 +254,7 @@ def _add_grid_args(
 
 
 def _grid_from_args(args: argparse.Namespace) -> SweepGrid:
-    task, channel, simulator, ns, topology = scenario_from_args(
-        args, args.ns, single_hop_ns=(4, 8)
-    )
-    return SweepGrid(
-        task=task,
-        ns=ns,
-        channel=channel,
-        epsilon=args.epsilon,
-        simulator=simulator,
-        trials=args.trials,
-        seed=args.seed,
-        topology=topology,
-    )
+    return scenario_from_args(args, args.ns, single_hop_ns=(4, 8))
 
 
 def _parse_shard(text: str, total: int) -> tuple[int, int]:
@@ -250,6 +282,25 @@ def _print_summary(summary: dict[str, Any], args: argparse.Namespace, human: str
         print(json.dumps(summary, sort_keys=True))
     else:
         print(human)
+
+
+def _count_backends(selections: Iterable[dict[str, Any]]) -> dict[str, int]:
+    """Batches per backend, from ``backend_selected`` event records."""
+    return dict(Counter(str(record.get("backend")) for record in selections))
+
+
+def _write_points(
+    path: str, grid: SweepGrid, points: list[SweepPoint]
+) -> None:
+    """Write a sweep's points, with the grid that produced them, as JSON."""
+    payload = {
+        "schema": 1,
+        "grid": grid.workload(),
+        "points": [point.to_dict() for point in points],
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def cmd_sweep_run(args: argparse.Namespace) -> int:
@@ -293,10 +344,6 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
 
     hits = collector.count("cache_hit")
     computed = collector.count("cache_miss")
-    decisions: dict[str, int] = {}
-    for record in collector.events_of("backend_selected"):
-        chosen = str(record.get("backend"))
-        decisions[chosen] = decisions.get(chosen, 0) + 1
     summary = {
         "grid": grid.grid_key(),
         "cache_dir": str(store.root),
@@ -308,7 +355,9 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
         "workers": args.workers,
         # The auto planner's per-batch choices and the last runner-level
         # downgrade reason (None when every batch ran as selected).
-        "backend_decisions": decisions,
+        "backend_decisions": _count_backends(
+            collector.events_of("backend_selected")
+        ),
         "last_fallback_reason": runner.last_fallback_reason,
     }
     _print_summary(
@@ -325,14 +374,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
                 f"overhead=x{point.mean_overhead:.1f}"
             )
     if args.output:
-        payload = {
-            "schema": 1,
-            "grid": grid.workload(),
-            "points": [point.to_dict() for point in points],
-        }
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        _write_points(args.output, grid, points)
         print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
@@ -354,11 +396,9 @@ def cmd_sweep_status(args: argparse.Namespace) -> int:
                 events = read_jsonl(handle)
         except OSError:
             events = []
-        counts: dict[str, int] = {}
-        for record in events:
-            name = record.get("event", "?")
-            counts[name] = counts.get(name, 0) + 1
-        summary["events"] = counts
+        summary["events"] = dict(
+            Counter(record.get("event", "?") for record in events)
+        )
         # Planner visibility: which backends the auto planner picked and
         # the last runner-level downgrade it observed (the
         # backend_selected events carry both; see repro.observe).
@@ -368,11 +408,7 @@ def cmd_sweep_status(args: argparse.Namespace) -> int:
             if record.get("event") == "backend_selected"
         ]
         if selections:
-            backends: dict[str, int] = {}
-            for record in selections:
-                chosen = str(record.get("backend"))
-                backends[chosen] = backends.get(chosen, 0) + 1
-            summary["backend_decisions"] = backends
+            summary["backend_decisions"] = _count_backends(selections)
             summary["last_backend_reason"] = selections[-1].get("reason")
             summary["last_fallback_reason"] = next(
                 (
@@ -409,14 +445,7 @@ def cmd_sweep_merge(args: argparse.Namespace) -> int:
     except ConfigurationError as error:
         print(f"merge failed: {error}", file=sys.stderr)
         return 1
-    payload = {
-        "schema": 1,
-        "grid": grid.workload(),
-        "points": [point.to_dict() for point in points],
-    }
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    _write_points(args.output, grid, points)
     _print_summary(
         {
             "grid": grid.grid_key(),

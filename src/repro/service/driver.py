@@ -16,7 +16,7 @@ with a write-through result cache wrapped around the per-point loop:
   bitwise identical to an uninterrupted cold :func:`run_sweep`.
 
 Per-point seeds are derived exactly as ``run_sweep`` derives them
-(``derive_seed(spec.seed, f"point[{index}]")`` on the *global* index), so
+(:meth:`~repro.analysis.sweep.SweepSpec.for_point` on the *global* index), so
 a shard that computes indices ``{3, 4}`` of a 8-point grid produces the
 same points a full run would — which is what makes shard merging sound
 (:mod:`repro.service.shards`).
@@ -34,7 +34,6 @@ from repro.analysis.sweep import (
     run_sweep_point,
 )
 from repro.errors import ConfigurationError
-from repro.rng import derive_seed
 from repro.service.canon import point_key
 from repro.service.store import ResultStore
 
@@ -102,10 +101,7 @@ def run_sweep_resumable(
             continue
         task, executor, params = point_builder(values[index])
         point = run_sweep_point(
-            task,
-            executor,
-            spec.with_seed(derive_seed(spec.seed, f"point[{index}]")),
-            params=params,
+            task, executor, spec.for_point(index), params=params
         )
         # Checkpoint before moving on: a crash after this line costs
         # nothing, a crash before it costs exactly this point.

@@ -10,16 +10,18 @@ JSON round-tripping (:meth:`SweepGrid.to_json` / :meth:`SweepGrid.from_json`)
 and a content address (:meth:`SweepGrid.grid_key`).
 
 The task/channel/simulator registries here are the single source of
-truth shared with the CLI (``repro demo``/``trace``/``overhead`` resolve
-names through the same tables), so every scenario the CLI can run, the
-sweep service can cache and shard.
+truth shared with the CLI: every command (``repro demo``/``trace``/
+``overhead`` and the sweep verbs) builds a :class:`SweepGrid`, whose
+construction is the one check of the names and of the single-hop/network
+rules, and runs :meth:`SweepGrid.build_point`.  So every scenario the
+CLI can run, the sweep service can cache and shard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import json
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
@@ -83,8 +85,6 @@ __all__ = [
     "TOPOLOGIES",
     "TopologySpec",
     "parse_topology",
-    "make_task",
-    "make_executor",
     "SweepGrid",
 ]
 
@@ -162,87 +162,13 @@ NETWORK_CHANNELS: dict[
 NETWORK_SIMULATORS = ("none", "repetition", "local-broadcast")
 
 
-def make_task(
-    name: str, n: int, topology: TopologySpec | None = None
-) -> Task:
-    """Build the named task at party count ``n``.
-
-    With ``topology``, the name resolves through :data:`NETWORK_TASKS`
-    and the task is built on the spec's graph (``n`` must agree with a
-    size-pinned spec; unpinned generators take ``n`` as their size).
-    """
-    if topology is not None:
-        try:
-            factory = NETWORK_TASKS[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown network task {name!r} "
-                f"(choose from {sorted(NETWORK_TASKS)})"
-            ) from None
-        return factory(topology.with_n(n).build())
-    try:
-        task_factory = TASKS[name]
-    except KeyError:
+def _require(name: str, registry: Iterable[str], problem: str) -> None:
+    """Unless ``name`` is in ``registry``, raise ``problem`` (formatted
+    with the name) followed by the registry's choices."""
+    if name not in registry:
         raise ConfigurationError(
-            f"unknown task {name!r} (choose from {sorted(TASKS)})"
-        ) from None
-    return task_factory(n)
-
-
-def make_executor(
-    task: Task,
-    channel: str,
-    epsilon: float,
-    simulator: str,
-    topology: TopologySpec | None = None,
-) -> Executor:
-    """The picklable executor every run entry point shares.
-
-    With ``topology``, the channel name resolves through
-    :data:`NETWORK_CHANNELS` (graph-structured channels with the spec
-    embedded declaratively) and only :data:`NETWORK_SIMULATORS` schemes
-    are accepted; without it, ``"local-broadcast"`` is rejected (the
-    scheme calibrates against a topology's degree).
-    """
-    if topology is not None:
-        try:
-            channel_spec = NETWORK_CHANNELS[channel](topology, epsilon)
-        except KeyError:
-            raise ConfigurationError(
-                f"channel {channel!r} has no network form "
-                f"(choose from {sorted(NETWORK_CHANNELS)})"
-            ) from None
-        if simulator not in NETWORK_SIMULATORS:
-            raise ConfigurationError(
-                f"simulator {simulator!r} needs the single-hop shared "
-                f"transcript (network schemes: {sorted(NETWORK_SIMULATORS)})"
-            )
-    else:
-        try:
-            channel_spec = CHANNELS[channel](epsilon)
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown channel {channel!r} (choose from {sorted(CHANNELS)})"
-            ) from None
-        if simulator == "local-broadcast":
-            raise ConfigurationError(
-                "the local-broadcast scheme is topology-calibrated; "
-                "pass a topology (e.g. --topology grid:8x8)"
-            )
-    try:
-        simulator_cls = SIMULATORS[simulator]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown simulator {simulator!r} "
-            f"(choose from {sorted(SIMULATORS)})"
-        ) from None
-    if simulator_cls is None:
-        return ProtocolExecutor(task=task, channel=channel_spec)
-    return SimulationExecutor(
-        task=task,
-        channel=channel_spec,
-        simulator=SimulatorSpec.of(simulator_cls),
-    )
+            f"{problem.format(name)} (choose from {sorted(registry)})"
+        )
 
 
 @dataclass(frozen=True)
@@ -302,32 +228,32 @@ class SweepGrid:
         if topology is not None and not isinstance(topology, TopologySpec):
             topology = TopologySpec.from_dict(topology)
             object.__setattr__(self, "topology", topology)
-        if topology is not None:
-            checks = (
-                (NETWORK_TASKS, self.task, "network task"),
-                (NETWORK_CHANNELS, self.channel, "network channel"),
-                (NETWORK_SIMULATORS, self.simulator, "network simulator"),
-            )
-            # Every grid n must be compatible with a size-pinned spec
-            # (with_n raises on mismatch) and buildable at all.
-            for n in self.ns:
-                topology.with_n(n)
-        else:
-            checks = (
-                (TASKS, self.task, "task"),
-                (CHANNELS, self.channel, "channel"),
-                (SIMULATORS, self.simulator, "simulator"),
-            )
+        # The one place registry names and the single-hop/network rules
+        # are checked: build_point and every CLI command rely on it.
+        if topology is None:
+            _require(self.task, TASKS, "unknown task {!r}")
+            _require(self.channel, CHANNELS, "unknown channel {!r}")
+            _require(self.simulator, SIMULATORS, "unknown simulator {!r}")
             if self.simulator == "local-broadcast":
                 raise ConfigurationError(
-                    "the local-broadcast scheme needs a topology"
+                    "the local-broadcast scheme is topology-calibrated; "
+                    "pass a topology (e.g. --topology grid:8x8)"
                 )
-        for registry, name, kind in checks:
-            if name not in registry:
-                raise ConfigurationError(
-                    f"unknown {kind} {name!r} "
-                    f"(choose from {sorted(registry)})"
-                )
+            return
+        _require(self.task, NETWORK_TASKS, "unknown network task {!r}")
+        _require(
+            self.channel, NETWORK_CHANNELS, "channel {!r} has no network form"
+        )
+        _require(self.simulator, SIMULATORS, "unknown simulator {!r}")
+        _require(
+            self.simulator,
+            NETWORK_SIMULATORS,
+            "simulator {!r} needs the single-hop shared transcript",
+        )
+        # Every grid n must be compatible with a size-pinned spec (with_n
+        # raises on mismatch).
+        for n in self.ns:
+            topology.with_n(n)
 
     @property
     def total_points(self) -> int:
@@ -345,18 +271,29 @@ class SweepGrid:
         )
 
     def build_point(self, n: int) -> tuple[Task, Executor, dict[str, Any]]:
-        """The ``point_builder`` contract for one grid value."""
-        topology = (
-            None if self.topology is None else self.topology.with_n(n)
-        )
-        task = make_task(self.task, n, topology=topology)
-        executor = make_executor(
-            task, self.channel, self.epsilon, self.simulator,
-            topology=topology,
-        )
+        """The ``point_builder`` contract for one grid value: the task at
+        party count ``n`` and the picklable executor every run entry point
+        shares.
+
+        Names were checked at construction.  With a topology, the task is
+        built on the spec's graph at size ``n`` and the channel embeds the
+        spec declaratively.
+        """
         params: dict[str, Any] = {"n": n, "epsilon": self.epsilon}
-        if topology is not None:
+        if self.topology is None:
+            task = TASKS[self.task](n)
+            channel = CHANNELS[self.channel](self.epsilon)
+        else:
+            topology = self.topology.with_n(n)
+            task = NETWORK_TASKS[self.task](topology.build())
+            channel = NETWORK_CHANNELS[self.channel](topology, self.epsilon)
             params["topology"] = topology.label()
+        simulator = SIMULATORS[self.simulator]
+        if simulator is None:
+            return task, ProtocolExecutor(task=task, channel=channel), params
+        executor = SimulationExecutor(
+            task=task, channel=channel, simulator=SimulatorSpec.of(simulator)
+        )
         return task, executor, params
 
     # -- serialization / addressing -------------------------------------

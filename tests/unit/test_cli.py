@@ -12,30 +12,35 @@ class TestParser:
 
     def test_demo_defaults(self):
         # Scenario flags parse as None sentinels (the defaults depend on
-        # --topology); _resolve_scenario fills the historical single-hop
-        # defaults when no topology is given.
+        # --topology); _resolve_scenario's grid fills the historical
+        # single-hop defaults when no topology is given.
         from repro.cli import _resolve_scenario
 
         args = build_parser().parse_args(["demo"])
         assert args.task is None
         assert args.simulator is None
         assert args.epsilon == 0.1
-        task, _executor, scenario = _resolve_scenario(args)
-        assert scenario["task"] == "input-set"
-        assert scenario["channel"] == "correlated"
-        assert scenario["simulator"] == "chunk"
-        assert scenario["topology"] is None
+        grid, task, _executor, params = _resolve_scenario(args)
+        assert grid.task == "input-set"
+        assert grid.channel == "correlated"
+        assert grid.simulator == "chunk"
+        assert grid.topology is None
+        assert grid.ns == (8,)
+        assert (grid.trials, grid.seed) == (10, 0)
+        assert params == {"n": 8, "epsilon": 0.1}
         assert task.n_parties == 8
 
     def test_demo_topology_defaults(self):
         from repro.cli import _resolve_scenario
 
         args = build_parser().parse_args(["demo", "--topology", "grid:4x4"])
-        task, _executor, scenario = _resolve_scenario(args)
-        assert scenario["task"] == "mis"
-        assert scenario["channel"] == "independent"
-        assert scenario["simulator"] == "local-broadcast"
-        assert scenario["topology"] == "grid:cols=4,rows=4"
+        grid, task, _executor, params = _resolve_scenario(args)
+        assert grid.task == "mis"
+        assert grid.channel == "independent"
+        assert grid.simulator == "local-broadcast"
+        assert grid.topology.label() == "grid:cols=4,rows=4"
+        assert grid.ns == (16,)
+        assert params["topology"] == "grid:cols=4,rows=4"
         assert task.n_parties == 16
 
     def test_overhead_ns_list(self):
@@ -94,6 +99,81 @@ class TestRunConfiguration:
         assert "must be in [0, 1)" in err
 
 
+class TestConfigurationErrorsAreUsageErrors:
+    """A flag combination that only fails once the scenario is resolved
+    (a size a pinned topology rejects, a network-only name without a
+    topology, a bad shard or scale) exits 2 with a usage line, like a
+    flag that fails to parse."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-experiment", "E1", "--scale", "0"],
+            ["run-experiment", "E99"],
+            ["report", "--only", "E1", "--scale", "-1"],
+            ["demo", "--topology", "grid:4x4", "--n", "9"],
+            ["overhead", "--topology", "grid:4x4", "--ns", "9"],
+            ["demo", "--simulator", "local-broadcast"],
+            ["trace", "--task", "mis"],
+            ["sweep", "run", "--shard", "5/3"],
+            ["sweep", "status", "--task", "mis"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_2_with_usage_line(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # the sweep verbs' default cache dir
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "Traceback" not in err
+
+
+class TestPinnedOutput:
+    """Literal stdout of the scenario commands.  Flags reach the executor
+    through one resolver; these pin that resolving them moves no default,
+    seed or printed number."""
+
+    CASES = {
+        "demo --trials 4": (
+            "task=input-set n=8 channel=correlated epsilon=0.1 "
+            "simulator=chunk\n"
+            "success: 4/4   rounds: 1298 (overhead x81.1 vs 16 noiseless)\n"
+        ),
+        "demo --topology grid:4x4 --trials 3": (
+            "task=mis n=16 topology=grid:cols=4,rows=4 channel=independent "
+            "epsilon=0.1 simulator=local-broadcast\n"
+            "success: 3/3   rounds: 5900 (overhead x59.0 vs 100 noiseless)\n"
+        ),
+        "demo --task parity --simulator rewind --channel suppression "
+        "--trials 3": (
+            "task=parity n=8 channel=suppression epsilon=0.1 "
+            "simulator=rewind\n"
+            "success: 3/3   rounds: 112 (overhead x14.0 vs 8 noiseless)\n"
+        ),
+        "overhead --ns 4 8 --trials 2": (
+            "chunk overhead on InputSet_n (epsilon=0.1)\n"
+            "n  noiseless T  overhead  success\n"
+            "-  -----------  --------  -------\n"
+            "4            8      62.2     1.00\n"
+            "8           16      78.6     1.00\n"
+            "fit: overhead = 29.5 + 16.4 * log2(n)   R^2 = 1.000\n"
+        ),
+        "overhead --topology grid --ns 16 --trials 2": (
+            "local-broadcast overhead on neighbor-or @ grid (epsilon=0.1)\n"
+            "n   noiseless T  overhead  success\n"
+            "--  -----------  --------  -------\n"
+            "16            1      17.0     1.00\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", sorted(CASES))
+    def test_stdout(self, argv, capsys):
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == self.CASES[argv]
+
+
 class TestInfo:
     def test_info_prints_summary(self, capsys):
         assert main(["info"]) == 0
@@ -115,7 +195,9 @@ class TestTrace:
         argv = self.ARGV + ["--seed", "11"]
         path = tmp_path / "trace.jsonl"
         assert main(argv + ["-o", str(path)]) == 0
-        task, executor, _ = _resolve_scenario(build_parser().parse_args(argv))
+        _, task, executor, _ = _resolve_scenario(
+            build_parser().parse_args(argv)
+        )
         expected = SerialRunner().run_trials(task, executor, 3, seed=11)
         assert _trace_trials(task, executor, 11, 3, Observer([])) == (
             expected.records
@@ -420,14 +502,12 @@ class TestSweepService:
         assert self.run_verb("run", tmp_path, "--json") == 0
         assert self.json_out(capsys)["computed"] == 0
 
-    def test_bad_shard_spec_rejected(self, tmp_path):
-        import pytest
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            self.run_verb("run", tmp_path, "--shard", "2/2")
-        with pytest.raises(ConfigurationError):
-            self.run_verb("run", tmp_path, "--shard", "nope")
+    def test_bad_shard_spec_rejected(self, tmp_path, capsys):
+        for shard in ("2/2", "nope"):
+            with pytest.raises(SystemExit) as exit_info:
+                self.run_verb("run", tmp_path, "--shard", shard)
+            assert exit_info.value.code == 2
+            assert "--shard" in capsys.readouterr().err
 
     def test_network_sweep_caches_and_resumes(self, tmp_path, capsys):
         # A topology sweep goes through the same content-addressed cache:

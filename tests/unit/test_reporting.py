@@ -63,8 +63,10 @@ class TestCliRunExperiment:
         assert "[PASS]" in out
 
     def test_unknown_experiment(self, capsys):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["run-experiment", "E99"])
+        assert exit_info.value.code == 2
+        assert "unknown experiment 'E99'" in capsys.readouterr().err
 
     def test_backend_forwarded(self, monkeypatch, capsys):
         import repro.experiments

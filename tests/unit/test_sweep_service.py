@@ -133,6 +133,14 @@ class TestSweepSpecJson:
         )
         assert revived.runner is runner
 
+    def test_for_point_derives_the_point_seed(self):
+        from repro.rng import derive_seed
+
+        runner = SerialRunner()
+        point = SweepSpec(trials=2, seed=5, runner=runner).for_point(3)
+        assert point.seed == derive_seed(5, "point[3]")
+        assert (point.trials, point.runner) == (2, runner)
+
 
 class TestSweepPointFromDict:
     def test_round_trips_through_json(self):
