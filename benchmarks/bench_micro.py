@@ -65,7 +65,7 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from repro.analysis import estimate_success
+from repro.analysis import SweepSpec, run_sweep_point
 from repro.channels import (
     CorrelatedNoiseChannel,
     NoiselessChannel,
@@ -186,15 +186,15 @@ def test_parallel_sweep_speedup():
     trials = 24
 
     start = time.perf_counter()
-    serial = estimate_success(
-        task, executor, trials, seed=3, runner=SerialRunner()
+    serial = run_sweep_point(
+        task, executor, SweepSpec(trials, 3, runner=SerialRunner())
     )
     serial_elapsed = time.perf_counter() - start
 
     with ProcessPoolRunner(workers=4, chunk_size=3) as runner:
         start = time.perf_counter()
-        parallel = estimate_success(
-            task, executor, trials, seed=3, runner=runner
+        parallel = run_sweep_point(
+            task, executor, SweepSpec(trials, 3, runner=runner)
         )
         parallel_elapsed = time.perf_counter() - start
         assert runner.last_fallback_reason is None

@@ -30,7 +30,7 @@ from repro import (
     SuppressionNoiseChannel,
     run_protocol,
 )
-from repro.analysis import estimate_success, format_table
+from repro.analysis import SweepSpec, format_table, run_sweep_point
 
 NODES = 8
 ID_BITS = 8
@@ -63,33 +63,30 @@ def main() -> None:
 
     rows = []
     for epsilon in (0.05, 0.15, 0.25):
-        raw = estimate_success(
+        raw = run_sweep_point(
             task,
             raw_executor(
                 task, lambda s, e=epsilon: CorrelatedNoiseChannel(e, rng=s)
             ),
-            trials=TRIALS,
-            seed=1,
+            SweepSpec(TRIALS, 1),
         )
-        repetition = estimate_success(
+        repetition = run_sweep_point(
             task,
             simulated_executor(
                 task,
                 RepetitionSimulator(),
                 lambda s, e=epsilon: CorrelatedNoiseChannel(e, rng=s),
             ),
-            trials=TRIALS,
-            seed=2,
+            SweepSpec(TRIALS, 2),
         )
-        chunked = estimate_success(
+        chunked = run_sweep_point(
             task,
             simulated_executor(
                 task,
                 ChunkCommitSimulator(),
                 lambda s, e=epsilon: CorrelatedNoiseChannel(e, rng=s),
             ),
-            trials=TRIALS,
-            seed=3,
+            SweepSpec(TRIALS, 3),
         )
         rows.append(
             [
@@ -112,14 +109,13 @@ def main() -> None:
         ("1->0 (lost beeps)", lambda s: SuppressionNoiseChannel(0.2, rng=s)),
         ("0->1 (phantom beeps)", lambda s: OneSidedNoiseChannel(0.2, rng=s)),
     ):
-        raw = estimate_success(
-            task, raw_executor(task, factory), trials=TRIALS, seed=4
+        raw = run_sweep_point(
+            task, raw_executor(task, factory), SweepSpec(TRIALS, 4)
         )
-        rewind = estimate_success(
+        rewind = run_sweep_point(
             task,
             simulated_executor(task, RewindSimulator(), factory),
-            trials=TRIALS,
-            seed=5,
+            SweepSpec(TRIALS, 5),
         )
         rows.append(
             [

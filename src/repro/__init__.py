@@ -104,11 +104,8 @@ from repro.parallel import (
 from repro.analysis.sweep import (
     SweepPoint,
     SweepSpec,
-    estimate_success,
-    overhead_curve,
     run_sweep,
     run_sweep_point,
-    success_curve,
 )
 from repro.observe import (
     JsonlSink,
@@ -223,9 +220,6 @@ __all__ = [
     "SweepPoint",
     "run_sweep_point",
     "run_sweep",
-    "estimate_success",
-    "success_curve",
-    "overhead_curve",
     # observability
     "Observer",
     "NullObserver",

@@ -23,11 +23,8 @@ from repro.analysis.fitting import LogFit, fit_log, fit_linear
 from repro.analysis.sweep import (
     SweepPoint,
     SweepSpec,
-    estimate_success,
-    overhead_curve,
     run_sweep,
     run_sweep_point,
-    success_curve,
 )
 from repro.analysis.tables import format_table
 from repro.analysis.plot import ascii_plot
@@ -45,9 +42,6 @@ __all__ = [
     "SweepSpec",
     "run_sweep_point",
     "run_sweep",
-    "estimate_success",
-    "success_curve",
-    "overhead_curve",
     "format_table",
     "ascii_plot",
     "generate_report",

@@ -4,12 +4,9 @@ The benchmarks all share one loop: sample task inputs, run some executor
 (a raw protocol or a simulator) over a freshly seeded channel, check the
 outputs, aggregate.  :class:`SweepSpec` names the loop's execution knobs
 once — ``trials``, ``seed``, ``runner``, ``observe`` — and
-:func:`run_sweep_point`/:func:`run_sweep` are the loop over one grid point
-and over a whole grid.  :func:`estimate_success`,
-:func:`success_curve` and :func:`overhead_curve` are thin compatibility
-wrappers that keep the historical flat-keyword signatures (now extended
-with the same ``observe=`` keyword); see ``docs/api.md`` for the exact
-old-to-new mapping.
+:func:`run_sweep_point` is the one way to run a Monte-Carlo point:
+``run_sweep_point(task, executor, SweepSpec(trials, seed), params=...)``.
+:func:`run_sweep` runs it over a grid, deriving each point's seed.
 
 Executors receive ``(inputs, trial_seed)`` and return an
 :class:`~repro.core.result.ExecutionResult`; they are expected to construct
@@ -51,9 +48,6 @@ __all__ = [
     "SweepSpec",
     "run_sweep_point",
     "run_sweep",
-    "estimate_success",
-    "success_curve",
-    "overhead_curve",
 ]
 
 Executor = Callable[[Sequence[Any], int], ExecutionResult]
@@ -333,78 +327,3 @@ def run_sweep(
             )
         )
     return points
-
-
-# ---------------------------------------------------------------------------
-# Compatibility wrappers: the historical flat-keyword signatures.  They
-# build a SweepSpec and delegate; see docs/api.md for the mapping.
-# ---------------------------------------------------------------------------
-
-
-def estimate_success(
-    task: Task,
-    executor: Executor,
-    trials: int,
-    *,
-    seed: int = 0,
-    params: dict[str, Any] | None = None,
-    runner: TrialRunner | None = None,
-    observe: "Observer | None" = None,
-) -> SweepPoint:
-    """Run ``trials`` independent executions and aggregate.
-
-    Compatibility wrapper over :func:`run_sweep_point` —
-    ``run_sweep_point(task, executor, SweepSpec(trials, seed, runner,
-    observe), params=params)``.
-    """
-    return run_sweep_point(
-        task,
-        executor,
-        SweepSpec(trials=trials, seed=seed, runner=runner, observe=observe),
-        params=params,
-    )
-
-
-def success_curve(
-    values: Iterable[Any],
-    point_builder: PointBuilder,
-    trials: int,
-    *,
-    seed: int = 0,
-    runner: TrialRunner | None = None,
-    observe: "Observer | None" = None,
-) -> list[SweepPoint]:
-    """Sweep a grid: ``point_builder(value) -> (task, executor, params)``.
-
-    Compatibility wrapper over :func:`run_sweep` —
-    ``run_sweep(values, point_builder, SweepSpec(trials, seed, runner,
-    observe))``.
-    """
-    return run_sweep(
-        values,
-        point_builder,
-        SweepSpec(trials=trials, seed=seed, runner=runner, observe=observe),
-    )
-
-
-def overhead_curve(
-    values: Iterable[Any],
-    point_builder: PointBuilder,
-    trials: int,
-    *,
-    seed: int = 0,
-    runner: TrialRunner | None = None,
-    observe: "Observer | None" = None,
-) -> list[tuple[Any, float]]:
-    """Like :func:`success_curve` but return ``(value, mean_overhead)``
-    pairs — the series the Θ(log n) fits consume."""
-    values = list(values)
-    points = run_sweep(
-        values,
-        point_builder,
-        SweepSpec(trials=trials, seed=seed, runner=runner, observe=observe),
-    )
-    return [
-        (value, point.mean_overhead)
-        for value, point in zip(values, points)
-    ]

@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     info = subparsers.add_parser("info", help="model and package summary")
-    info.set_defaults(func=cmd_info)
+    info.set_defaults(func=cmd_info, parser=info)
 
     demo = subparsers.add_parser(
         "demo", help="run a task over a noisy channel"
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(demo)
     _add_n_arg(demo)
     add_common_run_args(demo, trials_default=10)
-    demo.set_defaults(func=cmd_demo)
+    demo.set_defaults(func=cmd_demo, parser=demo)
 
     trace = subparsers.add_parser(
         "trace",
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the summary table even when writing --output",
     )
-    trace.set_defaults(func=cmd_trace)
+    trace.set_defaults(func=cmd_trace, parser=trace)
 
     overhead = subparsers.add_parser(
         "overhead", help="measure the Theta(log n) overhead curve"
@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(overhead, choose_task=False)
     add_common_run_args(overhead, trials_default=3)
     _add_profile_arg(overhead, "profile_overhead.pstats")
-    overhead.set_defaults(func=cmd_overhead)
+    overhead.set_defaults(func=cmd_overhead, parser=overhead)
 
     add_sweep_parser(subparsers)
 
@@ -472,12 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="where to write the table (default: the packaged "
         "crossover.json; $REPRO_CROSSOVER overrides reads)",
     )
-    calibrate.set_defaults(func=cmd_bench_calibrate)
+    calibrate.set_defaults(func=cmd_bench_calibrate, parser=calibrate)
 
     experiments = subparsers.add_parser(
         "experiments", help="list the E1-E13 experiments"
     )
-    experiments.set_defaults(func=cmd_experiments)
+    experiments.set_defaults(func=cmd_experiments, parser=experiments)
 
     run_exp = subparsers.add_parser(
         "run-experiment", help="run one experiment and print its checks"
@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common_run_args(run_exp)
     _add_profile_arg(run_exp, "profile_<ID>.pstats")
-    run_exp.set_defaults(func=cmd_run_experiment)
+    run_exp.set_defaults(func=cmd_run_experiment, parser=run_exp)
 
     report = subparsers.add_parser(
         "report", help="run experiments and write a markdown report"
@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "-o", "--output", help="output file (default: stdout)"
     )
-    report.set_defaults(func=cmd_report)
+    report.set_defaults(func=cmd_report, parser=report)
 
     return parser
 
@@ -521,8 +521,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as error:
         # A combination of flags that parsed but cannot run (a size a
         # pinned topology rejects, a network-only name without a
-        # topology, a bad --shard or --scale) is a usage error too.
-        parser.error(str(error))
+        # topology, a bad --shard or --scale) is a usage error too,
+        # reported against the subcommand that parsed it.
+        args.parser.error(str(error))
     except BrokenPipeError:
         # Piping into `head` etc. closes stdout early; exit quietly like
         # a well-behaved Unix tool.

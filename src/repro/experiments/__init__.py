@@ -15,7 +15,10 @@ Consumers:
 * library users call :func:`run_experiment`, or import :data:`REGISTRY`
   and call ``run`` directly.
 
-Every Monte-Carlo sweep in the suite hands its sweep a picklable
+Every Monte-Carlo point of E1, E3, E7 (its simulated column), E8, E9,
+E10 and E13 is one call to
+``run_sweep_point(task, executor, SweepSpec(trials, seed), params=...)``
+with the experiment's own seed formula, and the executor is a picklable
 :class:`~repro.parallel.executors.SimulationExecutor` (task, channel
 recipe, simulator recipe), so :func:`run_experiment`'s default ``auto``
 planner can route each batch: collapsed onto the vectorized backend
@@ -26,17 +29,24 @@ explicit seed pairs (``run_trials(..., trial_seeds=...)``), so its
 noiseless baseline, repetition and chunk-commit points are planned like
 any sweep.
 
-E2, E5 and E6 run ``input_set_formal_protocol``, a non-adaptive
-:class:`~repro.core.formal.FormalProtocol` with a beep schedule: each
-execution runs its parties as ``Burst``/``Silence`` tokens, so the
-engine's scheduler transmits each stretch in one block with the
-same channel draws, and the exact ζ analysis reads beep masks off the
-schedule.  E4 runs each owners-phase execution through
-:func:`~repro.vectorized.simulate_owners`, the party-collapsed form of
-Algorithm 1, which is bitwise the scalar ``run_protocol``; its inputs
-still come from one shared ``random.Random`` per point.  These loops,
-E5's exact enumeration, and the remaining hand-rolled raw-protocol
-loops (E7a, E12) do not go through the runner.
+The remaining loops stay hand-written because each reads something a
+trial record does not carry:
+
+* E2 runs ``input_set_formal_protocol``, a protocol that is not its
+  task's own;
+* E4 draws every execution's inputs from one shared ``random.Random``
+  per point, and runs each owners phase through
+  :func:`~repro.vectorized.simulate_owners` (bitwise the scalar
+  ``run_protocol``);
+* E5 is an exact enumeration of the ζ analysis;
+* E6 reads transcripts;
+* E7a reads per-party outputs;
+* E12 reads the adversary's spent budget.
+
+E2, E5 and E6 run the formal protocol as ``Burst``/``Silence`` tokens,
+so the engine's scheduler transmits each stretch in one block with the
+same channel draws, and the exact ζ analysis reads beep masks off its
+schedule.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ b > 0 and an excellent fit; success near 1 throughout.
 
 from __future__ import annotations
 
-from repro.analysis import estimate_success, fit_log, format_table
+from repro.analysis import SweepSpec, fit_log, format_table, run_sweep_point
 from repro.channels import CorrelatedNoiseChannel
 from repro.experiments.base import ExperimentResult, validate_scale
 from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
@@ -41,12 +41,8 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
             simulator=SimulatorSpec.of(ChunkCommitSimulator),
         )
 
-        point = estimate_success(
-            task,
-            executor,
-            trials=trials,
-            seed=seed + 100 + n,
-            params={"n": n},
+        point = run_sweep_point(
+            task, executor, SweepSpec(trials, seed + 100 + n), params={"n": n}
         )
         overheads.append(point.mean_overhead)
         successes.append(point.success.value)
@@ -95,11 +91,10 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
             simulator=SimulatorSpec.of(ChunkCommitSimulator, params),
         )
 
-        point = estimate_success(
+        point = run_sweep_point(
             task,
             executor,
-            trials=max(6, 2 * trials),
-            seed=seed + 555 + (votes or 0),
+            SweepSpec(max(6, 2 * trials), seed + 555 + (votes or 0)),
         )
         ablation[label] = point
         ablation_rows.append(

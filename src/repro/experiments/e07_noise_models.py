@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from repro.analysis import estimate_success, format_table
+from repro.analysis import SweepSpec, format_table, run_sweep_point
 from repro.channels import (
     CorrelatedNoiseChannel,
     IndependentNoiseChannel,
@@ -46,7 +46,7 @@ def _simulated_success(channel, trials, seed):
         channel=ChannelSpec.of(channel, EPSILON),
         simulator=SimulatorSpec.of(RepetitionSimulator),
     )
-    return estimate_success(task, executor, trials=trials, seed=seed)
+    return run_sweep_point(task, executor, SweepSpec(trials, seed))
 
 
 def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis import estimate_success, fit_log, format_table
+from repro.analysis import SweepSpec, fit_log, format_table, run_sweep_point
 from repro.channels import CorrelatedNoiseChannel
 from repro.experiments.base import ExperimentResult, validate_scale
 from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
@@ -24,7 +24,7 @@ def _point(n, simulator, trials, seed):
         channel=ChannelSpec.of(CorrelatedNoiseChannel, EPSILON),
         simulator=SimulatorSpec.of(simulator),
     )
-    return estimate_success(task, executor, trials=trials, seed=seed)
+    return run_sweep_point(task, executor, SweepSpec(trials, seed))
 
 
 def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:

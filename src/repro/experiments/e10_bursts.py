@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis import estimate_success, format_table
+from repro.analysis import SweepSpec, format_table, run_sweep_point
 from repro.channels import BurstNoiseChannel, CorrelatedNoiseChannel
 from repro.experiments.base import ExperimentResult, validate_scale
 from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
@@ -35,7 +35,7 @@ def _point(simulator, burst_length, trials, seed):
         channel=_channel(burst_length),
         simulator=SimulatorSpec.of(simulator),
     )
-    return estimate_success(task, executor, trials=trials, seed=seed)
+    return run_sweep_point(task, executor, SweepSpec(trials, seed))
 
 
 def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:

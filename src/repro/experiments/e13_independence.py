@@ -3,7 +3,7 @@ independent noise."""
 
 from __future__ import annotations
 
-from repro.analysis import estimate_success, format_table
+from repro.analysis import SweepSpec, format_table, run_sweep_point
 from repro.channels import CorrelatedNoiseChannel, IndependentNoiseChannel
 from repro.experiments.base import ExperimentResult, validate_scale
 from repro.parallel import ChannelSpec, SimulationExecutor, SimulatorSpec
@@ -29,7 +29,7 @@ def _point(repetitions, channel, trials, seed):
             SimulationParameters(repetitions=repetitions),
         ),
     )
-    return estimate_success(task, executor, trials=trials, seed=seed)
+    return run_sweep_point(task, executor, SweepSpec(trials, seed))
 
 
 def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:

@@ -162,11 +162,6 @@ class NetworkBeepingChannel(Channel):
         )
 
     @property
-    def adjacency(self) -> list[tuple[int, ...]]:
-        """The in-adjacency lists (compatibility accessor)."""
-        return self.topology.adjacency_lists()
-
-    @property
     def max_epsilon(self) -> float:
         """The largest per-node flip probability (decoder calibration)."""
         if self.node_epsilons is not None:

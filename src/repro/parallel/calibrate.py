@@ -9,6 +9,13 @@ timing both engines over an ``n`` grid with wall-clock-budgeted trial
 counts (no hard-coded per-``n`` trial tables; see
 :func:`trials_for_budget`, which the micro-benchmarks share).
 
+A calibration row is a :class:`~repro.service.grid.SweepGrid`, the same
+scenario record the CLI and the sweep service build
+(:func:`calibration_grids` lists the default nine).  Its table key is
+not written by hand: it is the crossover key
+:func:`~repro.vectorized.runner.classify_batch` gives the row's
+executor, the key the planner looks up, so the two cannot drift apart.
+
 Calibration is honest about its machine: the table records the CPU count
 and budget it was measured with, and the planner treats it as local
 truth — re-run ``repro bench calibrate`` after moving to different
@@ -20,69 +27,25 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.channels import (
-    CorrelatedNoiseChannel,
-    IndependentNoiseChannel,
-    SuppressionNoiseChannel,
-)
-from repro.parallel.executors import (
-    ChannelSpec,
-    ProtocolExecutor,
-    SimulationExecutor,
-    SimulatorSpec,
-)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.grid import SweepGrid
+
 from repro.parallel.runner import SerialRunner
-from repro.simulation import (
-    ChunkCommitSimulator,
-    HierarchicalSimulator,
-    RepetitionSimulator,
-    RewindSimulator,
-)
-from repro.tasks import ParityTask
 
 __all__ = [
     "trials_for_budget",
     "run_calibration",
     "write_crossover",
-    "CALIBRATION_SCHEMES",
-    "NETWORK_CALIBRATION_SCHEMES",
+    "calibration_grids",
     "DEFAULT_N_GRID",
     "NETWORK_N_GRID",
 ]
 
-#: scheme key (simulator class name) -> (simulator spec, channel spec).
-#: Channels match the micro-benchmark pairings: correlated noise for the
-#: shared-transcript schemes, suppression for rewind.  Repetition under
-#: independent noise replays per-party vote windows, a different cost,
-#: so it gets its own row (the planner's ``@independent`` key).
-CALIBRATION_SCHEMES = {
-    "ChunkCommitSimulator": (
-        SimulatorSpec.of(ChunkCommitSimulator),
-        ChannelSpec.of(CorrelatedNoiseChannel, 0.1),
-    ),
-    "RewindSimulator": (
-        SimulatorSpec.of(RewindSimulator),
-        ChannelSpec.of(SuppressionNoiseChannel, 0.1),
-    ),
-    "RepetitionSimulator": (
-        SimulatorSpec.of(RepetitionSimulator),
-        ChannelSpec.of(CorrelatedNoiseChannel, 0.1),
-    ),
-    "HierarchicalSimulator": (
-        SimulatorSpec.of(HierarchicalSimulator),
-        ChannelSpec.of(CorrelatedNoiseChannel, 0.1),
-    ),
-    "RepetitionSimulator@independent": (
-        SimulatorSpec.of(RepetitionSimulator),
-        ChannelSpec.of(IndependentNoiseChannel, 0.1),
-    ),
-}
-
 DEFAULT_N_GRID = (2, 4, 8, 16, 32)
 
-#: Node counts for the graph schemes — network batches pay off at larger
+#: Node counts for the graph rows — network batches pay off at larger
 #: ``n`` than the single-hop collapses, so they get their own grid
 #: (perfect squares: the calibration topology is a square grid graph).
 NETWORK_N_GRID = (16, 64, 256, 1024)
@@ -91,55 +54,56 @@ NETWORK_N_GRID = (16, 64, 256, 1024)
 NEVER = 1 << 30
 
 
-def _network_scheme(task_factory, simulator_spec=None):
-    """An ``n``-parameterized builder returning ``(task, executor)``.
+def calibration_grids(
+    n_grid: tuple[int, ...] = DEFAULT_N_GRID,
+) -> list["SweepGrid"]:
+    """The default calibration rows, one :class:`SweepGrid` each.
 
-    The graph schemes cannot use the fixed ``(simulator, channel)`` pair
-    shape — the topology, the task, and (for broadcast) the protocol
-    length all depend on ``n`` — so their registry entries are callables;
-    :func:`run_calibration` accepts both shapes.  The channel matches the
-    network micro-benchmark pairing: per-node noise at 0.1 on a square
-    grid graph.
+    Single-hop rows run :class:`~repro.tasks.ParityTask` on ``n_grid``
+    with the micro-benchmark pairings: correlated noise for the
+    shared-transcript schemes, suppression for rewind, and repetition
+    again under independent noise, whose per-party vote windows cost
+    differently (the planner's ``@independent`` key).  Network rows run
+    on a square grid graph over :data:`NETWORK_N_GRID` with per-node
+    noise at 0.1: the raw protocols of three graph tasks, and
+    neighbor-OR under the local-broadcast scheme.
     """
+    from repro.service.grid import SweepGrid, TopologySpec
 
-    def build(n: int):
-        from repro.network.channel import NetworkBeepingChannel
-        from repro.network.topology import TopologySpec
-
-        side = max(2, int(round(n ** 0.5)))
-        spec = TopologySpec.of("grid", rows=side, cols=side)
-        task = task_factory(spec.build())
-        channel = ChannelSpec.of(
-            NetworkBeepingChannel, 0.1, topology=spec
+    single_hop = [
+        ("chunk", "correlated"),
+        ("rewind", "suppression"),
+        ("repetition", "correlated"),
+        ("hierarchical", "correlated"),
+        ("repetition", "independent"),
+    ]
+    network = [
+        ("neighbor-or", "none"),
+        ("broadcast", "none"),
+        ("mis", "none"),
+        ("neighbor-or", "local-broadcast"),
+    ]
+    grid_graph = TopologySpec.of("grid")
+    return [
+        SweepGrid(
+            task="parity",
+            ns=n_grid,
+            channel=channel,
+            epsilon=0.1,
+            simulator=simulator,
         )
-        if simulator_spec is None:
-            return task, ProtocolExecutor(task, channel)
-        return task, SimulationExecutor(
-            task=task, channel=channel, simulator=simulator_spec
+        for simulator, channel in single_hop
+    ] + [
+        SweepGrid(
+            task=task,
+            ns=NETWORK_N_GRID,
+            channel="independent",
+            epsilon=0.1,
+            simulator=simulator,
+            topology=grid_graph,
         )
-
-    build.n_grid = NETWORK_N_GRID
-    return build
-
-
-def _network_calibration_schemes():
-    from repro.network.local_broadcast import LocalBroadcastSimulator
-    from repro.network.mis import MISTask
-    from repro.network.tasks import BroadcastTask, NeighborORTask
-
-    return {
-        "NeighborORTask": _network_scheme(NeighborORTask),
-        "BroadcastTask": _network_scheme(BroadcastTask),
-        "MISTask": _network_scheme(MISTask),
-        "LocalBroadcastSimulator": _network_scheme(
-            NeighborORTask,
-            SimulatorSpec.of(LocalBroadcastSimulator),
-        ),
-    }
-
-
-#: scheme key (crossover-table row) -> n-parameterized builder.
-NETWORK_CALIBRATION_SCHEMES = _network_calibration_schemes()
+        for task, simulator in network
+    ]
 
 
 def trials_for_budget(
@@ -181,30 +145,29 @@ def run_calibration(
     n_grid: tuple[int, ...] = DEFAULT_N_GRID,
     budget_s: float = 0.25,
     seed: int = 2026,
-    schemes: dict | None = None,
+    grids: Sequence["SweepGrid"] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
-    """Measure scalar vs vectorized rates per (scheme, n); build the
+    """Measure scalar vs vectorized rates per (row, n); build the
     crossover table the ``auto`` planner consumes.
 
-    ``vectorized_min_n`` per scheme is the smallest grid ``n`` from which
+    Each row is a :class:`~repro.service.grid.SweepGrid` measured at
+    every ``n`` of its grid (default: :func:`calibration_grids` on
+    ``n_grid``); only its scenario is used, trial counts come from the
+    budget.  The row's table key is the crossover key
+    :func:`~repro.vectorized.runner.classify_batch` gives its executor —
+    the key the planner looks up.
+
+    ``vectorized_min_n`` per row is the smallest grid ``n`` from which
     the vectorized path wins at every measured ``n`` onward (crossovers
     are monotone in ``n``: the collapse amortizes per-round party work).
-    A scheme that never wins gets a never-select sentinel.
-
-    A scheme entry is either the classic ``(simulator_spec,
-    channel_spec)`` pair — measured over :class:`~repro.tasks.ParityTask`
-    on the shared ``n_grid`` — or an ``n``-parameterized builder callable
-    returning ``(task, executor)`` (the network schemes), optionally
-    carrying its own grid as a ``n_grid`` attribute.
+    A row that never wins gets a never-select sentinel.
     """
     from repro.vectorized import VectorizedRunner
+    from repro.vectorized.runner import classify_batch
 
-    if schemes is None:
-        schemes = {
-            **CALIBRATION_SCHEMES,
-            **NETWORK_CALIBRATION_SCHEMES,
-        }
+    if grids is None:
+        grids = calibration_grids(n_grid)
     serial = SerialRunner()
     vectorized = VectorizedRunner()
     table: dict = {
@@ -219,31 +182,18 @@ def run_calibration(
         "default_vectorized_min_n": 16,
         "schemes": {},
     }
-    for scheme, entry in schemes.items():
-        builder = entry if callable(entry) else None
-        grid = (
-            getattr(builder, "n_grid", n_grid)
-            if builder is not None
-            else n_grid
-        )
+    for grid in grids:
+        scheme = None
         measured = []
-        for n in grid:
-            if builder is not None:
-                task, executor = builder(n)
-                n = getattr(task, "n_parties", n)
-            else:
-                simulator_spec, channel_spec = entry
-                task = ParityTask(n)
-                executor = SimulationExecutor(
-                    task=task,
-                    channel=channel_spec,
-                    simulator=simulator_spec,
-                )
+        for n in grid.ns:
+            task, executor, _ = grid.build_point(n)
+            if scheme is None:
+                scheme = classify_batch(executor, seed)[1]
             scalar_rate = _rate(serial, task, executor, budget_s, seed)
             vector_rate = _rate(vectorized, task, executor, budget_s, seed)
             measured.append(
                 {
-                    "n": n,
+                    "n": task.n_parties,
                     "scalar_trials_per_s": round(scalar_rate, 3),
                     "vectorized_trials_per_s": round(vector_rate, 3),
                     "speedup": round(vector_rate / scalar_rate, 3),
@@ -251,7 +201,8 @@ def run_calibration(
             )
             if progress is not None:
                 progress(
-                    f"{scheme} n={n}: scalar {scalar_rate:.1f}/s, "
+                    f"{scheme} n={task.n_parties}: "
+                    f"scalar {scalar_rate:.1f}/s, "
                     f"vectorized {vector_rate:.1f}/s "
                     f"(x{vector_rate / scalar_rate:.2f})"
                 )

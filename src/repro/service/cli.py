@@ -511,7 +511,7 @@ def add_sweep_parser(subparsers: argparse._SubParsersAction) -> None:
         verb.add_argument(
             "-o", "--output", help="also write the points as JSON here"
         )
-        verb.set_defaults(func=cmd_sweep_run)
+        verb.set_defaults(func=cmd_sweep_run, parser=verb)
 
     status = verbs.add_parser(
         "status", help="how many points are checkpointed (exit 1 if incomplete)"
@@ -520,7 +520,7 @@ def add_sweep_parser(subparsers: argparse._SubParsersAction) -> None:
     status.add_argument(
         "--events", metavar="FILE", help="also summarize this events JSONL"
     )
-    status.set_defaults(func=cmd_sweep_status)
+    status.set_defaults(func=cmd_sweep_status, parser=status)
 
     merge = verbs.add_parser(
         "merge", help="validate completeness and write the merged results"
@@ -529,7 +529,7 @@ def add_sweep_parser(subparsers: argparse._SubParsersAction) -> None:
     merge.add_argument(
         "-o", "--output", required=True, help="merged results JSON file"
     )
-    merge.set_defaults(func=cmd_sweep_merge)
+    merge.set_defaults(func=cmd_sweep_merge, parser=merge)
 
     gc = verbs.add_parser(
         "gc", help="drop cache objects no run manifest references"
@@ -540,4 +540,4 @@ def add_sweep_parser(subparsers: argparse._SubParsersAction) -> None:
         help=f"cache directory (default: {_DEFAULT_CACHE_DIR})",
     )
     gc.add_argument("--json", action="store_true")
-    gc.set_defaults(func=cmd_sweep_gc)
+    gc.set_defaults(func=cmd_sweep_gc, parser=gc)

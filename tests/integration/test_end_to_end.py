@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import estimate_success
+from repro.analysis import SweepSpec, run_sweep_point
 from repro.channels import (
     CorrelatedNoiseChannel,
     OneSidedNoiseChannel,
@@ -47,41 +47,38 @@ def _executor(task, simulator, channel_factory):
 )
 class TestAllTasksAllSimulators:
     def test_repetition_over_two_sided(self, task):
-        point = estimate_success(
+        point = run_sweep_point(
             task,
             _executor(
                 task,
                 RepetitionSimulator(),
                 lambda seed: CorrelatedNoiseChannel(0.1, rng=seed),
             ),
-            trials=15,
-            seed=11,
+            SweepSpec(15, 11),
         )
         assert point.success.value >= 0.85
 
     def test_chunk_commit_over_two_sided(self, task):
-        point = estimate_success(
+        point = run_sweep_point(
             task,
             _executor(
                 task,
                 ChunkCommitSimulator(),
                 lambda seed: CorrelatedNoiseChannel(0.1, rng=seed),
             ),
-            trials=15,
-            seed=13,
+            SweepSpec(15, 13),
         )
         assert point.success.value >= 0.85
 
     def test_rewind_over_suppression(self, task):
-        point = estimate_success(
+        point = run_sweep_point(
             task,
             _executor(
                 task,
                 RewindSimulator(),
                 lambda seed: SuppressionNoiseChannel(0.1, rng=seed),
             ),
-            trials=15,
-            seed=17,
+            SweepSpec(15, 17),
         )
         assert point.success.value >= 0.85
 
@@ -95,15 +92,14 @@ class TestChunkCommitOverReductionChannel:
         simulator = ChunkCommitSimulator(
             SimulationParameters(code_rate_constant=20.0)
         )
-        point = estimate_success(
+        point = run_sweep_point(
             task,
             _executor(
                 task,
                 simulator,
                 lambda seed: SharedFlipReductionChannel(rng=seed),
             ),
-            trials=10,
-            seed=23,
+            SweepSpec(10, 23),
         )
         assert point.success.value >= 0.7
 
@@ -123,20 +119,19 @@ class TestNoiseHurtsUnprotectedProtocols:
                 task.noiseless_protocol(), inputs, channel
             )
 
-        point = estimate_success(task, raw, trials=30, seed=29)
+        point = run_sweep_point(task, raw, SweepSpec(30, 29))
         assert point.success.value <= 0.3
 
     def test_simulator_restores_correctness(self):
         task = InputSetTask(5)
-        point = estimate_success(
+        point = run_sweep_point(
             task,
             _executor(
                 task,
                 ChunkCommitSimulator(),
                 lambda seed: CorrelatedNoiseChannel(0.2, rng=seed),
             ),
-            trials=15,
-            seed=31,
+            SweepSpec(15, 31),
         )
         assert point.success.value >= 0.8
 
@@ -179,25 +174,23 @@ class TestAsymmetryEndToEnd:
     def test_rewind_succeeds_down_fails_up(self):
         task = InputSetTask(6)
         simulator = RewindSimulator()
-        down = estimate_success(
+        down = run_sweep_point(
             task,
             _executor(
                 task,
                 simulator,
                 lambda seed: SuppressionNoiseChannel(0.2, rng=seed),
             ),
-            trials=20,
-            seed=37,
+            SweepSpec(20, 37),
         )
-        up = estimate_success(
+        up = run_sweep_point(
             task,
             _executor(
                 task,
                 simulator,
                 lambda seed: OneSidedNoiseChannel(0.2, rng=seed),
             ),
-            trials=20,
-            seed=37,
+            SweepSpec(20, 37),
         )
         assert down.success.value >= 0.9
         assert up.success.value <= 0.5
@@ -205,14 +198,13 @@ class TestAsymmetryEndToEnd:
     def test_chunk_commit_handles_upward_noise(self):
         """The owners machinery is exactly what fixes the hard direction."""
         task = InputSetTask(6)
-        point = estimate_success(
+        point = run_sweep_point(
             task,
             _executor(
                 task,
                 ChunkCommitSimulator(),
                 lambda seed: OneSidedNoiseChannel(0.2, rng=seed),
             ),
-            trials=15,
-            seed=41,
+            SweepSpec(15, 41),
         )
         assert point.success.value >= 0.85

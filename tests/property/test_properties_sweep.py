@@ -6,7 +6,7 @@ checked here over random seeds and grids:
 1. trial seeds derived by the runner are pairwise distinct;
 2. trial records depend only on ``(seed, index)``, never on dispatch
    order;
-3. ``estimate_success`` bookkeeping matches a hand-rolled reference loop.
+3. ``run_sweep_point`` bookkeeping matches a hand-rolled reference loop.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import estimate_success
+from repro.analysis import SweepSpec, run_sweep_point
 from repro.analysis.stats import mean
 from repro.channels import CorrelatedNoiseChannel
 from repro.parallel import (
@@ -97,8 +97,8 @@ class TestEstimateSuccessBookkeeping:
     @settings(max_examples=25, deadline=None)
     def test_matches_hand_rolled_loop(self, seed, epsilon, trials):
         task, executor = _executor(epsilon)
-        point = estimate_success(
-            task, executor, trials, seed=seed, runner=SerialRunner()
+        point = run_sweep_point(
+            task, executor, SweepSpec(trials, seed, runner=SerialRunner())
         )
 
         # The historical reference loop, character for character.

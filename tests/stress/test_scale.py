@@ -92,7 +92,7 @@ class TestParallelSweepAtScale:
     """
 
     def test_10k_trial_parallel_sweep_matches_serial_exactly(self):
-        from repro.analysis import estimate_success
+        from repro.analysis import SweepSpec, run_sweep_point
         from repro.parallel import (
             ChannelSpec,
             ProcessPoolRunner,
@@ -106,12 +106,12 @@ class TestParallelSweepAtScale:
             channel=ChannelSpec.of(CorrelatedNoiseChannel, 0.2),
         )
         trials = 10_000
-        serial = estimate_success(
-            task, executor, trials, seed=7, runner=SerialRunner()
+        serial = run_sweep_point(
+            task, executor, SweepSpec(trials, 7, runner=SerialRunner())
         )
         with ProcessPoolRunner(workers=4, chunk_size=512) as runner:
-            parallel = estimate_success(
-                task, executor, trials, seed=7, runner=runner
+            parallel = run_sweep_point(
+                task, executor, SweepSpec(trials, 7, runner=runner)
             )
             assert runner.last_fallback_reason is None
         # Bitwise equality of the whole point, Wilson interval included.

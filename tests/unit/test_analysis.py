@@ -7,14 +7,14 @@ import pytest
 from repro.analysis import (
     LogFit,
     ProportionEstimate,
-    estimate_success,
+    SweepSpec,
     fit_linear,
     fit_log,
     format_table,
     mean,
-    overhead_curve,
+    run_sweep,
+    run_sweep_point,
     sample_std,
-    success_curve,
     wilson_interval,
 )
 from repro.channels import CorrelatedNoiseChannel, NoiselessChannel
@@ -128,8 +128,8 @@ class TestSweep:
 
     def test_noiseless_sweep_is_perfect(self):
         task = OrTask(3)
-        point = estimate_success(
-            task, self._noiseless_executor(task), trials=20, seed=0
+        point = run_sweep_point(
+            task, self._noiseless_executor(task), SweepSpec(20, 0)
         )
         assert point.success.value == 1.0
         assert point.mean_rounds == 1.0
@@ -144,8 +144,8 @@ class TestSweep:
                 task.noiseless_protocol(), inputs, channel
             )
 
-        a = estimate_success(task, executor, trials=30, seed=5)
-        b = estimate_success(task, executor, trials=30, seed=5)
+        a = run_sweep_point(task, executor, SweepSpec(30, 5))
+        b = run_sweep_point(task, executor, SweepSpec(30, 5))
         assert a.success.successes == b.success.successes
 
     def test_simulator_metadata_aggregated(self):
@@ -158,25 +158,24 @@ class TestSweep:
                 task.noiseless_protocol(), inputs, channel
             )
 
-        point = estimate_success(task, executor, trials=5, seed=1)
+        point = run_sweep_point(task, executor, SweepSpec(5, 1))
         assert "completion_rate" in point.extras
 
     def test_params_recorded(self):
         task = OrTask(2)
-        point = estimate_success(
+        point = run_sweep_point(
             task,
             self._noiseless_executor(task),
-            trials=3,
+            SweepSpec(trials=3),
             params={"n": 2},
         )
         assert point.params == {"n": 2}
 
     def test_trials_validated(self):
-        task = OrTask(2)
         with pytest.raises(ConfigurationError):
-            estimate_success(task, self._noiseless_executor(task), trials=0)
+            SweepSpec(trials=0)
 
-    def test_success_curve_and_overhead_curve(self):
+    def test_run_sweep_over_grid(self):
         def builder(n):
             task = OrTask(n)
 
@@ -187,10 +186,10 @@ class TestSweep:
 
             return task, executor, {"n": n}
 
-        points = success_curve([2, 3], builder, trials=5, seed=0)
+        points = run_sweep([2, 3], builder, SweepSpec(5, 0))
         assert len(points) == 2
         assert all(point.success.value == 1.0 for point in points)
-        pairs = overhead_curve([2, 3], builder, trials=5, seed=0)
+        pairs = [(p.params["n"], p.mean_overhead) for p in points]
         assert pairs == [(2, 1.0), (3, 1.0)]
 
 

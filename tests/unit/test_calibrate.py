@@ -1,0 +1,68 @@
+"""Crossover calibration: its rows are sweep grids keyed like the planner.
+
+``repro bench calibrate`` writes the table the ``auto`` planner routes
+on.  A row's key is the crossover key ``classify_batch`` gives its
+executor, so these tests pin that the default rows still produce the
+packaged table's keys, and that a measured run writes one well-formed
+entry per row under that key.
+"""
+
+from __future__ import annotations
+
+import json
+
+from repro.network.topology import TopologySpec
+from repro.parallel.calibrate import (
+    NEVER,
+    calibration_grids,
+    run_calibration,
+)
+from repro.parallel.planner import DEFAULT_CROSSOVER_PATH
+from repro.service.grid import SweepGrid
+from repro.vectorized.runner import classify_batch
+
+SEED = 2026
+
+
+def _key(grid: SweepGrid) -> str:
+    _, executor, _ = grid.build_point(grid.ns[0])
+    return classify_batch(executor, SEED)[1]
+
+
+def test_default_rows_key_the_packaged_table():
+    with open(DEFAULT_CROSSOVER_PATH, encoding="utf-8") as handle:
+        packaged = json.load(handle)
+    keys = [_key(grid) for grid in calibration_grids()]
+    assert len(keys) == len(set(keys)), keys
+    assert set(keys) == set(packaged["schemes"])
+
+
+def test_run_writes_one_entry_per_row_under_its_planner_key():
+    grids = [
+        SweepGrid(
+            task="parity",
+            ns=(2, 4),
+            channel="suppression",
+            simulator="rewind",
+        ),
+        SweepGrid(
+            task="neighbor-or",
+            ns=(16,),
+            channel="independent",
+            simulator="none",
+            topology=TopologySpec.of("grid"),
+        ),
+    ]
+    table = run_calibration(grids=grids, budget_s=0.002, seed=SEED)
+    assert list(table["schemes"]) == [
+        "RewindSimulator",
+        "NeighborORTask",
+    ]
+    assert [_key(grid) for grid in grids] == list(table["schemes"])
+    for grid, entry in zip(grids, table["schemes"].values()):
+        assert [row["n"] for row in entry["measured"]] == list(grid.ns)
+        min_n = entry["vectorized_min_n"]
+        assert min_n == NEVER or min_n in grid.ns
+        for row in entry["measured"]:
+            assert row["scalar_trials_per_s"] > 0
+            assert row["vectorized_trials_per_s"] > 0

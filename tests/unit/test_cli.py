@@ -126,7 +126,9 @@ class TestConfigurationErrorsAreUsageErrors:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: ")
+        # The usage line is the subcommand's own, not the root parser's.
+        command = " ".join(argv[:2] if argv[0] == "sweep" else argv[:1])
+        assert err.startswith(f"usage: repro {command} ")
         assert "Traceback" not in err
 
 

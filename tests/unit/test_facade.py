@@ -42,12 +42,9 @@ def test_documented_api_imports():
         RewindSimulator,
         SummarySink,
         SweepSpec,
-        estimate_success,
-        overhead_curve,
         run_protocol,
         run_sweep,
         run_sweep_point,
-        success_curve,
     )
 
 

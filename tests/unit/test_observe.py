@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.analysis.sweep import SweepSpec, estimate_success, run_sweep_point
+from repro.analysis.sweep import SweepSpec, run_sweep_point
 from repro.channels import (
     CorrelatedNoiseChannel,
     NoiselessChannel,
@@ -476,10 +476,11 @@ class TestTracingNeverPerturbs:
         executor = ProtocolExecutor(
             task=task, channel=ChannelSpec.of(CorrelatedNoiseChannel, 0.1)
         )
-        baseline = estimate_success(task, executor, 6, seed=9)
-        traced_serial = estimate_success(
-            task, executor, 6, seed=9,
-            observe=Observer([MetricsCollector()]),
+        baseline = run_sweep_point(task, executor, SweepSpec(6, 9))
+        traced_serial = run_sweep_point(
+            task,
+            executor,
+            SweepSpec(6, 9, observe=Observer([MetricsCollector()])),
         )
         with ProcessPoolRunner(workers=2) as runner:
             traced_pool = run_sweep_point(
@@ -503,8 +504,10 @@ class TestTracingNeverPerturbs:
         collector = MetricsCollector()
         observer = Observer([collector])
         observer.enabled = False
-        point = estimate_success(task, executor, 3, seed=9, observe=observer)
+        point = run_sweep_point(
+            task, executor, SweepSpec(3, 9, observe=observer)
+        )
         assert collector.events == []
-        assert point.to_dict() == estimate_success(
-            task, executor, 3, seed=9
+        assert point.to_dict() == run_sweep_point(
+            task, executor, SweepSpec(3, 9)
         ).to_dict()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import estimate_success
+from repro.analysis import SweepSpec, run_sweep_point
 from repro.channels import CorrelatedNoiseChannel, SuppressionNoiseChannel
 from repro.errors import ConfigurationError
 from repro.parallel import (
@@ -78,8 +78,8 @@ class TestRunnerBookkeeping:
 
     def test_timing_keys_present(self):
         task, executor = _raw_executor(3, 0.1)
-        point = estimate_success(
-            task, executor, 3, seed=0, runner=SerialRunner()
+        point = run_sweep_point(
+            task, executor, SweepSpec(3, 0, runner=SerialRunner())
         )
         for key in (
             "elapsed_s",
@@ -95,8 +95,8 @@ class TestRunnerBookkeeping:
 
     def test_to_dict_excludes_timing_by_default(self):
         task, executor = _raw_executor(3, 0.1)
-        point = estimate_success(
-            task, executor, 2, seed=0, runner=SerialRunner()
+        point = run_sweep_point(
+            task, executor, SweepSpec(2, 0, runner=SerialRunner())
         )
         assert "timing" not in point.to_dict()
         assert "timing" in point.to_dict(include_timing=True)
@@ -131,19 +131,19 @@ class TestDefaultRunnerRegistry:
             assert active is marker
             assert get_default_runner() is marker
             task, executor = _raw_executor(3, 0.1)
-            # No runner= argument: estimate_success picks up the default.
-            point = estimate_success(task, executor, 2, seed=0)
+            # No runner in the spec: run_sweep_point picks up the default.
+            point = run_sweep_point(task, executor, SweepSpec(2, 0))
             assert point.success.trials == 2
         assert get_default_runner() is previous
 
-    def test_default_runner_used_by_estimate_success(self):
+    def test_default_runner_used_by_run_sweep_point(self):
         task, executor = _raw_executor(3, 0.1)
-        reference = estimate_success(
-            task, executor, 4, seed=6, runner=SerialRunner()
+        reference = run_sweep_point(
+            task, executor, SweepSpec(4, 6, runner=SerialRunner())
         )
         with ProcessPoolRunner(workers=2, chunk_size=2) as runner:
             with use_runner(runner):
-                pooled = estimate_success(task, executor, 4, seed=6)
+                pooled = run_sweep_point(task, executor, SweepSpec(4, 6))
         assert pooled.to_dict() == reference.to_dict()
         assert pooled.timing["parallel"] == 1.0
 
@@ -175,11 +175,11 @@ class TestExecutorSpecs:
                 CorrelatedNoiseChannel(0.1, rng=trial_seed),
             )
 
-        from_spec = estimate_success(
-            task, spec_executor, 4, seed=1, runner=SerialRunner()
+        from_spec = run_sweep_point(
+            task, spec_executor, SweepSpec(4, 1, runner=SerialRunner())
         )
-        from_closure = estimate_success(
-            task, closure, 4, seed=1, runner=SerialRunner()
+        from_closure = run_sweep_point(
+            task, closure, SweepSpec(4, 1, runner=SerialRunner())
         )
         assert from_spec.to_dict() == from_closure.to_dict()
 

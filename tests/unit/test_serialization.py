@@ -2,7 +2,7 @@
 
 import json
 
-from repro.analysis import estimate_success
+from repro.analysis import SweepSpec, run_sweep_point
 from repro.channels import NoiselessChannel
 from repro.core import run_protocol
 from repro.simulation import SimulationReport
@@ -49,9 +49,7 @@ class TestSweepPointToDict:
                 task.noiseless_protocol(), inputs, NoiselessChannel()
             )
 
-        point = estimate_success(
-            task, executor, trials=4, params={"n": 2}
-        )
+        point = run_sweep_point(task, executor, SweepSpec(4), params={"n": 2})
         payload = json.loads(json.dumps(point.to_dict()))
         assert payload["params"] == {"n": 2}
         assert payload["success"] == 1.0
