@@ -52,6 +52,11 @@ from repro import __version__
 from repro.analysis import fit_log, format_table
 from repro.analysis.sweep import run_sweep_point
 from repro.errors import ConfigurationError
+from repro.parallel.calibrate import (
+    DEFAULT_N_GRID,
+    run_calibration,
+    write_crossover,
+)
 
 # Every scenario command resolves its flags into a SweepGrid — the record
 # the sweep service caches and shards — and runs the grid's points.
@@ -297,7 +302,6 @@ def _run_overhead(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_calibrate(args: argparse.Namespace) -> int:
-    from repro.parallel.calibrate import run_calibration, write_crossover
     from repro.parallel.planner import DEFAULT_CROSSOVER_PATH
 
     table = run_calibration(
@@ -455,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ns",
         type=positive_int,
         nargs="+",
-        default=[2, 4, 8, 16, 32],
+        default=list(DEFAULT_N_GRID),
         help="party counts to measure (crossovers are monotone in n)",
     )
     calibrate.add_argument(

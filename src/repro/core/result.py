@@ -17,6 +17,7 @@ from typing import Any
 
 from repro.channels.stats import ChannelStats
 from repro.core.transcript import Transcript
+from repro.errors import ConfigurationError
 
 __all__ = ["ExecutionResult"]
 
@@ -27,7 +28,9 @@ class ExecutionResult:
 
     Attributes:
         outputs: One output per party, in party order.
-        transcript: Full round-by-round record.
+        transcript: Full round-by-round record; ``None`` for a
+            party-collapsed execution (:mod:`repro.vectorized.schemes`),
+            which records none.
         rounds: Number of channel rounds consumed (== len(transcript)).
         channel_stats: Snapshot of the channel counters for this execution
             (the delta over the run, not the channel's lifetime totals).
@@ -38,7 +41,7 @@ class ExecutionResult:
     """
 
     outputs: list[Any]
-    transcript: Transcript
+    transcript: Transcript | None
     rounds: int
     channel_stats: ChannelStats
     beeps_per_party: tuple[int, ...] = ()
@@ -74,8 +77,15 @@ class ExecutionResult:
         Outputs are stringified (they may be arbitrary Python values —
         frozensets, tuples); the transcript, included on request, is
         encoded as parallel bit rows.  Simulator reports in ``metadata``
-        are serialised through their own ``to_dict``.
+        are serialised through their own ``to_dict``.  Asking for the
+        transcript of a result without one raises
+        :class:`~repro.errors.ConfigurationError`.
         """
+        if include_transcript and self.transcript is None:
+            raise ConfigurationError(
+                "this execution recorded no transcript (a party-collapsed "
+                "run); call to_dict() without include_transcript"
+            )
         payload: dict[str, Any] = {
             "outputs": [repr(output) for output in self.outputs],
             "outputs_agree": self.outputs_agree(),

@@ -176,6 +176,7 @@ def run_calibration(
             "cpu_count": os.cpu_count() or 1,
             "budget_s": budget_s,
             "n_grid": list(n_grid),
+            "network_n_grid": list(NETWORK_N_GRID),
             "seed": seed,
         },
         "process_min_trials": 8,

@@ -1,13 +1,12 @@
 """The trial-batched vectorized backend.
 
 A third :class:`~repro.parallel.runner.TrialRunner` backend that executes
-Monte-Carlo batches through party-collapsed simulations over packed numpy
-bit-matrices, bitwise-equivalent to the scalar engine trial by trial:
+Monte-Carlo batches through party-collapsed simulations and a
+trial-batched graph kernel, bitwise-equivalent to the scalar engine trial
+by trial:
 
 * :mod:`repro.vectorized.noise` — MT19937 state transfer from
   ``random.Random`` into numpy, flip-indicator streams, batched prefetch;
-* :mod:`repro.vectorized.bitmatrix` — packed trial×round bit-matrices and
-  the byte-per-position mask bridge to the scalar decoder;
 * :mod:`repro.vectorized.decoder` — whole-codebook ML decoding;
 * :mod:`repro.vectorized.schemes` — the collapsed chunk-commit and
   rewind simulations, the collapsed finding-owners phase
@@ -19,8 +18,10 @@ bit-matrices, bitwise-equivalent to the scalar engine trial by trial:
 * :mod:`repro.vectorized.network` — the trial-batched CSR
   neighborhood-OR kernel and the batched graph drivers (neighbor-OR,
   broadcast, MIS, local-broadcast wrapper);
-* :mod:`repro.vectorized.runner` — :class:`VectorizedRunner`, with
-  scalar fallback for batches it cannot collapse.
+* :mod:`repro.vectorized.runner` — :class:`VectorizedRunner`, which
+  runs single-hop batches through the scalar trial loop with the
+  collapsed schemes as executor, network batches through the kernel,
+  and everything else through the scalar loop as a fallback.
 
 Select the backend with ``make_runner(backend="vectorized")``.  The
 composed ``make_runner(backend="vectorized-process")`` is a
@@ -31,13 +32,6 @@ each worker runs its stripe through its own cached
 event per stripe.  The CLI's ``--backend`` takes the same names.
 """
 
-from repro.vectorized.bitmatrix import (
-    bits_from_mask,
-    mask_int,
-    pack_rows,
-    popcount_rows,
-    unpack_rows,
-)
 from repro.vectorized.decoder import VectorizedMLDecoder
 from repro.vectorized.network import (
     NetworkBatchKernel,
@@ -54,8 +48,6 @@ from repro.vectorized.noise import (
 from repro.vectorized.runner import VectorizedRunner
 from repro.vectorized.schemes import (
     CHANNEL_KINDS,
-    CollapsedOutcome,
-    flip_sources,
     simulate_chunked,
     simulate_owners,
     simulate_rewind,
@@ -68,15 +60,8 @@ __all__ = [
     "FlipStream",
     "ChannelFlips",
     "BatchFlips",
-    "pack_rows",
-    "unpack_rows",
-    "mask_int",
-    "bits_from_mask",
-    "popcount_rows",
     "VectorizedMLDecoder",
     "CHANNEL_KINDS",
-    "CollapsedOutcome",
-    "flip_sources",
     "simulate_chunked",
     "simulate_owners",
     "simulate_rewind",

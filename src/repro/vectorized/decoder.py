@@ -19,8 +19,8 @@ of numpy expressions.  The point of this module is not just speed but
   tie-break — and the min-distance fallback's ``argmin`` likewise matches
   the scalar strict-``<`` first-minimum;
 * received words are memoized under their ``tobytes()`` key, the same
-  byte-per-position packing as the scalar mask integers (see
-  :mod:`repro.vectorized.bitmatrix`), with the same ``1 << 16`` cap.
+  byte-per-position packing as the scalar mask integers
+  (``repro.coding.ml._word_to_int``), with the same ``1 << 16`` cap.
 
 The property suite (``tests/property/test_properties_vectorized.py``)
 pins the agreement on random codebooks, noise models and received words,

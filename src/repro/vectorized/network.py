@@ -509,7 +509,6 @@ def network_records(
     indices: Sequence[int],
     pairs: Sequence[SeedPair],
     *,
-    prefetch: int = 4096,
     collect_times: bool = False,
 ) -> tuple[list[TrialRecord], list[float] | None]:
     """Run the given global trial indices through the batched kernel.
@@ -543,9 +542,7 @@ def network_records(
         ]
         threshold = epsilon if epsilon > 0.0 else edge_epsilon
         batch_flips = BatchFlips(
-            [channel._rng for channel in channels],
-            threshold,
-            columns=prefetch,
+            [channel._rng for channel in channels], threshold
         )
         streams = [batch_flips.stream(row) for row in range(trials)]
     vchan = _BatchNetworkChannel(

@@ -16,10 +16,11 @@ into a ``numpy.random.RandomState``: both generate doubles with the same
 ``genrand_res53`` recipe, so ``random_sample(k)`` reproduces ``k`` calls of
 ``Random.random()`` exactly (verified by golden pins in
 ``tests/unit/test_rng.py`` and property tests).  :class:`FlipStream` builds
-on that to serve flip indicators in blocks, and :class:`BatchFlips`
-prefetches the first ``columns`` indicators of a whole batch of trials as
-rows of a packed numpy bit-matrix — the trial×draw layout the vectorized
-backend batches over.  :func:`random_block` is for callers that keep
+on that to serve flip indicators in blocks; the collapsed single-hop
+schemes draw from one per trial, over a copy of the channel's generator.
+:class:`BatchFlips` prefetches the first ``columns`` indicators of a
+whole batch of trials as 0/1 bytes — the network route's batched noise.
+:func:`random_block` is for callers that keep
 using the ``random.Random`` itself: it draws a block of ``random()``
 values through ``getrandbits``, so the generator advances past them.
 :class:`ChannelFlips` serves the same three access patterns by pulling
@@ -101,21 +102,14 @@ class FlipStream:
     Args:
         rng: The channel's generator; its current state is copied.
         epsilon: The channel's flip probability.
-        preload: Optional pre-generated prefix of the indicator stream
-            (from :class:`BatchFlips`); served before drawing more.
     """
 
     __slots__ = ("_stream", "_epsilon", "_buffer", "_pos", "draws")
 
-    def __init__(
-        self,
-        rng: random.Random,
-        epsilon: float,
-        preload: bytes | None = None,
-    ) -> None:
+    def __init__(self, rng: random.Random, epsilon: float) -> None:
         self._stream = numpy_stream(rng)
         self._epsilon = epsilon
-        self._buffer = preload if preload is not None else b""
+        self._buffer = b""
         self._pos = 0
         #: Indicators consumed so far (draw-order position; test hook).
         self.draws = 0
@@ -213,62 +207,31 @@ class ChannelFlips:
 
 
 class BatchFlips:
-    """Batched flip prefetch: trials as rows of a packed bit-matrix.
+    """Batched flip prefetch: one :class:`FlipStream` per trial, each
+    holding its first ``columns`` indicators as 0/1 bytes.
 
-    Generates the first ``columns`` flip indicators of every trial in one
-    vectorized pass — one ``random_sample`` per row, one comparison and one
-    ``packbits`` for the whole batch — and keeps them packed 8 trials'
-    worth of draws per byte.  :meth:`stream` hands each trial a
-    :class:`FlipStream` preloaded with its row; draws beyond the prefetch
-    continue seamlessly from the row's transferred generator state.
+    Draws beyond the prefetch continue seamlessly from each row's
+    transferred generator state.
 
     Args:
         rngs: One ``random.Random`` per trial (the channels' generators).
         epsilon: Shared flip probability.
-        columns: Indicators prefetched per trial.
     """
 
-    def __init__(
-        self,
-        rngs: "list[random.Random]",
-        epsilon: float,
-        columns: int = 4096,
-    ) -> None:
-        from repro.vectorized.bitmatrix import pack_rows
+    #: Indicators prefetched per trial.
+    columns = 4096
 
-        self.epsilon = epsilon
-        self.columns = columns
-        self._streams = [numpy_stream(rng) for rng in rngs]
-        if columns > 0 and self._streams:
-            uniforms = _np.empty((len(self._streams), columns))
-            for row, stream in enumerate(self._streams):
-                uniforms[row] = stream.random_sample(columns)
-            bits = (uniforms < epsilon).astype(_np.uint8)
-            #: The prefetched trial×draw flip matrix, rows packed.
-            self.packed = pack_rows(bits)
-        else:
-            self.packed = _np.zeros((len(self._streams), 0), dtype=_np.uint8)
+    def __init__(self, rngs: "list[random.Random]", epsilon: float) -> None:
+        self._streams = [FlipStream(rng, epsilon) for rng in rngs]
+        for stream in self._streams:
+            stream._refill(self.columns)
 
     def __len__(self) -> int:
         return len(self._streams)
 
     def stream(self, index: int) -> FlipStream:
-        """Trial ``index``'s flip stream, starting from the packed row."""
-        from repro.vectorized.bitmatrix import unpack_rows
-
-        preload: bytes | None = None
-        if self.columns > 0:
-            row = unpack_rows(
-                self.packed[index : index + 1], self.columns
-            )[0]
-            preload = row.tobytes()
-        flip_stream = FlipStream.__new__(FlipStream)
-        flip_stream._stream = self._streams[index]
-        flip_stream._epsilon = self.epsilon
-        flip_stream._buffer = preload if preload is not None else b""
-        flip_stream._pos = 0
-        flip_stream.draws = 0
-        return flip_stream
+        """Trial ``index``'s flip stream, starting at its first indicator."""
+        return self._streams[index]
 
 
 #: What the collapsed schemes draw flip indicators from.

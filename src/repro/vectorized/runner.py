@@ -6,34 +6,38 @@
 It targets the scalar engine's worst cases — the chunk-commit scheme's
 ``n²`` inner-party replays and the rewind scheme's strictly sequential
 alarm rounds — by running each trial through the party-collapsed
-simulations of :mod:`repro.vectorized.schemes`, with the whole batch's
-shared-noise draws prefetched as rows of one packed numpy bit-matrix
-(:class:`~repro.vectorized.noise.BatchFlips`) and ML decoding vectorized
-over the codebook (:class:`~repro.vectorized.decoder.VectorizedMLDecoder`,
+simulations of :mod:`repro.vectorized.schemes`, each drawing its shared
+noise from a :class:`~repro.vectorized.noise.FlipStream` over a copy of
+the trial channel's generator, with ML decoding vectorized over the
+codebook (:class:`~repro.vectorized.decoder.VectorizedMLDecoder`,
 shared — memo included — across the batch).
 
 The determinism contract of :mod:`repro.parallel.runner` is preserved
-*bitwise*: each trial's inputs come from ``random.Random(input seed)``
-and its channel from ``executor.channel.make(executor seed)`` — the
-exact calls :func:`~repro.parallel.runner.run_trial` makes on the same
-seed pair — and the collapsed schemes replay the scalar RNG draw order
-flip for flip.  Any trial a vectorized sweep records can therefore be
-replayed on the scalar engine from its seed pair alone, which is what
-the cross-backend equivalence suite does.
+*bitwise*: a single-hop batch runs through the scalar trial loop itself
+(``_scalar_records``), with an executor that builds each trial's channel
+from ``executor.channel.make(executor seed)`` and calls the collapsed
+scheme where :class:`~repro.parallel.executors.SimulationExecutor` calls
+``simulate``; the collapsed schemes replay the scalar RNG draw order
+flip for flip and return the same
+:class:`~repro.core.result.ExecutionResult` fields.  Any trial a
+vectorized sweep records can therefore be replayed on the scalar engine
+from its seed pair alone, which is what the cross-backend equivalence
+suite does.
 
 Single-hop batches collapse over the channel families of
 :data:`~repro.vectorized.schemes.CHANNEL_KINDS`: noiseless, correlated,
 one-sided, suppression, burst (Gilbert–Elliott, its noise pulled from
 each trial's channel) and independent noise (repetition only; the
 shared-transcript schemes raise the scalar "requires a correlated
-channel" error).  The i.i.d. ``u < ε`` families are prefetched; which
-flip source a family uses is decided in one place,
-:func:`~repro.vectorized.schemes.flip_sources`.
+channel" error).  Which flip source a family uses is decided in one
+place, :func:`~repro.vectorized.schemes.flip_source`.
 
 Graph-topology batches route to the trial-batched CSR kernel of
 :mod:`repro.vectorized.network` instead: the network protocol families
 (neighbor-OR, broadcast, MIS) raw or under the local-broadcast
-repetition wrapper, over a single-noise-kind ``NetworkBeepingChannel``.
+repetition wrapper, over a single-noise-kind ``NetworkBeepingChannel``;
+that route runs every trial of the batch in one kernel, its noise
+prefetched per trial by :class:`~repro.vectorized.noise.BatchFlips`.
 Batches neither model collapses (simulators outside both registries,
 adversarial and reduction channels, per-node epsilon vectors) run
 through the scalar :func:`run_trial` loop —
@@ -44,10 +48,9 @@ protocol.
 
 from __future__ import annotations
 
-import random
-import time
 from typing import Any
 
+from repro.core.result import ExecutionResult
 from repro.parallel.executors import SimulationExecutor
 from repro.parallel.runner import (
     Executor,
@@ -68,7 +71,7 @@ from repro.vectorized.network import (
 )
 from repro.vectorized.schemes import (
     CHANNEL_KINDS,
-    flip_sources,
+    flip_source,
     simulate_chunked,
     simulate_rewind,
 )
@@ -143,22 +146,15 @@ def _single_hop_route(
 class VectorizedRunner(InProcessRunner):
     """In-process backend running batches through collapsed simulations.
 
-    Args:
-        prefetch: Shared-noise flip indicators prefetched per trial into
-            the batch bit-matrix; draws beyond it continue seamlessly
-            from each trial's transferred generator state.  Purely an
-            amortization knob — results are identical for any value.
-
     ``last_fallback_reason`` says why the last batch fell back to the
     scalar loop (``None`` when it ran vectorized).
     """
 
     #: One stripe per pool worker: large stripes amortize each worker's
-    #: batched noise prefetch and codebook memo over many trials.
+    #: codebook memo and network kernel setup over many trials.
     STRIPES_PER_WORKER = 1
 
-    def __init__(self, prefetch: int = 4096) -> None:
-        self.prefetch = prefetch
+    def __init__(self) -> None:
         # (chunk_length, rate_constant, code_seed, up, down) ->
         # (code, VectorizedMLDecoder); shared across batches so the
         # decode memo warms once per parameter point, not once per trial.
@@ -175,11 +171,6 @@ class VectorizedRunner(InProcessRunner):
         """Dispatch the batch's route to its batched implementation, or
         run the scalar loop with the reason when it has none."""
         route, _, reason = classify_batch(executor, pairs[0][1])
-        if route is None:
-            records, times = _scalar_records(
-                task, executor, indices, pairs, collect_times
-            )
-            return records, times, reason
         if isinstance(route, NetworkRoute):
             records, times = network_records(
                 route,
@@ -187,72 +178,32 @@ class VectorizedRunner(InProcessRunner):
                 executor,
                 indices,
                 pairs,
-                prefetch=self.prefetch,
                 collect_times=collect_times,
             )
-        else:
-            records, times = self._collapsed_records(
-                route, task, executor, indices, pairs, collect_times
-            )
-        return records, times, None
+            return records, times, None
+        if route is not None:
+            executor = self._collapsed_executor(route, executor)
+        records, times = _scalar_records(
+            task, executor, indices, pairs, collect_times
+        )
+        return records, times, reason
 
-    def _collapsed_records(
-        self,
-        route: tuple,
-        task: Task,
-        executor: Executor,
-        indices: list[int],
-        pairs: list[SeedPair],
-        collect_times: bool = False,
-    ) -> tuple[list[TrialRecord], list[float] | None]:
-        """Run the given global trial indices through a collapsed scheme.
-
-        ``pairs[k]`` is the seed pair of trial ``indices[k]``, so a stripe
-        of a larger batch produces exactly the records a whole-batch run
-        would for those indices — the composed process backend's
-        correctness hinges on this.
-        """
+    def _collapsed_executor(
+        self, route: tuple, executor: SimulationExecutor
+    ) -> Executor:
+        """``executor`` with ``simulate`` replaced by the route's collapsed
+        scheme: same per-trial channel, same result fields."""
         simulator, collapsed = route
-        # The exact per-trial channel constructions run_trial's executor
-        # would make, batched up front so their noise streams can be
-        # prefetched as one packed trial x draw bit-matrix.
-        channels = [
-            executor.channel.make(executor_seed) for _, executor_seed in pairs
-        ]
-        flips = flip_sources(channels, prefetch=self.prefetch)
 
-        records: list[TrialRecord] = []
-        times: list[float] | None = [] if collect_times else None
-        last = time.perf_counter()
-        for row, index in enumerate(indices):
-            inputs = task.sample_inputs(random.Random(pairs[row][0]))
-            outcome = collapsed(
+        def run(inputs: Any, executor_seed: int) -> ExecutionResult:
+            channel = executor.channel.make(executor_seed)
+            return collapsed(
                 simulator,
-                task.noiseless_protocol(),
+                executor.task.noiseless_protocol(),
                 inputs,
-                channels[row],
-                flips=flips[row],
+                channel,
+                flips=flip_source(channel, copy_rng=True),
                 codebook_cache=self._codebooks,
             )
-            report = outcome.report
-            stats = outcome.channel_stats
-            records.append(
-                TrialRecord(
-                    index=index,
-                    success=bool(task.is_correct(inputs, outcome.outputs)),
-                    rounds=float(outcome.rounds),
-                    chunk_attempts=float(report.chunk_attempts),
-                    completed=bool(report.completed),
-                    channel_rounds=stats.rounds,
-                    beeps_sent=stats.beeps_sent,
-                    or_ones=stats.or_ones,
-                    flips_up=stats.flips_up,
-                    flips_down=stats.flips_down,
-                    total_energy=outcome.total_energy,
-                )
-            )
-            if times is not None:
-                now = time.perf_counter()
-                times.append(now - last)
-                last = now
-        return records, times
+
+        return run

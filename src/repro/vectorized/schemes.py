@@ -22,7 +22,10 @@ form starts from the simulator's
 :meth:`~repro.simulation.base.Simulator.plan` — the report whose
 ``extra`` carries the chunk length, repetition and vote counts, attempt
 cap or iteration budget — the same plan the scalar ``simulate`` runs on,
-so the two forms never derive a count twice.
+so the two forms never derive a count twice.  Each form returns the
+scalar :class:`~repro.core.result.ExecutionResult` with
+``transcript=None`` (no sweep reads it) and the report in
+``metadata["report"]``, so one record builder reads both forms.
 
 :data:`CHANNEL_KINDS` lists the channel classes that replay, each with
 its flip source.  The draw rule is the channel's own declared ``flips``
@@ -49,7 +52,6 @@ after pops), so the collapsed forms add no new assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -69,6 +71,7 @@ from repro.coding.code import BlockCode
 from repro.coding.ml import MLDecoder
 from repro.core.formal import NoiseModel
 from repro.core.protocol import Protocol
+from repro.core.result import ExecutionResult
 from repro.errors import ConfigurationError, ProtocolError
 from repro.simulation.base import SimulationReport, Simulator
 from repro.simulation.chunked import ChunkCommitSimulator
@@ -83,12 +86,11 @@ from repro.simulation.owners import (
 )
 from repro.simulation.rewind import RewindSimulator
 from repro.vectorized.decoder import VectorizedMLDecoder
-from repro.vectorized.noise import BatchFlips, ChannelFlips, FlipSource
+from repro.vectorized.noise import ChannelFlips, FlipSource, FlipStream
 
 __all__ = [
     "CHANNEL_KINDS",
-    "CollapsedOutcome",
-    "flip_sources",
+    "flip_source",
     "simulate_chunked",
     "simulate_owners",
     "simulate_rewind",
@@ -101,7 +103,7 @@ __all__ = [
 
 
 #: Channel classes the collapsed schemes can replay bitwise, each mapped
-#: to the flip source :func:`flip_sources` builds for it: ``"none"``
+#: to the flip source :func:`flip_source` builds for it: ``"none"``
 #: (never drawn), ``"epsilon"`` (i.i.d. ``u < channel.epsilon`` draws) or
 #: ``"channel"`` (pulled from ``channel._deliver_shared_run(0, k)``).
 #: Exact types: a subclass may override delivery and must take the
@@ -114,30 +116,6 @@ CHANNEL_KINDS: dict[type, str | None] = {
     BurstNoiseChannel: "channel",
     IndependentNoiseChannel: "epsilon",
 }
-
-
-@dataclass
-class CollapsedOutcome:
-    """What a collapsed simulation produces — the scalar result minus the
-    transcript (which no sweep aggregates).
-
-    Field-for-field comparable with the scalar
-    :class:`~repro.core.result.ExecutionResult` of the same trial:
-    ``rounds == result.rounds``, ``channel_stats == result.channel_stats``,
-    ``beeps_per_party == result.beeps_per_party``, ``outputs ==
-    result.outputs`` and ``report`` matches ``result.metadata["report"]``
-    (``None`` for a raw protocol, see :func:`simulate_owners`).
-    """
-
-    outputs: list[Any]
-    rounds: int
-    channel_stats: ChannelStats
-    beeps_per_party: tuple[int, ...]
-    report: SimulationReport | None = None
-
-    @property
-    def total_energy(self) -> int:
-        return sum(self.beeps_per_party)
 
 
 class _SharedChannel:
@@ -367,19 +345,19 @@ def _flip_kind(channel: Channel) -> str | None:
     return CHANNEL_KINDS[type(channel)]
 
 
-def flip_sources(
-    channels: Sequence[Channel], prefetch: int | None = None
-) -> list[FlipSource | None]:
-    """One flip source per channel — the single place a registered
-    type's noise source is chosen.  All channels share one type.
+def flip_source(
+    channel: Channel, *, copy_rng: bool = False
+) -> FlipSource | None:
+    """The flip source of ``channel`` — the single place a registered
+    type's noise source is chosen.
 
     * ``"none"`` (noiseless): ``None``; the replay never draws.
     * ``"channel"`` (burst): :class:`ChannelFlips` over the channel's
       own ``_deliver_shared_run(0, k)`` — its received bits over a
       silent run are its flips, and the pull advances its Markov state.
-    * ``"epsilon"``: with ``prefetch`` (the runner), rows of one
-      :class:`BatchFlips` matrix of ``prefetch`` columns over copies of
-      the channels' generators; without it (a standalone call),
+    * ``"epsilon"``: with ``copy_rng`` (the runner, whose per-trial
+      channels are discarded), a :class:`FlipStream` over a copy of the
+      channel's generator; without it (a standalone call),
       :class:`ChannelFlips` over the channel's own buffered
       ``u < epsilon`` stream, so the channel ends where the scalar run
       leaves it.
@@ -388,28 +366,17 @@ def flip_sources(
     for a type with no known flip source — never a silent noiseless
     replay.
     """
-    kind = _flip_kind(channels[0])
+    kind = _flip_kind(channel)
     if kind == "none":
-        return [None] * len(channels)
+        return None
     if kind == "channel":
-        return [
-            ChannelFlips(partial(channel._deliver_shared_run, 0))
-            for channel in channels
-        ]
+        return ChannelFlips(partial(channel._deliver_shared_run, 0))
     if kind == "epsilon":
-        if prefetch is None:
-            return [
-                ChannelFlips(partial(channel._threshold_run, hit=1, miss=0))
-                for channel in channels
-            ]
-        rows = BatchFlips(
-            [channel._rng for channel in channels],
-            channels[0].epsilon,
-            columns=prefetch,
-        )
-        return [rows.stream(row) for row in range(len(channels))]
+        if copy_rng:
+            return FlipStream(channel._rng, channel.epsilon)
+        return ChannelFlips(partial(channel._threshold_run, hit=1, miss=0))
     raise ConfigurationError(
-        f"no flip source registered for {type(channels[0]).__name__} "
+        f"no flip source registered for {type(channel).__name__} "
         f"(flips={kind!r})"
     )
 
@@ -419,7 +386,7 @@ def _shared_channel(
 ) -> _SharedChannel:
     _flip_kind(channel)
     if flips is None:
-        flips = flip_sources([channel])[0]
+        flips = flip_source(channel)
     return _SharedChannel(channel.flips, flips, not channel.correlated)
 
 
@@ -604,13 +571,13 @@ def simulate_chunked(
     shared_seed: int | None = None,
     flips: FlipSource | None = None,
     codebook_cache: dict | None = None,
-) -> CollapsedOutcome:
+) -> ExecutionResult:
     """The chunk-commit scheme, party-collapsed; bitwise equal to
     ``simulator.simulate(protocol, inputs, channel)`` on the supported
-    channels (minus the transcript).
+    channels, with ``transcript=None``.
 
     ``flips`` optionally injects a pre-built noise stream (the runner's
-    batched prefetch); ``codebook_cache`` shares the owners codebook and
+    per-trial stream); ``codebook_cache`` shares the owners codebook and
     vectorized decoder (including its memo) across the trials of a batch —
     the scalar scheme rebuilds both per trial.
     """
@@ -683,10 +650,10 @@ def simulate_rewind(
     shared_seed: int | None = None,
     flips: FlipSource | None = None,
     codebook_cache: dict | None = None,
-) -> CollapsedOutcome:
+) -> ExecutionResult:
     """The rewind random walk, party-collapsed; bitwise equal to
     ``simulator.simulate(protocol, inputs, channel)`` on the supported
-    channels (minus the transcript).
+    channels, with ``transcript=None``.
 
     The scalar walk re-replays every party's inner coroutine from scratch
     after each pop.  Collapsed, the sent-bit column of position ``p`` is a
@@ -795,17 +762,29 @@ def _finish(
     shared: _SharedChannel,
     energy: Sequence[int],
     outputs: list[Any],
-) -> CollapsedOutcome:
+) -> ExecutionResult:
     """Record the rounds in ``report``, apply the simulator's
-    ``on_incomplete`` policy and package the outcome."""
+    ``on_incomplete`` policy and package the result, the report in
+    ``metadata["report"]`` as ``simulate`` puts it."""
     report.simulated_rounds = shared.stats.rounds
     simulator._enforce_completion(report)
-    return CollapsedOutcome(
+    return _result(shared, energy, outputs, {"report": report})
+
+
+def _result(
+    shared: _SharedChannel,
+    energy: Sequence[int],
+    outputs: list[Any],
+    metadata: dict[str, Any],
+) -> ExecutionResult:
+    """A collapsed execution as the scalar result, without a transcript."""
+    return ExecutionResult(
         outputs=outputs,
+        transcript=None,
         rounds=shared.stats.rounds,
         channel_stats=shared.stats,
         beeps_per_party=tuple(int(value) for value in energy),
-        report=report,
+        metadata=metadata,
     )
 
 
@@ -833,12 +812,13 @@ def simulate_owners(
     *,
     flips: FlipSource | None = None,
     codebook_cache: dict | None = None,
-) -> CollapsedOutcome:
+) -> ExecutionResult:
     """Algorithm 1's finding-owners phase, party-collapsed; bitwise equal
     to ``run_protocol(protocol, inputs, channel)`` on the shared-bit
-    channels of :data:`CHANNEL_KINDS` (minus the transcript): the
-    per-party :class:`~repro.simulation.owners.OwnersResult` outputs,
-    rounds, channel statistics and per-party energy.
+    channels of :data:`CHANNEL_KINDS`: the per-party
+    :class:`~repro.simulation.owners.OwnersResult` outputs, rounds,
+    channel statistics and per-party energy, with ``transcript=None``
+    and empty ``metadata``.
 
     Decoding uses the protocol's own decoder.  An exact
     :class:`~repro.coding.ml.MLDecoder` maps to the equivalent
@@ -888,16 +868,10 @@ def simulate_owners(
     owners, claimed_by, iterations = _owners_phase(
         pi, inputs, shared, energy, codebook, decode
     )
-    return CollapsedOutcome(
-        outputs=[
-            OwnersResult(
-                owners=dict(owners),
-                claimed_by_me=mine,
-                iterations=iterations,
-            )
-            for mine in claimed_by
-        ],
-        rounds=shared.stats.rounds,
-        channel_stats=shared.stats,
-        beeps_per_party=tuple(int(value) for value in energy),
-    )
+    outputs = [
+        OwnersResult(
+            owners=dict(owners), claimed_by_me=mine, iterations=iterations
+        )
+        for mine in claimed_by
+    ]
+    return _result(shared, energy, outputs, {})

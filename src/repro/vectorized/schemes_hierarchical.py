@@ -27,10 +27,10 @@ import numpy as _np
 
 from repro.channels.base import Channel
 from repro.core.protocol import Protocol
+from repro.core.result import ExecutionResult
 from repro.simulation.hierarchical import HierarchicalSimulator
 from repro.vectorized.noise import FlipSource
 from repro.vectorized.schemes import (
-    CollapsedOutcome,
     _chunk_flags,
     _chunk_phase12,
     _finish,
@@ -51,13 +51,13 @@ def simulate_hierarchical(
     shared_seed: int | None = None,
     flips: FlipSource | None = None,
     codebook_cache: dict | None = None,
-) -> CollapsedOutcome:
+) -> ExecutionResult:
     """The ``A_L`` hierarchy, party-collapsed; bitwise equal to
     ``simulator.simulate(protocol, inputs, channel)`` on the supported
-    channels (minus the transcript).
+    channels, with ``transcript=None``.
 
     ``flips`` optionally injects a pre-built noise stream (the runner's
-    batched prefetch); ``codebook_cache`` shares the owners codebook and
+    per-trial stream); ``codebook_cache`` shares the owners codebook and
     vectorized decoder across the trials of a batch — and with the
     chunk-commit collapse, whose codebook parameters are identical.
     """

@@ -30,11 +30,11 @@ import numpy as _np
 
 from repro.channels.base import Channel
 from repro.core.protocol import Protocol
+from repro.core.result import ExecutionResult
 from repro.errors import ProtocolDesyncError
 from repro.simulation.repetition_sim import RepetitionSimulator
 from repro.vectorized.noise import FlipSource
 from repro.vectorized.schemes import (
-    CollapsedOutcome,
     _finish,
     _InnerPrograms,
     _shared_channel,
@@ -52,13 +52,13 @@ def simulate_repetition(
     shared_seed: int | None = None,
     flips: FlipSource | None = None,
     codebook_cache: dict | None = None,
-) -> CollapsedOutcome:
+) -> ExecutionResult:
     """The repetition scheme, party-collapsed; bitwise equal to
     ``simulator.simulate(protocol, inputs, channel)`` on the supported
-    channels (minus the transcript).
+    channels, with ``transcript=None``.
 
     ``flips`` optionally injects a pre-built noise stream (the runner's
-    batched prefetch).  ``codebook_cache`` is accepted for call symmetry;
+    per-trial stream).  ``codebook_cache`` is accepted for call symmetry;
     the repetition scheme has no codebook.
     """
     del codebook_cache

@@ -3,24 +3,20 @@
 The collapsed simulations rest on three representational claims, each
 checked here over randomized instances:
 
-1. **Packing** — ``pack_rows``/``unpack_rows`` round-trip the trial×round
-   bit-matrix, popcounts survive packing, and ``mask_int`` produces the
-   scalar ML decoder's exact integer-mask packing (byte per position,
-   big-endian).
-2. **Noise streams** — a :class:`FlipStream` (and every row of a
+1. **Noise streams** — a :class:`FlipStream` (and every row of a
    :class:`BatchFlips` prefetch) serves the same flip indicators, in the
    same draw order, as the scalar channel's ``random()`` comparisons —
    including mid-stream handoff from a partially consumed generator and
    windows longer than a refill block; ``random_block`` is the scalar
    ``random()`` calls in bulk.
-3. **Decoding** — :class:`VectorizedMLDecoder` agrees with the scalar
+2. **Decoding** — :class:`VectorizedMLDecoder` agrees with the scalar
    memoized :class:`MLDecoder` symbol-for-symbol on random codebooks,
    noise models and received words, across the finite-weights fast path,
    the ``-inf``-guarded path, and the min-distance fallback regime.
-4. **Channel replay** — the collapsed schemes' windowed channel
+3. **Channel replay** — the collapsed schemes' windowed channel
    (``window``/``word``/``round``) delivers the bits and statistics of
    the scalar channel's ``transmit_shared``/``transmit_shared_run`` for
-   every shared-bit channel family, from standalone and prefetched flip
+   every shared-bit channel family, from standalone and runner flip
    sources alike.
 """
 
@@ -40,54 +36,21 @@ from repro.channels import (
     SuppressionNoiseChannel,
 )
 from repro.coding import GreedyRandomCode, MLDecoder
-from repro.coding.ml import _word_to_int
 from repro.core.formal import NoiseModel
 from repro.vectorized import (
     BatchFlips,
     FlipStream,
     VectorizedMLDecoder,
-    bits_from_mask,
-    flip_sources,
-    mask_int,
     numpy_stream,
-    pack_rows,
-    popcount_rows,
-    unpack_rows,
 )
 from repro.vectorized.noise import _FLIP_BLOCK, random_block
-from repro.vectorized.schemes import _shared_channel
+from repro.vectorized.schemes import _shared_channel, flip_source
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 # ----------------------------------------------------------------------
-# 1. Packed bit-matrices
-# ----------------------------------------------------------------------
-
-
-@given(seed=seeds, rows=st.integers(1, 7), columns=st.integers(1, 80))
-@settings(max_examples=60, deadline=None)
-def test_pack_unpack_round_trip(seed, rows, columns):
-    rng = np.random.RandomState(seed)
-    bits = (rng.random_sample((rows, columns)) < 0.4).astype(np.uint8)
-    packed = pack_rows(bits)
-    assert packed.shape == (rows, -(-columns // 8))
-    assert (unpack_rows(packed, columns) == bits).all()
-    assert (popcount_rows(packed) == bits.sum(axis=1)).all()
-
-
-@given(seed=seeds, length=st.integers(1, 48))
-@settings(max_examples=60, deadline=None)
-def test_mask_int_matches_scalar_word_packing(seed, length):
-    rng = np.random.RandomState(seed)
-    bits = (rng.random_sample(length) < 0.5).astype(np.uint8)
-    mask = mask_int(bits)
-    assert mask == _word_to_int([int(bit) for bit in bits])
-    assert (bits_from_mask(mask, length) == bits).all()
-
-
-# ----------------------------------------------------------------------
-# 2. Noise streams vs scalar channels
+# 1. Noise streams vs scalar channels
 # ----------------------------------------------------------------------
 
 
@@ -138,20 +101,21 @@ def test_flipstream_matches_one_sided_and_suppression(seed, pattern):
         assert got == expected
 
 
-@given(seed=seeds, trials=st.integers(1, 6), columns=st.integers(0, 70))
+@given(seed=seeds, trials=st.integers(1, 6), lead=st.integers(0, 40))
 @settings(max_examples=40, deadline=None)
-def test_batchflips_rows_match_per_trial_streams(seed, trials, columns):
+def test_batchflips_rows_match_per_trial_streams(seed, trials, lead):
     """Every row of a batched prefetch serves the identical indicator
-    sequence as a freshly transferred per-trial FlipStream — across the
-    prefetch boundary."""
+    sequence as a freshly transferred per-trial FlipStream — one at a
+    time across the prefetch boundary."""
     epsilon = 0.25
-    total = columns + 13  # cross the prefetch boundary
     rngs = [random.Random(seed + index) for index in range(trials)]
-    batch = BatchFlips(rngs, epsilon, columns=columns)
+    batch = BatchFlips(rngs, epsilon)
+    head = BatchFlips.columns - lead
     for index in range(trials):
         reference = FlipStream(random.Random(seed + index), epsilon)
         row = batch.stream(index)
-        for _ in range(total):
+        assert row.take(head).tolist() == reference.take(head).tolist()
+        for _ in range(lead + 13):  # cross the prefetch boundary
             assert row.take1() == reference.take1()
 
 
@@ -172,7 +136,6 @@ def test_flipstream_access_patterns_agree(seed, chunks):
 
 @given(
     seed=seeds,
-    columns=st.integers(0, 2 * _FLIP_BLOCK),
     calls=st.lists(
         st.tuples(
             st.sampled_from(["take", "take1", "count"]),
@@ -183,12 +146,12 @@ def test_flipstream_access_patterns_agree(seed, chunks):
     ),
 )
 @settings(max_examples=30, deadline=None)
-def test_flipstream_long_windows_match_scalar_draws(seed, columns, calls):
+def test_flipstream_long_windows_match_scalar_draws(seed, calls):
     """``take``/``take1``/``count`` interleaved from a prefetched row —
     windows crossing the prefetch edge and spanning several refill
     blocks — serve exactly ``[r.random() < eps, ...]`` in order."""
     epsilon = 0.3
-    stream = BatchFlips([random.Random(seed)], epsilon, columns=columns).stream(0)
+    stream = BatchFlips([random.Random(seed)], epsilon).stream(0)
     scalar = random.Random(seed)
     for name, size in calls:
         if name == "take1":
@@ -226,7 +189,7 @@ def test_random_block_is_scalar_random_calls(seed, warmup, count, gauss):
 
 
 # ----------------------------------------------------------------------
-# 3. Vectorized ML decode vs the scalar memoized decoder
+# 2. Vectorized ML decode vs the scalar memoized decoder
 # ----------------------------------------------------------------------
 
 
@@ -272,7 +235,7 @@ def test_vectorized_decode_matches_scalar(seed, num_symbols, up, down):
 
 
 # ----------------------------------------------------------------------
-# 4. Collapsed channel replay vs the scalar shared-bit delivery
+# 3. Collapsed channel replay vs the scalar shared-bit delivery
 # ----------------------------------------------------------------------
 
 #: Every shared-bit channel family the collapsed schemes replay, built
@@ -308,27 +271,23 @@ replay_ops = st.lists(
     family=st.sampled_from(sorted(REPLAY_CHANNELS)),
     seed=seeds,
     epsilon=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
-    prefetch=st.sampled_from([None, 0, 7, 64]),
+    standalone=st.booleans(),
     ops=replay_ops,
 )
 @settings(max_examples=150, deadline=None)
 def test_shared_channel_replays_scalar_delivery(
-    family, seed, epsilon, prefetch, ops
+    family, seed, epsilon, standalone, ops
 ):
     """Random ``window``/``word``/``round`` sequences on the collapsed
     channel give the received bits and :class:`ChannelStats` of the
     scalar ``transmit_shared_run``/``transmit_shared`` calls on a
-    same-seed channel.  Standalone flips (``prefetch=None``) pull from
-    the replayed channel itself, which must end where the scalar channel
-    does; a :class:`BatchFlips` prefetch of any width serves the same
-    flips."""
+    same-seed channel.  Standalone flips pull from the replayed channel
+    itself, which must end where the scalar channel does; the runner's
+    source (a :class:`FlipStream` over a copy of the channel's
+    generator) serves the same flips."""
     make = REPLAY_CHANNELS[family]
     channel, scalar = make(epsilon, seed), make(epsilon, seed)
-    flips = (
-        None
-        if prefetch is None
-        else flip_sources([channel], prefetch=prefetch)[0]
-    )
+    flips = None if standalone else flip_source(channel, copy_rng=True)
     shared = _shared_channel(channel, flips)
     for op in ops:
         if op[0] == "window":
@@ -347,6 +306,6 @@ def test_shared_channel_replays_scalar_delivery(
             expected = scalar.transmit_shared(or_value, beeps)
             assert shared.round(or_value, beeps) == expected
     assert shared.stats == scalar.stats
-    if prefetch is None:
+    if standalone:
         assert channel._rng.getstate() == scalar._rng.getstate()
         assert channel._noise_pos == scalar._noise_pos

@@ -4,7 +4,7 @@
 on.  A row's key is the crossover key ``classify_batch`` gives its
 executor, so these tests pin that the default rows still produce the
 packaged table's keys, and that a measured run writes one well-formed
-entry per row under that key.
+entry per row under that key, beside the packaged table's metadata keys.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 
 from repro.network.topology import TopologySpec
 from repro.parallel.calibrate import (
+    NETWORK_N_GRID,
     NEVER,
     calibration_grids,
     run_calibration,
@@ -24,17 +25,20 @@ from repro.vectorized.runner import classify_batch
 SEED = 2026
 
 
+def _packaged() -> dict:
+    with open(DEFAULT_CROSSOVER_PATH, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def _key(grid: SweepGrid) -> str:
     _, executor, _ = grid.build_point(grid.ns[0])
     return classify_batch(executor, SEED)[1]
 
 
 def test_default_rows_key_the_packaged_table():
-    with open(DEFAULT_CROSSOVER_PATH, encoding="utf-8") as handle:
-        packaged = json.load(handle)
     keys = [_key(grid) for grid in calibration_grids()]
     assert len(keys) == len(set(keys)), keys
-    assert set(keys) == set(packaged["schemes"])
+    assert set(keys) == set(_packaged()["schemes"])
 
 
 def test_run_writes_one_entry_per_row_under_its_planner_key():
@@ -59,6 +63,9 @@ def test_run_writes_one_entry_per_row_under_its_planner_key():
         "NeighborORTask",
     ]
     assert [_key(grid) for grid in grids] == list(table["schemes"])
+    calibrated = table["calibrated"]
+    assert sorted(calibrated) == sorted(_packaged()["calibrated"])
+    assert calibrated["network_n_grid"] == list(NETWORK_N_GRID)
     for grid, entry in zip(grids, table["schemes"].values()):
         assert [row["n"] for row in entry["measured"]] == list(grid.ns)
         min_n = entry["vectorized_min_n"]

@@ -61,8 +61,9 @@ class TestVectorizedStreamGolden:
     into numpy and reads uniforms from there.  These pins freeze both
     steps end to end: the derived seeds, the first transferred doubles
     (bit-exact: ``random_sample`` must reproduce ``Random.random``), and
-    a packed flip-matrix prefix.  Any drift in the derivation, the state
-    transfer, or the packing breaks replayability of vectorized trials
+    the first flip indicators of a batched prefetch (compared packed,
+    eight per byte).  Any drift in the derivation, the state transfer,
+    or the prefetch breaks replayability of vectorized trials
     on the scalar engine and must fail here, loudly.
     """
 
@@ -94,8 +95,8 @@ class TestVectorizedStreamGolden:
         ),
     }
 
-    #: pack_rows of the first 16 flip indicators (epsilon=0.5) of master
-    #: seed 0's first three trials.
+    #: ``np.packbits`` of the first 16 flip indicators (epsilon=0.5) of
+    #: master seed 0's first three trials.
     GOLDEN_PACKED = [[148, 188], [87, 117], [99, 99]]
 
     def test_transferred_streams_frozen(self):
@@ -114,14 +115,19 @@ class TestVectorizedStreamGolden:
             assert [scalar.random() for _ in range(3)] == doubles
 
     def test_batch_flip_matrix_frozen(self):
+        import numpy as np
+
         from repro.vectorized import BatchFlips
 
         rngs = [
             random.Random(derive_seed(0, f"trial[{index}]"))
             for index in range(3)
         ]
-        batch = BatchFlips(rngs, 0.5, columns=16)
-        assert batch.packed.tolist() == self.GOLDEN_PACKED
+        batch = BatchFlips(rngs, 0.5)
+        assert [
+            np.packbits(batch.stream(row).take(16)).tolist()
+            for row in range(3)
+        ] == self.GOLDEN_PACKED
 
     #: Batched *network* noise streams, master seed 0, 3x3 grid graph.
     #: The network route wraps each per-trial channel's ``_rng`` — the
@@ -158,6 +164,16 @@ class TestVectorizedStreamGolden:
             for index in range(3)
         ]
 
+    @staticmethod
+    def _assert_prefixes(batch, packed, flips):
+        """Each row's first 16 indicators match, packed and unpacked."""
+        import numpy as np
+
+        for row, (want_packed, want_flips) in enumerate(zip(packed, flips)):
+            prefix = batch.stream(row).take(16)
+            assert np.packbits(prefix).tolist() == want_packed, row
+            assert prefix[: len(want_flips)].tolist() == want_flips, row
+
     def test_network_node_noise_streams_frozen(self):
         from repro.vectorized import BatchFlips
 
@@ -165,12 +181,12 @@ class TestVectorizedStreamGolden:
         # Building a network channel consumes no draws: the batch reads
         # each trial's generator from the exact state the scalar engine
         # would first sample it in.
-        batch = BatchFlips(
-            [channel._rng for channel in channels], 0.25, columns=16
+        batch = BatchFlips([channel._rng for channel in channels], 0.25)
+        self._assert_prefixes(
+            batch,
+            self.GOLDEN_NETWORK_NODE_PACKED,
+            self.GOLDEN_NETWORK_NODE_FLIPS,
         )
-        assert batch.packed.tolist() == self.GOLDEN_NETWORK_NODE_PACKED
-        for row, expected in enumerate(self.GOLDEN_NETWORK_NODE_FLIPS):
-            assert batch.stream(row).take(9).tolist() == expected, row
         # The scalar channel's draw discipline — ``random() < epsilon``
         # per node per round — yields the same indicators.
         scalar = self._network_channels(epsilon=0.25)[0]
@@ -182,12 +198,12 @@ class TestVectorizedStreamGolden:
         from repro.vectorized import BatchFlips
 
         channels = self._network_channels(edge_epsilon=0.1)
-        batch = BatchFlips(
-            [channel._rng for channel in channels], 0.1, columns=16
+        batch = BatchFlips([channel._rng for channel in channels], 0.1)
+        self._assert_prefixes(
+            batch,
+            self.GOLDEN_NETWORK_EDGE_PACKED,
+            self.GOLDEN_NETWORK_EDGE_FLIPS,
         )
-        assert batch.packed.tolist() == self.GOLDEN_NETWORK_EDGE_PACKED
-        for row, expected in enumerate(self.GOLDEN_NETWORK_EDGE_FLIPS):
-            assert batch.stream(row).take(12).tolist() == expected, row
 
 
 class TestSpawn:

@@ -2,11 +2,15 @@
 
 import json
 
+import pytest
+
 from repro.analysis import SweepSpec, run_sweep_point
 from repro.channels import NoiselessChannel
 from repro.core import run_protocol
-from repro.simulation import SimulationReport
+from repro.errors import ConfigurationError
+from repro.simulation import ChunkCommitSimulator, SimulationReport
 from repro.tasks import OrTask
+from repro.vectorized import simulate_chunked
 
 
 class TestSimulationReportToDict:
@@ -38,6 +42,20 @@ class TestSimulationReportToDict:
         payload = report.to_dict()
         payload["extra"]["a"] = 2
         assert extra["a"] == 1
+
+
+class TestExecutionResultToDict:
+    def test_collapsed_result_has_no_transcript_to_include(self):
+        task = OrTask(2)
+        result = simulate_chunked(
+            ChunkCommitSimulator(),
+            task.noiseless_protocol(),
+            [0, 1],
+            NoiselessChannel(),
+        )
+        assert result.transcript is None
+        with pytest.raises(ConfigurationError, match="no transcript"):
+            result.to_dict(include_transcript=True)
 
 
 class TestSweepPointToDict:
