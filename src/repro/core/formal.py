@@ -35,7 +35,7 @@ from repro.core.party import (
     PartyProgram,
     Silence,
 )
-from repro.core.protocol import Protocol
+from repro.core.protocol import BeepSchedule, Protocol
 from repro.errors import ConfigurationError, ProtocolError
 from repro.util.bits import BitWord
 
@@ -51,8 +51,6 @@ __all__ = [
 SharedBroadcast = Callable[[int, Any, Sequence[int]], int]
 # Transcript-determined output (the paper's WLOG for player 1).
 TranscriptOutput = Callable[[Sequence[int]], Any]
-# s(i, x_i) -> int whose bit m is f_m^i(x_i, π_<m) for every π.
-BeepSchedule = Callable[[int, Any], int]
 
 
 @dataclass(frozen=True)
@@ -303,7 +301,8 @@ class FormalProtocol(Protocol):
         output: Output determined by the transcript alone
             (``g(π) -> value``), matching the paper's WLOG normalisation of
             player 1's output.  All parties use it.
-        schedule: Optional beep schedule of a *non-adaptive* protocol:
+        schedule: Optional beep schedule of a *non-adaptive* protocol
+            (:attr:`~repro.core.protocol.Protocol.schedule`):
             ``schedule(i, y)`` is an int whose bit ``m`` is
             ``f_m^i(y, π_{<m})`` for every ``π``.  It must agree with
             ``broadcast``; it is bound to the ``broadcast`` current when it
@@ -349,25 +348,17 @@ class FormalProtocol(Protocol):
         # engine, so every party with that mask reuses one list.
         self._tokens: dict[int, list[Burst]] = {}
 
-    @property
-    def schedule(self) -> BeepSchedule | None:
-        """The beep schedule, or ``None`` when there is none or
-        ``broadcast`` was reassigned after it was set."""
-        if self.broadcast is not self._scheduled_broadcast:
-            return None
-        return self._schedule
-
-    @schedule.setter
-    def schedule(self, schedule: BeepSchedule | None) -> None:
-        self._schedule = schedule
-        self._scheduled_broadcast = self.broadcast
-
     # ------------------------------------------------------------------
     # Executable interface (engine compatibility)
     # ------------------------------------------------------------------
 
     def length(self) -> int:
         return self._length
+
+    def party_output(
+        self, index: int, input_value: Any, received: Sequence[int]
+    ) -> Any:
+        return self.output(received)
 
     def create_parties(
         self, inputs: Sequence[Any], shared_seed: int | None = None

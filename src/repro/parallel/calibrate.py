@@ -162,6 +162,9 @@ def run_calibration(
     the vectorized path wins at every measured ``n`` onward (crossovers
     are monotone in ``n``: the collapse amortizes per-round party work).
     A row that never wins gets a never-select sentinel.
+
+    The table's ``n_grid`` and ``network_n_grid`` record the ``n`` values
+    the single-hop and the network rows ran, in first-seen order.
     """
     from repro.vectorized import VectorizedRunner
     from repro.vectorized.runner import classify_batch
@@ -175,8 +178,8 @@ def run_calibration(
         "calibrated": {
             "cpu_count": os.cpu_count() or 1,
             "budget_s": budget_s,
-            "n_grid": list(n_grid),
-            "network_n_grid": list(NETWORK_N_GRID),
+            "n_grid": _ran_ns(grids, network=False),
+            "network_n_grid": _ran_ns(grids, network=True),
             "seed": seed,
         },
         "process_min_trials": 8,
@@ -218,6 +221,18 @@ def run_calibration(
             "measured": measured,
         }
     return table
+
+
+def _ran_ns(grids: Sequence["SweepGrid"], *, network: bool) -> list[int]:
+    """Every ``n`` of the single-hop (or network) ``grids``, once each,
+    in first-seen order."""
+    ns = (
+        n
+        for grid in grids
+        if (grid.topology is not None) == network
+        for n in grid.ns
+    )
+    return list(dict.fromkeys(ns))
 
 
 def write_crossover(table: dict, path: str) -> None:

@@ -19,10 +19,11 @@ this.
 from __future__ import annotations
 
 import random
+from itertools import compress
 from typing import Sequence
 
 from repro.core.formal import FormalProtocol
-from repro.core.protocol import FunctionalProtocol, Protocol
+from repro.core.protocol import BeepSchedule, FunctionalProtocol, Protocol
 from repro.errors import ConfigurationError, TaskError
 from repro.tasks.base import Task
 
@@ -33,12 +34,33 @@ __all__ = [
 ]
 
 
+def _input_set_schedule(n_parties: int, repetitions: int) -> BeepSchedule:
+    """The beep schedule of InputSet's protocol with ``repetitions``
+    back-to-back copies of each virtual round.
+
+    Non-adaptive: ``x ∈ [2n]`` beeps the ``repetitions`` rounds of virtual
+    round ``x``, whatever it hears; inputs outside ``[2n]`` never beep.
+    """
+    block = (1 << repetitions) - 1
+    masks = {
+        x: block << ((x - 1) * repetitions)
+        for x in range(1, 2 * n_parties + 1)
+    }
+
+    def schedule(_party: int, x: int) -> int:
+        return masks.get(x, 0)
+
+    return schedule
+
+
 def input_set_noiseless_protocol(n_parties: int) -> Protocol:
     """The 2n-round noiseless protocol: party ``i`` beeps in round ``x^i``.
 
     Rounds are numbered 1..2n to match the paper; the protocol's round
     ``m`` (0-based index ``m-1``) carries the indicator of ``m ∈ L(x)``.
     The output is the set of 1-rounds, read off the received transcript.
+    The protocol declares its beep schedule, so the party-collapsed
+    schemes read its sent bits instead of running its parties.
     """
     length = 2 * n_parties
 
@@ -51,15 +73,16 @@ def input_set_noiseless_protocol(n_parties: int) -> Protocol:
     def output(
         _party: int, _input_value: int, received: Sequence[int]
     ) -> frozenset[int]:
-        return frozenset(
-            m + 1 for m, bit in enumerate(received) if bit == 1
-        )
+        # The rounds m whose received bit is 1; compress walks the bits
+        # at C speed (each party computes this once per execution).
+        return frozenset(compress(range(1, len(received) + 1), received))
 
     return FunctionalProtocol(
         n_parties=n_parties,
         length=length,
         broadcast=broadcast,
         output=output,
+        schedule=_input_set_schedule(n_parties, 1),
     )
 
 
@@ -74,6 +97,15 @@ def input_set_formal_protocol(
     round is beeped that many times back-to-back — the repetition-hardened
     protocol family whose correctness-vs-length tradeoff experiment E5
     charts against the Theorem C.2/C.3 bounds.
+
+    The two InputSet protocols stay separate because their parties
+    differ.  This one's scheduled parties yield
+    :class:`~repro.core.party.Burst`/:class:`~repro.core.party.Silence`
+    tokens, which the engine runs but the scalar simulators' inner-party
+    replay (:class:`~repro.simulation.chunk_common.InnerReplay`, one
+    plain bit per step) cannot; the functional twin's parties yield plain
+    bits, so every simulator can wrap it.  Both declare the same
+    schedule, built by one helper.
 
     Args:
         n_parties: Number of parties.
@@ -102,14 +134,6 @@ def input_set_formal_protocol(
         virtual_round = len(prefix) // repetitions + 1
         return 1 if x == virtual_round else 0
 
-    # Non-adaptive: x beeps the r rounds of virtual round x, whatever it
-    # hears; inputs outside [2n] never beep.
-    block = (1 << repetitions) - 1
-    masks = {x: block << ((x - 1) * repetitions) for x in universe}
-
-    def schedule(_party: int, x: int) -> int:
-        return masks.get(x, 0)
-
     def output(pi) -> frozenset[int]:
         members = []
         for m in range(2 * n_parties):
@@ -128,7 +152,7 @@ def input_set_formal_protocol(
         input_spaces=[universe] * n_parties,
         broadcast=broadcast,
         output=output,
-        schedule=schedule,
+        schedule=_input_set_schedule(n_parties, repetitions),
     )
 
 

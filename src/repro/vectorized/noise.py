@@ -17,7 +17,9 @@ into a ``numpy.random.RandomState``: both generate doubles with the same
 ``Random.random()`` exactly (verified by golden pins in
 ``tests/unit/test_rng.py`` and property tests).  :class:`FlipStream` builds
 on that to serve flip indicators in blocks; the collapsed single-hop
-schemes draw from one per trial, over a copy of the channel's generator.
+schemes draw from one per trial, over a copy of the channel's generator
+(its first block comes from :func:`random_block`, so a trial that draws
+little never builds a numpy stream).
 :class:`BatchFlips` prefetches the first ``columns`` indicators of a
 whole batch of trials as 0/1 bytes — the network route's batched noise.
 :func:`random_block` is for callers that keep
@@ -51,6 +53,11 @@ __all__ = [
 #: Smallest refill, in flip indicators; purely an amortization knob —
 #: the delivered stream is identical for any block size.
 _FLIP_BLOCK = 8192
+
+#: Smallest first fill of a :class:`FlipStream`, drawn by
+#: :func:`random_block`: a trial that reads no further never pays for a
+#: numpy stream.  Also an amortization knob only.
+_FIRST_BLOCK = 256
 
 
 def numpy_stream(rng: random.Random) -> "_np.random.RandomState":
@@ -94,28 +101,42 @@ class FlipStream:
     """The flip-indicator stream of one trial's channel randomness.
 
     Serves the sequence ``[rng.random() < epsilon, ...]`` in draw order,
-    generated in vectorized blocks.  The buffer is a ``bytes`` of 0/1 so
-    the three access patterns of the collapsed schemes are all C-speed:
-    ``take1`` (one round), ``count`` (popcount of a constant-OR window),
-    and ``take`` (a codeword window as a uint8 array).
+    generated in vectorized blocks: the first (at least
+    :data:`_FIRST_BLOCK` indicators) by :func:`random_block` on a copy of
+    ``rng``, every later one from a :func:`numpy_stream` continuing that
+    copy, built only when a trial reads past the first block.  The buffer
+    is a ``bytes`` of 0/1 so the three access patterns of the collapsed
+    schemes are all C-speed: ``take1`` (one round), ``count`` (popcount
+    of a constant-OR window), and ``take`` (a codeword window as a uint8
+    array).
 
     Args:
         rng: The channel's generator; its current state is copied.
         epsilon: The channel's flip probability.
     """
 
-    __slots__ = ("_stream", "_epsilon", "_buffer", "_pos", "draws")
+    __slots__ = ("_rng", "_stream", "_epsilon", "_buffer", "_pos", "draws")
 
     def __init__(self, rng: random.Random, epsilon: float) -> None:
-        self._stream = numpy_stream(rng)
+        self._rng = random.Random()
+        self._rng.setstate(rng.getstate())
+        self._stream: "_np.random.RandomState | None" = None
         self._epsilon = epsilon
         self._buffer = b""
         self._pos = 0
         #: Indicators consumed so far (draw-order position; test hook).
         self.draws = 0
 
-    def _refill(self, size: int = _FLIP_BLOCK) -> None:
-        uniforms = self._stream.random_sample(size)
+    def _refill(self, size: int = 0) -> None:
+        """Buffer the next ``size`` indicators, or more (a block)."""
+        if not self._buffer:
+            # The first fill: cheap for the short streams most trials of
+            # the rewind scheme read.
+            uniforms = random_block(self._rng, max(size, _FIRST_BLOCK))
+        else:
+            if self._stream is None:
+                self._stream = numpy_stream(self._rng)
+            uniforms = self._stream.random_sample(max(size, _FLIP_BLOCK))
         self._buffer = (uniforms < self._epsilon).view(_np.uint8).tobytes()
         self._pos = 0
 
@@ -165,7 +186,7 @@ class FlipStream:
         missing = rounds - ready
         if not missing:
             return head
-        self._refill(max(missing, _FLIP_BLOCK))
+        self._refill(missing)
         tail = _np.frombuffer(self._buffer, dtype=_np.uint8, count=missing)
         self._pos = missing
         return _np.concatenate((head, tail)) if ready else tail

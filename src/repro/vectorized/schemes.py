@@ -7,9 +7,12 @@ noise every party of these schemes walks through *identical shared state*
 ``n``-fold redundant: each chunk attempt re-creates ``n²`` inner parties,
 all ``n`` parties decode the same received word, and every phase's round
 window is a function of a handful of shared quantities.  The collapsed
-forms below compute each shared quantity once, drive a *single* set of
-``n`` live inner-party coroutines, and replace per-round channel calls
-with windowed draws from a flip source
+forms below compute each shared quantity once, take the inner parties'
+sent bits from a single source — the ``(T × n)`` column matrix of the
+protocol's declared beep schedule
+(:attr:`~repro.core.protocol.Protocol.schedule`), built once per trial,
+or else one set of ``n`` live inner-party coroutines — and replace
+per-round channel calls with windowed draws from a flip source
 (:class:`~repro.vectorized.noise.FlipStream` or
 :class:`~repro.vectorized.noise.ChannelFlips`) —
 while reproducing the scalar execution *bitwise*: same RNG draw order,
@@ -47,7 +50,16 @@ owners bookkeeping the chunk schemes use.
 Determinism assumption: inner parties are deterministic functions of
 ``(inputs, received prefix)``.  The scalar schemes already rely on exactly
 this (``InnerReplay`` re-creates parties on every attempt; rewind replays
-after pops), so the collapsed forms add no new assumption.
+after pops), so the coroutine replay adds no new assumption.  A declared
+schedule is the stronger, stated form of it — the sent bits do not depend
+on the received prefix at all — so the schedule-backed replay
+(:class:`_ScheduledPrograms`) never runs a party: a rejected chunk or a
+rewind pop only resets the received prefix, rewind reads column ``p``
+directly, and outputs come from the protocol's
+:meth:`~repro.core.protocol.Protocol.party_output` on each party's
+received transcript.  :func:`_inner_programs` picks the source; the
+scheme bodies do not branch on it, and the result is bitwise the same
+either way.
 """
 
 from __future__ import annotations
@@ -98,7 +110,7 @@ __all__ = [
 
 # NOTE: the collapsed repetition and hierarchical forms live in
 # repro.vectorized.schemes_repetition / schemes_hierarchical; they build
-# on the shared machinery here (_SharedChannel, _InnerPrograms,
+# on the shared machinery here (_SharedChannel, _inner_programs,
 # _chunk_phase12, _chunk_flags, _owners_decoder).
 
 
@@ -251,6 +263,10 @@ class _InnerPrograms:
     selects the chunk schemes' ``InnerReplay`` error contract (a party
     must yield exactly ``length()`` bits); the rewind scheme tolerates
     early termination (bits become ``None``).
+
+    The path of protocols without a declared schedule;
+    :class:`_ScheduledPrograms` serves the same interface off a schedule,
+    and :func:`_inner_programs` picks one.
     """
 
     def __init__(
@@ -269,6 +285,15 @@ class _InnerPrograms:
         self._programs: list[Any] = []
         self._finished: list[bool] = []
         self._outputs: list[Any] = []
+        # Rewind's sent-bit column cache: column p depends only on
+        # working[:p], and _cached_received mirrors the receive history
+        # the columns beyond p were computed under.  A pop leaves the
+        # cache intact; an append that changes a received bit truncates
+        # everything above it.  _stale: the live programs are out of
+        # sync with the walk's working transcript.
+        self._cached_columns: list["_np.ndarray"] = []
+        self._cached_received: list[int] = []
+        self._stale = False
         self.restart()
 
     def restart(self) -> None:
@@ -321,6 +346,69 @@ class _InnerPrograms:
                 bits[index] = None
         self.position += 1
 
+    def chunk(
+        self, rounds: int, vote: Callable[[int, int], int]
+    ) -> tuple[list[int], list[list[int]], "_np.ndarray"]:
+        """Phase 1 of a chunk: ``rounds`` virtual rounds, each decoded by
+        ``vote(or_value, beeps)`` and delivered to every party.
+
+        Returns ``(pi, beep_rows, beep_matrix)``: the decoded bits, and
+        each party's sent bits as lists and as an ``n × rounds`` uint8
+        matrix.
+        """
+        beep_rows: list[list[int]] = [[] for _ in self._programs]
+        pi: list[int] = []
+        for _ in range(rounds):
+            beeps = 0
+            for index, bit in enumerate(self.bits):
+                if bit is None:
+                    raise ProtocolError(
+                        "inner protocol shorter than its declared length"
+                    )
+                beep_rows[index].append(bit)
+                beeps += bit
+            decoded = vote(1 if beeps else 0, beeps)
+            pi.append(decoded)
+            self.advance(decoded)
+        return pi, beep_rows, _np.array(beep_rows, dtype=_np.uint8)
+
+    def column(self, working: Sequence[int]) -> "_np.ndarray":
+        """The sent-bit column at position ``len(working)`` of the rewind
+        walk's working transcript (cached; replays on a miss)."""
+        position = len(working)
+        if position < len(self._cached_columns):
+            return self._cached_columns[position]
+        if self._stale or self.position != position:
+            self.rebuild(working)
+            self._stale = False
+        column = _np.array(
+            [bit if bit is not None else 0 for bit in self.bits],
+            dtype=_np.uint8,
+        )
+        self._cached_columns.append(column)
+        return column
+
+    def appended(self, position: int, received: int) -> None:
+        """The walk appended ``received`` at ``position``."""
+        cached_received = self._cached_received
+        if position < len(cached_received):
+            if cached_received[position] != received:
+                # The past changed: columns above are invalid.
+                del self._cached_columns[position + 1 :]
+                del cached_received[position + 1 :]
+                cached_received[position] = received
+                if self.position > position:
+                    self._stale = True
+        else:
+            cached_received.append(received)
+        if not self._stale and self.position == position:
+            self.advance(received)
+
+    def popped(self, length: int) -> None:
+        """The walk popped its working transcript to ``length``."""
+        if self.position > length:
+            self._stale = True
+
     def outputs(self) -> list[Any]:
         """Per-party outputs; strict mode requires every party finished."""
         if self._strict and not all(self._finished):
@@ -333,6 +421,157 @@ class _InnerPrograms:
         """Outputs of a fresh replay over ``prefix`` (the padded path)."""
         self.rebuild(prefix)
         return self.outputs()
+
+
+class _ScheduledPrograms:
+    """The inner parties of a protocol that declares its sent bits
+    (:attr:`~repro.core.protocol.Protocol.schedule`), without running them.
+
+    Same interface and error contracts as :class:`_InnerPrograms`.  The
+    ``(T × n)`` uint8 matrix ``columns`` — row ``m`` the parties' round-
+    ``m`` bits, bit ``m`` of ``schedule(i, x^i)`` — is built once, so
+    nothing depends on what the parties hear but their outputs: advancing
+    records the received bit, :meth:`rebuild` only resets the received
+    prefix, and outputs are the protocol's
+    :meth:`~repro.core.protocol.Protocol.party_output` on each party's
+    received transcript.
+    """
+
+    def __init__(
+        self, protocol: Protocol, inputs: Sequence[Any], strict: bool
+    ) -> None:
+        protocol._check_inputs(inputs)
+        self._protocol = protocol
+        self._inputs = list(inputs)
+        self._strict = strict
+        self._length = length = protocol.length()
+        schedule = protocol.schedule
+        full = (1 << length) - 1
+        width = (length + 7) // 8
+        packed = b"".join(
+            (schedule(index, value) & full).to_bytes(width, "little")
+            for index, value in enumerate(self._inputs)
+        )
+        rows = _np.unpackbits(
+            _np.frombuffer(packed, dtype=_np.uint8).reshape(
+                len(self._inputs), width
+            ),
+            axis=1,
+            count=length,
+            bitorder="little",
+        )
+        #: ``T × n``: row ``m`` is round ``m``'s sent-bit column.
+        self.columns = _np.ascontiguousarray(rows.T)
+        self.position = 0
+        # Received bits up to the protocol's length: an int per shared
+        # round, a per-party list per advance_each round.
+        self._heard: list[Any] = []
+        self._per_party = False
+
+    @property
+    def bits(self) -> list[int | None]:
+        """The next sent bit per party; ``None`` once all finished."""
+        if self.position < self._length:
+            return self.columns[self.position].tolist()
+        return [None] * len(self._inputs)
+
+    def rebuild(self, prefix: Sequence[int]) -> None:
+        """Set the received prefix (nothing to replay)."""
+        if self._strict and len(prefix) > self._length:
+            raise ProtocolError(
+                "inner party finished before its declared length"
+            )
+        self._heard = list(prefix[: self._length])
+        self._per_party = False
+        self.position = len(prefix)
+
+    def _hear(self, received: Any) -> None:
+        if self.position < self._length:
+            self._heard.append(received)
+        elif self._strict:
+            raise ProtocolError(
+                "inner party finished before its declared length"
+            )
+        self.position += 1
+
+    def advance(self, received: int) -> None:
+        """Deliver one shared received bit to every party."""
+        self._hear(received)
+
+    def advance_each(self, received: Sequence[int]) -> None:
+        """Deliver party ``i`` its own received bit ``received[i]``."""
+        self._per_party = True
+        self._hear(list(received))
+
+    def chunk(
+        self, rounds: int, vote: Callable[[int, int], int]
+    ) -> tuple[list[int], list[list[int]], "_np.ndarray"]:
+        """Phase 1 of a chunk off the next ``rounds`` columns and their
+        sums (same return as :meth:`_InnerPrograms.chunk`)."""
+        start = self.position
+        if start + rounds > self._length:
+            raise ProtocolError(
+                "inner protocol shorter than its declared length"
+            )
+        block = self.columns[start : start + rounds]
+        pi = [
+            vote(1 if beeps else 0, beeps)
+            for beeps in block.sum(axis=1).tolist()
+        ]
+        self._heard.extend(pi)
+        self.position = start + rounds
+        beep_matrix = block.T
+        return pi, beep_matrix.tolist(), beep_matrix
+
+    def column(self, working: Sequence[int]) -> "_np.ndarray":
+        """The sent-bit column at position ``len(working)``."""
+        return self.columns[len(working)]
+
+    def appended(self, position: int, received: int) -> None:
+        """Nothing to track: columns do not depend on what was heard."""
+
+    def popped(self, length: int) -> None:
+        """Nothing to track: columns do not depend on what was heard."""
+
+    def _transcript(self, index: int) -> list[int]:
+        if not self._per_party:
+            return list(self._heard)
+        return [
+            bit[index] if isinstance(bit, list) else bit
+            for bit in self._heard
+        ]
+
+    def outputs(self) -> list[Any]:
+        """Per-party outputs; strict mode requires every party finished."""
+        if self.position < self._length:
+            if self._strict:
+                raise ProtocolError(
+                    "inner protocol did not finish at its declared length"
+                )
+            return [None] * len(self._inputs)
+        output = self._protocol.party_output
+        return [
+            output(index, value, self._transcript(index))
+            for index, value in enumerate(self._inputs)
+        ]
+
+    def outputs_over(self, prefix: Sequence[int]) -> list[Any]:
+        """Outputs over the received ``prefix`` (the padded path)."""
+        self.rebuild(prefix)
+        return self.outputs()
+
+
+def _inner_programs(
+    protocol: Protocol,
+    inputs: Sequence[Any],
+    shared_seed: int | None,
+    strict: bool,
+) -> _InnerPrograms | _ScheduledPrograms:
+    """The inner parties of one collapsed trial: read off the protocol's
+    declared schedule, else ``n`` live coroutines."""
+    if protocol.schedule is not None:
+        return _ScheduledPrograms(protocol, inputs, strict)
+    return _InnerPrograms(protocol, inputs, shared_seed, strict)
 
 
 def _flip_kind(channel: Channel) -> str | None:
@@ -489,12 +728,11 @@ def _owners_phase(
 
 
 def _chunk_phase12(
-    programs: _InnerPrograms,
+    programs: _InnerPrograms | _ScheduledPrograms,
     shared: _SharedChannel,
     energy: "_np.ndarray",
     chunk_rounds: int,
     repetitions: int,
-    n_parties: int,
     decoder: VectorizedMLDecoder,
 ):
     """Phases 1+2 of Algorithm 1 over the live programs, collapsed.
@@ -502,38 +740,26 @@ def _chunk_phase12(
     Phase 1 repetition-hardens ``chunk_rounds`` virtual rounds into the
     chunk transcript ``pi`` (advancing the programs as it goes); phase 2
     runs the finding-owners phase (:func:`_owners_phase`).  Returns
-    ``(pi, beep_rows, beep_matrix, owners, claimed_by)`` and accrues
-    per-party ``energy`` in place — exactly the shared quantities both
-    chunk schemes verify against.
+    ``(pi, beep_matrix, owners, claimed_by)`` and accrues per-party
+    ``energy`` in place — exactly the shared quantities both chunk
+    schemes verify against.
     """
+
     # Phase 1: repetition-harden each virtual round into pi.  The
     # window's received ones collapse to one popcount of the flip
     # stream; the majority rule matches repeated_bit exactly.
-    beep_rows: list[list[int]] = [[] for _ in range(n_parties)]
-    pi: list[int] = []
-    for _ in range(chunk_rounds):
-        beeps = 0
-        bits = programs.bits
-        for index, bit in enumerate(bits):
-            if bit is None:
-                raise ProtocolError(
-                    "inner protocol shorter than its declared length"
-                )
-            beep_rows[index].append(bit)
-            beeps += bit
-        or_value = 1 if beeps else 0
+    def vote(or_value: int, beeps: int) -> int:
         ones = shared.window(or_value, beeps, repetitions)
-        decoded = 1 if 2 * ones > repetitions else 0
-        pi.append(decoded)
-        programs.advance(decoded)
-    beep_matrix = _np.array(beep_rows, dtype=_np.uint8)
+        return 1 if 2 * ones > repetitions else 0
+
+    pi, beep_rows, beep_matrix = programs.chunk(chunk_rounds, vote)
     energy += beep_matrix.sum(axis=1, dtype=_np.int64) * repetitions
 
     # Phase 2: finding owners.
     owners, claimed_by, _ = _owners_phase(
         pi, beep_rows, shared, energy, decoder, decoder.decode
     )
-    return pi, beep_rows, beep_matrix, owners, claimed_by
+    return pi, beep_matrix, owners, claimed_by
 
 
 def _chunk_flags(
@@ -593,7 +819,7 @@ def simulate_chunked(
     )
 
     shared = _shared_channel(channel, flips)
-    programs = _InnerPrograms(protocol, inputs, shared_seed, strict=True)
+    programs = _inner_programs(protocol, inputs, shared_seed, strict=True)
     energy = _np.zeros(n_parties, dtype=_np.int64)
 
     committed: list[int] = []
@@ -607,14 +833,8 @@ def simulate_chunked(
             # outer party, on *every* attempt).
             programs.rebuild(committed)
 
-        pi, beep_rows, beep_matrix, owners, claimed_by = _chunk_phase12(
-            programs,
-            shared,
-            energy,
-            chunk_rounds,
-            repetitions,
-            n_parties,
-            decoder,
+        pi, beep_matrix, owners, claimed_by = _chunk_phase12(
+            programs, shared, energy, chunk_rounds, repetitions, decoder
         )
 
         # Phase 3: per-party error flags (vectorized over the beep
@@ -657,11 +877,12 @@ def simulate_rewind(
 
     The scalar walk re-replays every party's inner coroutine from scratch
     after each pop.  Collapsed, the sent-bit column of position ``p`` is a
-    function of ``working[:p]`` alone, so columns survive pops in a cache
-    and a full replay is only needed when an append *changes* a received
-    bit under cached columns.  Per-party dispute sets shrink to an
-    incremental counter vector.  (``codebook_cache`` is accepted for call
-    symmetry; the rewind scheme has no codebook.)
+    function of ``working[:p]`` alone: read off the protocol's declared
+    schedule, or else cached across pops by the live programs, which
+    replay only when an append *changes* a received bit under cached
+    columns.  Per-party dispute sets shrink to an incremental counter
+    vector.  (``codebook_cache`` is accepted for call symmetry; the
+    rewind scheme has no codebook.)
     """
     del codebook_cache
     report, _ = simulator.plan(protocol, channel)
@@ -669,20 +890,13 @@ def simulate_rewind(
 
     shared = _shared_channel(channel, flips)
     n_parties = protocol.n_parties
-    programs = _InnerPrograms(protocol, inputs, shared_seed, strict=False)
+    programs = _inner_programs(protocol, inputs, shared_seed, strict=False)
     energy = _np.zeros(n_parties, dtype=_np.int64)
     zero_column = _np.zeros(n_parties, dtype=_np.uint8)
 
     working: list[int] = []
-    # Cached sent-bit columns: column p depends only on working[:p], and
-    # cached_received mirrors the receive history the columns beyond p
-    # were computed under.  A pop leaves the cache intact; an append that
-    # changes a received bit truncates everything above it.
-    cached_columns: list["_np.ndarray"] = []
-    cached_received: list[int] = []
     disputes = _np.zeros(n_parties, dtype=_np.int64)
     rewinds = 0
-    stale = False  # live programs out of sync with ``working``
 
     for _ in range(report.extra["iterations"]):
         # Alarm round: a party beeps iff it currently disputes a position.
@@ -693,34 +907,19 @@ def simulate_rewind(
 
         if heard_alarm == 1:
             if working:
-                position = len(working) - 1
                 popped = working.pop()
                 if popped == 0:
                     # Exactly the parties that beeped 1 there disputed it.
-                    disputes -= cached_columns[position]
+                    disputes -= programs.column(working)
                 rewinds += 1
-                if programs.position > len(working):
-                    stale = True
+                programs.popped(len(working))
             # Dummy round keeps the iteration at two rounds; all silent.
             shared.round(0, 0)
         else:
             position = len(working)
             simulating = position < inner_length
             if simulating:
-                if position < len(cached_columns):
-                    column = cached_columns[position]
-                else:
-                    if stale or programs.position != position:
-                        programs.rebuild(working)
-                        stale = False
-                    column = _np.array(
-                        [
-                            bit if bit is not None else 0
-                            for bit in programs.bits
-                        ],
-                        dtype=_np.uint8,
-                    )
-                    cached_columns.append(column)
+                column = programs.column(working)
                 beeps = int(column.sum())
             else:
                 column = zero_column
@@ -729,21 +928,10 @@ def simulate_rewind(
             received = shared.round(or_value, beeps)
             energy += column
             if simulating:
-                if position < len(cached_received):
-                    if cached_received[position] != received:
-                        # The past changed: columns above are invalid.
-                        del cached_columns[position + 1 :]
-                        del cached_received[position + 1 :]
-                        cached_received[position] = received
-                        if programs.position > position:
-                            stale = True
-                else:
-                    cached_received.append(received)
+                programs.appended(position, received)
                 working.append(received)
                 if received == 0:
                     disputes += column
-                if not stale and programs.position == position:
-                    programs.advance(received)
 
     report.rewinds = rewinds
     report.completed = (

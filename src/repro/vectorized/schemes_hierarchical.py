@@ -11,8 +11,10 @@ vote is one windowed draw, and per-party error flags become a boolean
 vector per chunk, OR-reduced over prefixes.  Inner parties stay *live*
 across leaves — the scalar scheme re-replays the full working prefix in
 every leaf, ``n`` times over — and are rebuilt only after a truncation
-actually rewinds them.  The depth, chunk length and vote counts come
-from :meth:`HierarchicalSimulator.plan
+actually rewinds them (under a declared beep schedule a rebuild only
+resets the received prefix: see
+:func:`~repro.vectorized.schemes._inner_programs`).  The depth, chunk
+length and vote counts come from :meth:`HierarchicalSimulator.plan
 <repro.simulation.hierarchical.HierarchicalSimulator.plan>`, as in the
 scalar scheme.  Bitwise equal to the scalar execution: same RNG draw
 order, rounds, channel statistics, per-party energy, outputs, report
@@ -34,7 +36,7 @@ from repro.vectorized.schemes import (
     _chunk_flags,
     _chunk_phase12,
     _finish,
-    _InnerPrograms,
+    _inner_programs,
     _owners_decoder,
     _shared_channel,
 )
@@ -73,7 +75,7 @@ def simulate_hierarchical(
     )
 
     shared = _shared_channel(channel, flips)
-    programs = _InnerPrograms(protocol, inputs, shared_seed, strict=True)
+    programs = _inner_programs(protocol, inputs, shared_seed, strict=True)
     energy = _np.zeros(n_parties, dtype=_np.int64)
 
     # Working state: per appended chunk, its transcript pi and each
@@ -100,14 +102,8 @@ def simulate_hierarchical(
             programs.rebuild(
                 [bit for chunk in chunk_pis for bit in chunk]
             )
-        pi, _, beep_matrix, owners, claimed_by = _chunk_phase12(
-            programs,
-            shared,
-            energy,
-            chunk_rounds,
-            repetitions,
-            n_parties,
-            decoder,
+        pi, beep_matrix, owners, claimed_by = _chunk_phase12(
+            programs, shared, energy, chunk_rounds, repetitions, decoder
         )
         chunk_pis.append(pi)
         chunk_flag_rows.append(

@@ -36,7 +36,7 @@ from repro.simulation.repetition_sim import RepetitionSimulator
 from repro.vectorized.noise import FlipSource
 from repro.vectorized.schemes import (
     _finish,
-    _InnerPrograms,
+    _inner_programs,
     _shared_channel,
 )
 
@@ -68,7 +68,7 @@ def simulate_repetition(
 
     shared = _shared_channel(channel, flips)
     per_party = not channel.correlated
-    programs = _InnerPrograms(protocol, inputs, shared_seed, strict=False)
+    programs = _inner_programs(protocol, inputs, shared_seed, strict=False)
     energy = [0] * n_parties
 
     while True:

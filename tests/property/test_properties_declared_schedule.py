@@ -1,0 +1,183 @@
+"""Property tests for declared beep schedules and the collapsed schemes
+that read them.
+
+Both InputSet constructors declare a beep schedule
+(:attr:`~repro.core.protocol.Protocol.schedule`): ``schedule(i, y)`` is an
+int whose bit ``m`` is party ``i``'s round-``m`` beep on input ``y``,
+whatever it heard.  Three contracts are checked here:
+
+* the declared schedule agrees with ``broadcast`` on random received
+  prefixes, for random ``n`` (and, for the formal protocol,
+  ``repetitions`` and ``decision``), inputs outside ``[2n]`` included;
+* reassigning ``broadcast`` switches the schedule off on both
+  :class:`~repro.core.formal.FormalProtocol` and
+  :class:`~repro.core.protocol.FunctionalProtocol`, and setting a new
+  schedule binds it to the current ``broadcast``;
+* every collapsed scheme gives bitwise the same result — outputs, rounds,
+  per-party energy, channel statistics and report, or the same error —
+  reading the schedule as it does running the same protocol's
+  coroutines with the schedule switched off, on every shared-bit channel
+  family and under per-party noise.
+"""
+
+from __future__ import annotations
+
+import random
+from functools import partial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.channels import (
+    BurstNoiseChannel,
+    CorrelatedNoiseChannel,
+    IndependentNoiseChannel,
+    NoiselessChannel,
+    OneSidedNoiseChannel,
+    SuppressionNoiseChannel,
+)
+from repro.core.formal import FormalProtocol
+from repro.core.protocol import FunctionalProtocol
+from repro.simulation import (
+    ChunkCommitSimulator,
+    HierarchicalSimulator,
+    RepetitionSimulator,
+    RewindSimulator,
+    SimulationParameters,
+)
+from repro.tasks import InputSetTask
+from repro.tasks.input_set import (
+    input_set_formal_protocol,
+    input_set_noiseless_protocol,
+)
+from repro.vectorized import (
+    simulate_chunked,
+    simulate_hierarchical,
+    simulate_repetition,
+    simulate_rewind,
+)
+
+seeds = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+@st.composite
+def input_set_constructors(draw, max_parties=6):
+    """A zero-argument call of either InputSet constructor, at a random
+    size (and, for the formal one, repetition factor and decision rule)."""
+    n_parties = draw(st.integers(min_value=1, max_value=max_parties))
+    if draw(st.booleans()):
+        return partial(input_set_noiseless_protocol, n_parties)
+    return partial(
+        input_set_formal_protocol,
+        n_parties,
+        repetitions=draw(st.integers(min_value=1, max_value=4)),
+        decision=draw(st.sampled_from(["majority", "unanimous"])),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(make_protocol=input_set_constructors(), data=st.data())
+def test_declared_schedule_agrees_with_broadcast(make_protocol, data):
+    protocol = make_protocol()
+    length = protocol.length()
+    received = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=1),
+            min_size=length,
+            max_size=length,
+        )
+    )
+    schedule = protocol.schedule
+    assert schedule is not None
+    values = range(0, 2 * protocol.n_parties + 2)  # [2n] and both sides
+    for party in range(protocol.n_parties):
+        for value in values:
+            mask = schedule(party, value)
+            assert 0 <= mask < 1 << length
+            for m in range(length):
+                bit = protocol.broadcast(party, value, received[:m])
+                assert (mask >> m) & 1 == bit, (party, value, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(make_protocol=input_set_constructors())
+def test_reassigned_broadcast_switches_the_schedule_off(make_protocol):
+    protocol = make_protocol()
+    assert isinstance(protocol, (FormalProtocol, FunctionalProtocol))
+    schedule = protocol.schedule
+    original = protocol.broadcast
+
+    def wrapped(party, value, prefix):
+        return original(party, value, prefix)
+
+    protocol.broadcast = wrapped
+    assert protocol.schedule is None
+    # Putting the bound broadcast back restores it; a schedule set now
+    # binds the current broadcast.
+    protocol.broadcast = original
+    assert protocol.schedule is schedule
+    protocol.broadcast = wrapped
+    protocol.schedule = schedule
+    assert protocol.schedule is schedule
+
+
+CHANNELS = {
+    "noiseless": lambda seed: NoiselessChannel(),
+    "correlated": lambda seed: CorrelatedNoiseChannel(0.2, rng=seed),
+    "one-sided": lambda seed: OneSidedNoiseChannel(0.25, rng=seed),
+    "suppression": lambda seed: SuppressionNoiseChannel(0.3, rng=seed),
+    "burst": lambda seed: BurstNoiseChannel(0.01, 0.5, 0.05, 0.3, rng=seed),
+    "independent": lambda seed: IndependentNoiseChannel(0.15, rng=seed),
+}
+
+SCHEMES = {
+    "chunk": (simulate_chunked, ChunkCommitSimulator()),
+    "chunk-short": (
+        simulate_chunked,
+        ChunkCommitSimulator(
+            SimulationParameters(
+                chunk_length=3, repetitions=3, attempt_slack=2.0
+            )
+        ),
+    ),
+    "hierarchical": (simulate_hierarchical, HierarchicalSimulator()),
+    "rewind": (simulate_rewind, RewindSimulator()),
+    "rewind-tight": (
+        simulate_rewind,
+        RewindSimulator(SimulationParameters(rewind_budget_factor=1.3)),
+    ),
+    "repetition": (simulate_repetition, RepetitionSimulator()),
+}
+
+
+def _outcome(collapsed, simulator, protocol, inputs, channel):
+    """The whole result as a dict, or the raised error."""
+    try:
+        return collapsed(simulator, protocol, inputs, channel).to_dict()
+    except Exception as exc:  # noqa: BLE001 - parity is the assertion
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    make_protocol=input_set_constructors(max_parties=8),
+    scheme=st.sampled_from(sorted(SCHEMES)),
+    channel_name=st.sampled_from(sorted(CHANNELS)),
+    seed=seeds,
+)
+def test_schedule_replay_equals_coroutine_replay(
+    make_protocol, scheme, channel_name, seed
+):
+    collapsed, simulator = SCHEMES[scheme]
+    scheduled = make_protocol()
+    coroutines = make_protocol()
+    coroutines.schedule = None
+    inputs = InputSetTask(scheduled.n_parties).sample_inputs(
+        random.Random(seed)
+    )
+    make_channel = CHANNELS[channel_name]
+    assert _outcome(
+        collapsed, simulator, scheduled, inputs, make_channel(seed)
+    ) == _outcome(
+        collapsed, simulator, coroutines, inputs, make_channel(seed)
+    )

@@ -7,8 +7,9 @@ checked here over randomized instances:
    :class:`BatchFlips` prefetch) serves the same flip indicators, in the
    same draw order, as the scalar channel's ``random()`` comparisons —
    including mid-stream handoff from a partially consumed generator and
-   windows longer than a refill block; ``random_block`` is the scalar
-   ``random()`` calls in bulk.
+   windows longer than a refill block, and a first block served without
+   a numpy stream; ``random_block`` is the scalar ``random()`` calls in
+   bulk.
 2. **Decoding** — :class:`VectorizedMLDecoder` agrees with the scalar
    memoized :class:`MLDecoder` symbol-for-symbol on random codebooks,
    noise models and received words, across the finite-weights fast path,
@@ -43,7 +44,7 @@ from repro.vectorized import (
     VectorizedMLDecoder,
     numpy_stream,
 )
-from repro.vectorized.noise import _FLIP_BLOCK, random_block
+from repro.vectorized.noise import _FIRST_BLOCK, _FLIP_BLOCK, random_block
 from repro.vectorized.schemes import _shared_channel, flip_source
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -164,6 +165,42 @@ def test_flipstream_long_windows_match_scalar_draws(seed, calls):
             assert stream.count(size) == sum(expected)
     consumed = sum(1 if name == "take1" else size for name, size in calls)
     assert stream.draws == consumed
+
+
+@given(
+    seed=seeds,
+    epsilon=st.sampled_from([0.1, 0.5]),
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["take", "take1", "count"]),
+            st.integers(0, 2 * _FIRST_BLOCK),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_flipstream_first_block_needs_no_numpy_stream(seed, epsilon, calls):
+    """A fresh FlipStream serves its first block from a copy of the
+    generator, builds a numpy stream only once a read goes past it, and
+    serves ``[r.random() < eps, ...]`` in order either way, leaving the
+    generator it was given untouched."""
+    rng = random.Random(seed)
+    state = rng.getstate()
+    stream = FlipStream(rng, epsilon)
+    scalar = random.Random(seed)
+    for name, size in calls:
+        if name == "take1":
+            assert stream.take1() == int(scalar.random() < epsilon)
+            continue
+        expected = [int(scalar.random() < epsilon) for _ in range(size)]
+        if name == "take":
+            assert stream.take(size).tolist() == expected
+        else:
+            assert stream.count(size) == sum(expected)
+    if stream.draws <= _FIRST_BLOCK:
+        assert stream._stream is None
+    assert rng.getstate() == state
 
 
 @given(

@@ -15,6 +15,7 @@ from repro.network.topology import TopologySpec
 from repro.parallel.calibrate import (
     NETWORK_N_GRID,
     NEVER,
+    _ran_ns,
     calibration_grids,
     run_calibration,
 )
@@ -65,7 +66,8 @@ def test_run_writes_one_entry_per_row_under_its_planner_key():
     assert [_key(grid) for grid in grids] == list(table["schemes"])
     calibrated = table["calibrated"]
     assert sorted(calibrated) == sorted(_packaged()["calibrated"])
-    assert calibrated["network_n_grid"] == list(NETWORK_N_GRID)
+    assert calibrated["n_grid"] == [2, 4]
+    assert calibrated["network_n_grid"] == [16]
     for grid, entry in zip(grids, table["schemes"].values()):
         assert [row["n"] for row in entry["measured"]] == list(grid.ns)
         min_n = entry["vectorized_min_n"]
@@ -73,3 +75,28 @@ def test_run_writes_one_entry_per_row_under_its_planner_key():
         for row in entry["measured"]:
             assert row["scalar_trials_per_s"] > 0
             assert row["vectorized_trials_per_s"] > 0
+
+
+def test_recorded_n_grids_are_the_ns_that_ran():
+    """Explicit rows record their own ``n`` values, not the defaults."""
+    grids = [
+        SweepGrid(
+            task="parity",
+            ns=(2, 4),
+            channel="suppression",
+            simulator="rewind",
+        )
+    ]
+    calibrated = run_calibration(grids=grids, budget_s=0.002, seed=SEED)[
+        "calibrated"
+    ]
+    assert calibrated["n_grid"] == [2, 4]
+    assert calibrated["network_n_grid"] == []
+
+
+def test_default_rows_record_the_default_n_grids():
+    grids = calibration_grids()
+    table = _packaged()["calibrated"]
+    assert _ran_ns(grids, network=False) == table["n_grid"]
+    assert _ran_ns(grids, network=True) == table["network_n_grid"]
+    assert table["network_n_grid"] == list(NETWORK_N_GRID)

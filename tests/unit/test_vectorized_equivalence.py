@@ -5,7 +5,8 @@ reference, per trial: same ``TrialRecord`` for the same ``(seed, index)``
 regardless of backend.  These tests drive both runners over the full
 channel-family grid (the ten families of ``test_legacy_equivalence``) and
 all four registry simulators (repetition, chunk-commit, hierarchical,
-rewind), mirroring that suite's structure:
+rewind), for an adaptive inner protocol (parity) and one that declares
+its beep schedule (InputSet), mirroring that suite's structure:
 
 * where the vectorized backend has a collapsed form (every scheme over
   the shared-bit channels, burst noise included, and repetition over
@@ -54,6 +55,7 @@ from repro.simulation import (
     RewindSimulator,
 )
 from repro.core.formal import NoiseModel
+from repro.core.protocol import FunctionalProtocol
 from repro.errors import ConfigurationError
 from repro.network import (
     LocalBroadcastSimulator,
@@ -125,12 +127,21 @@ def _run(runner, task, executor, seed):
         return (type(exc), str(exc))
 
 
+#: The grid's tasks: parity's inner protocol is adaptive (the collapsed
+#: schemes run its coroutines); InputSet's declares a beep schedule (they
+#: read its sent bits off the schedule).
+TASKS = {"parity": ParityTask, "input-set": InputSetTask}
+
+
 class TestCrossBackendEquivalence:
+    @pytest.mark.parametrize("task_name", list(TASKS))
     @pytest.mark.parametrize("channel_name", sorted(CHANNEL_SPECS))
     @pytest.mark.parametrize("simulator_name", sorted(SIMULATORS))
     @pytest.mark.parametrize("n", [2, 5])
-    def test_records_bitwise_equal(self, channel_name, simulator_name, n):
-        task = ParityTask(n)
+    def test_records_bitwise_equal(
+        self, channel_name, simulator_name, n, task_name
+    ):
+        task = TASKS[task_name](n)
         executor = SimulationExecutor(
             task=task,
             channel=CHANNEL_SPECS[channel_name],
@@ -147,6 +158,29 @@ class TestCrossBackendEquivalence:
             assert vectorized_runner.last_fallback_reason is None
         else:
             assert vectorized_runner.last_fallback_reason is not None
+
+    @pytest.mark.parametrize("simulator_name", sorted(SIMULATORS))
+    def test_scheduled_protocol_runs_no_party(
+        self, monkeypatch, simulator_name
+    ):
+        """A collapsed InputSet trial reads the declared schedule: no
+        inner party is ever created, so a silent fallback to coroutines
+        (or to the scalar engine) fails here."""
+        task = InputSetTask(5)
+        executor = SimulationExecutor(
+            task=task,
+            channel=CHANNEL_SPECS["suppression"],
+            simulator=SIMULATORS[simulator_name],
+        )
+        serial = _run(SerialRunner(), task, executor, 31)
+
+        def no_parties(self, inputs, shared_seed=None):
+            raise AssertionError("a scheduled protocol's parties were run")
+
+        monkeypatch.setattr(FunctionalProtocol, "create_parties", no_parties)
+        runner = VectorizedRunner()
+        assert _run(runner, task, executor, 31) == serial
+        assert runner.last_fallback_reason is None
 
     @pytest.mark.parametrize("simulator_name", ["chunk", "rewind"])
     def test_sampled_trials_replay_on_scalar_engine(self, simulator_name):
