@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.core.party import Party, PartyProgram
+from repro.core.party import InnerReplay, Party, PartyProgram
 from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError
 from repro.util.bits import int_to_bits
@@ -40,23 +40,8 @@ class _AnnouncingParty(Party):
         heard: list[int] = []
         for bit in self.bits:
             heard.append((yield bit))
-        inner_output = yield from _delegate(self.inner)
+        inner_output = yield from self.inner.run()
         return (tuple(heard), inner_output)
-
-
-def _delegate(party: Party) -> PartyProgram:
-    """``yield from`` an inner party, returning its output."""
-    program = party.run()
-    try:
-        bit = next(program)
-    except StopIteration as stop:
-        return stop.value
-    while True:
-        received = yield bit
-        try:
-            bit = program.send(received)
-        except StopIteration as stop:
-            return stop.value
 
 
 class _AnnouncedInputProtocol(Protocol):
@@ -129,8 +114,8 @@ class _SequentialParty(Party):
         self.second = second
 
     def run(self) -> PartyProgram:
-        first_output = yield from _delegate(self.first)
-        second_output = yield from _delegate(self.second)
+        first_output = yield from self.first.run()
+        second_output = yield from self.second.run()
         return (first_output, second_output)
 
 
@@ -178,19 +163,16 @@ class _TruncatedParty(Party):
         self.budget = budget
 
     def run(self) -> PartyProgram:
-        program = self.inner.run()
+        # Stepped a round at a time: the budget counts rounds, also
+        # inside an inner batch token.
+        replay = InnerReplay(self.inner)
         heard: list[int] = []
-        try:
-            bit = next(program)
-        except StopIteration as stop:
-            return stop.value
-        for _ in range(self.budget):
-            received = yield bit
+        while not replay.finished and len(heard) < self.budget:
+            received = yield replay.next_bit
             heard.append(received)
-            try:
-                bit = program.send(received)
-            except StopIteration as stop:
-                return stop.value
+            replay.advance(received)
+        if replay.finished:
+            return replay.output
         # Budget exhausted mid-protocol: output the received prefix (the
         # caller decides what to make of a truncated run).
         return tuple(heard)

@@ -31,15 +31,17 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.core.party import (
     Burst,
     FunctionalParty,
+    InnerReplay,
     Party,
     PartyProgram,
     Silence,
 )
-from repro.core.protocol import BeepSchedule, Protocol
+from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, ProtocolError
 from repro.util.bits import BitWord
 
 __all__ = [
+    "BeepSchedule",
     "BeepTable",
     "FormalProtocol",
     "RoundPartition",
@@ -51,6 +53,8 @@ __all__ = [
 SharedBroadcast = Callable[[int, Any, Sequence[int]], int]
 # Transcript-determined output (the paper's WLOG for player 1).
 TranscriptOutput = Callable[[Sequence[int]], Any]
+# s(i, x_i) -> int whose bit m is party i's round-m beep for every π.
+BeepSchedule = Callable[[int, Any], int]
 
 
 @dataclass(frozen=True)
@@ -302,17 +306,17 @@ class FormalProtocol(Protocol):
             (``g(π) -> value``), matching the paper's WLOG normalisation of
             player 1's output.  All parties use it.
         schedule: Optional beep schedule of a *non-adaptive* protocol
-            (:attr:`~repro.core.protocol.Protocol.schedule`):
-            ``schedule(i, y)`` is an int whose bit ``m`` is
-            ``f_m^i(y, π_{<m})`` for every ``π``.  It must agree with
-            ``broadcast``; it is bound to the ``broadcast`` current when it
-            is set, so reassigning ``broadcast`` switches it off.  With a
-            schedule, executions run each party as
+            (:attr:`schedule`).  With a schedule, executions run each
+            party as
             :class:`~repro.core.party.Burst`/:class:`~repro.core.party.Silence`
             tokens over the mask's runs (the engine's scheduler then
             transmits each stretch in one block, with the same channel
-            draws), and :class:`BeepTable` reads masks off the schedule
-            instead of calling ``broadcast`` once per round.
+            draws), :class:`BeepTable` reads masks off the schedule
+            instead of calling ``broadcast`` once per round, and the
+            party-collapsed schemes of :mod:`repro.vectorized.schemes`
+            read their sent-bit columns off it and call ``output`` once
+            per distinct received transcript instead of running ``n``
+            parties.
     """
 
     def __init__(
@@ -355,10 +359,24 @@ class FormalProtocol(Protocol):
     def length(self) -> int:
         return self._length
 
-    def party_output(
-        self, index: int, input_value: Any, received: Sequence[int]
-    ) -> Any:
-        return self.output(received)
+    @property
+    def schedule(self) -> BeepSchedule | None:
+        """The declared beep schedule, or ``None``.
+
+        ``schedule(i, y)`` is an int whose bit ``m`` is
+        ``f_m^i(y, π_{<m})`` for every ``π``; it must agree with
+        ``broadcast``.  It is bound to the ``broadcast`` current when it
+        is set, so reassigning ``broadcast`` switches it off and this
+        reads ``None`` again.
+        """
+        if self.broadcast is not self._scheduled_broadcast:
+            return None
+        return self._schedule
+
+    @schedule.setter
+    def schedule(self, schedule: BeepSchedule | None) -> None:
+        self._schedule = schedule
+        self._scheduled_broadcast = self.broadcast
 
     def create_parties(
         self, inputs: Sequence[Any], shared_seed: int | None = None
@@ -616,38 +634,33 @@ def formalize_protocol(
         )
     spaces = [tuple(space) for space in input_spaces]
 
-    def replay_next_beep(
+    def replay(
         party_index: int, input_value: Any, prefix: Sequence[int]
-    ) -> int:
+    ) -> InnerReplay:
         inputs = [space[0] for space in spaces]
         inputs[party_index] = input_value
         party = protocol.create_parties(inputs)[party_index]
-        program = party.run()
-        try:
-            bit = next(program)
-            for received in prefix:
-                bit = program.send(received)
-        except StopIteration:
+        return InnerReplay(party, prefix, strict=False)
+
+    def replay_next_beep(
+        party_index: int, input_value: Any, prefix: Sequence[int]
+    ) -> int:
+        bit = replay(party_index, input_value, prefix).next_bit
+        if bit is None:
             raise ProtocolError(
                 "protocol ended before its declared length during "
                 "formal replay"
-            ) from None
+            )
         return bit
 
     def replay_output(pi: Sequence[int]) -> Any:
-        inputs = [space[0] for space in spaces]
-        party = protocol.create_parties(inputs)[0]
-        program = party.run()
-        try:
-            next(program)
-            for received in pi:
-                program.send(received)
-        except StopIteration as stop:
-            return stop.value
-        raise ProtocolError(
-            "protocol did not finish at its declared length during "
-            "formal replay"
-        )
+        party = replay(0, spaces[0][0], pi)
+        if not party.finished:
+            raise ProtocolError(
+                "protocol did not finish at its declared length during "
+                "formal replay"
+            )
+        return party.output
 
     return FormalProtocol(
         n_parties=n_parties,

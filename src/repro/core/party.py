@@ -41,6 +41,16 @@ same energy accounting — but the engine's per-round work scales with the
 number of *awake* parties, which is what makes the Theorem 1.2 simulators'
 long repetition/listening stretches cheap.  See ``docs/api.md`` for the
 contract and :mod:`repro.simulation.primitives` for the canonical users.
+
+Stepping a party outside the engine
+-----------------------------------
+
+Wrappers and simulators that run an inner party inside their own rounds
+step it with :class:`InnerReplay`, which follows the same contract: a
+batch token is served as its bit for ``count`` steps, after which the
+party is sent the ``count`` heard bits as one ``bytes``.  So every
+wrapper runs a token party exactly as it runs the same party yielding
+plain bits.
 """
 
 from __future__ import annotations
@@ -48,7 +58,16 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Generator, Sequence, Union
 
-__all__ = ["Party", "FunctionalParty", "PartyProgram", "Burst", "Silence"]
+from repro.errors import ProtocolError
+
+__all__ = [
+    "Party",
+    "FunctionalParty",
+    "PartyProgram",
+    "Burst",
+    "Silence",
+    "InnerReplay",
+]
 
 
 class Burst:
@@ -146,3 +165,86 @@ class FunctionalParty(Party):
             heard = yield broadcast(input_value, received)
             append(heard)
         return self.output(input_value, received)
+
+
+class InnerReplay:
+    """Steps one party's program a round at a time, outside the engine.
+
+    ``next_bit`` is the bit the party beeps next, or ``None`` once it has
+    finished (its output is then ``output``); :meth:`advance` delivers
+    one received bit.  A batch token is served as its ``bit`` for
+    ``count`` steps, then the party is sent the ``count`` heard bits as
+    one ``bytes``, as the engine sends them.  ``prefix`` is delivered
+    first.
+
+    Advancing a finished party raises :class:`ProtocolError` when
+    ``strict`` (the chunk schemes need exactly ``length()`` rounds) and
+    does nothing otherwise.
+    """
+
+    __slots__ = (
+        "next_bit",
+        "finished",
+        "output",
+        "_send",
+        "_strict",
+        "_heard",
+        "_left",
+    )
+
+    def __init__(
+        self,
+        party: Party,
+        prefix: Sequence[int] = (),
+        *,
+        strict: bool = True,
+    ) -> None:
+        self.next_bit: int | None = None
+        self.finished = False
+        self.output: Any = None
+        self._send = party.run().send
+        self._strict = strict
+        # The heard bits of the current token, or None between tokens.
+        self._heard: bytearray | None = None
+        self._left = 0
+        self._resume(None)
+        for received in prefix:
+            self.advance(received)
+
+    def _resume(self, value: Any) -> None:
+        try:
+            item = self._send(value)
+        except StopIteration as stop:
+            self.finished = True
+            self.next_bit = None
+            self.output = stop.value
+            return
+        if isinstance(item, Burst):
+            count = item.count
+            if type(count) is not int or count < 1:
+                raise ProtocolError(
+                    f"batch token count must be a positive int, got "
+                    f"{count!r}"
+                )
+            self._heard = bytearray()
+            self._left = count
+            item = item.bit
+        self.next_bit = item
+
+    def advance(self, received: int) -> None:
+        """Deliver one received bit to the party."""
+        if self.finished:
+            if self._strict:
+                raise ProtocolError(
+                    "inner party finished before its declared length"
+                )
+            return
+        heard = self._heard
+        if heard is None:
+            self._resume(received)
+            return
+        heard.append(received)
+        self._left -= 1
+        if not self._left:
+            self._heard = None
+            self._resume(bytes(heard))

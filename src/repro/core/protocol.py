@@ -12,13 +12,9 @@ the same seed and therefore can derive identical random streams (a shared
 random string), while remaining jointly deterministic given the seed.
 
 A *non-adaptive* protocol — every party's sent bits a function of its
-input alone, whatever it hears — may declare them as a beep
-:attr:`Protocol.schedule`.  Its own parties decide whether they read it
-(:class:`~repro.core.formal.FormalProtocol`'s yield batch tokens over
-it; :class:`FunctionalProtocol`'s keep calling ``broadcast`` round by
-round).  The party-collapsed schemes of :mod:`repro.vectorized.schemes`
-read their sent-bit columns off it and compute outputs with
-:meth:`Protocol.party_output` instead of running ``n`` coroutines.
+input alone, whatever it hears — is written as a
+:class:`~repro.core.formal.FormalProtocol` with a beep ``schedule``; that
+class documents what reads it.
 """
 
 from __future__ import annotations
@@ -35,10 +31,7 @@ from repro.core.party import (
 )
 from repro.errors import ConfigurationError, ProtocolError
 
-__all__ = ["BeepSchedule", "Protocol", "FunctionalProtocol"]
-
-# s(i, x_i) -> int whose bit m is party i's round-m beep for every π.
-BeepSchedule = Callable[[int, Any], int]
+__all__ = ["Protocol", "FunctionalProtocol"]
 
 
 class Protocol(ABC):
@@ -47,9 +40,6 @@ class Protocol(ABC):
     Attributes:
         n_parties: Number of participants.
     """
-
-    _schedule: BeepSchedule | None = None
-    _scheduled_broadcast: Any = None
 
     def __init__(self, n_parties: int) -> None:
         if n_parties < 1:
@@ -78,39 +68,6 @@ class Protocol(ABC):
         """
         return None
 
-    @property
-    def schedule(self) -> BeepSchedule | None:
-        """The declared beep schedule of a non-adaptive protocol, or
-        ``None``.
-
-        ``schedule(i, y)`` is an int whose bit ``m`` is the bit party
-        ``i`` beeps in round ``m`` on input ``y``, for every received
-        prefix.  It must agree with the protocol's parties.  It is bound
-        to the protocol's ``broadcast`` attribute current when it is set
-        (``None`` on protocols without one), so reassigning ``broadcast``
-        switches it off and this reads ``None`` again.  A protocol that
-        declares a schedule also implements :meth:`party_output`.
-        """
-        if getattr(self, "broadcast", None) is not self._scheduled_broadcast:
-            return None
-        return self._schedule
-
-    @schedule.setter
-    def schedule(self, schedule: BeepSchedule | None) -> None:
-        self._schedule = schedule
-        self._scheduled_broadcast = getattr(self, "broadcast", None)
-
-    def party_output(
-        self, index: int, input_value: Any, received: Sequence[int]
-    ) -> Any:
-        """Party ``index``'s output ``g^i(x^i, received)`` on its full
-        received transcript — what its party returns after the last
-        round.  Required of protocols that declare a :attr:`schedule`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} declares no output function"
-        )
-
     def _check_inputs(self, inputs: Sequence[Any]) -> None:
         """Shared validation for ``create_parties`` implementations."""
         if len(inputs) != self.n_parties:
@@ -133,10 +90,6 @@ class FunctionalProtocol(Protocol):
             ``f(party_index, input, received_prefix) -> bit``, or a sequence
             of ``n_parties`` functions ``f(input, received_prefix) -> bit``.
         output: Same convention for the output functions ``g``.
-        schedule: Optional beep schedule of a *non-adaptive* protocol
-            (see :attr:`Protocol.schedule`), bound to ``broadcast``.
-            Parties still run ``broadcast`` round by round; the
-            party-collapsed schemes read the schedule instead.
     """
 
     def __init__(
@@ -151,14 +104,12 @@ class FunctionalProtocol(Protocol):
             Callable[[int, Any, Sequence[int]], Any]
             | Sequence[OutputFunction]
         ),
-        schedule: BeepSchedule | None = None,
     ) -> None:
         super().__init__(n_parties)
         if length < 0:
             raise ConfigurationError(f"length must be >= 0, got {length}")
         self._length = length
         self.broadcast = broadcast
-        self.schedule = schedule
         self._output = output
 
     def length(self) -> int:
@@ -176,11 +127,6 @@ class FunctionalProtocol(Protocol):
         if callable(self._output):
             return partial(self._output, index)
         return self._output[index]
-
-    def party_output(
-        self, index: int, input_value: Any, received: Sequence[int]
-    ) -> Any:
-        return self._output_for(index)(input_value, received)
 
     def create_parties(
         self, inputs: Sequence[Any], shared_seed: int | None = None

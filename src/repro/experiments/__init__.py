@@ -32,8 +32,9 @@ any sweep.
 The remaining loops stay hand-written because each reads something a
 trial record does not carry:
 
-* E2 runs ``input_set_formal_protocol``, a protocol that is not its
-  task's own;
+* E2 runs ``input_set_formal_protocol`` over a range of repetition
+  factors with the unanimous decision rule, a protocol family rather
+  than its task's own protocol;
 * E4 draws every execution's inputs from one shared ``random.Random``
   per point, and runs each owners phase through
   :func:`~repro.vectorized.simulate_owners` (bitwise the scalar
@@ -43,9 +44,11 @@ trial record does not carry:
 * E7a reads per-party outputs;
 * E12 reads the adversary's spent budget.
 
-E2, E5 and E6 run the formal protocol as ``Burst``/``Silence`` tokens,
-so the engine's scheduler transmits each stretch in one block with the
-same channel draws, and the exact ζ analysis reads beep masks off its
+InputSet's own protocol is ``input_set_formal_protocol(n)``; E6 calls
+it as ``task.noiseless_protocol()``.  E2, E5 and E6 run it (E2 and E5
+also repetition-hardened) as ``Burst``/``Silence`` tokens, so the
+engine's scheduler transmits each stretch in one block with the same
+channel draws, and the exact ζ analysis reads beep masks off its
 schedule.
 """
 

@@ -16,7 +16,6 @@ from repro.lowerbound.good_players import (
     unique_input_players,
 )
 from repro.tasks import InputSetTask
-from repro.tasks.input_set import input_set_formal_protocol
 
 ID = "E6"
 TITLE = "Lemmas B.8+C.5: good players abound"
@@ -50,7 +49,9 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     good_rates = []
     for n in NS:
         task = InputSetTask(n)
-        formal = input_set_formal_protocol(n)
+        # The task's own protocol is formal: executions run it on its
+        # beep schedule, and the feasible-set analysis reads its masks.
+        formal = task.noiseless_protocol()
         good_event = 0
         mean_feasible = 0.0
         for trial in range(exec_trials):
@@ -58,8 +59,6 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
             channel = OneSidedNoiseChannel(
                 EPSILON, rng=seed + 2000 + trial
             )
-            # The formal twin of task.noiseless_protocol() (same beeps,
-            # hence the same transcript), run on its beep schedule.
             result = run_protocol(formal, inputs, channel, record_sent=False)
             pi = result.transcript.common_view()
             sizes = feasible_sizes(formal, pi)

@@ -5,10 +5,11 @@ Both rewind-style simulators — the iterative
 Appendix-D.2 :class:`~repro.simulation.hierarchical.HierarchicalSimulator`
 — simulate one chunk the same way: repetition-harden every virtual round
 (phase 1), then run the finding-owners phase (phase 2).  This module holds
-that common sub-coroutine plus the inner-party replay helper, the
-per-party consistency check used by every verification flavour, the
-round counts both schemes plan on (:func:`plan_chunks`) and the party
-state they share (:class:`ChunkSchemeParty`).
+that common sub-coroutine (stepping the inner party with
+:class:`~repro.core.party.InnerReplay`), the per-party consistency check
+used by every verification flavour, the round counts both schemes plan
+on (:func:`plan_chunks`) and the party state they share
+(:class:`ChunkSchemeParty`).
 
 Everything here runs inside the engine's per-round hot loop (each virtual
 round expands to ``repetitions`` channel rounds), so the building blocks
@@ -35,7 +36,7 @@ from repro.channels.base import Channel
 from repro.coding.code import BlockCode
 from repro.coding.ml import MLDecoder
 from repro.core.formal import NoiseModel
-from repro.core.party import Party
+from repro.core.party import InnerReplay, Party
 from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, ProtocolError
 from repro.simulation.base import (
@@ -53,68 +54,12 @@ from repro.simulation.primitives import repeated_bit
 
 __all__ = [
     "ChunkSchemeParty",
-    "InnerReplay",
     "SimulatedChunk",
     "emit_owners_phase",
     "plan_chunks",
     "simulate_chunk_with_owners",
     "chunk_error_flag",
 ]
-
-
-class InnerReplay:
-    """Drives a fresh inner-party coroutine over a given received prefix.
-
-    Wraps the awkward generator priming/termination protocol so simulator
-    code reads linearly.  ``advance`` delivers one received bit;
-    ``next_bit`` is the party's next beep or ``None`` once the inner
-    protocol finished (its output is then available as ``output``).
-    """
-
-    def __init__(
-        self, make_inner: Callable[[], Party], prefix: Sequence[int]
-    ) -> None:
-        self._program = make_inner().run()
-        self._output: Any = None
-        self._finished = False
-        self._next_bit: int | None = None
-        try:
-            self._next_bit = next(self._program)
-        except StopIteration as stop:
-            self._finish(stop.value)
-        for received in prefix:
-            self.advance(received)
-
-    def _finish(self, output: Any) -> None:
-        self._finished = True
-        self._output = output
-        self._next_bit = None
-
-    @property
-    def next_bit(self) -> int | None:
-        """The bit the inner party beeps next, or ``None`` if finished."""
-        return self._next_bit
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
-    @property
-    def output(self) -> Any:
-        if not self._finished:
-            raise ProtocolError("inner party has not finished")
-        return self._output
-
-    def advance(self, received: int) -> None:
-        """Deliver one received bit to the inner party."""
-        if self._finished:
-            raise ProtocolError(
-                "inner party finished before its declared length"
-            )
-        try:
-            self._next_bit = self._program.send(received)
-        except StopIteration as stop:
-            self._finish(stop.value)
 
 
 @dataclass
@@ -313,7 +258,7 @@ class ChunkSchemeParty(Party):
         return simulate_chunk_with_owners(
             self.party_index,
             self.n_parties,
-            InnerReplay(self.make_inner, prefix),
+            InnerReplay(self.make_inner(), prefix),
             chunk_rounds,
             self.repetitions,
             self.code,
@@ -347,7 +292,7 @@ class ChunkSchemeParty(Party):
         zero-padded when the budget ran out (a detectable failure the
         report records)."""
         padded = list(committed) + [0] * (self.inner_length - len(committed))
-        replay = InnerReplay(self.make_inner, padded)
+        replay = InnerReplay(self.make_inner(), padded)
         if not replay.finished:
             raise ProtocolError(
                 "inner protocol did not finish at its declared length"

@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
 
 from repro.channels.base import Channel
-from repro.core.party import Party
+from repro.core.party import InnerReplay, Party
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
 from repro.errors import ConfigurationError
@@ -84,41 +84,30 @@ class _RewindParty(Party):
         # state, consumes no RNG draws — see repro.observe).
         self.trace = trace if party_index == 0 else None
 
-    def _replay(self, working: Sequence[int]):
-        """A fresh inner coroutine advanced past ``working``.
-
-        Returns ``(program, next_bit)`` where ``next_bit`` is the beep for
-        round ``len(working)``, or ``None`` when the protocol has ended (or
-        just ended — in which case ``program`` also carries the output via
-        ``StopIteration``).
-        """
-        program = self.make_inner().run()
-        try:
-            next_bit: int | None = next(program)
-            for received in working:
-                next_bit = program.send(received)
-        except StopIteration:
-            next_bit = None
-        return program, next_bit
+    def _replay(self, working: Sequence[int]) -> InnerReplay:
+        """A fresh inner party stepped past ``working``; its ``next_bit``
+        is the beep for round ``len(working)``, or ``None`` once the
+        protocol has ended."""
+        return InnerReplay(self.make_inner(), working, strict=False)
 
     def run(self):
         inner_length = self.report.inner_length
         # Incremental state.  ``my_beeps[m]`` is what I beeped in round
         # ``m`` given ``working[:m]``; it stays valid under append/pop
         # because a round's beep depends only on the prefix before it.
-        # ``disputed`` holds the positions I would alarm about; ``program``
-        # is a live inner coroutine aligned with ``working`` (rebuilt after
+        # ``disputed`` holds the positions I would alarm about; ``replay``
+        # is a live inner party aligned with ``working`` (rebuilt after
         # pops, the only operation a coroutine cannot undo).
         working: list[int] = []  # shared working transcript
         my_beeps: list[int] = []
         disputed: set[int] = set()
         rewinds = 0
-        program, next_bit = self._replay(working)
+        replay = self._replay(working)
         stale = False
 
         for iteration in range(self.report.extra["iterations"]):
             if stale:
-                program, next_bit = self._replay(working)
+                replay = self._replay(working)
                 stale = False
 
             # Alarm round first: dispute any 0 in the working transcript
@@ -149,8 +138,8 @@ class _RewindParty(Party):
                 position = len(working)
                 simulating = position < inner_length
                 my_bit = (
-                    next_bit
-                    if simulating and next_bit is not None
+                    replay.next_bit
+                    if simulating and replay.next_bit is not None
                     else 0
                 )
                 received = yield my_bit
@@ -159,10 +148,7 @@ class _RewindParty(Party):
                     my_beeps.append(my_bit)
                     if received == 0 and my_bit == 1:
                         disputed.add(position)
-                    try:
-                        next_bit = program.send(received)
-                    except StopIteration:
-                        next_bit = None
+                    replay.advance(received)
 
         if self.party_index == 0:
             self.report.rewinds = rewinds
@@ -172,15 +158,7 @@ class _RewindParty(Party):
             self.report.extra["working_length"] = len(working)
 
         padded = working + [0] * (inner_length - len(working))
-        final_program = self.make_inner().run()
-        output: Any = None
-        try:
-            next(final_program)
-            for received in padded:
-                final_program.send(received)
-        except StopIteration as stop:
-            output = stop.value
-        return output
+        return self._replay(padded).output
 
 
 class RewindSimulator(Simulator):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import Any, Sequence
 
-from repro.core.party import Party
+from repro.core.party import InnerReplay, Party
 from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, ProtocolError
 from repro.rng import derive_seed
@@ -46,27 +46,19 @@ class _ReductionParty(Party):
         self.coin_seed = coin_seed
 
     def run(self):
-        # Every party seeds an identical generator, so the coin sequence
-        # (one coin per round, drawn whether or not it is used... no:
-        # drawn only on received 1s would desynchronise parties on
-        # divergent views; under the correlated model views agree, and we
-        # additionally draw one coin every round so the stream position
-        # is round-indexed and view-independent).
+        # Every party seeds an identical generator and draws one coin per
+        # round, used or not, so the stream position is round-indexed and
+        # view-independent.  The inner party is stepped a round at a time
+        # (a batch token's rounds each get their own coin).
         coins = random.Random(self.coin_seed)
-        program = self.inner.run()
-        try:
-            bit = next(program)
-        except StopIteration as stop:
-            return stop.value
-        while True:
-            received = yield bit
+        replay = InnerReplay(self.inner)
+        while not replay.finished:
+            received = yield replay.next_bit
             coin = coins.random()
             if received == 1 and coin < self.p_down:
                 received = 0
-            try:
-                bit = program.send(received)
-            except StopIteration as stop:
-                return stop.value
+            replay.advance(received)
+        return replay.output
 
 
 class OneSidedReductionProtocol(Protocol):

@@ -5,9 +5,13 @@ must output the set ``L(x) = {x^i | i ∈ [n]}``.
 
 The task has a trivial 2n-round noiseless protocol: in round ``m`` party
 ``i`` beeps iff ``x^i = m``, so ``π_m = 1 ⟺ m ∈ L(x)`` and every party can
-read the answer off the transcript.  Theorem C.1 shows that over the
-one-sided ε-noisy channel, *any* protocol needs Ω(n log n) rounds — the
-multiplicative Ω(log n) separation of Theorem 1.1.
+read the answer off the transcript.  :func:`input_set_formal_protocol`
+builds it as the paper's ``(T, {f}, g)`` tuple with its beep schedule
+declared: the engine runs its parties as batch tokens, every simulator
+wraps it, the exact lower-bound analysis reads its beep masks, and the
+party-collapsed schemes read its sent bits.  Theorem C.1 shows that over
+the one-sided ε-noisy channel, *any* protocol needs Ω(n log n) rounds —
+the multiplicative Ω(log n) separation of Theorem 1.1.
 
 The function's hardness stems from its sensitivity (§2.3): for a constant
 fraction of inputs, Θ(n) parties hold *unique* values, and changing any one
@@ -19,71 +23,14 @@ this.
 from __future__ import annotations
 
 import random
-from itertools import compress
 from typing import Sequence
 
 from repro.core.formal import FormalProtocol
-from repro.core.protocol import BeepSchedule, FunctionalProtocol, Protocol
+from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, TaskError
 from repro.tasks.base import Task
 
-__all__ = [
-    "InputSetTask",
-    "input_set_noiseless_protocol",
-    "input_set_formal_protocol",
-]
-
-
-def _input_set_schedule(n_parties: int, repetitions: int) -> BeepSchedule:
-    """The beep schedule of InputSet's protocol with ``repetitions``
-    back-to-back copies of each virtual round.
-
-    Non-adaptive: ``x ∈ [2n]`` beeps the ``repetitions`` rounds of virtual
-    round ``x``, whatever it hears; inputs outside ``[2n]`` never beep.
-    """
-    block = (1 << repetitions) - 1
-    masks = {
-        x: block << ((x - 1) * repetitions)
-        for x in range(1, 2 * n_parties + 1)
-    }
-
-    def schedule(_party: int, x: int) -> int:
-        return masks.get(x, 0)
-
-    return schedule
-
-
-def input_set_noiseless_protocol(n_parties: int) -> Protocol:
-    """The 2n-round noiseless protocol: party ``i`` beeps in round ``x^i``.
-
-    Rounds are numbered 1..2n to match the paper; the protocol's round
-    ``m`` (0-based index ``m-1``) carries the indicator of ``m ∈ L(x)``.
-    The output is the set of 1-rounds, read off the received transcript.
-    The protocol declares its beep schedule, so the party-collapsed
-    schemes read its sent bits instead of running its parties.
-    """
-    length = 2 * n_parties
-
-    def broadcast(
-        _party: int, input_value: int, prefix: Sequence[int]
-    ) -> int:
-        current_round = len(prefix) + 1  # 1-based round number m
-        return 1 if input_value == current_round else 0
-
-    def output(
-        _party: int, _input_value: int, received: Sequence[int]
-    ) -> frozenset[int]:
-        # The rounds m whose received bit is 1; compress walks the bits
-        # at C speed (each party computes this once per execution).
-        return frozenset(compress(range(1, len(received) + 1), received))
-
-    return FunctionalProtocol(
-        n_parties=n_parties,
-        length=length,
-        broadcast=broadcast,
-        output=output,
-        schedule=_input_set_schedule(n_parties, 1),
-    )
+__all__ = ["InputSetTask", "input_set_formal_protocol"]
 
 
 def input_set_formal_protocol(
@@ -91,21 +38,15 @@ def input_set_formal_protocol(
 ) -> FormalProtocol:
     """The noiseless ``InputSet`` protocol as a :class:`FormalProtocol`.
 
-    This is the exact-analysis twin of
-    :func:`input_set_noiseless_protocol`, consumable by the Appendix C
-    machinery (feasible sets, ζ, entropy).  With ``repetitions > 1`` every
-    round is beeped that many times back-to-back — the repetition-hardened
-    protocol family whose correctness-vs-length tradeoff experiment E5
-    charts against the Theorem C.2/C.3 bounds.
-
-    The two InputSet protocols stay separate because their parties
-    differ.  This one's scheduled parties yield
-    :class:`~repro.core.party.Burst`/:class:`~repro.core.party.Silence`
-    tokens, which the engine runs but the scalar simulators' inner-party
-    replay (:class:`~repro.simulation.chunk_common.InnerReplay`, one
-    plain bit per step) cannot; the functional twin's parties yield plain
-    bits, so every simulator can wrap it.  Both declare the same
-    schedule, built by one helper.
+    Party ``i`` beeps in round ``x^i`` (rounds numbered 1..2n, as in the
+    paper) and the output is the set of 1-rounds, read off the received
+    transcript.  With ``repetitions = 1`` this is the task's own
+    :meth:`InputSetTask.noiseless_protocol`.  It is consumable by the
+    Appendix C machinery (feasible sets, ζ, entropy).  With
+    ``repetitions > 1`` every round is beeped that many times
+    back-to-back — the repetition-hardened protocol family whose
+    correctness-vs-length tradeoff experiments E2 and E5 chart against
+    the Theorem C.2/C.3 bounds.
 
     Args:
         n_parties: Number of parties.
@@ -127,12 +68,21 @@ def input_set_formal_protocol(
         raise ConfigurationError(
             f"decision must be 'majority' or 'unanimous', got {decision!r}"
         )
-    universe = range(1, 2 * n_parties + 1)
+    # One tuple shared by every party: FormalProtocol keeps a tuple as is.
+    universe = tuple(range(1, 2 * n_parties + 1))
     length = 2 * n_parties * repetitions
 
     def broadcast(_party: int, x: int, prefix) -> int:
         virtual_round = len(prefix) // repetitions + 1
         return 1 if x == virtual_round else 0
+
+    # Non-adaptive: x ∈ [2n] beeps the ``repetitions`` rounds of virtual
+    # round x, whatever it hears; inputs outside [2n] never beep.
+    block = (1 << repetitions) - 1
+    masks = {x: block << ((x - 1) * repetitions) for x in universe}
+
+    def schedule(_party: int, x: int) -> int:
+        return masks.get(x, 0)
 
     def output(pi) -> frozenset[int]:
         members = []
@@ -152,7 +102,7 @@ def input_set_formal_protocol(
         input_spaces=[universe] * n_parties,
         broadcast=broadcast,
         output=output,
-        schedule=_input_set_schedule(n_parties, repetitions),
+        schedule=schedule,
     )
 
 
@@ -197,7 +147,7 @@ class InputSetTask(Task):
         return frozenset(inputs)
 
     def noiseless_protocol(self) -> Protocol:
-        return input_set_noiseless_protocol(self.n_parties)
+        return input_set_formal_protocol(self.n_parties)
 
     def unique_holders(self, inputs: Sequence[int]) -> frozenset[int]:
         """``G_1(x)``: parties whose input no other party shares (§C.2).

@@ -10,7 +10,7 @@ window is a function of a handful of shared quantities.  The collapsed
 forms below compute each shared quantity once, take the inner parties'
 sent bits from a single source — the ``(T × n)`` column matrix of the
 protocol's declared beep schedule
-(:attr:`~repro.core.protocol.Protocol.schedule`), built once per trial,
+(:attr:`~repro.core.formal.FormalProtocol.schedule`), built once per trial,
 or else one set of ``n`` live inner-party coroutines — and replace
 per-round channel calls with windowed draws from a flip source
 (:class:`~repro.vectorized.noise.FlipStream` or
@@ -49,17 +49,16 @@ owners bookkeeping the chunk schemes use.
 
 Determinism assumption: inner parties are deterministic functions of
 ``(inputs, received prefix)``.  The scalar schemes already rely on exactly
-this (``InnerReplay`` re-creates parties on every attempt; rewind replays
-after pops), so the coroutine replay adds no new assumption.  A declared
-schedule is the stronger, stated form of it — the sent bits do not depend
-on the received prefix at all — so the schedule-backed replay
-(:class:`_ScheduledPrograms`) never runs a party: a rejected chunk or a
-rewind pop only resets the received prefix, rewind reads column ``p``
-directly, and outputs come from the protocol's
-:meth:`~repro.core.protocol.Protocol.party_output` on each party's
-received transcript.  :func:`_inner_programs` picks the source; the
-scheme bodies do not branch on it, and the result is bitwise the same
-either way.
+this (they step a fresh :class:`~repro.core.party.InnerReplay` on every
+attempt; rewind replays after pops), so the coroutine replay adds no new
+assumption.  A declared schedule is the stronger, stated form of it — the
+sent bits do not depend on the received prefix at all — so the
+schedule-backed replay (:class:`_ScheduledPrograms`) never runs a party:
+a rejected chunk or a rewind pop only resets the received prefix, rewind
+reads column ``p`` directly, and outputs come from the protocol's
+transcript-only ``output``, called once per distinct received transcript.
+:func:`_inner_programs` picks the source; the scheme bodies do not branch
+on it, and the result is bitwise the same either way.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ from repro.channels.one_sided import (
 from repro.channels.stats import ChannelStats
 from repro.coding.code import BlockCode
 from repro.coding.ml import MLDecoder
-from repro.core.formal import NoiseModel
+from repro.core.formal import FormalProtocol, NoiseModel
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
 from repro.errors import ConfigurationError, ProtocolError
@@ -266,7 +265,11 @@ class _InnerPrograms:
 
     The path of protocols without a declared schedule;
     :class:`_ScheduledPrograms` serves the same interface off a schedule,
-    and :func:`_inner_programs` picks one.
+    and :func:`_inner_programs` picks one.  This lockstep loop is the
+    collapsed schemes' hot path for adaptive protocols, so it steps
+    plain-bit parties only, unlike
+    :class:`~repro.core.party.InnerReplay`; every task protocol without a
+    schedule yields plain bits.
     """
 
     def __init__(
@@ -425,20 +428,20 @@ class _InnerPrograms:
 
 class _ScheduledPrograms:
     """The inner parties of a protocol that declares its sent bits
-    (:attr:`~repro.core.protocol.Protocol.schedule`), without running them.
+    (:attr:`~repro.core.formal.FormalProtocol.schedule`), without running
+    them.
 
     Same interface and error contracts as :class:`_InnerPrograms`.  The
     ``(T × n)`` uint8 matrix ``columns`` — row ``m`` the parties' round-
     ``m`` bits, bit ``m`` of ``schedule(i, x^i)`` — is built once, so
     nothing depends on what the parties hear but their outputs: advancing
     records the received bit, :meth:`rebuild` only resets the received
-    prefix, and outputs are the protocol's
-    :meth:`~repro.core.protocol.Protocol.party_output` on each party's
-    received transcript.
+    prefix, and outputs are the protocol's transcript-only ``output``,
+    called once per distinct received transcript.
     """
 
     def __init__(
-        self, protocol: Protocol, inputs: Sequence[Any], strict: bool
+        self, protocol: FormalProtocol, inputs: Sequence[Any], strict: bool
     ) -> None:
         protocol._check_inputs(inputs)
         self._protocol = protocol
@@ -533,27 +536,30 @@ class _ScheduledPrograms:
     def popped(self, length: int) -> None:
         """Nothing to track: columns do not depend on what was heard."""
 
-    def _transcript(self, index: int) -> list[int]:
-        if not self._per_party:
-            return list(self._heard)
-        return [
-            bit[index] if isinstance(bit, list) else bit
-            for bit in self._heard
-        ]
-
     def outputs(self) -> list[Any]:
         """Per-party outputs; strict mode requires every party finished."""
+        count = len(self._inputs)
         if self.position < self._length:
             if self._strict:
                 raise ProtocolError(
                     "inner protocol did not finish at its declared length"
                 )
-            return [None] * len(self._inputs)
-        output = self._protocol.party_output
-        return [
-            output(index, value, self._transcript(index))
-            for index, value in enumerate(self._inputs)
-        ]
+            return [None] * count
+        output = self._protocol.output
+        if not self._per_party:
+            return [output(list(self._heard))] * count
+        # Per-party views: one output call per distinct view.
+        outputs: dict[tuple[int, ...], Any] = {}
+        results = []
+        for index in range(count):
+            view = tuple(
+                bit[index] if isinstance(bit, list) else bit
+                for bit in self._heard
+            )
+            if view not in outputs:
+                outputs[view] = output(list(view))
+            results.append(outputs[view])
+        return results
 
     def outputs_over(self, prefix: Sequence[int]) -> list[Any]:
         """Outputs over the received ``prefix`` (the padded path)."""
@@ -569,7 +575,7 @@ def _inner_programs(
 ) -> _InnerPrograms | _ScheduledPrograms:
     """The inner parties of one collapsed trial: read off the protocol's
     declared schedule, else ``n`` live coroutines."""
-    if protocol.schedule is not None:
+    if isinstance(protocol, FormalProtocol) and protocol.schedule is not None:
         return _ScheduledPrograms(protocol, inputs, strict)
     return _InnerPrograms(protocol, inputs, shared_seed, strict)
 

@@ -1,23 +1,22 @@
 """Property tests for declared beep schedules and the collapsed schemes
 that read them.
 
-Both InputSet constructors declare a beep schedule
-(:attr:`~repro.core.protocol.Protocol.schedule`): ``schedule(i, y)`` is an
-int whose bit ``m`` is party ``i``'s round-``m`` beep on input ``y``,
-whatever it heard.  Three contracts are checked here:
+``input_set_formal_protocol`` declares a beep schedule
+(:attr:`~repro.core.formal.FormalProtocol.schedule`): ``schedule(i, y)``
+is an int whose bit ``m`` is party ``i``'s round-``m`` beep on input
+``y``, whatever it heard.  Three contracts are checked here:
 
 * the declared schedule agrees with ``broadcast`` on random received
-  prefixes, for random ``n`` (and, for the formal protocol,
-  ``repetitions`` and ``decision``), inputs outside ``[2n]`` included;
-* reassigning ``broadcast`` switches the schedule off on both
-  :class:`~repro.core.formal.FormalProtocol` and
-  :class:`~repro.core.protocol.FunctionalProtocol`, and setting a new
+  prefixes, for random ``n``, ``repetitions`` and ``decision``, inputs
+  outside ``[2n]`` included;
+* reassigning ``broadcast`` switches the schedule off, and setting a new
   schedule binds it to the current ``broadcast``;
 * every collapsed scheme gives bitwise the same result — outputs, rounds,
   per-party energy, channel statistics and report, or the same error —
   reading the schedule as it does running the same protocol's
-  coroutines with the schedule switched off, on every shared-bit channel
-  family and under per-party noise.
+  coroutines with the schedule switched off, and as the scalar
+  ``simulate`` does stepping the protocol's batch-token parties, on every
+  shared-bit channel family and under per-party noise.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import random
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +36,6 @@ from repro.channels import (
     OneSidedNoiseChannel,
     SuppressionNoiseChannel,
 )
-from repro.core.formal import FormalProtocol
-from repro.core.protocol import FunctionalProtocol
 from repro.simulation import (
     ChunkCommitSimulator,
     HierarchicalSimulator,
@@ -46,10 +44,7 @@ from repro.simulation import (
     SimulationParameters,
 )
 from repro.tasks import InputSetTask
-from repro.tasks.input_set import (
-    input_set_formal_protocol,
-    input_set_noiseless_protocol,
-)
+from repro.tasks.input_set import input_set_formal_protocol
 from repro.vectorized import (
     simulate_chunked,
     simulate_hierarchical,
@@ -62,15 +57,12 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 @st.composite
 def input_set_constructors(draw, max_parties=6):
-    """A zero-argument call of either InputSet constructor, at a random
-    size (and, for the formal one, repetition factor and decision rule)."""
-    n_parties = draw(st.integers(min_value=1, max_value=max_parties))
-    if draw(st.booleans()):
-        return partial(input_set_noiseless_protocol, n_parties)
+    """A zero-argument call of ``input_set_formal_protocol`` at a random
+    size, repetition factor and decision rule."""
     return partial(
         input_set_formal_protocol,
-        n_parties,
-        repetitions=draw(st.integers(min_value=1, max_value=4)),
+        draw(st.integers(min_value=1, max_value=max_parties)),
+        repetitions=draw(st.integers(min_value=1, max_value=3)),
         decision=draw(st.sampled_from(["majority", "unanimous"])),
     )
 
@@ -103,7 +95,6 @@ def test_declared_schedule_agrees_with_broadcast(make_protocol, data):
 @given(make_protocol=input_set_constructors())
 def test_reassigned_broadcast_switches_the_schedule_off(make_protocol):
     protocol = make_protocol()
-    assert isinstance(protocol, (FormalProtocol, FunctionalProtocol))
     schedule = protocol.schedule
     original = protocol.broadcast
 
@@ -150,10 +141,10 @@ SCHEMES = {
 }
 
 
-def _outcome(collapsed, simulator, protocol, inputs, channel):
+def _outcome(run, protocol, inputs, channel):
     """The whole result as a dict, or the raised error."""
     try:
-        return collapsed(simulator, protocol, inputs, channel).to_dict()
+        return run(protocol, inputs, channel).to_dict()
     except Exception as exc:  # noqa: BLE001 - parity is the assertion
         return (type(exc), str(exc))
 
@@ -176,8 +167,32 @@ def test_schedule_replay_equals_coroutine_replay(
         random.Random(seed)
     )
     make_channel = CHANNELS[channel_name]
-    assert _outcome(
-        collapsed, simulator, scheduled, inputs, make_channel(seed)
-    ) == _outcome(
-        collapsed, simulator, coroutines, inputs, make_channel(seed)
+    expected = _outcome(
+        partial(collapsed, simulator), scheduled, inputs, make_channel(seed)
     )
+    assert expected == _outcome(
+        partial(collapsed, simulator), coroutines, inputs, make_channel(seed)
+    )
+    assert expected == _outcome(
+        simulator.simulate, scheduled, inputs, make_channel(seed)
+    )
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_scalar_simulators_wrap_the_token_protocol(scheme):
+    """The scalar ``simulate`` steps the protocol's batch-token parties
+    (it used to reject them with "expected a bit" or a desync) and
+    matches the collapsed form."""
+    collapsed, simulator = SCHEMES[scheme]
+    protocol = input_set_formal_protocol(4)
+    inputs = InputSetTask(4).sample_inputs(random.Random(3))
+    channel_type = (
+        SuppressionNoiseChannel
+        if scheme.startswith("rewind")
+        else CorrelatedNoiseChannel
+    )
+    scalar = simulator.simulate(protocol, inputs, channel_type(0.2, rng=3))
+    assert scalar.outputs == [frozenset(inputs)] * 4
+    assert scalar.to_dict() == collapsed(
+        simulator, protocol, inputs, channel_type(0.2, rng=3)
+    ).to_dict()

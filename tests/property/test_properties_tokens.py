@@ -11,7 +11,17 @@ desugared side is also run through the seed reference loop
 (:mod:`repro.core._legacy_engine`), so the property does not rest on the
 engine agreeing with itself; a ``slow``-marked copy (``RUN_SLOW=1``)
 draws 2,000 examples.
+
+Wrappers that step an inner party inside their own rounds
+(:class:`~repro.core.TruncatedProtocol`,
+:class:`~repro.simulation.shared_reduction.OneSidedReductionProtocol`,
+:func:`~repro.core.announce_input`,
+:class:`~repro.core.SequentialProtocol`) must likewise run a token party
+exactly as they run the same party yielding plain bits.
 """
+
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +40,16 @@ from repro.channels import (
     SuppressionNoiseChannel,
 )
 from repro import SweepSpec, run_sweep_point
-from repro.core import Burst, Party, Protocol, Silence, run_protocol
+from repro.core import (
+    Burst,
+    Party,
+    Protocol,
+    SequentialProtocol,
+    Silence,
+    TruncatedProtocol,
+    announce_input,
+    run_protocol,
+)
 from repro.core._legacy_engine import legacy_run_protocol
 from repro.parallel import (
     ChannelSpec,
@@ -41,7 +60,9 @@ from repro.parallel import (
 )
 from repro.simulation import ChunkCommitSimulator, RewindSimulator
 from repro.simulation.primitives import batch_tokens
-from repro.tasks import ParityTask
+from repro.simulation.shared_reduction import OneSidedReductionProtocol
+from repro.tasks import InputSetTask, ParityTask
+from repro.tasks.input_set import input_set_formal_protocol
 
 CHANNEL_FACTORIES = {
     "noiseless": lambda seed: NoiselessChannel(),
@@ -256,3 +277,75 @@ class TestTokenRunnerBackends:
         with batch_tokens(False):
             plain = run_sweep_point(task, executor, spec_b)
         assert tokens.to_dict() == plain.to_dict()
+
+
+def _token_and_bit_forms(n_parties, repetitions=1):
+    """``input_set_formal_protocol`` twice: as batch-token parties, and
+    with its schedule switched off, as plain-bit parties."""
+    tokens = input_set_formal_protocol(n_parties, repetitions)
+    bits = input_set_formal_protocol(n_parties, repetitions)
+    bits.schedule = None
+    return tokens, bits
+
+
+def _wrapped_runs(wrap, n_parties, channel, seed, repetitions=1):
+    """``wrap`` over the token form and over the bit form, each run on a
+    fresh copy of the channel with the same inputs and shared seed."""
+    inputs = InputSetTask(n_parties).sample_inputs(random.Random(seed))
+    return [
+        run_protocol(
+            wrap(protocol),
+            inputs,
+            CHANNEL_FACTORIES[channel](seed),
+            shared_seed=seed,
+        )
+        for protocol in _token_and_bit_forms(n_parties, repetitions)
+    ]
+
+
+class TestWrappersStepTokens:
+    def test_truncation_counts_rounds_inside_a_token(self):
+        # A token used to count as one round of the budget.
+        tokens, bits = _wrapped_runs(
+            lambda inner: TruncatedProtocol(inner, 3), 4, "noiseless", 1
+        )
+        assert tokens.rounds == 3
+        _assert_bitwise_equal(tokens, bits)
+
+    def test_reduction_draws_a_coin_per_token_round(self):
+        # A token used to draw one coin, and its heard 1s were never
+        # down-flipped: the outputs were {2, 3, 5}.
+        tokens, bits = _wrapped_runs(
+            lambda inner: OneSidedReductionProtocol(inner, p_down=0.99),
+            4,
+            "noiseless",
+            5,
+        )
+        assert tokens.outputs == [frozenset()] * 4
+        _assert_bitwise_equal(tokens, bits)
+
+    @given(
+        n_parties=st.integers(min_value=1, max_value=5),
+        repetitions=st.integers(min_value=1, max_value=3),
+        wrapper=st.sampled_from(
+            ["truncated", "reduction", "announce", "sequential"]
+        ),
+        budget=st.integers(min_value=0, max_value=40),
+        channel=st.sampled_from(sorted(CHANNEL_FACTORIES)),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wrapped_tokens_equal_wrapped_bits(
+        self, n_parties, repetitions, wrapper, budget, channel, seed
+    ):
+        width = math.ceil(math.log2(2 * n_parties + 1))
+        wrap = {
+            "truncated": lambda inner: TruncatedProtocol(inner, budget),
+            "reduction": OneSidedReductionProtocol,
+            "announce": lambda inner: announce_input(inner, width=width),
+            "sequential": lambda inner: SequentialProtocol(inner, inner),
+        }[wrapper]
+        tokens, bits = _wrapped_runs(
+            wrap, n_parties, channel, seed, repetitions
+        )
+        _assert_bitwise_equal(tokens, bits)

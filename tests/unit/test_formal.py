@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.channels import (
+    CorrelatedNoiseChannel,
     IndependentNoiseChannel,
     NoiselessChannel,
     OneSidedNoiseChannel,
@@ -13,7 +14,9 @@ from repro.core import FunctionalParty, run_protocol
 from repro.core.formal import FormalProtocol, NoiseModel
 from repro.errors import ConfigurationError, ProtocolError
 from repro.lowerbound.feasible import feasible_set
+from repro.simulation import ChunkCommitSimulator, RewindSimulator
 from repro.tasks.input_set import input_set_formal_protocol
+from repro.vectorized import simulate_chunked, simulate_rewind
 
 
 def _simple_protocol(n=2, length=2):
@@ -243,6 +246,34 @@ class TestBeepSchedule:
         views = {split.transcript.view(i) for i in range(4)}
         assert len(views) > 1
         assert sorted(transcripts) == sorted(views)
+
+    @pytest.mark.parametrize(
+        "collapsed, simulator",
+        [
+            (simulate_chunked, ChunkCommitSimulator()),
+            (simulate_rewind, RewindSimulator()),
+        ],
+    )
+    def test_collapsed_output_runs_once(self, collapsed, simulator):
+        """A collapsed trial on a shared-bit channel calls ``output`` once
+        for all parties, as the engine does."""
+        protocol = input_set_formal_protocol(4)
+        calls = []
+        output = protocol.output
+
+        def counting_output(pi):
+            calls.append(tuple(pi))
+            return output(pi)
+
+        protocol.output = counting_output
+        result = collapsed(
+            simulator,
+            protocol,
+            [1, 2, 3, 3],
+            CorrelatedNoiseChannel(0.1, rng=4),
+        )
+        assert len(calls) == 1
+        assert result.outputs == [output(calls[0])] * 4
 
 
 class TestTranscriptProbability:

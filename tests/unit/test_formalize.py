@@ -8,11 +8,8 @@ from repro.channels import NoiselessChannel
 from repro.errors import ConfigurationError
 from repro.lowerbound.feasible import feasible_set
 from repro.lowerbound.zeta import LowerBoundAnalyzer
-from repro.tasks import MaxIdTask, ParityTask
-from repro.tasks.input_set import (
-    input_set_formal_protocol,
-    input_set_noiseless_protocol,
-)
+from repro.tasks import InputSetTask, MaxIdTask, ParityTask
+from repro.tasks.input_set import input_set_formal_protocol
 
 
 class TestFormalizeBasics:
@@ -32,10 +29,12 @@ class TestFormalizeBasics:
 
     def test_lifted_input_set_matches_native_formal(self):
         """formalize(executable InputSet) agrees with the hand-written
-        formal version on beeps and transcript probabilities."""
+        formal version on beeps, outputs and transcript probabilities.
+        The task's protocol runs its parties as batch tokens, so the
+        lift's replay steps tokens."""
         n = 2
         lifted = formalize_protocol(
-            input_set_noiseless_protocol(n),
+            InputSetTask(n).noiseless_protocol(),
             [range(1, 2 * n + 1)] * n,
         )
         native = input_set_formal_protocol(n)
@@ -47,6 +46,8 @@ class TestFormalizeBasics:
                 assert lifted.transcript_probability(
                     inputs, pi, model
                 ) == pytest.approx(probability)
+                assert lifted.beeps(inputs, pi) == native.beeps(inputs, pi)
+                assert lifted.output(pi) == native.output(pi)
 
     def test_adaptive_protocol_lifts(self):
         """Max-id election is adaptive; the lift must reproduce its

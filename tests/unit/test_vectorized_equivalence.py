@@ -54,8 +54,7 @@ from repro.simulation import (
     RepetitionSimulator,
     RewindSimulator,
 )
-from repro.core.formal import NoiseModel
-from repro.core.protocol import FunctionalProtocol
+from repro.core.formal import FormalProtocol, NoiseModel
 from repro.errors import ConfigurationError
 from repro.network import (
     LocalBroadcastSimulator,
@@ -177,7 +176,7 @@ class TestCrossBackendEquivalence:
         def no_parties(self, inputs, shared_seed=None):
             raise AssertionError("a scheduled protocol's parties were run")
 
-        monkeypatch.setattr(FunctionalProtocol, "create_parties", no_parties)
+        monkeypatch.setattr(FormalProtocol, "create_parties", no_parties)
         runner = VectorizedRunner()
         assert _run(runner, task, executor, 31) == serial
         assert runner.last_fallback_reason is None
