@@ -382,42 +382,46 @@ class FormalProtocol(Protocol):
         self, inputs: Sequence[Any], shared_seed: int | None = None
     ) -> list[Party]:
         self._check_inputs(inputs)
+        # One output cache per execution: scheduled parties that heard
+        # the same transcript (all of them, on a correlated channel)
+        # share one output() call.
+        outputs: dict[bytes, Any] = {}
+        return [
+            self._party(index, inputs[index], outputs)
+            for index in range(self.n_parties)
+        ]
+
+    def create_party(
+        self,
+        index: int,
+        inputs: Sequence[Any],
+        shared_seed: int | None = None,
+    ) -> Party:
+        return self._party(index, inputs[index], {})
+
+    def _party(self, index: int, x: Any, outputs: dict[bytes, Any]) -> Party:
+        """Party ``index`` on input ``x``: the token party of its
+        scheduled mask, else a per-round :class:`FunctionalParty`."""
         schedule = self.schedule
         if schedule is not None:
-            # One output cache per execution: parties that heard the same
-            # transcript (all of them, on a correlated channel) share one
-            # output() call.
-            outputs: dict[bytes, Any] = {}
-            full = (1 << self._length) - 1
-            tokens = self._tokens
-            parties: list[Party] = []
-            for index in range(self.n_parties):
-                mask = schedule(index, inputs[index]) & full
-                runs = tokens.get(mask)
-                if runs is None:
-                    runs = tokens[mask] = _mask_tokens(mask, self._length)
-                parties.append(_ScheduledParty(runs, self.output, outputs))
-            return parties
-        parties = []
-        for index in range(self.n_parties):
+            mask = schedule(index, x) & ((1 << self._length) - 1)
+            runs = self._tokens.get(mask)
+            if runs is None:
+                runs = self._tokens[mask] = _mask_tokens(mask, self._length)
+            return _ScheduledParty(runs, self.output, outputs)
 
-            def bound_broadcast(
-                x: Any, prefix: Sequence[int], _i: int = index
-            ) -> int:
-                return self.broadcast(_i, x, prefix)
+        def bound_broadcast(x: Any, prefix: Sequence[int]) -> int:
+            return self.broadcast(index, x, prefix)
 
-            def bound_output(x: Any, received: Sequence[int]) -> Any:
-                return self.output(received)
+        def bound_output(x: Any, received: Sequence[int]) -> Any:
+            return self.output(received)
 
-            parties.append(
-                FunctionalParty(
-                    input_value=inputs[index],
-                    length=self._length,
-                    broadcast=bound_broadcast,
-                    output=bound_output,
-                )
-            )
-        return parties
+        return FunctionalParty(
+            input_value=x,
+            length=self._length,
+            broadcast=bound_broadcast,
+            output=bound_output,
+        )
 
     # ------------------------------------------------------------------
     # Exact analysis

@@ -60,6 +60,23 @@ class Protocol(ABC):
                 parties; ``None`` for deterministic protocols.
         """
 
+    def create_party(
+        self,
+        index: int,
+        inputs: Sequence[Any],
+        shared_seed: int | None = None,
+    ) -> Party:
+        """Party ``index`` of ``create_parties(inputs, shared_seed)``,
+        alone.
+
+        For the simulators that rebuild one inner party per replay.  The
+        default builds them all and keeps one; a protocol whose parties
+        can be built one at a time overrides it.  It takes every input,
+        not just ``inputs[index]``: a wrapper may build its parties from
+        another party's input (``announce_input`` reads the announcer's).
+        """
+        return self.create_parties(inputs, shared_seed=shared_seed)[index]
+
     def length(self) -> int | None:
         """Number of rounds, when fixed and known a priori; else ``None``.
 
@@ -133,11 +150,19 @@ class FunctionalProtocol(Protocol):
     ) -> list[Party]:
         self._check_inputs(inputs)
         return [
-            FunctionalParty(
-                input_value=inputs[index],
-                length=self._length,
-                broadcast=self._broadcast_for(index),
-                output=self._output_for(index),
-            )
+            self.create_party(index, inputs, shared_seed)
             for index in range(self.n_parties)
         ]
+
+    def create_party(
+        self,
+        index: int,
+        inputs: Sequence[Any],
+        shared_seed: int | None = None,
+    ) -> Party:
+        return FunctionalParty(
+            input_value=inputs[index],
+            length=self._length,
+            broadcast=self._broadcast_for(index),
+            output=self._output_for(index),
+        )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,10 +134,11 @@ class ReplayingProtocol(Protocol):
     """The outer protocol of a scheme whose parties replay their inner party.
 
     Outer party ``i`` is ``make_party(i, make_inner)``; each
-    ``make_inner()`` call returns a fresh copy of the inner protocol's
-    party ``i`` on the same inputs and shared seed, which is what a party
-    needs to replay a received prefix after a rewind.  ``length`` is the
-    outer round count when the scheme fixes it in advance.
+    ``make_inner()`` call builds a fresh copy of the inner protocol's
+    party ``i`` alone, on the same inputs and shared seed
+    (:meth:`~repro.core.protocol.Protocol.create_party`), which is what a
+    party needs to replay a received prefix after a rewind.  ``length`` is
+    the outer round count when the scheme fixes it in advance.
     """
 
     def __init__(
@@ -158,17 +160,11 @@ class ReplayingProtocol(Protocol):
     ) -> list[Party]:
         self._check_inputs(inputs)
         inputs = list(inputs)
-
-        def make_factory(index: int) -> Callable[[], Party]:
-            def make() -> Party:
-                return self.inner.create_parties(
-                    inputs, shared_seed=shared_seed
-                )[index]
-
-            return make
-
         return [
-            self.make_party(index, make_factory(index))
+            self.make_party(
+                index,
+                partial(self.inner.create_party, index, inputs, shared_seed),
+            )
             for index in range(self.n_parties)
         ]
 

@@ -19,14 +19,17 @@ into a ``numpy.random.RandomState``: both generate doubles with the same
 on that to serve flip indicators in blocks; the collapsed single-hop
 schemes draw from one per trial, over a copy of the channel's generator
 (its first block comes from :func:`random_block`, so a trial that draws
-little never builds a numpy stream).
+little never builds a numpy stream).  Besides reading indicators, a flip
+source can ``peek`` the next ``k`` and then ``commit`` a prefix of them:
+the owners phase decodes a whole speculated segment of codewords from one
+peek and consumes only the draws of the rows it accepts.
 :class:`BatchFlips` prefetches the first ``columns`` indicators of a
 whole batch of trials as 0/1 bytes — the network route's batched noise.
 :func:`random_block` is for callers that keep
 using the ``random.Random`` itself: it draws a block of ``random()``
 values through ``getrandbits``, so the generator advances past them.
-:class:`ChannelFlips` serves the same three access patterns by pulling
-indicators from the channel's own delivery, exactly as many as asked —
+:class:`ChannelFlips` serves the same access patterns by pulling
+indicators from the channel's own delivery, exactly as many as consumed —
 for noise whose draws are not one comparison per indicator (the
 burst channel's Markov state), and for standalone calls that must leave
 the channel where the scalar run would.
@@ -35,7 +38,7 @@ the channel where the scalar run would.
 from __future__ import annotations
 
 import random
-from typing import Callable, Union
+from typing import Any, Callable, Union
 
 import numpy as _np
 
@@ -105,10 +108,11 @@ class FlipStream:
     :data:`_FIRST_BLOCK` indicators) by :func:`random_block` on a copy of
     ``rng``, every later one from a :func:`numpy_stream` continuing that
     copy, built only when a trial reads past the first block.  The buffer
-    is a ``bytes`` of 0/1 so the three access patterns of the collapsed
+    is a ``bytes`` of 0/1 so the access patterns of the collapsed
     schemes are all C-speed: ``take1`` (one round), ``count`` (popcount
-    of a constant-OR window), and ``take`` (a codeword window as a uint8
-    array).
+    of a constant-OR window), ``take`` (a window as a uint8 array), and
+    ``peek``/``commit`` (a speculated segment of codewords, of which a
+    prefix is consumed).
 
     Args:
         rng: The channel's generator; its current state is copied.
@@ -128,7 +132,8 @@ class FlipStream:
         self.draws = 0
 
     def _refill(self, size: int = 0) -> None:
-        """Buffer the next ``size`` indicators, or more (a block)."""
+        """Buffer the next ``size`` indicators past the unread rest, or
+        more (a block)."""
         if not self._buffer:
             # The first fill: cheap for the short streams most trials of
             # the rewind scheme read.
@@ -137,7 +142,10 @@ class FlipStream:
             if self._stream is None:
                 self._stream = numpy_stream(self._rng)
             uniforms = self._stream.random_sample(max(size, _FLIP_BLOCK))
-        self._buffer = (uniforms < self._epsilon).view(_np.uint8).tobytes()
+        self._buffer = (
+            self._buffer[self._pos :]
+            + (uniforms < self._epsilon).view(_np.uint8).tobytes()
+        )
         self._pos = 0
 
     def take1(self) -> int:
@@ -169,45 +177,58 @@ class FlipStream:
         return total
 
     def take(self, rounds: int) -> "_np.ndarray":
-        """The next ``rounds`` indicators as a uint8 array (codeword
-        windows, whole local-broadcast bursts).
+        """The next ``rounds`` indicators as a uint8 array (whole
+        local-broadcast bursts, per-party vote windows)."""
+        flips = self.peek(rounds)
+        self.commit(rounds)
+        return flips
 
-        Serves what is left of the buffer, then refills once with
-        everything still missing (at least a block): a long window costs
-        one generator call, not one per block.
+    def peek(self, rounds: int) -> "_np.ndarray":
+        """The next ``rounds`` indicators as a uint8 array, not consumed.
+
+        Refills once with everything still missing (at least a block), so
+        a long window costs one generator call, not one per block.
         """
-        pos = self._pos
-        ready = min(rounds, len(self._buffer) - pos)
-        head = _np.frombuffer(
-            self._buffer, dtype=_np.uint8, count=ready, offset=pos
+        missing = rounds - (len(self._buffer) - self._pos)
+        if missing > 0:
+            self._refill(missing)
+        return _np.frombuffer(
+            self._buffer, dtype=_np.uint8, count=rounds, offset=self._pos
         )
-        self._pos = pos + ready
+
+    def commit(self, rounds: int) -> None:
+        """Consume the first ``rounds`` indicators of the last
+        :meth:`peek`."""
+        self._pos += rounds
         self.draws += rounds
-        missing = rounds - ready
-        if not missing:
-            return head
-        self._refill(missing)
-        tail = _np.frombuffer(self._buffer, dtype=_np.uint8, count=missing)
-        self._pos = missing
-        return _np.concatenate((head, tail)) if ready else tail
 
 
 class ChannelFlips:
     """A flip-indicator stream pulled from a channel, on demand.
 
     ``pull(k)`` returns the next ``k`` indicators as 0/1 ``bytes`` and
-    advances the channel past exactly their draws — e.g.
+    advances ``channel`` past exactly their draws — e.g.
     ``channel._deliver_shared_run(0, k)`` for an XOR channel, whose
     received bits over a silent run *are* its flips.  Nothing is read
-    ahead, so after a collapsed replay the channel's generator, block
-    buffer and any noise state are those of the scalar run.  Same
+    ahead for good, so after a collapsed replay the channel's generator,
+    block buffer and any noise state are those of the scalar run.  Same
     interface as :class:`FlipStream`.
+
+    :meth:`peek` pulls its indicators at once, after saving the channel's
+    noise state (the generator's state and every attribute a pull can
+    rebind); :meth:`commit` of fewer than were peeked restores that state
+    and pulls again exactly the committed count, so the channel never
+    ends past the draws the scalar run made.  Every peek is followed by
+    a commit before any other read.
     """
 
-    __slots__ = ("_pull", "draws")
+    __slots__ = ("_channel", "_pull", "_peeked", "draws")
 
-    def __init__(self, pull: Callable[[int], bytes]) -> None:
+    def __init__(self, channel: Any, pull: Callable[[int], bytes]) -> None:
+        self._channel = channel
         self._pull = pull
+        #: ``(count, generator state, attributes)`` of the last peek.
+        self._peeked: tuple | None = None
         #: Indicators consumed so far (draw-order position; test hook).
         self.draws = 0
 
@@ -225,6 +246,25 @@ class ChannelFlips:
         """The next ``rounds`` indicators as a uint8 array."""
         self.draws += rounds
         return _np.frombuffer(self._pull(rounds), dtype=_np.uint8)
+
+    def peek(self, rounds: int) -> "_np.ndarray":
+        """The next ``rounds`` indicators as a uint8 array, not consumed."""
+        channel = self._channel
+        self._peeked = (rounds, channel._rng.getstate(), dict(vars(channel)))
+        return _np.frombuffer(self._pull(rounds), dtype=_np.uint8)
+
+    def commit(self, rounds: int) -> None:
+        """Consume the first ``rounds`` indicators of the last
+        :meth:`peek`."""
+        self.draws += rounds
+        peeked, state, attributes = self._peeked
+        if rounds < peeked:
+            # The peek read past what was used: rewind the channel and
+            # redo exactly the committed draws.
+            channel = self._channel
+            vars(channel).update(attributes)
+            channel._rng.setstate(state)
+            self._pull(rounds)
 
 
 class BatchFlips:

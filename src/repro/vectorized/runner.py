@@ -10,7 +10,7 @@ simulations of :mod:`repro.vectorized.schemes`, each drawing its shared
 noise from a :class:`~repro.vectorized.noise.FlipStream` over a copy of
 the trial channel's generator, with ML decoding vectorized over the
 codebook (:class:`~repro.vectorized.decoder.VectorizedMLDecoder`,
-shared — memo included — across the batch).
+shared across the batch).
 
 The determinism contract of :mod:`repro.parallel.runner` is preserved
 *bitwise*: a single-hop batch runs through the scalar trial loop itself
@@ -151,13 +151,13 @@ class VectorizedRunner(InProcessRunner):
     """
 
     #: One stripe per pool worker: large stripes amortize each worker's
-    #: codebook memo and network kernel setup over many trials.
+    #: codebooks and network kernel setup over many trials.
     STRIPES_PER_WORKER = 1
 
     def __init__(self) -> None:
         # (chunk_length, rate_constant, code_seed, up, down) ->
-        # (code, VectorizedMLDecoder); shared across batches so the
-        # decode memo warms once per parameter point, not once per trial.
+        # (code, VectorizedMLDecoder); shared across batches so each
+        # codebook is built once per parameter point, not once per trial.
         self._codebooks: dict[tuple, tuple] = {}
 
     def _records(

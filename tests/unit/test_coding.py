@@ -1,5 +1,7 @@
 """Unit tests for the coding substrate."""
 
+import hashlib
+
 import pytest
 
 from repro.coding import (
@@ -12,6 +14,7 @@ from repro.coding import (
 from repro.coding.random_code import default_code_length
 from repro.core.formal import NoiseModel
 from repro.errors import CodingError, ConfigurationError, DecodingError
+from repro.simulation.owners import build_owners_code
 
 
 class TestRepetitionCode:
@@ -115,6 +118,26 @@ class TestGreedyRandomCode:
 
     def test_injective(self):
         GreedyRandomCode(20, 64, seed=5).validate_injective()
+
+    @pytest.mark.parametrize(
+        "max_positions, digest",
+        [
+            (16, "b3e680e0b87a3702d72413d981f637e6"),
+            (64, "520040483db9cefedf276d937035888a"),
+            (128, "85143dc041d37886a7f0b894f648059f"),
+            (512, "0e8ad08f66ba0fc9c801ecb7a9e514ff"),
+            (1024, "1f6846617896d3aca10edf19c81c3d2d"),
+        ],
+    )
+    def test_owners_codebooks_are_pinned(self, max_positions, digest):
+        """Every codeword of the owners codebook, as built from its fixed
+        seed by the pure-Python greedy filter (one ``getrandbits(1)`` per
+        position, ``hamming_distance`` against each accepted word)."""
+        code = build_owners_code(max_positions)
+        words = b"".join(
+            bytes(code.encode(symbol)) for symbol in range(code.num_symbols)
+        )
+        assert hashlib.blake2b(words, digest_size=16).hexdigest() == digest
 
     def test_rate_property(self):
         code = GreedyRandomCode(16, 64, seed=1)

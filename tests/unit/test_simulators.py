@@ -380,3 +380,47 @@ class TestSimulatorValidation:
             RepetitionSimulator().simulate(
                 protocol, [None, None], NoiselessChannel()
             )
+
+
+class TestInnerPartyConstruction:
+    """A replay builds the one inner party it steps, not all ``n``."""
+
+    @pytest.mark.parametrize("simulator", [ChunkCommitSimulator, RewindSimulator])
+    @pytest.mark.parametrize(
+        "task", [InputSetTask(6), ParityTask(6)], ids=["input-set", "parity"]
+    )
+    def test_each_replay_builds_one_inner_party(
+        self, monkeypatch, rng, simulator, task
+    ):
+        import repro.core.formal as formal
+        import repro.core.party as party
+
+        built = []
+        for module, name in (
+            (party, "FunctionalParty"),
+            (formal, "_ScheduledParty"),
+        ):
+            cls = getattr(module, name)
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        protocol = task.noiseless_protocol()
+        replays = []
+        create_party = protocol.create_party
+
+        def counted(*args, **kwargs):
+            replays.append(args[0])
+            return create_party(*args, **kwargs)
+
+        protocol.create_party = counted
+        inputs = task.sample_inputs(rng)
+        result = simulator().simulate(
+            protocol, inputs, CorrelatedNoiseChannel(0.1, rng=5)
+        )
+        assert task.is_correct(inputs, result.outputs)
+        assert replays and set(replays) == set(range(task.n_parties))
+        assert len(built) == len(replays)
