@@ -643,7 +643,7 @@ def formalize_protocol(
     ) -> InnerReplay:
         inputs = [space[0] for space in spaces]
         inputs[party_index] = input_value
-        party = protocol.create_parties(inputs)[party_index]
+        party = protocol.create_party(party_index, inputs)
         return InnerReplay(party, prefix, strict=False)
 
     def replay_next_beep(

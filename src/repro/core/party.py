@@ -207,13 +207,29 @@ class InnerReplay:
         # The heard bits of the current token, or None between tokens.
         self._heard: bytearray | None = None
         self._left = 0
-        self._resume(None)
+        # Priming: a generator's first send is None.
+        self.advance(None)
         for received in prefix:
             self.advance(received)
 
-    def _resume(self, value: Any) -> None:
+    def advance(self, received: int) -> None:
+        """Deliver one received bit to the party."""
+        heard = self._heard
+        if heard is not None:
+            heard.append(received)
+            self._left -= 1
+            if self._left:
+                return
+            self._heard = None
+            received = bytes(heard)
+        elif self.finished:
+            if self._strict:
+                raise ProtocolError(
+                    "inner party finished before its declared length"
+                )
+            return
         try:
-            item = self._send(value)
+            item = self._send(received)
         except StopIteration as stop:
             self.finished = True
             self.next_bit = None
@@ -230,21 +246,3 @@ class InnerReplay:
             self._left = count
             item = item.bit
         self.next_bit = item
-
-    def advance(self, received: int) -> None:
-        """Deliver one received bit to the party."""
-        if self.finished:
-            if self._strict:
-                raise ProtocolError(
-                    "inner party finished before its declared length"
-                )
-            return
-        heard = self._heard
-        if heard is None:
-            self._resume(received)
-            return
-        heard.append(received)
-        self._left -= 1
-        if not self._left:
-            self._heard = None
-            self._resume(bytes(heard))

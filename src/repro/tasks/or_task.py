@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.core.protocol import FunctionalProtocol, Protocol
+from repro.core.formal import FormalProtocol
+from repro.core.protocol import Protocol
 from repro.errors import TaskError
 from repro.tasks.base import Task
 from repro.util.bits import or_reduce
@@ -20,17 +21,26 @@ from repro.util.bits import or_reduce
 __all__ = ["OrTask", "or_noiseless_protocol"]
 
 
-def or_noiseless_protocol(n_parties: int) -> Protocol:
-    """One round: everyone beeps their bit; output the received bit."""
+def or_noiseless_protocol(n_parties: int) -> FormalProtocol:
+    """One round: everyone beeps their bit; output the received bit.
+    Non-adaptive, so its beep schedule (the bit itself) is declared."""
 
     def broadcast(_party: int, input_value: int, _prefix: Sequence[int]) -> int:
         return input_value
 
-    def output(_party: int, _input_value: int, received: Sequence[int]) -> int:
+    def schedule(_party: int, input_value: int) -> int:
+        return input_value
+
+    def output(received: Sequence[int]) -> int:
         return received[0]
 
-    return FunctionalProtocol(
-        n_parties=n_parties, length=1, broadcast=broadcast, output=output
+    return FormalProtocol(
+        n_parties=n_parties,
+        length=1,
+        input_spaces=[(0, 1)] * n_parties,
+        broadcast=broadcast,
+        output=output,
+        schedule=schedule,
     )
 
 

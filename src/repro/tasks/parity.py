@@ -17,27 +17,34 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from repro.core.protocol import FunctionalProtocol, Protocol
+from repro.core.formal import FormalProtocol
+from repro.core.protocol import Protocol
 from repro.tasks.base import Task
 
 __all__ = ["ParityTask", "parity_noiseless_protocol"]
 
 
-def parity_noiseless_protocol(n_parties: int) -> Protocol:
+def parity_noiseless_protocol(n_parties: int) -> FormalProtocol:
     """n rounds: party ``i`` beeps its bit in round ``i``; output the parity
-    of the received transcript."""
+    of the received transcript.  Non-adaptive, so its beep schedule is
+    declared: party ``i`` on bit ``x`` beeps ``x << i``."""
 
     def broadcast(party: int, input_value: int, prefix: Sequence[int]) -> int:
         return input_value if len(prefix) == party else 0
 
-    def output(_party: int, _input_value: int, received: Sequence[int]) -> int:
+    def schedule(party: int, input_value: int) -> int:
+        return input_value << party
+
+    def output(received: Sequence[int]) -> int:
         return sum(received) & 1
 
-    return FunctionalProtocol(
+    return FormalProtocol(
         n_parties=n_parties,
         length=n_parties,
+        input_spaces=[(0, 1)] * n_parties,
         broadcast=broadcast,
         output=output,
+        schedule=schedule,
     )
 
 

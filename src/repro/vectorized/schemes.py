@@ -11,7 +11,9 @@ forms below compute each shared quantity once, take the inner parties'
 sent bits from a single source — the ``(T × n)`` column matrix of the
 protocol's declared beep schedule
 (:attr:`~repro.core.formal.FormalProtocol.schedule`), built once per trial,
-or else one set of ``n`` live inner-party coroutines — and replace
+or else one set of ``n`` inner parties, each stepped by an
+:class:`~repro.core.party.InnerReplay` as the scalar schemes step theirs
+(batch tokens included) — and replace
 per-round channel calls with windowed draws from a flip source
 (:class:`~repro.vectorized.noise.FlipStream` or
 :class:`~repro.vectorized.noise.ChannelFlips`) —
@@ -52,9 +54,9 @@ was sent (:func:`_owners_phase`).
 Determinism assumption: inner parties are deterministic functions of
 ``(inputs, received prefix)``.  The scalar schemes already rely on exactly
 this (they step a fresh :class:`~repro.core.party.InnerReplay` on every
-attempt; rewind replays after pops), so the coroutine replay adds no new
-assumption.  A declared schedule is the stronger, stated form of it — the
-sent bits do not depend on the received prefix at all — so the
+attempt; rewind replays after pops), so the collapsed party replay adds
+no new assumption.  A declared schedule is the stronger, stated form of
+it — the sent bits do not depend on the received prefix at all — so the
 schedule-backed replay (:class:`_ScheduledPrograms`) never runs a party:
 a rejected chunk or a rewind pop only resets the received prefix, rewind
 reads column ``p`` directly, and outputs come from the protocol's
@@ -83,6 +85,7 @@ from repro.channels.stats import ChannelStats
 from repro.coding.code import BlockCode
 from repro.coding.ml import MLDecoder
 from repro.core.formal import FormalProtocol, NoiseModel
+from repro.core.party import InnerReplay
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
 from repro.errors import ConfigurationError, ProtocolError
@@ -275,7 +278,8 @@ class _SharedChannel:
 
 
 class _InnerPrograms:
-    """The ``n`` inner-party coroutines, advanced in lockstep.
+    """The ``n`` inner parties, each stepped by an
+    :class:`~repro.core.party.InnerReplay`, advanced in lockstep.
 
     The scalar schemes give each of the ``n`` outer parties its own fresh
     copy of one inner party per attempt (``n²`` constructions); since all
@@ -286,11 +290,7 @@ class _InnerPrograms:
 
     The path of protocols without a declared schedule;
     :class:`_ScheduledPrograms` serves the same interface off a schedule,
-    and :func:`_inner_programs` picks one.  This lockstep loop is the
-    collapsed schemes' hot path for adaptive protocols, so it steps
-    plain-bit parties only, unlike
-    :class:`~repro.core.party.InnerReplay`; every task protocol without a
-    schedule yields plain bits.
+    and :func:`_inner_programs` picks one.
     """
 
     def __init__(
@@ -304,70 +304,44 @@ class _InnerPrograms:
         self._inputs = list(inputs)
         self._shared_seed = shared_seed
         self._strict = strict
-        self.bits: list[int | None] = []
-        self.position = 0
-        self._programs: list[Any] = []
-        self._finished: list[bool] = []
-        self._outputs: list[Any] = []
         # Rewind's sent-bit column cache: column p depends only on
         # working[:p], and _cached_received mirrors the receive history
         # the columns beyond p were computed under.  A pop leaves the
         # cache intact; an append that changes a received bit truncates
-        # everything above it.  _stale: the live programs are out of
+        # everything above it.  _stale: the live replays are out of
         # sync with the walk's working transcript.
         self._cached_columns: list["_np.ndarray"] = []
         self._cached_received: list[int] = []
         self._stale = False
-        self.restart()
+        self.rebuild()
 
-    def restart(self) -> None:
-        """Fresh coroutines at position 0 (one ``create_parties`` call)."""
-        parties = self._protocol.create_parties(
-            self._inputs, shared_seed=self._shared_seed
-        )
-        self._programs = [party.run() for party in parties]
-        count = len(self._programs)
-        self.bits = [None] * count
-        self._finished = [False] * count
-        self._outputs = [None] * count
-        self.position = 0
-        for index, program in enumerate(self._programs):
-            try:
-                self.bits[index] = next(program)
-            except StopIteration as stop:
-                self._finished[index] = True
-                self._outputs[index] = stop.value
+    @property
+    def bits(self) -> list[int | None]:
+        """The next sent bit per party; ``None`` once it finished."""
+        return [replay.next_bit for replay in self._replays]
 
-    def rebuild(self, prefix: Sequence[int]) -> None:
-        """Restart and replay a received prefix (the rewind/reject path)."""
-        self.restart()
-        for received in prefix:
-            self.advance(received)
+    def rebuild(self, prefix: Sequence[int] = ()) -> None:
+        """Fresh parties (one ``create_parties`` call) that have heard the
+        received ``prefix`` (the start, rewind and reject paths)."""
+        self._replays = [
+            InnerReplay(party, prefix, strict=self._strict)
+            for party in self._protocol.create_parties(
+                self._inputs, shared_seed=self._shared_seed
+            )
+        ]
+        self.position = len(prefix)
 
     def advance(self, received: int) -> None:
         """Deliver one shared received bit to every party."""
-        self.advance_each([received] * len(self._programs))
+        for replay in self._replays:
+            replay.advance(received)
+        self.position += 1
 
     def advance_each(self, received: Sequence[int]) -> None:
         """Deliver party ``i`` its own received bit ``received[i]`` (per-
         party noise, where views diverge)."""
-        strict = self._strict
-        finished = self._finished
-        bits = self.bits
-        outputs = self._outputs
-        for index, program in enumerate(self._programs):
-            if finished[index]:
-                if strict:
-                    raise ProtocolError(
-                        "inner party finished before its declared length"
-                    )
-                continue
-            try:
-                bits[index] = program.send(received[index])
-            except StopIteration as stop:
-                finished[index] = True
-                outputs[index] = stop.value
-                bits[index] = None
+        for replay, bit in zip(self._replays, received):
+            replay.advance(bit)
         self.position += 1
 
     def chunk(
@@ -379,21 +353,21 @@ class _InnerPrograms:
         Returns ``(pi, beep_matrix)``: the decoded bits, and each party's
         sent bits as an ``n × rounds`` uint8 matrix.
         """
-        beep_rows: list[list[int]] = [[] for _ in self._programs]
+        columns: list[list[int | None]] = []
         pi: list[int] = []
         for _ in range(rounds):
-            beeps = 0
-            for index, bit in enumerate(self.bits):
-                if bit is None:
-                    raise ProtocolError(
-                        "inner protocol shorter than its declared length"
-                    )
-                beep_rows[index].append(bit)
-                beeps += bit
+            bits = self.bits
+            if None in bits:
+                raise ProtocolError(
+                    "inner protocol shorter than its declared length"
+                )
+            columns.append(bits)
+            beeps = sum(bits)
             decoded = vote(1 if beeps else 0, beeps)
             pi.append(decoded)
             self.advance(decoded)
-        return pi, _np.array(beep_rows, dtype=_np.uint8)
+        beep_matrix = _np.array(columns, dtype=_np.uint8)
+        return pi, beep_matrix.reshape(rounds, len(self._replays)).T
 
     def column(self, working: Sequence[int]) -> "_np.ndarray":
         """The sent-bit column at position ``len(working)`` of the rewind
@@ -434,11 +408,12 @@ class _InnerPrograms:
 
     def outputs(self) -> list[Any]:
         """Per-party outputs; strict mode requires every party finished."""
-        if self._strict and not all(self._finished):
+        replays = self._replays
+        if self._strict and not all(replay.finished for replay in replays):
             raise ProtocolError(
                 "inner protocol did not finish at its declared length"
             )
-        return list(self._outputs)
+        return [replay.output for replay in replays]
 
     def outputs_over(self, prefix: Sequence[int]) -> list[Any]:
         """Outputs of a fresh replay over ``prefix`` (the padded path)."""
@@ -593,7 +568,7 @@ def _inner_programs(
     strict: bool,
 ) -> _InnerPrograms | _ScheduledPrograms:
     """The inner parties of one collapsed trial: read off the protocol's
-    declared schedule, else ``n`` live coroutines."""
+    declared schedule, else ``n`` stepped parties."""
     if isinstance(protocol, FormalProtocol) and protocol.schedule is not None:
         return _ScheduledPrograms(protocol, inputs, strict)
     return _InnerPrograms(protocol, inputs, shared_seed, strict)

@@ -17,9 +17,10 @@ Under independent noise each party majority-votes its *own* receptions.
 A scalar round draws one noise value per party, in party order, so a
 virtual round's whole vote window is one ``r × n`` block of the flip
 stream, summed per party; each party then advances on its own majority
-(:meth:`~repro.vectorized.schemes._InnerPrograms.advance_each`), and the
-views may diverge exactly as in the scalar run.  Adversarial channels
-have no replay and take the runner's scalar fallback.
+(``advance_each`` of the trial's inner programs, which delivers party
+``i`` its own bit), and the views may diverge exactly as in the scalar
+run.  Adversarial channels have no replay and take the runner's scalar
+fallback.
 """
 
 from __future__ import annotations

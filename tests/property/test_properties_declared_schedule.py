@@ -1,14 +1,15 @@
 """Property tests for declared beep schedules and the collapsed schemes
 that read them.
 
-``input_set_formal_protocol`` declares a beep schedule
+``input_set_formal_protocol``, ``parity_noiseless_protocol`` and
+``or_noiseless_protocol`` declare beep schedules
 (:attr:`~repro.core.formal.FormalProtocol.schedule`): ``schedule(i, y)``
 is an int whose bit ``m`` is party ``i``'s round-``m`` beep on input
-``y``, whatever it heard.  Three contracts are checked here:
+``y``, whatever it heard.  Four contracts are checked here:
 
 * the declared schedule agrees with ``broadcast`` on random received
-  prefixes, for random ``n``, ``repetitions`` and ``decision``, inputs
-  outside ``[2n]`` included;
+  prefixes, for random ``n`` (and InputSet's ``repetitions`` and
+  ``decision``), InputSet's inputs outside ``[2n]`` included;
 * reassigning ``broadcast`` switches the schedule off, and setting a new
   schedule binds it to the current ``broadcast``;
 * every collapsed scheme gives bitwise the same result — outputs, rounds,
@@ -16,7 +17,13 @@ is an int whose bit ``m`` is party ``i``'s round-``m`` beep on input
   reading the schedule as it does running the same protocol's
   coroutines with the schedule switched off, and as the scalar
   ``simulate`` does stepping the protocol's batch-token parties, on every
-  shared-bit channel family and under per-party noise.
+  shared-bit channel family and under per-party noise;
+* the same three-sided equality holds over the wrappers
+  (``announce_input``, ``SequentialProtocol``, ``TruncatedProtocol``,
+  ``OneSidedReductionProtocol`` and ``formalize_protocol``, each around
+  InputSet's token parties) and the parity, OR and max-id task
+  protocols: both forms step every unscheduled inner party with
+  :class:`~repro.core.party.InnerReplay`.
 """
 
 from __future__ import annotations
@@ -36,15 +43,25 @@ from repro.channels import (
     OneSidedNoiseChannel,
     SuppressionNoiseChannel,
 )
+from repro.core import (
+    FormalProtocol,
+    SequentialProtocol,
+    TruncatedProtocol,
+    announce_input,
+    formalize_protocol,
+)
 from repro.simulation import (
     ChunkCommitSimulator,
     HierarchicalSimulator,
+    OneSidedReductionProtocol,
     RepetitionSimulator,
     RewindSimulator,
     SimulationParameters,
 )
-from repro.tasks import InputSetTask
+from repro.tasks import InputSetTask, MaxIdTask, OrTask, ParityTask
 from repro.tasks.input_set import input_set_formal_protocol
+from repro.tasks.or_task import or_noiseless_protocol
+from repro.tasks.parity import parity_noiseless_protocol
 from repro.vectorized import (
     simulate_chunked,
     simulate_hierarchical,
@@ -67,8 +84,21 @@ def input_set_constructors(draw, max_parties=6):
     )
 
 
+@st.composite
+def bit_task_constructors(draw, max_parties=6):
+    """A zero-argument call of the parity or OR protocol at a random
+    size."""
+    make = st.sampled_from([parity_noiseless_protocol, or_noiseless_protocol])
+    return partial(
+        draw(make), draw(st.integers(min_value=1, max_value=max_parties))
+    )
+
+
 @settings(max_examples=80, deadline=None)
-@given(make_protocol=input_set_constructors(), data=st.data())
+@given(
+    make_protocol=st.one_of(input_set_constructors(), bit_task_constructors()),
+    data=st.data(),
+)
 def test_declared_schedule_agrees_with_broadcast(make_protocol, data):
     protocol = make_protocol()
     length = protocol.length()
@@ -81,7 +111,10 @@ def test_declared_schedule_agrees_with_broadcast(make_protocol, data):
     )
     schedule = protocol.schedule
     assert schedule is not None
-    values = range(0, 2 * protocol.n_parties + 2)  # [2n] and both sides
+    if make_protocol.func is input_set_formal_protocol:
+        values = range(0, 2 * protocol.n_parties + 2)  # [2n], both sides
+    else:
+        values = (0, 1)  # parity and OR take one bit
     for party in range(protocol.n_parties):
         for value in values:
             mask = schedule(party, value)
@@ -141,10 +174,10 @@ SCHEMES = {
 }
 
 
-def _outcome(run, protocol, inputs, channel):
+def _outcome(run, protocol, inputs, channel, **kwargs):
     """The whole result as a dict, or the raised error."""
     try:
-        return run(protocol, inputs, channel).to_dict()
+        return run(protocol, inputs, channel, **kwargs).to_dict()
     except Exception as exc:  # noqa: BLE001 - parity is the assertion
         return (type(exc), str(exc))
 
@@ -196,3 +229,90 @@ def test_scalar_simulators_wrap_the_token_protocol(scheme):
     assert scalar.to_dict() == collapsed(
         simulator, protocol, inputs, channel_type(0.2, rng=3)
     ).to_dict()
+
+
+def _task_case(task_type, **kwargs):
+    def case(n, rng):
+        task = task_type(n, **kwargs)
+        return task.noiseless_protocol(), task.sample_inputs(rng)
+
+    return case
+
+
+def _input_set_case(wrap):
+    def case(n, rng):
+        inner = input_set_formal_protocol(n)
+        return wrap(inner, n), InputSetTask(n).sample_inputs(rng)
+
+    return case
+
+
+#: ``name -> case(n, rng) -> (protocol, inputs)``.  The wrappers each
+#: wrap InputSet's token parties; the tasks are parity and OR (declared
+#: schedules) and max-id (adaptive).
+CASES = {
+    "announce-input": _input_set_case(
+        lambda inner, n: announce_input(inner, width=(2 * n).bit_length())
+    ),
+    "sequential": lambda n, rng: (
+        SequentialProtocol(
+            input_set_formal_protocol(n),
+            MaxIdTask(n, id_bits=(2 * n).bit_length()).noiseless_protocol(),
+        ),
+        # Distinct inputs in [2n]: valid for InputSet and max-id.
+        rng.sample(range(1, 2 * n + 1), n),
+    ),
+    "truncated": lambda n, rng: (
+        # Cut inside a repeated round: the budget counts token rounds.
+        TruncatedProtocol(input_set_formal_protocol(n, repetitions=2), 3 * n),
+        InputSetTask(n).sample_inputs(rng),
+    ),
+    "one-sided-reduction": _input_set_case(
+        lambda inner, n: OneSidedReductionProtocol(inner)
+    ),
+    "formalized": _input_set_case(
+        lambda inner, n: formalize_protocol(
+            inner, [range(1, 2 * n + 1)] * n
+        )
+    ),
+    "parity": _task_case(ParityTask),
+    "or": _task_case(OrTask),
+    "max-id": _task_case(MaxIdTask, id_bits=4),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(sorted(CASES)),
+    n=st.integers(min_value=1, max_value=5),
+    scheme=st.sampled_from(sorted(SCHEMES)),
+    channel_name=st.sampled_from(sorted(CHANNELS)),
+    seed=seeds,
+)
+def test_collapsed_schemes_equal_scalar_simulate(
+    case, n, scheme, channel_name, seed
+):
+    """Scalar ``simulate`` and the collapsed form agree bitwise (or raise
+    the same error) over every wrapper and task protocol; a scheduled
+    protocol's collapsed form also agrees with the schedule switched
+    off."""
+    collapsed, simulator = SCHEMES[scheme]
+    protocol, inputs = CASES[case](n, random.Random(seed))
+    make_channel = CHANNELS[channel_name]
+    # OneSidedReductionProtocol draws its coins from the shared seed.
+    expected = _outcome(
+        simulator.simulate,
+        protocol,
+        inputs,
+        make_channel(seed),
+        shared_seed=seed,
+    )
+    run = partial(collapsed, simulator)
+    assert expected == _outcome(
+        run, protocol, inputs, make_channel(seed), shared_seed=seed
+    )
+    if isinstance(protocol, FormalProtocol) and protocol.schedule is not None:
+        protocol.schedule = None
+        assert expected == _outcome(
+            run, protocol, inputs, make_channel(seed), shared_seed=seed
+        )

@@ -5,8 +5,9 @@ reference, per trial: same ``TrialRecord`` for the same ``(seed, index)``
 regardless of backend.  These tests drive both runners over the full
 channel-family grid (the ten families of ``test_legacy_equivalence``) and
 all four registry simulators (repetition, chunk-commit, hierarchical,
-rewind), for an adaptive inner protocol (parity) and one that declares
-its beep schedule (InputSet), mirroring that suite's structure:
+rewind), for an adaptive inner protocol (max-id) and two that declare
+their beep schedules (parity and InputSet), mirroring that suite's
+structure:
 
 * where the vectorized backend has a collapsed form (every scheme over
   the shared-bit channels, burst noise included, and repetition over
@@ -24,6 +25,7 @@ its beep schedule (InputSet), mirroring that suite's structure:
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -63,7 +65,7 @@ from repro.network import (
     TopologySpec,
 )
 from repro.simulation import SimulationParameters
-from repro.tasks import InputSetTask, ParityTask
+from repro.tasks import InputSetTask, MaxIdTask, ParityTask
 from repro.vectorized import (
     CHANNEL_KINDS,
     VectorizedRunner,
@@ -126,10 +128,14 @@ def _run(runner, task, executor, seed):
         return (type(exc), str(exc))
 
 
-#: The grid's tasks: parity's inner protocol is adaptive (the collapsed
-#: schemes run its coroutines); InputSet's declares a beep schedule (they
-#: read its sent bits off the schedule).
-TASKS = {"parity": ParityTask, "input-set": InputSetTask}
+#: The grid's tasks: max-id's inner protocol is adaptive (the collapsed
+#: schemes step its parties); parity's and InputSet's declare beep
+#: schedules (they read the sent bits off the schedule).
+TASKS = {
+    "max-id": partial(MaxIdTask, id_bits=4),
+    "parity": ParityTask,
+    "input-set": InputSetTask,
+}
 
 
 class TestCrossBackendEquivalence:
@@ -158,14 +164,15 @@ class TestCrossBackendEquivalence:
         else:
             assert vectorized_runner.last_fallback_reason is not None
 
+    @pytest.mark.parametrize("task_name", ["parity", "input-set"])
     @pytest.mark.parametrize("simulator_name", sorted(SIMULATORS))
     def test_scheduled_protocol_runs_no_party(
-        self, monkeypatch, simulator_name
+        self, monkeypatch, simulator_name, task_name
     ):
-        """A collapsed InputSet trial reads the declared schedule: no
-        inner party is ever created, so a silent fallback to coroutines
-        (or to the scalar engine) fails here."""
-        task = InputSetTask(5)
+        """A collapsed trial of a scheduled protocol reads the declared
+        schedule: no inner party is ever created, so a silent fallback
+        to stepping parties (or to the scalar engine) fails here."""
+        task = TASKS[task_name](5)
         executor = SimulationExecutor(
             task=task,
             channel=CHANNEL_SPECS["suppression"],
