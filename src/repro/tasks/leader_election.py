@@ -16,6 +16,7 @@ general interactive coding must handle exactly this dependence).
 from __future__ import annotations
 
 import random
+from functools import lru_cache, partial
 from typing import Sequence
 
 from repro.core.protocol import FunctionalProtocol, Protocol
@@ -35,15 +36,18 @@ def max_id_noiseless_protocol(n_parties: int, id_bits: int) -> Protocol:
     every party's output.
     """
 
+    # A party's identifier bits, built once per identifier rather than
+    # once per round (broadcast runs every round of every replay).
+    bits_of = lru_cache(maxsize=1 << 12)(partial(int_to_bits, width=id_bits))
+
     def broadcast(
         _party: int, input_value: int, prefix: Sequence[int]
     ) -> int:
-        my_bits = int_to_bits(input_value, id_bits)
+        my_bits = bits_of(input_value)
         round_index = len(prefix)
         # Candidate iff my bits so far match the winning prefix.
-        for position in range(round_index):
-            if my_bits[position] != prefix[position]:
-                return 0
+        if my_bits[:round_index] != tuple(prefix):
+            return 0
         return my_bits[round_index]
 
     def output(_party: int, _input_value: int, received: Sequence[int]) -> int:

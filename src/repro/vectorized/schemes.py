@@ -304,13 +304,13 @@ class _InnerPrograms:
         self._inputs = list(inputs)
         self._shared_seed = shared_seed
         self._strict = strict
-        # Rewind's sent-bit column cache: column p depends only on
-        # working[:p], and _cached_received mirrors the receive history
-        # the columns beyond p were computed under.  A pop leaves the
-        # cache intact; an append that changes a received bit truncates
-        # everything above it.  _stale: the live replays are out of
-        # sync with the walk's working transcript.
-        self._cached_columns: list["_np.ndarray"] = []
+        # Rewind's sent-bit column cache: column p (with its beep count)
+        # depends only on working[:p], and _cached_received mirrors the
+        # receive history the columns beyond p were computed under.  A
+        # pop leaves the cache intact; an append that changes a received
+        # bit truncates everything above it.  _stale: the live replays
+        # are out of sync with the walk's working transcript.
+        self._cached_columns: list[tuple["_np.ndarray", int]] = []
         self._cached_received: list[int] = []
         self._stale = False
         self.rebuild()
@@ -369,21 +369,20 @@ class _InnerPrograms:
         beep_matrix = _np.array(columns, dtype=_np.uint8)
         return pi, beep_matrix.reshape(rounds, len(self._replays)).T
 
-    def column(self, working: Sequence[int]) -> "_np.ndarray":
+    def column(self, working: Sequence[int]) -> tuple["_np.ndarray", int]:
         """The sent-bit column at position ``len(working)`` of the rewind
-        walk's working transcript (cached; replays on a miss)."""
+        walk's working transcript and its beep count (cached; replays on
+        a miss)."""
         position = len(working)
         if position < len(self._cached_columns):
             return self._cached_columns[position]
         if self._stale or self.position != position:
             self.rebuild(working)
             self._stale = False
-        column = _np.array(
-            [bit if bit is not None else 0 for bit in self.bits],
-            dtype=_np.uint8,
-        )
-        self._cached_columns.append(column)
-        return column
+        bits = [bit if bit is not None else 0 for bit in self.bits]
+        entry = (_np.array(bits, dtype=_np.uint8), sum(bits))
+        self._cached_columns.append(entry)
+        return entry
 
     def appended(self, position: int, received: int) -> None:
         """The walk appended ``received`` at ``position``."""
@@ -460,6 +459,7 @@ class _ScheduledPrograms:
         )
         #: ``T × n``: row ``m`` is round ``m``'s sent-bit column.
         self.columns = _np.ascontiguousarray(rows.T)
+        self._beeps: list[int] = self.columns.sum(axis=1).tolist()
         self.position = 0
         # Received bits up to the protocol's length: an int per shared
         # round, a per-party list per advance_each round.
@@ -514,15 +514,17 @@ class _ScheduledPrograms:
         block = self.columns[start : start + rounds]
         pi = [
             vote(1 if beeps else 0, beeps)
-            for beeps in block.sum(axis=1).tolist()
+            for beeps in self._beeps[start : start + rounds]
         ]
         self._heard.extend(pi)
         self.position = start + rounds
         return pi, block.T
 
-    def column(self, working: Sequence[int]) -> "_np.ndarray":
-        """The sent-bit column at position ``len(working)``."""
-        return self.columns[len(working)]
+    def column(self, working: Sequence[int]) -> tuple["_np.ndarray", int]:
+        """The sent-bit column at position ``len(working)`` and its beep
+        count."""
+        position = len(working)
+        return self.columns[position], self._beeps[position]
 
     def appended(self, position: int, received: int) -> None:
         """Nothing to track: columns do not depend on what was heard."""
@@ -981,63 +983,78 @@ def simulate_rewind(
     channels, with ``transcript=None``.
 
     The scalar walk re-replays every party's inner coroutine from scratch
-    after each pop.  Collapsed, the sent-bit column of position ``p`` is a
-    function of ``working[:p]`` alone: read off the protocol's declared
-    schedule, or else cached across pops by the live programs, which
-    replay only when an append *changes* a received bit under cached
-    columns.  Per-party dispute sets shrink to an incremental counter
-    vector.  (``codebook_cache`` is accepted for call symmetry; the
-    rewind scheme has no codebook.)
+    after each pop.  Collapsed, the sent-bit column of position ``p`` (and
+    its beep count) is a function of ``working[:p]`` alone: read off the
+    protocol's declared schedule, or else cached across pops by the live
+    programs, which replay only when an append *changes* a received bit
+    under cached columns.  Per-party dispute sets shrink to a counter
+    vector ``disputes`` (disputed positions per party), touched only when
+    it changes — a pop of a disputed 0, or a 0 received under beeps.  In
+    between, an iteration is integer work: ``disputing`` (the parties
+    with a positive counter) is the alarm round's beep count, the alarm
+    rounds' energy is added as ``(disputes > 0)`` times their number
+    just before each change and at the end, and the appended columns'
+    energy is summed once, after the walk.  (``codebook_cache`` is
+    accepted for call symmetry; the rewind scheme has no codebook.)
     """
     del codebook_cache
     report, _ = simulator.plan(protocol, channel)
     inner_length = report.inner_length
+    iterations = report.extra["iterations"]
 
     shared = _shared_channel(channel, flips)
+    transmit = shared.round
     n_parties = protocol.n_parties
     programs = _inner_programs(protocol, inputs, shared_seed, strict=False)
+    column_at = programs.column
     energy = _np.zeros(n_parties, dtype=_np.int64)
-    zero_column = _np.zeros(n_parties, dtype=_np.uint8)
+    disputes = _np.zeros(n_parties, dtype=_np.int64)
 
     working: list[int] = []
-    disputes = _np.zeros(n_parties, dtype=_np.int64)
+    disputing = 0
+    # Alarm rounds before iteration ``flushed`` are in ``energy``.
+    flushed = 0
+    sent: list["_np.ndarray"] = []
     rewinds = 0
 
-    for _ in range(report.extra["iterations"]):
+    for iteration in range(iterations):
         # Alarm round: a party beeps iff it currently disputes a position.
-        alarm_beeps = int((disputes > 0).sum())
-        or_alarm = 1 if alarm_beeps else 0
-        heard_alarm = shared.round(or_alarm, alarm_beeps)
-        energy += disputes > 0
+        heard_alarm = transmit(1 if disputing else 0, disputing)
 
         if heard_alarm == 1:
             if working:
                 popped = working.pop()
                 if popped == 0:
                     # Exactly the parties that beeped 1 there disputed it.
-                    disputes -= programs.column(working)
+                    column, beeps = column_at(working)
+                    if beeps:
+                        energy += (disputes > 0) * (iteration + 1 - flushed)
+                        flushed = iteration + 1
+                        disputes -= column
+                        disputing = int(_np.count_nonzero(disputes))
                 rewinds += 1
                 programs.popped(len(working))
             # Dummy round keeps the iteration at two rounds; all silent.
-            shared.round(0, 0)
+            transmit(0, 0)
         else:
             position = len(working)
-            simulating = position < inner_length
-            if simulating:
-                column = programs.column(working)
-                beeps = int(column.sum())
-            else:
-                column = zero_column
-                beeps = 0
-            or_value = 1 if beeps else 0
-            received = shared.round(or_value, beeps)
-            energy += column
-            if simulating:
+            if position < inner_length:
+                column, beeps = column_at(working)
+                received = transmit(1 if beeps else 0, beeps)
                 programs.appended(position, received)
                 working.append(received)
-                if received == 0:
-                    disputes += column
+                if beeps:
+                    sent.append(column)
+                    if received == 0:
+                        energy += (disputes > 0) * (iteration + 1 - flushed)
+                        flushed = iteration + 1
+                        disputes += column
+                        disputing = int(_np.count_nonzero(disputes))
+            else:
+                transmit(0, 0)
 
+    energy += (disputes > 0) * (iterations - flushed)
+    energy += _np.sum(sent, axis=0, dtype=_np.int64)
     report.rewinds = rewinds
     report.completed = (
         len(working) == inner_length and int(disputes[0]) == 0

@@ -30,6 +30,7 @@ from functools import partial
 import pytest
 
 import repro.vectorized.network as vnetwork
+import repro.vectorized.schemes as vschemes
 
 from repro.channels import (
     BudgetedAdversaryChannel,
@@ -369,3 +370,114 @@ class TestOnePlan:
         assert runner.last_fallback_reason is None
         scalar = executor(task.sample_inputs(random.Random(0)), 0)
         assert kernel_ks == [scalar.metadata["report"].extra["repetitions"]]
+
+
+class _DisputeSpy:
+    """Wraps one trial's inner programs and counts the rewind walk's pops
+    of a disputed position: a received 0 under a column with beeps."""
+
+    def __init__(self, programs):
+        self._programs = programs
+        self._received = []
+        self._beeps = {}
+        self.disputed_pops = 0
+
+    def __getattr__(self, name):
+        return getattr(self._programs, name)
+
+    def column(self, working):
+        column, beeps = self._programs.column(working)
+        self._beeps[len(working)] = beeps
+        return column, beeps
+
+    def appended(self, position, received):
+        self._programs.appended(position, received)
+        del self._received[position:]
+        self._received.append(received)
+
+    def popped(self, length):
+        if self._received[length] == 0 and self._beeps[length]:
+            self.disputed_pops += 1
+        del self._received[length:]
+        self._programs.popped(length)
+
+
+def _noise_state(channel):
+    """Everything a flip pull advances on a channel."""
+    return (
+        channel._rng.getstate(),
+        channel._noise_pos,
+        getattr(channel, "_in_burst", None),
+        getattr(channel, "burst_rounds", None),
+    )
+
+
+#: High-noise channels of the rewind accounting test; ``disputes``: the
+#: channel can suppress a beep, so the walk disputes positions (one-sided
+#: noise never delivers a 0 under a beep: it only pops on fabricated
+#: alarms).
+REWIND_CHANNELS = {
+    "suppression": (partial(SuppressionNoiseChannel, 0.3), True),
+    "one-sided": (partial(OneSidedNoiseChannel, 0.3), False),
+    "burst": (partial(BurstNoiseChannel, 0.05, 0.5, 0.1, 0.3), True),
+}
+
+
+class TestRewindDisputeAccounting:
+    """The collapsed rewind walk keeps its dispute counters, alarm energy
+    and append energy apart from the per-iteration work and folds them
+    in only when ``disputes`` changes and once at the end.  At a noise
+    level where disputed positions are popped, it still equals the
+    scalar walk on every result field — over a declared schedule
+    (InputSet) and stepped parties (max-id), from the runner's flip
+    stream and standalone (``flips=None``), where the channel must end
+    where the scalar run leaves it."""
+
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize(
+        "make_task",
+        [InputSetTask, lambda n: MaxIdTask(n, id_bits=n.bit_length() + 2)],
+        ids=["input-set", "max-id"],
+    )
+    @pytest.mark.parametrize("standalone", [False, True])
+    @pytest.mark.parametrize("family", sorted(REWIND_CHANNELS))
+    def test_scalar_equal_through_disputed_pops(
+        self, monkeypatch, family, standalone, make_task, n
+    ):
+        make_channel, disputes = REWIND_CHANNELS[family]
+        spies = []
+
+        def spied(*args, **kwargs):
+            spies.append(_DisputeSpy(inner_programs(*args, **kwargs)))
+            return spies[-1]
+
+        inner_programs = vschemes._inner_programs
+        monkeypatch.setattr(vschemes, "_inner_programs", spied)
+        simulator = RewindSimulator()
+        task = make_task(n)
+        protocol = task.noiseless_protocol()
+        rewinds = 0
+        for seed in range(3):
+            inputs = task.sample_inputs(random.Random(seed))
+            scalar_channel = make_channel(rng=seed)
+            scalar = simulator.simulate(protocol, inputs, scalar_channel)
+            channel = make_channel(rng=seed)
+            flips = (
+                None
+                if standalone
+                else vschemes.flip_source(channel, copy_rng=True)
+            )
+            result = simulate_rewind(
+                simulator, protocol, inputs, channel, flips=flips
+            )
+            assert result.outputs == scalar.outputs, seed
+            assert result.beeps_per_party == scalar.beeps_per_party, seed
+            assert result.channel_stats == scalar.channel_stats, seed
+            report = result.metadata["report"]
+            assert report.to_dict() == scalar.metadata["report"].to_dict()
+            if standalone:
+                assert _noise_state(channel) == _noise_state(scalar_channel)
+            rewinds += report.rewinds
+        assert rewinds > 0
+        disputed_pops = sum(spy.disputed_pops for spy in spies)
+        assert (disputed_pops > 0) == disputes
