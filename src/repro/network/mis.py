@@ -46,14 +46,11 @@ from repro.core.party import Party, Silence
 from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, TaskError
 from repro.network.channel import NetworkBeepingChannel
+from repro.network.tasks import _COIN_BLOCK
 from repro.network.topology import Topology
 from repro.tasks.base import Task
 
 __all__ = ["MISTask", "mis_protocol"]
-
-#: Coin draws per block in :meth:`MISTask.sample_inputs`: bounds one
-#: block's scratch arrays (bits, words, doubles) without changing the coins.
-_COIN_BLOCK = 1 << 13
 
 
 class _MISParty(Party):

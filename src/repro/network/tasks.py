@@ -46,6 +46,11 @@ from repro.tasks.counting import SizeEstimateTask
 
 __all__ = ["BroadcastTask", "NeighborORTask", "NetworkSizeEstimateTask"]
 
+#: Draws per block of :meth:`NeighborORTask.sample_inputs` and of
+#: :meth:`~repro.network.mis.MISTask.sample_inputs`: bounds one block's
+#: scratch arrays (bits, words, doubles) without changing the draws.
+_COIN_BLOCK = 1 << 13
+
 
 def _as_topology(topology: Topology | Sequence[Sequence[int]]) -> Topology:
     if isinstance(topology, Topology):
@@ -232,10 +237,21 @@ class NeighborORTask(_NetworkTask):
         self.density = density
 
     def sample_inputs(self, rng: random.Random) -> list[int]:
-        return [
-            1 if rng.random() < self.density else 0
-            for _ in range(self.n_parties)
-        ]
+        """One ``rng.random() < density`` bit per node, in node order.
+
+        The draws come in blocks through
+        :func:`~repro.vectorized.noise.random_block`, bitwise the
+        per-node calls, leaving ``rng`` where they would.
+        """
+        # Imported here: repro.vectorized imports this module.
+        from repro.vectorized.noise import random_block
+
+        bits: list[int] = []
+        for start in range(0, self.n_parties, _COIN_BLOCK):
+            count = min(_COIN_BLOCK, self.n_parties - start)
+            uniforms = random_block(rng, count)
+            bits.extend((uniforms < self.density).view(np.uint8).tolist())
+        return bits
 
     def reference_output(self, inputs) -> None:
         """Outputs are per-node (each node's own neighborhood OR).
@@ -251,18 +267,22 @@ class NeighborORTask(_NetworkTask):
     ) -> bool:
         """Each node output the OR of its in-neighbors' bits.
 
-        A node heard a beep iff the running count of beeping in-edges
-        grows across its CSR segment (isolated nodes expect 0).  The
-        expected bits compare with the outputs as one Python list, which
-        applies ``==`` pair by pair, so any output type gets the verdict
-        a plain per-node loop would give.
+        One ``logical_or.reduceat`` over the non-empty in-CSR rows gives
+        the expected bits; isolated nodes expect 0 (reduceat would hand
+        an empty row the next row's first element, so they are left
+        out).  The expected bits compare with the outputs as one Python
+        list, which applies ``==`` pair by pair, so any output type gets
+        the verdict a plain per-node loop would give.
         """
         if len(outputs) != self.n_parties:
             return False
         in_ptr, in_idx, _, _ = self.topology.csr_arrays()
-        beeped = np.fromiter(map(bool, inputs), dtype=bool)
-        count = np.concatenate(([0], np.cumsum(beeped[in_idx])))
-        expected = (count[in_ptr[1:]] > count[in_ptr[:-1]]).view(np.uint8)
+        expected = np.zeros(self.n_parties, dtype=np.uint8)
+        rows = np.flatnonzero(in_ptr[1:] > in_ptr[:-1])
+        if rows.size:
+            beeping = np.fromiter(inputs, dtype=bool, count=len(inputs))
+            beeped = np.take(beeping, in_idx)
+            expected[rows] = np.logical_or.reduceat(beeped, in_ptr[rows])
         return expected.tolist() == list(outputs)
 
     def noiseless_protocol(self) -> Protocol:

@@ -77,6 +77,53 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
+def _arc_keys(n: int, src, dst) -> np.ndarray:
+    """The validated arcs ``src[k] -> dst[k]`` as sorted, deduplicated
+    row-major keys ``src * n + dst`` (see :meth:`Topology.from_edges`)."""
+    if n < 1:
+        raise ConfigurationError("a topology needs at least one node")
+    src = np.asarray(src)
+    dst = np.asarray(dst)
+    if src.shape != dst.shape or src.ndim != 1:
+        raise ConfigurationError(
+            f"src and dst must be equal-length 1-d arrays, got shapes "
+            f"{src.shape} and {dst.shape}"
+        )
+    outside = (src < 0) | (src >= n)
+    if outside.any():
+        raise ConfigurationError(
+            f"arc source {src[outside][0]} outside [0, {n})"
+        )
+    bad = (dst < 0) | (dst >= n) | (dst == src)
+    if bad.any():
+        node = src[bad].min()
+        neighbor = dst[bad & (src == node)].min()
+        if 0 <= neighbor < n:
+            raise ConfigurationError(
+                f"node {node} lists itself as a neighbor; use "
+                "hear_self=True instead"
+            )
+        raise ConfigurationError(
+            f"node {node} lists out-of-range neighbor {neighbor}"
+        )
+    # Row-major arc keys: sorting orders each in-list, dedup is a
+    # neighbor comparison.
+    key = src.astype(np.int64, copy=False) * n
+    key += dst.astype(np.int64, copy=False)
+    key.sort()
+    if key.size > 1:
+        repeated = key[1:] == key[:-1]
+        if repeated.any():
+            key = key[np.concatenate(([True], ~repeated))]
+    return key
+
+
+def _csr(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(indptr, indices)`` CSR of sorted row-major keys."""
+    rows, indices = np.divmod(key, n)
+    return _indptr(rows, n), indices
+
+
 def _compact(values: np.ndarray, dtype) -> np.ndarray:
     """A read-only ``dtype`` copy (the cached numpy CSR mirrors)."""
     compact = values.astype(dtype)
@@ -146,43 +193,9 @@ class Topology:
         a channel option, not a graph edge), naming the smallest
         offending ``(src, dst)`` pair.
         """
-        if n < 1:
-            raise ConfigurationError("a topology needs at least one node")
-        src = np.asarray(src)
-        dst = np.asarray(dst)
-        if src.shape != dst.shape or src.ndim != 1:
-            raise ConfigurationError(
-                f"src and dst must be equal-length 1-d arrays, got shapes "
-                f"{src.shape} and {dst.shape}"
-            )
-        outside = (src < 0) | (src >= n)
-        if outside.any():
-            raise ConfigurationError(
-                f"arc source {src[outside][0]} outside [0, {n})"
-            )
-        bad = (dst < 0) | (dst >= n) | (dst == src)
-        if bad.any():
-            node = src[bad].min()
-            neighbor = dst[bad & (src == node)].min()
-            if 0 <= neighbor < n:
-                raise ConfigurationError(
-                    f"node {node} lists itself as a neighbor; use "
-                    "hear_self=True instead"
-                )
-            raise ConfigurationError(
-                f"node {node} lists out-of-range neighbor {neighbor}"
-            )
-        # Row-major arc keys: sorting orders each in-list, dedup is a
-        # neighbor comparison.
-        key = src.astype(np.int64) * n + dst.astype(np.int64)
-        key.sort()
-        if key.size > 1:
-            repeated = key[1:] == key[:-1]
-            if repeated.any():
-                key = key[np.concatenate(([True], ~repeated))]
-        rows = key // n
-        in_indices = key - rows * n
-        in_indptr = _indptr(rows, n)
+        key = _arc_keys(n, src, dst)
+        rows, in_indices = np.divmod(key, n)
+        in_csr = (_indptr(rows, n), in_indices)
         # The transposed keys, sorted, are the out-CSR in the same
         # row-major form — and equal the keys exactly when every arc has
         # its reverse.
@@ -190,13 +203,8 @@ class Topology:
         del rows
         transposed.sort()
         if np.array_equal(transposed, key):
-            return cls(n, (in_indptr, in_indices))
-        out_rows = transposed // n
-        return cls(
-            n,
-            (in_indptr, in_indices),
-            (_indptr(out_rows, n), transposed - out_rows * n),
-        )
+            return cls(n, in_csr)
+        return cls(n, in_csr, _csr(transposed, n))
 
     @classmethod
     def from_adjacency(
@@ -322,10 +330,14 @@ class Topology:
 
 
 def _undirected(n: int, a, b) -> Topology:
-    """The symmetric graph with one edge per pair ``(a[k], b[k])``."""
-    return Topology.from_edges(
-        n, np.concatenate((a, b)), np.concatenate((b, a))
-    )
+    """The symmetric graph with one edge per pair ``(a[k], b[k])``.
+
+    Every arc comes with its reverse, so the in-CSR of one key sort is
+    also the out-CSR: :meth:`Topology.from_edges` would sort the
+    transposed keys only to find them equal.
+    """
+    key = _arc_keys(n, np.concatenate((a, b)), np.concatenate((b, a)))
+    return Topology(n, _csr(key, n))
 
 
 def _complete(*, n: int) -> Topology:
@@ -421,7 +433,11 @@ def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
     cx = np.minimum((uniforms[0::2] / size).astype(np.int64), cells - 1)
     cy = np.minimum((uniforms[1::2] / size).astype(np.int64), cells - 1)
     cell_of = cx * cells + cy
-    order = np.argsort(cell_of, kind="stable").astype(np.int32)
+    # Stability fixes the order, so the key dtype cannot change it; on
+    # 16-bit keys numpy's stable argsort is a radix sort (~7× faster
+    # than on int64 at 10^5 points).
+    keys = cell_of.astype(np.uint16) if cells * cells <= 1 << 16 else cell_of
+    order = np.argsort(keys, kind="stable")
     xs = uniforms[0::2][order]
     ys = uniforms[1::2][order]
     cell_of = cell_of[order]
@@ -433,7 +449,7 @@ def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
     counts = np.diff(np.append(starts, n))
     member = np.repeat(np.arange(len(occupied)), counts)
     occupied_x, occupied_y = np.divmod(occupied, cells)
-    positions = np.arange(n, dtype=np.int32)
+    positions = np.arange(n)
     r2 = radius * radius
     near_a: list[np.ndarray] = []
     near_b: list[np.ndarray] = []
@@ -457,13 +473,18 @@ def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
         # CSR-style expansion: position p pairs with
         # first[p] .. first[p] + partners[p] - 1.
         a = np.repeat(positions, partners)
-        b = (
-            np.arange(len(a), dtype=np.int64)
-            + np.repeat(first - (np.cumsum(partners) - partners), partners)
-        ).astype(np.int32)
-        dxs = xs[a] - xs[b]
-        dys = ys[a] - ys[b]
-        close = dxs * dxs + dys * dys <= r2
+        b = np.repeat(first - (np.cumsum(partners) - partners), partners)
+        b += np.arange(len(b))
+        # dx*dx + dy*dy in place: the same float64 operations, fewer
+        # candidate-length temporaries.
+        dxs = xs[a]
+        dxs -= xs[b]
+        dxs *= dxs
+        dys = ys[a]
+        dys -= ys[b]
+        dys *= dys
+        dxs += dys
+        close = np.flatnonzero(dxs <= r2)
         near_a.append(order[a[close]])
         near_b.append(order[b[close]])
     return _undirected(n, np.concatenate(near_a), np.concatenate(near_b))

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.channels import IndependentNoiseChannel, NoiselessChannel
@@ -14,6 +15,7 @@ from repro.network import (
     NeighborORTask,
     NetworkBeepingChannel,
     NetworkSizeEstimateTask,
+    Topology,
     complete,
     grid,
     mis_protocol,
@@ -287,10 +289,30 @@ class TestNetworkTasks:
             "geometric:n=120,r=0.08,seed=1",  # has isolated nodes
             "scale-free:n=60,m=2,seed=2",
             "complete:1",
+            "edgeless",
+            "isolated-ends",
+            "directed",
         ],
     )
     def test_neighbor_or_is_correct_matches_loop(self, spec):
-        topology = parse_topology(spec).build()
+        path = np.arange(1, 6)
+        none = np.zeros(0, dtype=np.int64)
+        graphs = {
+            "edgeless": lambda: Topology.from_edges(4, none, none),
+            # Nodes 0 and 6 are isolated (empty first and last in-CSR
+            # rows); 1..5 form a path.
+            "isolated-ends": lambda: Topology.from_edges(
+                7,
+                np.concatenate((path[:-1], path[1:])),
+                np.concatenate((path[1:], path[:-1])),
+            ),
+            # 0 hears 1 and 2, 2 hears 3, 4 hears 0; nobody hears 4.
+            "directed": lambda: Topology.from_edges(
+                5, np.array([0, 0, 2, 4]), np.array([1, 2, 3, 0])
+            ),
+        }
+        build = graphs.get(spec) or parse_topology(spec).build
+        topology = build()
         task = NeighborORTask(topology, density=0.3)
         rng = random.Random(spec)
         for trial in range(20):
@@ -308,6 +330,9 @@ class TestNetworkTasks:
                 clean[:-1],
                 clean + [0],
                 [bool(bit) for bit in clean],
+                [bool(bit) for bit in flipped],
+                list(np.array(clean, dtype=np.uint8)),
+                list(np.array(flipped, dtype=np.uint8)),
                 [float(bit) for bit in clean],
                 clean[:node] + [None] + clean[node + 1 :],
                 clean[:node] + [str(clean[node])] + clean[node + 1 :],
@@ -319,6 +344,24 @@ class TestNetworkTasks:
                     self._loop_is_correct(task, inputs, outputs)
                 ), (trial, outputs)
             assert task.is_correct(inputs, clean)
+
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [1, 7, 1000, 8193])
+    def test_neighbor_or_sample_inputs_matches_per_node_loop(self, n, density):
+        """The block-drawn bits are the per-node ``rng.random()`` loop's,
+        and ``rng`` ends in the same state (gauss slot too)."""
+        edgeless = Topology.from_edges(
+            n, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        )
+        task = NeighborORTask(edgeless, density=density)
+        vectorized, looped = random.Random(n), random.Random(n)
+        vectorized.gauss(0.0, 1.0)  # leaves a cached gauss to keep
+        looped.gauss(0.0, 1.0)
+        expected = [1 if looped.random() < density else 0 for _ in range(n)]
+        inputs = task.sample_inputs(vectorized)
+        assert inputs == expected
+        assert all(type(bit) is int for bit in inputs)
+        assert vectorized.getstate() == looped.getstate()
 
     def test_neighbor_or_reference_output_unavailable(self):
         task = NeighborORTask(parse_topology("grid:3x3").build())
