@@ -65,6 +65,8 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import pytest
+
 from repro.analysis import SweepSpec, run_sweep_point
 from repro.channels import (
     CorrelatedNoiseChannel,
@@ -132,13 +134,18 @@ def test_noisy_channel_transmit(benchmark):
     assert len(outcome.received) == N
 
 
-def test_ml_decode(benchmark):
-    """ML decoding of one owners-phase codeword."""
+@pytest.mark.parametrize("memo", ["hit", "miss"])
+def test_ml_decode(benchmark, memo):
+    """ML decoding of one owners-phase codeword: a memo hit (a word some
+    party already decoded) or a miss (a one-row ``decode_batch``)."""
     code = GreedyRandomCode(N + 2, 64, seed=0)
     decoder = MLDecoder(code, NoiseModel.two_sided(0.1))
     word = code.encode(5)
+    decoder.decode(word)
 
     def decode():
+        if memo == "miss":
+            decoder._decoded.clear()
         return decoder.decode(word)
 
     assert benchmark(decode) == 5
@@ -587,30 +594,22 @@ def _scalar_trial(scheme: str, n: int, simulate=None) -> Callable:
     """One InputSet trial of ``scheme`` at ``n`` parties by channel seed.
 
     ``simulate`` defaults to the scalar simulator; the vectorized suite
-    passes a collapsed scheme, which takes the same arguments plus the
-    codebook/decoder cache that ``VectorizedRunner`` holds across a batch.
+    passes a collapsed scheme, which takes the same arguments.
     """
     make_simulator, make_channel = _SCHEMES[scheme]
     task = InputSetTask(n)
     inputs = task.sample_inputs(random.Random(n))
     protocol = task.noiseless_protocol()
     simulator = make_simulator()
-    cache: dict = {}
+    run = (
+        simulator.simulate
+        if simulate is None
+        else functools.partial(simulate, simulator)
+    )
 
     def trial(seed: int):
         channel = make_channel(_SCHEME_EPSILON, rng=seed)
-        if simulate is None:
-            return simulator.simulate(
-                protocol, inputs, channel, shared_seed=seed
-            )
-        return simulate(
-            simulator,
-            protocol,
-            inputs,
-            channel,
-            shared_seed=seed,
-            codebook_cache=cache,
-        )
+        return run(protocol, inputs, channel, shared_seed=seed)
 
     return trial
 

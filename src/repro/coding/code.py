@@ -11,6 +11,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from functools import cached_property
 
+import numpy as _np
+
 from repro.errors import CodingError, ConfigurationError
 from repro.util.bits import BitWord, hamming_distance
 
@@ -46,6 +48,14 @@ class BlockCode(ABC):
     def codewords(self) -> tuple[BitWord, ...]:
         """All codewords, indexed by symbol."""
         return tuple(self.encode(symbol) for symbol in range(self.num_symbols))
+
+    @cached_property
+    def codebook(self) -> "_np.ndarray":
+        """All codewords as a read-only (num_symbols, codeword_length)
+        uint8 matrix, one byte per position: the decoders' operand."""
+        return _np.frombuffer(
+            b"".join(bytes(word) for word in self.codewords), dtype=_np.uint8
+        ).reshape(self.num_symbols, self.codeword_length)
 
     def min_distance(self) -> int:
         """Minimum pairwise Hamming distance (O(num_symbols²) scan)."""

@@ -12,21 +12,34 @@ models it differs crucially: e.g. under 0→1 noise a received 0 *proves* the
 sent bit was 0, so codewords with a 1 there are eliminated outright.
 :class:`MinDistanceDecoder` is kept as the classic baseline/ablation.
 
-Implementation note: decoding is the hottest loop of the owners phase (one
-decode per iteration, a likelihood per codeword).  Both decoders therefore
-work on integer masks (one byte per position, packed by ``bytes`` at C
-speed): a word's likelihood needs only the four counts
-``n_{sent,received}``, all derivable from three popcounts —
-``n11 = |cw & rc|``, ``n10 = |cw| - n11``, ``n01 = |rc| - n11``,
-``n00 = L - |cw| - |rc| + n11`` — turning an O(L) Python loop per codeword
-into O(1) big-int arithmetic, inlined in :meth:`MLDecoder.decode` when
-every transition probability is nonzero.
+Implementation note: decoding is the hottest loop of the owners phase.
+Both decoders score a whole (words × length) uint8 matrix against the
+whole codebook (:attr:`~repro.coding.code.BlockCode.codebook`) with one
+BLAS product: a word's likelihood needs only the four counts
+``n_{sent,received}``, all derivable from ``n11 = |cw & rc|`` —
+``n10 = |cw| - n11``, ``n01 = |rc| - n11``,
+``n00 = L - |cw| - |rc| + n11``.  ``decode_batch`` is the collapsed owners
+phase's call; ``decode`` is a one-row ``decode_batch``, memoized.  The
+rules are exact and deterministic:
+
+* the counts are integers ≤ the codeword length, so the float64 product
+  ``words @ codebookᵀ`` computes ``n11`` exactly, whatever the BLAS
+  summation order;
+* the score ``n11·w11 + n10·w10 + n01·w01 + n00·w00`` folds left to right
+  in that order, so a word's score is the same IEEE value in every batch;
+* a ``-inf`` weight (a transition the noise law forbids) enters the fold
+  as a mask, ``-inf`` where its count is positive and ``0.0`` elsewhere,
+  avoiding ``0 · -inf = nan``;
+* ties go to the smaller symbol: ``argmax`` and ``argmin`` return the
+  first extremum.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+import numpy as _np
 
 from repro.coding.code import BlockCode
 from repro.core.formal import NoiseModel
@@ -41,32 +54,73 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else _NEG_INF
 
 
-def _word_to_int(word: Sequence[int]) -> int:
-    """Pack a 0/1 word into an integer mask, one *byte* per position.
-
-    Byte-per-position (via ``bytes``, a single C-level copy) rather than
-    bit-per-position: ``&``, ``^`` and ``bit_count()`` over 0/1 bytes
-    yield exactly the same agreement counts, and packing a Python bit
-    sequence into bytes is an order of magnitude cheaper than a shift
-    loop.  Callers must pass bits in {0, 1} — everything upstream
-    (codeword encoders, the engine's ``validate_bit``) guarantees it.
-    """
-    return int.from_bytes(bytes(word), "big")
+def _term(counts: "_np.ndarray", weight: float) -> "_np.ndarray":
+    """One summand of the score: ``counts · weight``, or for a forbidden
+    transition ``-inf`` where it occurs and ``0.0`` where it does not."""
+    if weight == _NEG_INF:
+        return _np.where(counts > 0, _NEG_INF, 0.0)
+    return counts * weight
 
 
-class MLDecoder:
+class _CodebookDecoder:
+    """The agreement counts and the nearest-codeword rule both decoders
+    share."""
+
+    def __init__(self, code: BlockCode) -> None:
+        self.code = code
+        self._length = code.codeword_length
+        self._codebook_t = code.codebook.T.astype(_np.float64)
+        self._codeword_weights = code.codebook.sum(axis=1, dtype=_np.int64)
+
+    def _key(self, received: Sequence[int]) -> bytes:
+        """``received`` as bytes, one per position (bits in {0, 1}, as
+        every encoder and the engine's ``validate_bit`` guarantee)."""
+        key = bytes(received)
+        if len(key) != self._length:
+            raise DecodingError(
+                f"received word has length {len(key)}, codewords have "
+                f"length {self._length}"
+            )
+        return key
+
+    def _row(self, received: Sequence[int]) -> "_np.ndarray":
+        """One received word as a (1, length) uint8 matrix."""
+        return _np.frombuffer(self._key(received), dtype=_np.uint8)[
+            _np.newaxis
+        ]
+
+    def _agreements(
+        self, words: "_np.ndarray"
+    ) -> tuple["_np.ndarray", "_np.ndarray"]:
+        """``(n11, ones)`` of a (words, length) uint8 matrix: per word and
+        codeword the positions where both are 1, and each word's weight
+        as a column."""
+        if words.ndim != 2 or words.shape[1] != self._length:
+            raise DecodingError(
+                f"expected a (words, {self._length}) matrix, got shape "
+                f"{words.shape}"
+            )
+        n11 = words.astype(_np.float64) @ self._codebook_t
+        return n11, words.sum(axis=1, dtype=_np.int64)[:, _np.newaxis]
+
+    def _nearest(
+        self, n11: "_np.ndarray", ones: "_np.ndarray"
+    ) -> "_np.ndarray":
+        """The nearest codeword of each word (Hamming distance
+        ``|cw| + |rc| - 2·n11``), ties to the smaller symbol."""
+        return _np.argmin(self._codeword_weights + ones - 2 * n11, axis=1)
+
+
+class MLDecoder(_CodebookDecoder):
     """Maximum-likelihood decoder for a codebook over a correlated channel.
 
     Args:
         code: The codebook.
         noise: Flip probabilities of the channel the codewords traverse.
-
-    Codeword masks and per-pair log-likelihood weights are precomputed;
-    decoding a word is O(num_symbols) popcount arithmetic.
     """
 
     def __init__(self, code: BlockCode, noise: NoiseModel) -> None:
-        self.code = code
+        super().__init__(code)
         self.noise = noise
         # weights[sent][received] = log Pr[receive | sent]
         self._weights = [
@@ -76,144 +130,71 @@ class MLDecoder:
             ]
             for sent in (0, 1)
         ]
-        self._length = code.codeword_length
-        self._masks = [
-            _word_to_int(code.encode(symbol))
-            for symbol in range(code.num_symbols)
-        ]
-        self._mask_weights = [mask.bit_count() for mask in self._masks]
-        self._mask_pairs = list(zip(self._masks, self._mask_weights))
-        # When every transition has nonzero probability the -inf guards in
-        # _score are dead and decode() can inline the scoring loop.
-        self._finite_weights = all(
-            term != _NEG_INF for row in self._weights for term in row
-        )
-        # Decoded symbol per received mask.  decode() is a pure function
-        # of the mask, and under correlated noise every party of a round
+        # Decoded symbol per received word.  decode() is a pure function
+        # of the word, and under correlated noise every party of a round
         # receives the same word, so all but the first of n decodes per
         # owners-phase iteration are dict hits.
-        self._decoded: dict[int, int] = {}
+        self._decoded: dict[bytes, int] = {}
 
-    def _score(self, mask: int, weight: int, received: int, ones: int) -> float:
-        """Log-likelihood from the four agreement counts (see module
-        docstring); -inf as soon as a forbidden transition occurs."""
-        n11 = (mask & received).bit_count()
-        n10 = weight - n11
-        n01 = ones - n11
-        n00 = self._length - weight - ones + n11
-        weights = self._weights
-        total = 0.0
-        for count, term in (
-            (n11, weights[1][1]),
-            (n10, weights[1][0]),
-            (n01, weights[0][1]),
-            (n00, weights[0][0]),
-        ):
-            if count:
-                if term == _NEG_INF:
-                    return _NEG_INF
-                total += count * term
-        return total
+    def _scores(
+        self, n11: "_np.ndarray", ones: "_np.ndarray"
+    ) -> "_np.ndarray":
+        """The (words × codewords) log-likelihoods, folded left to right."""
+        weights = self._codeword_weights
+        (w00, w01), (w10, w11) = self._weights
+        return (
+            _term(n11, w11)
+            + _term(weights - n11, w10)
+            + _term(ones - n11, w01)
+            + _term(self._length - weights - ones + n11, w00)
+        )
 
     def log_likelihood(self, symbol: int, received: Sequence[int]) -> float:
         """log Pr[received | codeword of ``symbol`` was sent]."""
-        if len(received) != self._length:
-            raise DecodingError(
-                f"received word has length {len(received)}, codewords have "
-                f"length {self._length}"
-            )
+        row = self._row(received)
         if not 0 <= symbol < self.code.num_symbols:
             raise DecodingError(
                 f"symbol {symbol} out of range [0, {self.code.num_symbols})"
             )
-        received_mask = _word_to_int(received)
-        return self._score(
-            self._masks[symbol],
-            self._mask_weights[symbol],
-            received_mask,
-            received_mask.bit_count(),
-        )
+        return float(self._scores(*self._agreements(row))[0, symbol])
 
     def decode(self, received: Sequence[int]) -> int:
-        """The ML symbol for ``received``.
-
-        Ties break toward the smaller symbol index (deterministic, so all
-        parties of a correlated-noise execution decode identically).  If
-        every codeword has likelihood zero — possible only when the word was
-        corrupted in a direction the model forbids — falls back to minimum
-        Hamming distance, again deterministically.
-        """
-        if len(received) != self._length:
-            raise DecodingError(
-                f"received word has length {len(received)}, codewords have "
-                f"length {self._length}"
-            )
-        received_mask = _word_to_int(received)
-        cached = self._decoded.get(received_mask)
-        if cached is not None:
-            return cached
-        ones = received_mask.bit_count()
-        best_symbol = -1
-        best_score = _NEG_INF
-        if self._finite_weights:
-            # The hot loop of the owners phase (one decode per iteration).
-            # Inlined _score with the -inf guards removed: the additions
-            # run in the same order, and a zero count adds ±0.0 exactly,
-            # so scores — and therefore decoded symbols, including ties —
-            # are bit-identical to the guarded version.
-            (w00, w01), (w10, w11) = self._weights
-            length = self._length
-            symbol = 0
-            for mask, weight in self._mask_pairs:
-                n11 = (mask & received_mask).bit_count()
-                score = (
-                    n11 * w11
-                    + (weight - n11) * w10
-                    + (ones - n11) * w01
-                    + (length - weight - ones + n11) * w00
-                )
-                if score > best_score:
-                    best_score = score
-                    best_symbol = symbol
-                symbol += 1
-        else:
-            for symbol, (mask, weight) in enumerate(self._mask_pairs):
-                score = self._score(mask, weight, received_mask, ones)
-                if score > best_score:
-                    best_score = score
-                    best_symbol = symbol
-        if best_symbol >= 0 and best_score > _NEG_INF:
-            decoded = best_symbol
-        else:
-            decoded = MinDistanceDecoder(self.code).decode(received)
-        if len(self._decoded) < 1 << 16:
-            self._decoded[received_mask] = decoded
+        """The ML symbol for ``received``: a one-row :meth:`decode_batch`,
+        memoized (up to 2¹⁶ distinct words)."""
+        key = self._key(received)
+        decoded = self._decoded.get(key)
+        if decoded is None:
+            row = _np.frombuffer(key, dtype=_np.uint8)[_np.newaxis]
+            decoded = int(self.decode_batch(row)[0])
+            if len(self._decoded) < 1 << 16:
+                self._decoded[key] = decoded
         return decoded
 
+    def decode_batch(self, words: "_np.ndarray") -> "_np.ndarray":
+        """The ML symbol of every row of a (words, length) uint8 matrix.
 
-class MinDistanceDecoder:
+        Ties break toward the smaller symbol index (deterministic, so all
+        parties of a correlated-noise execution decode identically).  A
+        word with likelihood zero under every codeword — possible only
+        when it was corrupted in a direction the model forbids — decodes
+        to its nearest codeword, as :class:`MinDistanceDecoder` would.
+        """
+        n11, ones = self._agreements(words)
+        scores = self._scores(n11, ones)
+        best = _np.argmax(scores, axis=1)
+        dead = scores[_np.arange(len(best)), best] == _NEG_INF
+        if dead.any():
+            best[dead] = self._nearest(n11[dead], ones[dead])
+        return best
+
+
+class MinDistanceDecoder(_CodebookDecoder):
     """Classic nearest-codeword decoding (the BSC-optimal rule)."""
 
-    def __init__(self, code: BlockCode) -> None:
-        self.code = code
-        self._length = code.codeword_length
-        self._masks = [
-            _word_to_int(code.encode(symbol))
-            for symbol in range(code.num_symbols)
-        ]
-
     def decode(self, received: Sequence[int]) -> int:
-        if len(received) != self._length:
-            raise DecodingError(
-                f"received word has length {len(received)}, codewords have "
-                f"length {self._length}"
-            )
-        received_mask = _word_to_int(received)
-        best_symbol = 0
-        best_distance = self._length + 1
-        for symbol, mask in enumerate(self._masks):
-            distance = (mask ^ received_mask).bit_count()
-            if distance < best_distance:
-                best_distance = distance
-                best_symbol = symbol
-        return best_symbol
+        return int(self.decode_batch(self._row(received))[0])
+
+    def decode_batch(self, words: "_np.ndarray") -> "_np.ndarray":
+        """The nearest codeword of every row of a (words, length) uint8
+        matrix, ties to the smaller symbol."""
+        return self._nearest(*self._agreements(words))

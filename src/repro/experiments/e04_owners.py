@@ -30,7 +30,7 @@ RATE_CONSTANT = 16.0
 
 
 def _perfect_rate(
-    n: int, decoder_kind: str, trials: int, seed: int, codebooks: dict
+    n: int, decoder_kind: str, trials: int, seed: int
 ) -> tuple[float, int]:
     rng = random.Random(seed)
     code = build_owners_code(n, rate_constant=RATE_CONSTANT)
@@ -47,9 +47,7 @@ def _perfect_rate(
         if decoder_kind == "min-distance":
             protocol.decoder = MinDistanceDecoder(code)  # type: ignore[assignment]
         channel = CorrelatedNoiseChannel(EPSILON, rng=seed + 101 * trial)
-        result = simulate_owners(
-            protocol, bits, channel, codebook_cache=codebooks
-        )
+        result = simulate_owners(protocol, bits, channel)
         rounds = result.rounds
         reference = result.outputs[0].owners
         consistent = all(out.owners == reference for out in result.outputs)
@@ -68,19 +66,10 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     ml_rates = []
     md_rates = []
     ratios = []
-    # Vectorized codebooks (and their decode memos), shared by every
-    # execution over the same code and noise law.
-    codebooks: dict = {}
     for n in NS:
-        ml_rate, rounds = _perfect_rate(
-            n, "ml", trials, seed=seed + 11 * n, codebooks=codebooks
-        )
+        ml_rate, rounds = _perfect_rate(n, "ml", trials, seed=seed + 11 * n)
         md_rate, _ = _perfect_rate(
-            n,
-            "min-distance",
-            trials,
-            seed=seed + 11 * n,
-            codebooks=codebooks,
+            n, "min-distance", trials, seed=seed + 11 * n
         )
         code = build_owners_code(n, rate_constant=RATE_CONSTANT)
         ml_rates.append(ml_rate)
@@ -149,9 +138,7 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
             channel = CorrelatedNoiseChannel(
                 EPSILON, rng=seed + 7001 + trial
             )
-            execution = simulate_owners(
-                protocol, bits, channel, codebook_cache=codebooks
-            )
+            execution = simulate_owners(protocol, bits, channel)
             reference = execution.outputs[0].owners
             ok = (
                 all(

@@ -503,8 +503,7 @@ class SerialRunner(InProcessRunner):
 
 
 #: The in-process runner each pool process keeps per inner class, so
-#: per-runner caches (the vectorized codebooks) warm once per
-#: process, not once per stripe.
+#: per-runner caches warm once per process, not once per stripe.
 _WORKER_RUNNERS: dict[type, InProcessRunner] = {}
 
 

@@ -46,8 +46,8 @@ from repro.simulation.base import (
 )
 from repro.simulation.owners import (
     OwnersResult,
-    build_owners_code,
     owners_code_length,
+    owners_decoder,
     owners_phase,
 )
 from repro.simulation.primitives import repeated_bit
@@ -201,7 +201,6 @@ class ChunkSchemeParty(Party):
         *,
         n_parties: int,
         report: SimulationReport,
-        code: BlockCode,
         decoder: MLDecoder,
         trace: list | None,
     ) -> None:
@@ -215,7 +214,7 @@ class ChunkSchemeParty(Party):
         self.verification_repetitions = report.extra[
             "verification_repetitions"
         ]
-        self.code = code
+        self.code = decoder.code
         self.decoder = decoder
         self.trace = trace if party_index == 0 else None
 
@@ -230,13 +229,15 @@ class ChunkSchemeParty(Party):
         **fields: Any,
     ) -> ReplayingProtocol:
         """The outer protocol of ``cls`` parties over ``inner``, sharing
-        one owners code and an ML decoder matched to ``noise``; ``fields``
-        go to every party's constructor."""
+        the parameter point's owners decoder under ``noise``
+        (:func:`~repro.simulation.owners.owners_decoder`); ``fields`` go
+        to every party's constructor."""
         params = simulator.params
-        code = build_owners_code(
+        decoder = owners_decoder(
             report.extra["chunk_length"],
-            rate_constant=params.code_rate_constant,
-            seed=params.code_seed,
+            params.code_rate_constant,
+            params.code_seed,
+            noise,
         )
         return ReplayingProtocol(
             inner,
@@ -244,8 +245,7 @@ class ChunkSchemeParty(Party):
                 cls,
                 n_parties=inner.n_parties,
                 report=report,
-                code=code,
-                decoder=MLDecoder(code, noise),
+                decoder=decoder,
                 trace=trace,
                 **fields,
             ),

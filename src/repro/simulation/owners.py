@@ -44,6 +44,7 @@ decoded symbol is common by construction, not by comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Generator, Sequence
 
 from repro.coding.code import BlockCode
@@ -62,6 +63,7 @@ __all__ = [
     "symbol_position",
     "build_owners_code",
     "owners_code_length",
+    "owners_decoder",
     "check_owners_inputs",
     "owners_phase",
     "OwnersResult",
@@ -110,6 +112,24 @@ def owners_code_length(max_positions: int, rate_constant: float = 12.0) -> int:
     """The codeword length of :func:`build_owners_code`, without building
     the code."""
     return default_code_length(max_positions + _POSITION_BASE, rate_constant)
+
+
+@lru_cache(maxsize=32)
+def owners_decoder(
+    max_positions: int, rate_constant: float, seed: int, noise: NoiseModel
+) -> MLDecoder:
+    """The ML decoder of :func:`build_owners_code`'s codebook under
+    ``noise``, built once per parameter point per process.
+
+    Every owners phase of a chunk scheme, scalar or collapsed, at one
+    parameter point decodes with this one decoder, so its codebook and
+    its decode memo are shared by every trial.  Decoding is a pure
+    function of the received word, so a warm decoder changes no result.
+    The memo keeps the 32 most recent points.
+    """
+    return MLDecoder(
+        build_owners_code(max_positions, rate_constant, seed), noise
+    )
 
 
 def check_owners_inputs(

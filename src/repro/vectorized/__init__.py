@@ -7,7 +7,6 @@ by trial:
 
 * :mod:`repro.vectorized.noise` — MT19937 state transfer from
   ``random.Random`` into numpy, flip-indicator streams, batched prefetch;
-* :mod:`repro.vectorized.decoder` — whole-codebook ML decoding;
 * :mod:`repro.vectorized.schemes` — the collapsed chunk-commit and
   rewind simulations, the collapsed finding-owners phase
   (:func:`simulate_owners`), the replayable channel types and their
@@ -32,7 +31,6 @@ each worker runs its stripe through its own cached
 event per stripe.  The CLI's ``--backend`` takes the same names.
 """
 
-from repro.vectorized.decoder import VectorizedMLDecoder
 from repro.vectorized.network import (
     NetworkBatchKernel,
     NetworkRoute,
@@ -60,7 +58,6 @@ __all__ = [
     "FlipStream",
     "ChannelFlips",
     "BatchFlips",
-    "VectorizedMLDecoder",
     "CHANNEL_KINDS",
     "simulate_chunked",
     "simulate_owners",

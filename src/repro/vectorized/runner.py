@@ -8,9 +8,9 @@ It targets the scalar engine's worst cases — the chunk-commit scheme's
 alarm rounds — by running each trial through the party-collapsed
 simulations of :mod:`repro.vectorized.schemes`, each drawing its shared
 noise from a :class:`~repro.vectorized.noise.FlipStream` over a copy of
-the trial channel's generator, with ML decoding vectorized over the
-codebook (:class:`~repro.vectorized.decoder.VectorizedMLDecoder`,
-shared across the batch).
+the trial channel's generator, with ML decoding batched over the
+codebook (:meth:`~repro.coding.ml.MLDecoder.decode_batch`, one decoder
+per parameter point and process).
 
 The determinism contract of :mod:`repro.parallel.runner` is preserved
 *bitwise*: a single-hop batch runs through the scalar trial loop itself
@@ -154,12 +154,6 @@ class VectorizedRunner(InProcessRunner):
     #: codebooks and network kernel setup over many trials.
     STRIPES_PER_WORKER = 1
 
-    def __init__(self) -> None:
-        # (chunk_length, rate_constant, code_seed, up, down) ->
-        # (code, VectorizedMLDecoder); shared across batches so each
-        # codebook is built once per parameter point, not once per trial.
-        self._codebooks: dict[tuple, tuple] = {}
-
     def _records(
         self,
         task: Task,
@@ -203,7 +197,6 @@ class VectorizedRunner(InProcessRunner):
                 inputs,
                 channel,
                 flips=flip_source(channel, copy_rng=True),
-                codebook_cache=self._codebooks,
             )
 
         return run

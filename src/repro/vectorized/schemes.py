@@ -18,8 +18,9 @@ per-round channel calls with windowed draws from a flip source
 (:class:`~repro.vectorized.noise.FlipStream` or
 :class:`~repro.vectorized.noise.ChannelFlips`) —
 while reproducing the scalar execution *bitwise*: same RNG draw order,
-same decoded symbols (via the byte-packed
-:class:`~repro.vectorized.decoder.VectorizedMLDecoder`), same rounds,
+same decoded symbols (the scalar parties'
+:class:`~repro.coding.ml.MLDecoder`, a whole segment per
+``decode_batch``), same rounds,
 channel statistics, per-party energy, outputs and report fields.  The
 cross-backend equivalence suite (``tests/unit/test_vectorized_equivalence``)
 enforces this against the scalar engine trial by trial.  Each collapsed
@@ -84,7 +85,7 @@ from repro.channels.one_sided import (
 from repro.channels.stats import ChannelStats
 from repro.coding.code import BlockCode
 from repro.coding.ml import MLDecoder
-from repro.core.formal import FormalProtocol, NoiseModel
+from repro.core.formal import FormalProtocol
 from repro.core.party import InnerReplay
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
@@ -96,13 +97,12 @@ from repro.simulation.owners import (
     SILENCE,
     OwnersProtocol,
     OwnersResult,
-    build_owners_code,
     check_owners_inputs,
+    owners_decoder,
     position_symbol,
     symbol_position,
 )
 from repro.simulation.rewind import RewindSimulator
-from repro.vectorized.decoder import VectorizedMLDecoder
 from repro.vectorized.noise import ChannelFlips, FlipSource, FlipStream
 
 __all__ = [
@@ -116,7 +116,7 @@ __all__ = [
 # NOTE: the collapsed repetition and hierarchical forms live in
 # repro.vectorized.schemes_repetition / schemes_hierarchical; they build
 # on the shared machinery here (_SharedChannel, _inner_programs,
-# _chunk_phase12, _chunk_flags, _owners_decoder).
+# _chunk_phase12, _chunk_flags).
 
 #: Scores (words × codewords) per ``decode_batch`` call of the owners
 #: phase: 512 KiB per float64 temporary, so a segment of a large-``n``
@@ -633,39 +633,6 @@ def _shared_channel(
     return _SharedChannel(channel.flips, flips, not channel.correlated)
 
 
-def _owners_decoder(
-    params, chunk_length: int, noise: NoiseModel, codebook_cache
-) -> VectorizedMLDecoder:
-    """The vectorized decoder (and codebook) of the owners code for one
-    parameter point, via the batch-shared cache.
-
-    Both chunk schemes — the iterative chunk-commit and the hierarchical
-    ``A_l`` — construct the codebook with identical parameters, so a
-    cache entry warmed by one is safely reused by the other.
-    """
-    cache_key = (
-        chunk_length,
-        params.code_rate_constant,
-        params.code_seed,
-        noise.up,
-        noise.down,
-    )
-    cached = (
-        codebook_cache.get(cache_key) if codebook_cache is not None else None
-    )
-    if cached is not None:
-        return cached
-    code = build_owners_code(
-        chunk_length,
-        rate_constant=params.code_rate_constant,
-        seed=params.code_seed,
-    )
-    decoder = VectorizedMLDecoder(code, noise)
-    if codebook_cache is not None:
-        codebook_cache[cache_key] = decoder
-    return decoder
-
-
 def _owners_plan(
     holders: "_np.ndarray",
     free: "_np.ndarray",
@@ -710,26 +677,14 @@ def _decode_rows(
     """The decoded symbols of the rows of ``received``, in order, up to
     the block that holds the first one not ``planned``.
 
-    A :class:`VectorizedMLDecoder` decodes blocks of at most
+    ``decoder.decode_batch`` runs on blocks of at most
     :data:`_DECODE_CELLS` scores, so its score matrices stay small
-    however long the segment; any other decoder is called row by row,
-    stopping at the first miss — the calls the scalar parties make.
+    however long the segment.
     """
-    if type(decoder) is VectorizedMLDecoder:
-        block = max(1, _DECODE_CELLS // decoder.code.num_symbols)
-        decode = decoder.decode_batch
-    else:
-        block = 1
-
-        def decode(words: "_np.ndarray") -> "_np.ndarray":
-            return _np.array(
-                [decoder.decode(tuple(word)) for word in words.tolist()],
-                dtype=_np.int64,
-            )
-
+    block = max(1, _DECODE_CELLS // decoder.code.num_symbols)
     parts = []
     for start in range(0, len(planned), block):
-        part = decode(received[start : start + block])
+        part = decoder.decode_batch(received[start : start + block])
         parts.append(part)
         if (part != planned[start : start + block]).any():
             break
@@ -741,7 +696,7 @@ def _owners_phase(
     beep_matrix: "_np.ndarray",
     shared: _SharedChannel,
     energy: "_np.ndarray",
-    code: VectorizedMLDecoder,
+    code: BlockCode,
     decoder: Any,
 ) -> tuple[dict[int, int], list[set[int]], int]:
     """Algorithm 1's finding-owners phase, collapsed and decoded
@@ -752,16 +707,15 @@ def _owners_phase(
     record is party-local.  Each iteration sends one row of ``code``'s
     codebook (only the speaker beeps, so the OR *is* its codeword; the
     SILENCE row must be all-zero) and decodes the received word with
-    ``decoder``: a :class:`VectorizedMLDecoder`, or any scalar decoder
-    (called with the word as a tuple, as the scalar parties call it).
+    ``decoder`` (an :class:`~repro.coding.ml.MLDecoder` or
+    :class:`~repro.coding.ml.MinDistanceDecoder`).
 
     The phase is sequential only through the decoded symbols, so it runs
     in segments.  :func:`_owners_plan` fixes every remaining iteration's
     sent symbol assuming each word decodes to what was sent; the segment's
     words take their flips from one peek of the flip source and decode in
     ``decode_batch`` blocks of bounded size until the block holding the
-    first miss (:func:`_decode_rows`; a scalar decoder runs row by row and
-    stops at the first miss).  The rows up to and including the first
+    first miss (:func:`_decode_rows`).  The rows up to and including the first
     miss are accepted: the matched ones are exactly the scalar iterations,
     and the miss row applies its decoded symbol through the scalar update
     rule; the phase then re-plans from the next row.  This is exact because
@@ -775,8 +729,8 @@ def _owners_phase(
     again after every miss.  Accrues the speakers' energy in place and
     returns ``(owners, claimed_by, iterations)``.
     """
-    codebook = code._codebook
-    codeword_weights = code._mask_weights
+    codebook = code.codebook
+    codeword_weights = codebook.sum(axis=1, dtype=_np.int64)
     n_parties = len(beep_matrix)
     ones = _np.flatnonzero(_np.asarray(pi, dtype=_np.uint8))
     column_of = {
@@ -840,7 +794,7 @@ def _chunk_phase12(
     energy: "_np.ndarray",
     chunk_rounds: int,
     repetitions: int,
-    decoder: VectorizedMLDecoder,
+    decoder: MLDecoder,
 ):
     """Phases 1+2 of Algorithm 1 over the live programs, collapsed.
 
@@ -864,7 +818,7 @@ def _chunk_phase12(
 
     # Phase 2: finding owners.
     owners, claimed_by, _ = _owners_phase(
-        pi, beep_matrix, shared, energy, decoder, decoder
+        pi, beep_matrix, shared, energy, decoder.code, decoder
     )
     return pi, beep_matrix, owners, claimed_by
 
@@ -903,16 +857,13 @@ def simulate_chunked(
     *,
     shared_seed: int | None = None,
     flips: FlipSource | None = None,
-    codebook_cache: dict | None = None,
 ) -> ExecutionResult:
     """The chunk-commit scheme, party-collapsed; bitwise equal to
     ``simulator.simulate(protocol, inputs, channel)`` on the supported
     channels, with ``transcript=None``.
 
     ``flips`` optionally injects a pre-built noise stream (the runner's
-    per-trial stream); ``codebook_cache`` shares the owners codebook and
-    vectorized decoder across the trials of a batch — the scalar scheme
-    rebuilds both per trial.
+    per-trial stream).
     """
     report, noise = simulator.plan(protocol, channel)
     inner_length = report.inner_length
@@ -921,8 +872,9 @@ def simulate_chunked(
     repetitions = report.extra["repetitions"]
     verification_repetitions = report.extra["verification_repetitions"]
     max_attempts = report.extra["max_attempts"]
-    decoder = _owners_decoder(
-        simulator.params, chunk_length, noise, codebook_cache
+    params = simulator.params
+    decoder = owners_decoder(
+        chunk_length, params.code_rate_constant, params.code_seed, noise
     )
 
     shared = _shared_channel(channel, flips)
@@ -976,7 +928,6 @@ def simulate_rewind(
     *,
     shared_seed: int | None = None,
     flips: FlipSource | None = None,
-    codebook_cache: dict | None = None,
 ) -> ExecutionResult:
     """The rewind random walk, party-collapsed; bitwise equal to
     ``simulator.simulate(protocol, inputs, channel)`` on the supported
@@ -994,10 +945,8 @@ def simulate_rewind(
     with a positive counter) is the alarm round's beep count, the alarm
     rounds' energy is added as ``(disputes > 0)`` times their number
     just before each change and at the end, and the appended columns'
-    energy is summed once, after the walk.  (``codebook_cache`` is
-    accepted for call symmetry; the rewind scheme has no codebook.)
+    energy is summed once, after the walk.
     """
-    del codebook_cache
     report, _ = simulator.plan(protocol, channel)
     inner_length = report.inner_length
     iterations = report.extra["iterations"]
@@ -1098,30 +1047,12 @@ def _result(
     )
 
 
-def _code_decoder(
-    code: BlockCode, noise: NoiseModel, codebook_cache: dict | None
-) -> VectorizedMLDecoder:
-    """The vectorized decoder (and codebook matrix) of ``code`` under
-    ``noise``, via the cache, keyed by code identity and noise law."""
-    cache_key = ("owners", id(code), noise.up, noise.down)
-    cached = (
-        codebook_cache.get(cache_key) if codebook_cache is not None else None
-    )
-    if cached is not None and cached[0] is code:
-        return cached[1]
-    decoder = VectorizedMLDecoder(code, noise)
-    if codebook_cache is not None:
-        codebook_cache[cache_key] = (code, decoder)
-    return decoder
-
-
 def simulate_owners(
     protocol: OwnersProtocol,
     inputs: Sequence[Sequence[int]],
     channel: Channel,
     *,
     flips: FlipSource | None = None,
-    codebook_cache: dict | None = None,
 ) -> ExecutionResult:
     """Algorithm 1's finding-owners phase, party-collapsed; bitwise equal
     to ``run_protocol(protocol, inputs, channel)`` on the shared-bit
@@ -1130,15 +1061,11 @@ def simulate_owners(
     channel statistics and per-party energy, with ``transcript=None``
     and empty ``metadata``.
 
-    Decoding uses the protocol's own decoder.  An exact
-    :class:`~repro.coding.ml.MLDecoder` maps to the equivalent
-    :class:`~repro.vectorized.decoder.VectorizedMLDecoder`; any other
-    decoder (e.g. :class:`~repro.coding.ml.MinDistanceDecoder`) is called
-    on the received word as the tuple the scalar parties pass it.
+    Decoding uses the protocol's own decoder, through its
+    ``decode_batch``.
 
     Without ``flips`` the noise is pulled from ``channel`` itself, whose
     generator and noise state end where the scalar run leaves them.
-    ``codebook_cache`` shares the vectorized codebooks across calls.
 
     Raises the scalar input errors, and :class:`ConfigurationError` for a
     channel without a shared received bit (independent noise: use
@@ -1155,16 +1082,10 @@ def simulate_owners(
     pi = protocol.pi
     for bits in inputs:
         check_owners_inputs(bits, pi, protocol.code)
-    codebook = _code_decoder(
-        protocol.code, protocol.noise_model, codebook_cache
-    )
-    if codebook._mask_weights[0]:
+    if protocol.code.codebook[SILENCE].any():
         raise ConfigurationError(
             "the collapsed owners phase needs an all-zero SILENCE codeword"
         )
-    decoder = protocol.decoder
-    if type(decoder) is MLDecoder:
-        decoder = _code_decoder(decoder.code, decoder.noise, codebook_cache)
 
     shared = _shared_channel(channel, flips)
     energy = _np.zeros(protocol.n_parties, dtype=_np.int64)
@@ -1173,8 +1094,8 @@ def simulate_owners(
         _np.array(inputs, dtype=_np.uint8),
         shared,
         energy,
-        codebook,
-        decoder,
+        protocol.code,
+        protocol.decoder,
     )
     outputs = [
         OwnersResult(

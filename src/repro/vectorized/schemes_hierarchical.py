@@ -31,13 +31,13 @@ from repro.channels.base import Channel
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
 from repro.simulation.hierarchical import HierarchicalSimulator
+from repro.simulation.owners import owners_decoder
 from repro.vectorized.noise import FlipSource
 from repro.vectorized.schemes import (
     _chunk_flags,
     _chunk_phase12,
     _finish,
     _inner_programs,
-    _owners_decoder,
     _shared_channel,
 )
 
@@ -52,16 +52,13 @@ def simulate_hierarchical(
     *,
     shared_seed: int | None = None,
     flips: FlipSource | None = None,
-    codebook_cache: dict | None = None,
 ) -> ExecutionResult:
     """The ``A_L`` hierarchy, party-collapsed; bitwise equal to
     ``simulator.simulate(protocol, inputs, channel)`` on the supported
     channels, with ``transcript=None``.
 
     ``flips`` optionally injects a pre-built noise stream (the runner's
-    per-trial stream); ``codebook_cache`` shares the owners codebook and
-    vectorized decoder across the trials of a batch — and with the
-    chunk-commit collapse, whose codebook parameters are identical.
+    per-trial stream).
     """
     report, noise = simulator.plan(protocol, channel)
     inner_length = report.inner_length
@@ -70,8 +67,9 @@ def simulate_hierarchical(
     repetitions = report.extra["repetitions"]
     verification_repetitions = report.extra["verification_repetitions"]
     level_repetition_step = simulator.level_repetition_step
-    decoder = _owners_decoder(
-        simulator.params, chunk_length, noise, codebook_cache
+    params = simulator.params
+    decoder = owners_decoder(
+        chunk_length, params.code_rate_constant, params.code_seed, noise
     )
 
     shared = _shared_channel(channel, flips)

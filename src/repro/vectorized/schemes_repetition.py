@@ -52,17 +52,14 @@ def simulate_repetition(
     *,
     shared_seed: int | None = None,
     flips: FlipSource | None = None,
-    codebook_cache: dict | None = None,
 ) -> ExecutionResult:
     """The repetition scheme, party-collapsed; bitwise equal to
     ``simulator.simulate(protocol, inputs, channel)`` on the supported
     channels, with ``transcript=None``.
 
     ``flips`` optionally injects a pre-built noise stream (the runner's
-    per-trial stream).  ``codebook_cache`` is accepted for call symmetry;
-    the repetition scheme has no codebook.
+    per-trial stream).
     """
-    del codebook_cache
     report, _ = simulator.plan(protocol, channel)
     repetitions = report.extra["repetitions"]
     n_parties = protocol.n_parties

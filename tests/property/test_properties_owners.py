@@ -3,6 +3,7 @@ for its party-collapsed form :func:`repro.vectorized.simulate_owners`
 against the scalar engine."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,12 @@ from repro.channels import (
     SharedFlipReductionChannel,
     SuppressionNoiseChannel,
 )
-from repro.coding import HadamardCode, MinDistanceDecoder, RepetitionCode
+from repro.coding import (
+    HadamardCode,
+    MinDistanceDecoder,
+    MLDecoder,
+    RepetitionCode,
+)
 from repro.core import run_protocol
 from repro.core.formal import NoiseModel
 from repro.errors import ConfigurationError, ProtocolError
@@ -28,6 +34,7 @@ from repro.network import complete  # noqa: F401  (documents availability)
 from repro.simulation.owners import (
     OwnersProtocol,
     build_owners_code,
+    owners_decoder,
     position_symbol,
 )
 from repro.vectorized import CHANNEL_KINDS, FlipStream, simulate_owners
@@ -242,26 +249,34 @@ class TestSimulateOwnersEquivalence:
         bits=beep_matrices, seed=st.integers(min_value=0, max_value=10**6)
     )
     @settings(max_examples=20, deadline=None)
-    def test_shared_codebook_cache_changes_nothing(self, bits, seed):
-        """A batch-shared codebook cache gives the same executions as
-        fresh decoders."""
+    def test_warm_shared_decoder_changes_nothing(self, bits, seed):
+        """Trials decoded by the process-wide owners decoder (two noise
+        laws over one code), each run cold and again after the other
+        trials have warmed the memo (the decoders built, their decode
+        memos filled by the scalar parties), give equal results on the
+        scalar and the collapsed route."""
         n = len(bits)
         bits = [tuple(row) for row in bits]
         pi = tuple(max(column) for column in zip(*bits))
-        code = build_owners_code(n)
-        cache: dict = {}
-        for trial in range(3):
-            protocol = OwnersProtocol(n, pi, NoiseModel.two_sided(0.2), code)
-            fresh = simulate_owners(
-                protocol, bits, CorrelatedNoiseChannel(0.2, rng=seed + trial)
-            )
-            cached = simulate_owners(
-                protocol,
-                bits,
-                CorrelatedNoiseChannel(0.2, rng=seed + trial),
-                codebook_cache=cache,
-            )
-            assert cached == fresh
+        laws = (NoiseModel.two_sided(0.2), NoiseModel.one_sided(0.2))
+        runs = [(index, noise) for index in range(3) for noise in laws]
+
+        def trial(index, noise):
+            decoder = owners_decoder(n, 12.0, 0x5EED, noise)
+            protocol = OwnersProtocol(n, pi, noise, decoder.code)
+            protocol.decoder = decoder
+            results = []
+            for run in (run_protocol, simulate_owners):
+                channel = CorrelatedNoiseChannel(0.2, rng=seed + index)
+                result = run(protocol, bits, channel)
+                results.append(replace(result, transcript=None))
+            return results
+
+        cold = []
+        for index, noise in runs:
+            owners_decoder.cache_clear()
+            cold.append(trial(index, noise))
+        assert [trial(index, noise) for index, noise in runs] == cold
 
 
 #: The ten channel families of the cross-backend equivalence grid.  The
@@ -379,7 +394,7 @@ class TestSpeculativeOwnersPhase:
         monkeypatch.setattr(schemes, "_DECODE_CELLS", 1)
         plans = _record_calls(monkeypatch, schemes, "_owners_plan")
         blocks = _record_calls(
-            monkeypatch, schemes.VectorizedMLDecoder, "decode_batch"
+            monkeypatch, MLDecoder, "decode_batch"
         )
         _high_noise_phases()
         # One-row blocks: more decode calls than segments, fewer than

@@ -1,7 +1,8 @@
 """Property-based tests of the vectorized backend's building blocks.
 
-The collapsed simulations rest on three representational claims, each
-checked here over randomized instances:
+The collapsed simulations rest on two representational claims, each
+checked here over randomized instances (the decoder they share with the
+scalar parties is checked in ``test_properties_coding.py``):
 
 1. **Noise streams** — a :class:`FlipStream` (and every row of a
    :class:`BatchFlips` prefetch) serves the same flip indicators, in the
@@ -10,11 +11,7 @@ checked here over randomized instances:
    windows longer than a refill block, and a first block served without
    a numpy stream; ``random_block`` is the scalar ``random()`` calls in
    bulk.
-2. **Decoding** — :class:`VectorizedMLDecoder` agrees with the scalar
-   :class:`MLDecoder` symbol-for-symbol on random codebooks,
-   noise models and received words, across the finite-weights fast path,
-   the ``-inf``-guarded path, and the min-distance fallback regime.
-3. **Channel replay** — the collapsed schemes' windowed channel
+2. **Channel replay** — the collapsed schemes' windowed channel
    (``window``/``words``/``round``) delivers the bits and statistics of
    the scalar channel's ``transmit_shared``/``transmit_shared_run`` for
    every shared-bit channel family, from standalone and runner flip
@@ -36,14 +33,7 @@ from repro.channels import (
     OneSidedNoiseChannel,
     SuppressionNoiseChannel,
 )
-from repro.coding import GreedyRandomCode, MLDecoder
-from repro.core.formal import NoiseModel
-from repro.vectorized import (
-    BatchFlips,
-    FlipStream,
-    VectorizedMLDecoder,
-    numpy_stream,
-)
+from repro.vectorized import BatchFlips, FlipStream, numpy_stream
 from repro.vectorized.noise import _FIRST_BLOCK, _FLIP_BLOCK, random_block
 from repro.vectorized.schemes import _shared_channel, flip_source
 
@@ -226,51 +216,7 @@ def test_random_block_is_scalar_random_calls(seed, warmup, count, gauss):
 
 
 # ----------------------------------------------------------------------
-# 2. Vectorized ML decode vs the scalar memoized decoder
-# ----------------------------------------------------------------------
-
-
-def _random_word(rng, length):
-    return [rng.randint(0, 1) for _ in range(length)]
-
-
-@given(
-    seed=seeds,
-    num_symbols=st.integers(2, 12),
-    up=st.sampled_from([0.0, 0.05, 0.2, 0.45]),
-    down=st.sampled_from([0.0, 0.05, 0.2, 0.45]),
-)
-@settings(max_examples=60, deadline=None)
-def test_vectorized_decode_matches_scalar(seed, num_symbols, up, down):
-    """Symbol-for-symbol agreement on random received words, covering the
-    finite path (up, down > 0), the guarded path (a zero probability
-    makes some transitions forbidden) and the min-distance fallback
-    (words forbidden under every codeword)."""
-    code = GreedyRandomCode(num_symbols, 24, seed=seed)
-    noise = NoiseModel(up=up, down=down)
-    scalar = MLDecoder(code, noise)
-    vectorized = VectorizedMLDecoder(code, noise)
-    rng = random.Random(seed ^ 0xABCDEF)
-    words = [_random_word(rng, code.codeword_length) for _ in range(20)]
-    # Include every codeword and near-codewords (single-bit corruptions).
-    for symbol in range(num_symbols):
-        word = list(code.encode(symbol))
-        words.append(word)
-        corrupted = list(word)
-        corrupted[rng.randrange(len(word))] ^= 1
-        words.append(corrupted)
-    for word in words:
-        expected = scalar.decode(tuple(word))
-        array = np.array(word, dtype=np.uint8)
-        assert vectorized.decode(array) == expected
-    matrix = np.array(words, dtype=np.uint8)
-    assert list(vectorized.decode_batch(matrix)) == [
-        scalar.decode(tuple(word)) for word in words
-    ]
-
-
-# ----------------------------------------------------------------------
-# 3. Collapsed channel replay vs the scalar shared-bit delivery
+# 2. Collapsed channel replay vs the scalar shared-bit delivery
 # ----------------------------------------------------------------------
 
 #: Every shared-bit channel family the collapsed schemes replay, built

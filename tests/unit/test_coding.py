@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.coding import (
@@ -247,6 +248,25 @@ class TestMinDistanceDecoder:
         decoder = MinDistanceDecoder(code)
         with pytest.raises(DecodingError):
             decoder.decode((1,))
+
+    def test_decode_batch_ties_go_to_first_minimum(self):
+        """Rows equidistant from several codewords decode to the smallest
+        such symbol, in a batch as one by one; the ML decoder's fallback
+        (every codeword forbidden under a noiseless law) agrees."""
+        cases = [
+            # Codewords 00, 11: 10 and 01 tie between symbols 0 and 1.
+            (RepetitionCode(num_symbols=2, repetitions=2), [0, 0, 1, 0]),
+            # Codewords 00, 01, 10: 11 ties between symbols 1 and 2.
+            (RepetitionCode(num_symbols=3, repetitions=1), [2, 1, 1, 0]),
+        ]
+        words = [(1, 0), (0, 1), (1, 1), (0, 0)]
+        matrix = np.array(words, dtype=np.uint8)
+        for code, expected in cases:
+            decoder = MinDistanceDecoder(code)
+            assert decoder.decode_batch(matrix).tolist() == expected
+            assert [decoder.decode(word) for word in words] == expected
+            noiseless = MLDecoder(code, NoiseModel(up=0.0, down=0.0))
+            assert noiseless.decode_batch(matrix).tolist() == expected
 
 
 class TestDecodingUnderSimulatedNoise:
