@@ -6,9 +6,12 @@ The network engine separates *what the graph is* from *how it is stored*:
   (``array('l')`` index/pointer pairs, a few bytes per edge even at
   10^6 nodes) in both directions, so the channel can iterate a beeping
   node's **out**-neighborhood (who hears me) in O(degree) while protocol
-  checkers read **in**-neighborhoods (whom I hear).  Built once, by one
-  constructor (:meth:`Topology.from_edges`), validated once (range, no
-  self-loops, sorted/deduped), shared freely.
+  checkers read **in**-neighborhoods (whom I hear).  Built once and
+  shared freely: arcs from outside go through one constructor
+  (:meth:`Topology.from_edges`), validated once (range, no self-loops,
+  sorted/deduped); the generators, whose pairs are valid by
+  construction, write both arc keys of each pair into one key array
+  and turn it into the CSR in place.
 * :class:`TopologySpec` — the declarative, JSON-round-trippable recipe:
   generator name + params + seed, e.g. ``{"kind": "grid", "rows": 32,
   "cols": 32}``.  Specs are frozen, hashable, picklable plain data —
@@ -70,11 +73,10 @@ def _long_array(values: np.ndarray) -> array:
     return out
 
 
-def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointers of the ascending row ids ``rows``."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr
+def _indptr(key: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of sorted row-major keys: row ``i`` starts at the
+    first key ``>= i * n``."""
+    return np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
 
 
 def _arc_keys(n: int, src, dst) -> np.ndarray:
@@ -110,6 +112,11 @@ def _arc_keys(n: int, src, dst) -> np.ndarray:
     # neighbor comparison.
     key = src.astype(np.int64, copy=False) * n
     key += dst.astype(np.int64, copy=False)
+    return _sorted_unique(key)
+
+
+def _sorted_unique(key: np.ndarray) -> np.ndarray:
+    """``key`` sorted in place, repeats dropped."""
     key.sort()
     if key.size > 1:
         repeated = key[1:] == key[:-1]
@@ -119,9 +126,13 @@ def _arc_keys(n: int, src, dst) -> np.ndarray:
 
 
 def _csr(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(indptr, indices)`` CSR of sorted row-major keys."""
-    rows, indices = np.divmod(key, n)
-    return _indptr(rows, n), indices
+    """The ``(indptr, indices)`` CSR of sorted row-major keys.
+
+    Consumes ``key``: its buffer becomes the indices, so the step holds
+    no arc-length temporary.
+    """
+    indptr = _indptr(key, n)
+    return indptr, np.remainder(key, n, out=key)
 
 
 def _compact(values: np.ndarray, dtype) -> np.ndarray:
@@ -141,7 +152,8 @@ class Topology:
     which is the direction the channel's sparse evaluation walks.
 
     Construct with :meth:`from_edges` (or :meth:`from_adjacency`, a thin
-    wrapper over it); generators in :data:`TOPOLOGIES` do.  Instances are
+    wrapper over it); generators in :data:`TOPOLOGIES`, whose arcs are
+    valid by construction, pass their CSR directly.  Instances are
     treated as immutable: the channel, tasks and the spec cache all
     share them.
     """
@@ -195,7 +207,7 @@ class Topology:
         """
         key = _arc_keys(n, src, dst)
         rows, in_indices = np.divmod(key, n)
-        in_csr = (_indptr(rows, n), in_indices)
+        in_csr = (_indptr(key, n), in_indices)
         # The transposed keys, sorted, are the out-CSR in the same
         # row-major form — and equal the keys exactly when every arc has
         # its reverse.
@@ -329,22 +341,41 @@ class Topology:
 # ----------------------------------------------------------------------
 
 
-def _undirected(n: int, a, b) -> Topology:
-    """The symmetric graph with one edge per pair ``(a[k], b[k])``.
+def _undirected(
+    n: int, pairs: list[tuple[np.ndarray, np.ndarray]]
+) -> Topology:
+    """The symmetric graph with one edge per pair ``(a[k], b[k])`` of
+    each ``(a, b)`` array pair in ``pairs``.
 
-    Every arc comes with its reverse, so the in-CSR of one key sort is
-    also the out-CSR: :meth:`Topology.from_edges` would sort the
-    transposed keys only to find them equal.
+    For the generators, whose pairs are in range and loop-free by
+    construction: the arcs skip :meth:`Topology.from_edges`'s validation.
+    Both arc keys of each pair are written straight into one int64
+    array, and ``pairs`` is emptied as its parts are written, so they are
+    freed before the CSR step.  Every arc comes with its reverse, so the
+    in-CSR of one key sort is also the out-CSR.
     """
-    key = _arc_keys(n, np.concatenate((a, b)), np.concatenate((b, a)))
-    return Topology(n, _csr(key, n))
+    m = sum(len(a) for a, _ in pairs)
+    key = np.empty(2 * m, dtype=np.int64)
+    start = 0
+    while pairs:
+        a, b = pairs.pop()
+        stop = start + len(a)
+        forward = key[start:stop]
+        np.multiply(a, n, out=forward)
+        np.add(forward, b, out=forward)
+        backward = key[m + start : m + stop]
+        np.multiply(b, n, out=backward)
+        np.add(backward, a, out=backward)
+        start = stop
+        del a, b
+    return Topology(n, _csr(_sorted_unique(key), n))
 
 
 def _complete(*, n: int) -> Topology:
     """Complete graph: the paper's single-hop channel."""
     if n < 1:
         raise ConfigurationError(f"need >= 1 node, got {n}")
-    return _undirected(n, *np.triu_indices(n, 1))
+    return _undirected(n, [np.triu_indices(n, 1)])
 
 
 def _ring(*, n: int) -> Topology:
@@ -352,7 +383,7 @@ def _ring(*, n: int) -> Topology:
     if n < 3:
         raise ConfigurationError(f"a ring needs >= 3 nodes, got {n}")
     nodes = np.arange(n)
-    return _undirected(n, nodes, (nodes + 1) % n)
+    return _undirected(n, [(nodes, (nodes + 1) % n)])
 
 
 def _grid(
@@ -390,11 +421,7 @@ def _grid(
     # pairs (i, i+width) just need the lower node to exist.
     across = nodes[(nodes % width < width - 1) & (nodes + 1 < total)]
     down = nodes[: max(0, total - width)]
-    return _undirected(
-        total,
-        np.concatenate((across, down)),
-        np.concatenate((across + 1, down + width)),
-    )
+    return _undirected(total, [(across, across + 1), (down, down + width)])
 
 
 #: Cell-grid side cap for the geometric builder, so cell ids fit int64.
@@ -405,6 +432,25 @@ _MAX_CELLS = 1 << 31
 #: The half-neighborhood of cell offsets: with the mirrored arcs, every
 #: unordered pair of points in the same or adjacent cells once.
 _HALF_NEIGHBORHOOD = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _cell_order(cell_of: np.ndarray, cells: int) -> np.ndarray:
+    """The stable ascending order of the cell ids ``cell_of`` (each below
+    ``cells**2``).
+
+    Stability fixes the order, so the key width cannot change it.  On
+    16-bit keys numpy's stable argsort is a radix sort (~7× faster than
+    on int64 at 10^5 points), so ids below 2^32 sort in two stable
+    16-bit passes, low half then high half (still ~2× faster than the
+    int64 sort at 10^6 points on 626² cells).
+    """
+    if cells * cells > 1 << 32:
+        return np.argsort(cell_of, kind="stable")
+    order = np.argsort((cell_of & 0xFFFF).astype(np.uint16), kind="stable")
+    if cells * cells > 1 << 16:
+        high = (cell_of[order] >> 16).astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    return order
 
 
 def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
@@ -424,6 +470,15 @@ def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
         raise ConfigurationError(
             f"radius must be in (0, sqrt(2)], got {radius}"
         )
+    # The point arrays die with _close_pairs, before the CSR step.
+    return _undirected(n, _close_pairs(n, radius, seed))
+
+
+def _close_pairs(
+    n: int, radius: float, seed: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(a, b)`` node-id arrays of :func:`_geometric`'s edges, one
+    pair per cell offset."""
     # Imported here: repro.vectorized imports this module.
     from repro.vectorized.noise import numpy_stream
 
@@ -433,26 +488,24 @@ def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
     cx = np.minimum((uniforms[0::2] / size).astype(np.int64), cells - 1)
     cy = np.minimum((uniforms[1::2] / size).astype(np.int64), cells - 1)
     cell_of = cx * cells + cy
-    # Stability fixes the order, so the key dtype cannot change it; on
-    # 16-bit keys numpy's stable argsort is a radix sort (~7× faster
-    # than on int64 at 10^5 points).
-    keys = cell_of.astype(np.uint16) if cells * cells <= 1 << 16 else cell_of
-    order = np.argsort(keys, kind="stable")
+    del cx, cy
+    order = _cell_order(cell_of, cells)
     xs = uniforms[0::2][order]
     ys = uniforms[1::2][order]
+    del uniforms
     cell_of = cell_of[order]
     # Occupied cells (ascending id): first sorted position and population.
     starts = np.flatnonzero(
         np.concatenate(([True], cell_of[1:] != cell_of[:-1]))
     )
     occupied = cell_of[starts]
+    del cell_of
     counts = np.diff(np.append(starts, n))
     member = np.repeat(np.arange(len(occupied)), counts)
     occupied_x, occupied_y = np.divmod(occupied, cells)
     positions = np.arange(n)
     r2 = radius * radius
-    near_a: list[np.ndarray] = []
-    near_b: list[np.ndarray] = []
+    pairs = []
     for dx, dy in _HALF_NEIGHBORHOOD:
         if (dx, dy) == (0, 0):
             first = positions + 1
@@ -468,12 +521,14 @@ def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
                 (tx < cells) & (ty >= 0) & (ty < cells)
                 & (occupied[slot] == target)
             )
+            del tx, ty, target
             first = np.where(hit, starts[slot], 0)[member]
             partners = np.where(hit, counts[slot], 0)[member]
         # CSR-style expansion: position p pairs with
         # first[p] .. first[p] + partners[p] - 1.
         a = np.repeat(positions, partners)
         b = np.repeat(first - (np.cumsum(partners) - partners), partners)
+        del first, partners
         b += np.arange(len(b))
         # dx*dx + dy*dy in place: the same float64 operations, fewer
         # candidate-length temporaries.
@@ -484,10 +539,13 @@ def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
         dys -= ys[b]
         dys *= dys
         dxs += dys
+        del dys
         close = np.flatnonzero(dxs <= r2)
-        near_a.append(order[a[close]])
-        near_b.append(order[b[close]])
-    return _undirected(n, np.concatenate(near_a), np.concatenate(near_b))
+        del dxs
+        pairs.append((order[a[close]], order[b[close]]))
+        # Free this offset's candidates before the next one's.
+        del a, b, close
+    return pairs
 
 
 def _scale_free(*, n: int, m: int = 2, seed: int = 0) -> Topology:
@@ -514,7 +572,9 @@ def _scale_free(*, n: int, m: int = 2, seed: int = 0) -> Topology:
         targets = sorted(chosen)
         source += 1
     half_edges = np.array(repeated, dtype=np.int64).reshape(-1, 2, m)
-    return _undirected(n, half_edges[:, 1].ravel(), half_edges[:, 0].ravel())
+    return _undirected(
+        n, [(half_edges[:, 1].ravel(), half_edges[:, 0].ravel())]
+    )
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,16 @@ into a ``numpy.random.RandomState``: both generate doubles with the same
 ``genrand_res53`` recipe, so ``random_sample(k)`` reproduces ``k`` calls of
 ``Random.random()`` exactly (verified by golden pins in
 ``tests/unit/test_rng.py`` and property tests).  :class:`FlipStream` builds
-on that to serve flip indicators in blocks; the collapsed single-hop
-schemes draw from one per trial, over a copy of the channel's generator
-(its first block comes from :func:`random_block`, so a trial that draws
-little never builds a numpy stream).  Besides reading indicators, a flip
-source can ``peek`` the next ``k`` and then ``commit`` a prefix of them:
+on that to serve flip indicators, one byte each; the collapsed
+single-hop schemes draw from one per trial, over a copy of the channel's
+generator.  Its first :data:`_FLIP_BLOCK` indicators come from
+:func:`random_block` in doubling fills, so a trial that draws little
+never builds a numpy stream; later fills generate
+:data:`_GENERATION_BLOCK` uniforms at a time and write each block's
+``u < ε`` straight into the indicator buffer, so a fill of any size
+holds one byte per indicator plus one block of float64 scratch.
+Besides reading indicators, a flip source can ``peek`` the next ``k``
+and then ``commit`` a prefix of them:
 the owners phase decodes a whole speculated segment of codewords from one
 peek and consumes only the draws of the rows it accepts.
 :class:`BatchFlips` prefetches the first ``columns`` indicators of a
@@ -53,14 +58,24 @@ __all__ = [
     "BatchFlips",
 ]
 
-#: Smallest refill, in flip indicators; purely an amortization knob —
-#: the delivered stream is identical for any block size.
+#: The indicators a :class:`FlipStream` draws through
+#: :func:`random_block` before it builds a numpy stream, and the smallest
+#: fill from that stream.  An amortization knob only: the delivered
+#: stream is identical for any value.
 _FLIP_BLOCK = 8192
 
-#: Smallest first fill of a :class:`FlipStream`, drawn by
-#: :func:`random_block`: a trial that reads no further never pays for a
-#: numpy stream.  Also an amortization knob only.
+#: Smallest first fill of a :class:`FlipStream`; later
+#: :func:`random_block` fills double the indicators drawn so far.  Also
+#: an amortization knob only.
 _FIRST_BLOCK = 256
+
+#: Uniforms per numpy call when a :class:`FlipStream` fills from its
+#: numpy stream: the float64 scratch of a fill, whatever its size.
+_GENERATION_BLOCK = 1 << 16
+
+#: The view of an empty :class:`FlipStream` buffer.
+_NO_FLIPS = _np.zeros(0, dtype=_np.uint8)
+_NO_FLIPS.flags.writeable = False
 
 
 def numpy_stream(rng: random.Random) -> "_np.random.RandomState":
@@ -104,49 +119,78 @@ class FlipStream:
     """The flip-indicator stream of one trial's channel randomness.
 
     Serves the sequence ``[rng.random() < epsilon, ...]`` in draw order,
-    generated in vectorized blocks: the first (at least
-    :data:`_FIRST_BLOCK` indicators) by :func:`random_block` on a copy of
-    ``rng``, every later one from a :func:`numpy_stream` continuing that
-    copy, built only when a trial reads past the first block.  The buffer
-    is a ``bytes`` of 0/1 so the access patterns of the collapsed
-    schemes are all C-speed: ``take1`` (one round), ``count`` (popcount
-    of a constant-OR window), ``take`` (a window as a uint8 array), and
-    ``peek``/``commit`` (a speculated segment of codewords, of which a
-    prefix is consumed).
+    generated in vectorized fills over a copy of ``rng``: the first
+    :data:`_FLIP_BLOCK` indicators by :func:`random_block`, in fills that
+    start at :data:`_FIRST_BLOCK` and double the indicators drawn so far;
+    every later fill (and any request that would carry the stream past
+    :data:`_FLIP_BLOCK`) from a :func:`numpy_stream` continuing that copy,
+    :data:`_GENERATION_BLOCK` uniforms at a time.  The buffer is a
+    ``bytearray`` of 0/1, one byte per indicator, so the access patterns
+    of the collapsed schemes are all C-speed: ``take1`` (one round),
+    ``count`` (popcount of a constant-OR window), ``take`` (a window as a
+    read-only uint8 array), and ``peek``/``commit`` (a speculated segment
+    of codewords, of which a prefix is consumed).  A filled buffer is
+    never written again, so returned windows stay valid.
 
     Args:
         rng: The channel's generator; its current state is copied.
         epsilon: The channel's flip probability.
     """
 
-    __slots__ = ("_rng", "_stream", "_epsilon", "_buffer", "_pos", "draws")
+    __slots__ = (
+        "_rng",
+        "_stream",
+        "_epsilon",
+        "_buffer",
+        "_view",
+        "_pos",
+        "_drawn",
+        "draws",
+    )
 
     def __init__(self, rng: random.Random, epsilon: float) -> None:
         self._rng = random.Random()
         self._rng.setstate(rng.getstate())
         self._stream: "_np.random.RandomState | None" = None
         self._epsilon = epsilon
-        self._buffer = b""
+        self._buffer = bytearray()
+        #: ``_buffer`` as a read-only uint8 array (what ``peek`` slices).
+        self._view = _NO_FLIPS
         self._pos = 0
+        #: Indicators generated so far (consumed or buffered).
+        self._drawn = 0
         #: Indicators consumed so far (draw-order position; test hook).
         self.draws = 0
 
     def _refill(self, size: int = 0) -> None:
         """Buffer the next ``size`` indicators past the unread rest, or
         more (a block)."""
-        if not self._buffer:
-            # The first fill: cheap for the short streams most trials of
-            # the rewind scheme read.
-            uniforms = random_block(self._rng, max(size, _FIRST_BLOCK))
+        drawn = self._drawn
+        if self._stream is None and drawn + max(size, 1) <= _FLIP_BLOCK:
+            # Short streams, as most rewind trials read: no numpy state
+            # transfer, and each fill at least doubles what was drawn.
+            count = min(max(size, _FIRST_BLOCK, drawn), _FLIP_BLOCK - drawn)
         else:
             if self._stream is None:
                 self._stream = numpy_stream(self._rng)
-            uniforms = self._stream.random_sample(max(size, _FLIP_BLOCK))
-        self._buffer = (
-            self._buffer[self._pos :]
-            + (uniforms < self._epsilon).view(_np.uint8).tobytes()
-        )
+            count = max(size, _FLIP_BLOCK)
+        rest = len(self._buffer) - self._pos
+        buffer = bytearray(rest + count)
+        buffer[:rest] = memoryview(self._buffer)[self._pos :]
+        flags = _np.frombuffer(buffer, dtype=_np.bool_)
+        epsilon = self._epsilon
+        if self._stream is None:
+            _np.less(random_block(self._rng, count), epsilon, out=flags[rest:])
+        else:
+            sample = self._stream.random_sample
+            for start in range(rest, rest + count, _GENERATION_BLOCK):
+                block = flags[start : start + _GENERATION_BLOCK]
+                _np.less(sample(block.size), epsilon, out=block)
+        flags.flags.writeable = False
+        self._buffer = buffer
+        self._view = flags.view(_np.uint8)
         self._pos = 0
+        self._drawn = drawn + count
 
     def take1(self) -> int:
         """The next flip indicator, as a plain int."""
@@ -187,20 +231,23 @@ class FlipStream:
         """The next ``rounds`` indicators as a uint8 array, not consumed.
 
         Refills once with everything still missing (at least a block), so
-        a long window costs one generator call, not one per block.
+        a long window is one contiguous buffer.
         """
         missing = rounds - (len(self._buffer) - self._pos)
         if missing > 0:
             self._refill(missing)
-        return _np.frombuffer(
-            self._buffer, dtype=_np.uint8, count=rounds, offset=self._pos
-        )
+        return self._view[self._pos : self._pos + rounds]
 
     def commit(self, rounds: int) -> None:
         """Consume the first ``rounds`` indicators of the last
-        :meth:`peek`."""
+        :meth:`peek`; a buffer read to its end is dropped at once (a
+        per-node noise burst reads megabytes per trial)."""
         self._pos += rounds
         self.draws += rounds
+        if self._pos == len(self._buffer):
+            self._buffer = bytearray()
+            self._view = _NO_FLIPS
+            self._pos = 0
 
 
 class ChannelFlips:

@@ -945,7 +945,10 @@ def simulate_rewind(
     with a positive counter) is the alarm round's beep count, the alarm
     rounds' energy is added as ``(disputes > 0)`` times their number
     just before each change and at the end, and the appended columns'
-    energy is summed once, after the walk.
+    energy is summed once, after the walk.  Once the walk is complete and
+    undisputed on a channel whose silent rounds draw nothing
+    (suppression, noiseless), every remaining iteration is two silent
+    rounds: they are counted, not walked.
     """
     report, _ = simulator.plan(protocol, channel)
     inner_length = report.inner_length
@@ -953,6 +956,7 @@ def simulate_rewind(
 
     shared = _shared_channel(channel, flips)
     transmit = shared.round
+    silent_draws = shared.noisy[0]
     n_parties = protocol.n_parties
     programs = _inner_programs(protocol, inputs, shared_seed, strict=False)
     column_at = programs.column
@@ -1001,6 +1005,11 @@ def simulate_rewind(
                         disputing = int(_np.count_nonzero(disputes))
             else:
                 transmit(0, 0)
+                if not disputing and not silent_draws:
+                    # Complete, undisputed, and silence draws nothing:
+                    # every remaining iteration is two silent rounds.
+                    shared.stats.rounds += 2 * (iterations - iteration - 1)
+                    break
 
     energy += (disputes > 0) * (iterations - flushed)
     energy += _np.sum(sent, axis=0, dtype=_np.int64)

@@ -34,7 +34,11 @@ from repro.channels import (
     SuppressionNoiseChannel,
 )
 from repro.vectorized import BatchFlips, FlipStream, numpy_stream
-from repro.vectorized.noise import _FIRST_BLOCK, _FLIP_BLOCK, random_block
+from repro.vectorized.noise import (
+    _FLIP_BLOCK,
+    _GENERATION_BLOCK,
+    random_block,
+)
 from repro.vectorized.schemes import _shared_channel, flip_source
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -130,7 +134,14 @@ def test_flipstream_access_patterns_agree(seed, chunks):
     calls=st.lists(
         st.tuples(
             st.sampled_from(["take", "take1", "count"]),
-            st.integers(0, 3 * _FLIP_BLOCK),
+            st.one_of(
+                st.integers(0, 3 * _FLIP_BLOCK),
+                # Past any unread rest, so one fill spans two blocks.
+                st.integers(
+                    _GENERATION_BLOCK + _FLIP_BLOCK + 1,
+                    _GENERATION_BLOCK + 2 * _FLIP_BLOCK,
+                ),
+            ),
         ),
         min_size=1,
         max_size=6,
@@ -139,8 +150,9 @@ def test_flipstream_access_patterns_agree(seed, chunks):
 @settings(max_examples=30, deadline=None)
 def test_flipstream_long_windows_match_scalar_draws(seed, calls):
     """``take``/``take1``/``count`` interleaved from a prefetched row —
-    windows crossing the prefetch edge and spanning several refill
-    blocks — serve exactly ``[r.random() < eps, ...]`` in order."""
+    windows crossing the prefetch edge, the switch to the numpy stream
+    and the generation blocks of one fill — serve exactly
+    ``[r.random() < eps, ...]`` in order."""
     epsilon = 0.3
     stream = BatchFlips([random.Random(seed)], epsilon).stream(0)
     scalar = random.Random(seed)
@@ -163,7 +175,7 @@ def test_flipstream_long_windows_match_scalar_draws(seed, calls):
     calls=st.lists(
         st.tuples(
             st.sampled_from(["take", "take1", "count"]),
-            st.integers(0, 2 * _FIRST_BLOCK),
+            st.integers(0, _FLIP_BLOCK // 2),
         ),
         min_size=1,
         max_size=6,
@@ -171,10 +183,10 @@ def test_flipstream_long_windows_match_scalar_draws(seed, calls):
 )
 @settings(max_examples=40, deadline=None)
 def test_flipstream_first_block_needs_no_numpy_stream(seed, epsilon, calls):
-    """A fresh FlipStream serves its first block from a copy of the
-    generator, builds a numpy stream only once a read goes past it, and
-    serves ``[r.random() < eps, ...]`` in order either way, leaving the
-    generator it was given untouched."""
+    """A fresh FlipStream serves its first ``_FLIP_BLOCK`` indicators from
+    a copy of the generator, in doubling fills, builds a numpy stream only
+    once a read goes past them, and serves ``[r.random() < eps, ...]`` in
+    order either way, leaving the generator it was given untouched."""
     rng = random.Random(seed)
     state = rng.getstate()
     stream = FlipStream(rng, epsilon)
@@ -182,14 +194,14 @@ def test_flipstream_first_block_needs_no_numpy_stream(seed, epsilon, calls):
     for name, size in calls:
         if name == "take1":
             assert stream.take1() == int(scalar.random() < epsilon)
-            continue
-        expected = [int(scalar.random() < epsilon) for _ in range(size)]
-        if name == "take":
-            assert stream.take(size).tolist() == expected
         else:
-            assert stream.count(size) == sum(expected)
-    if stream.draws <= _FIRST_BLOCK:
-        assert stream._stream is None
+            expected = [int(scalar.random() < epsilon) for _ in range(size)]
+            if name == "take":
+                assert stream.take(size).tolist() == expected
+            else:
+                assert stream.count(size) == sum(expected)
+        if stream.draws <= _FLIP_BLOCK:
+            assert stream._stream is None
     assert rng.getstate() == state
 
 

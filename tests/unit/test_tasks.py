@@ -211,3 +211,33 @@ class TestTaskDefaults:
         assert task.is_correct([1, 0], [1, 1])
         assert not task.is_correct([1, 0], [1, 0])
         assert not task.is_correct([1, 0], [0, 0])
+
+    def test_is_correct_compares_each_distinct_output_once(self):
+        """Parties that share one output object cost one comparison, and
+        the verdict is the per-party one, also with one wrong output
+        among shared ones."""
+        calls = []
+
+        class Output(frozenset):
+            def __eq__(self, other):
+                calls.append(self)
+                return frozenset.__eq__(self, other)
+
+            __hash__ = frozenset.__hash__
+
+        task = InputSetTask(6)
+        inputs = [1, 3, 3, 7, 2, 9]
+        shared = Output(task.reference_output(inputs))
+        assert task.is_correct(inputs, [shared] * 6)
+        assert len(calls) == 1
+        calls.clear()
+
+        copies = [Output(shared) for _ in range(3)]
+        assert task.is_correct(inputs, [shared, shared] + copies + [shared])
+        assert len(calls) == 4
+        calls.clear()
+
+        wrong = Output(shared - {7})
+        outputs = [shared, shared, wrong, shared, wrong, shared]
+        assert not task.is_correct(inputs, outputs)
+        assert calls == [shared, wrong]

@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+import repro.network.topology as topology_module
 from repro.errors import ConfigurationError
 from repro.network import TOPOLOGIES, Topology, TopologySpec, parse_topology
 
@@ -271,6 +272,34 @@ class TestGenerators:
         c = TopologySpec.of("geometric", n=100, radius=0.2, seed=10)
         assert a.build().adjacency_lists() == b.build().adjacency_lists()
         assert a.build().adjacency_lists() != c.build().adjacency_lists()
+
+    @pytest.mark.parametrize("cells", [200, 333, 70000])
+    def test_cell_order_is_the_stable_int64_order(self, cells):
+        """At most 2^16 cells, up to 2^32 and beyond: the 16-bit radix
+        passes give the order of the stable int64 argsort, repeats
+        included."""
+        rng = np.random.default_rng(cells)
+        ids = rng.integers(0, cells * cells, 3000)
+        ids = np.concatenate((ids, ids[:1000], ids[::7]))
+        np.testing.assert_array_equal(
+            topology_module._cell_order(ids, cells),
+            np.argsort(ids, kind="stable"),
+        )
+
+    def test_geometric_past_16_bit_cells_keeps_csr_bytes(self, monkeypatch):
+        """A graph of more than 2^16 cells (333² here) gets the CSR bytes
+        the int64 stable cell order gives."""
+        params = {"n": 2000, "radius": 0.003, "seed": 0}
+        assert int(1 / params["radius"]) ** 2 > 1 << 16
+        built = TOPOLOGIES["geometric"].builder(**params)
+        monkeypatch.setattr(
+            topology_module,
+            "_cell_order",
+            lambda cell_of, cells: np.argsort(cell_of, kind="stable"),
+        )
+        reference = TOPOLOGIES["geometric"].builder(**params)
+        assert built.edges > 0
+        assert _csr_digests(built) == _csr_digests(reference)
 
     def test_scale_free_connected_and_bounded(self):
         topology = TopologySpec.of("scale-free", n=80, m=2, seed=3).build()

@@ -481,3 +481,61 @@ class TestRewindDisputeAccounting:
         assert rewinds > 0
         disputed_pops = sum(spy.disputed_pops for spy in spies)
         assert (disputed_pops > 0) == disputes
+
+
+#: Channels of the idle-tail test; ``skips``: the channel's silent rounds
+#: draw nothing, so the walk may count its idle tail instead of walking
+#: it (one-sided 0→1 noise, E3's negative control, draws on silence).
+IDLE_TAIL_CHANNELS = {
+    "suppression": (partial(SuppressionNoiseChannel, 0.2), True),
+    "noiseless": (lambda rng: NoiselessChannel(), True),
+    "one-sided": (partial(OneSidedNoiseChannel, 0.05), False),
+}
+
+
+class TestRewindIdleTail:
+    """Once the collapsed rewind walk is complete and undisputed, a
+    channel whose silent rounds draw nothing makes every remaining
+    iteration two silent rounds, which the walk counts without stepping.
+    It still equals ``RewindSimulator.simulate`` on every result field,
+    and a channel that draws on silence walks every round."""
+
+    @pytest.mark.parametrize("standalone", [False, True])
+    @pytest.mark.parametrize("family", sorted(IDLE_TAIL_CHANNELS))
+    def test_scalar_equal_with_and_without_tail(
+        self, monkeypatch, family, standalone
+    ):
+        make_channel, skips = IDLE_TAIL_CHANNELS[family]
+        walked = []
+        step = vschemes._SharedChannel.round
+
+        def counted(self, or_value, beeps):
+            walked.append(or_value)
+            return step(self, or_value, beeps)
+
+        monkeypatch.setattr(vschemes._SharedChannel, "round", counted)
+        simulator = RewindSimulator()
+        task = InputSetTask(8)
+        protocol = task.noiseless_protocol()
+        skipped = completed = 0
+        for seed in range(4):
+            inputs = task.sample_inputs(random.Random(seed))
+            scalar_channel = make_channel(rng=seed)
+            scalar = simulator.simulate(protocol, inputs, scalar_channel)
+            channel = make_channel(rng=seed)
+            flips = (
+                None
+                if standalone
+                else vschemes.flip_source(channel, copy_rng=True)
+            )
+            walked.clear()
+            result = simulate_rewind(
+                simulator, protocol, inputs, channel, flips=flips
+            )
+            assert result.to_dict() == scalar.to_dict(), seed
+            if standalone and family != "noiseless":
+                assert _noise_state(channel) == _noise_state(scalar_channel)
+            completed += result.metadata["report"].completed
+            skipped += result.rounds - len(walked)
+        assert completed > 0
+        assert (skipped > 0) == skips
