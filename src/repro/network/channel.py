@@ -182,9 +182,7 @@ class NetworkBeepingChannel(Channel):
         draw-order contract).  Work: O(Σ out-degree(beepers)) for the
         neighborhood walk, plus O(n) only when per-node noise draws run.
         """
-        topo = self.topology
-        out_ptr = topo._out_indptr
-        out_idx = topo._out_indices
+        _, _, out_ptr, out_idx = self.topology.scalar_csr()
         heard = self._heard
         clean = self._clean
         touched: list[int] = []

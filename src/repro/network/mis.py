@@ -46,7 +46,7 @@ from repro.core.party import Party, Silence
 from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, TaskError
 from repro.network.channel import NetworkBeepingChannel
-from repro.network.tasks import _COIN_BLOCK
+from repro.network.tasks import _COIN_BLOCK, _in_or_blocks
 from repro.network.topology import Topology
 from repro.tasks.base import Task
 
@@ -137,7 +137,6 @@ class MISTask(Task):
         n_nodes = topology.n
         super().__init__(n_nodes)
         self.topology = topology
-        self.adjacency = topology.adjacency_lists()
         self.levels = max(1, math.ceil(math.log2(max(n_nodes, 2)))) + 1
         if cycles is None:
             cycles = math.ceil(math.log2(max(n_nodes, 2))) + 6
@@ -185,18 +184,29 @@ class MISTask(Task):
         )
 
     def is_correct(self, inputs, outputs: Sequence[bool | None]) -> bool:
-        """Everyone decided + independence + maximality."""
+        """Everyone decided + independence + maximality.
+
+        A node is in the set iff its output ``is True``; any other
+        non-``None`` output (``False``, or a truthy non-``True`` value)
+        counts as out of it.  Each node block checks that no member has
+        a member neighbor and every non-member has one, over the in-CSR
+        (:func:`~repro.network.tasks._in_or_blocks`).
+        """
         if len(outputs) != self.n_parties:
             return False
         if any(decision is None for decision in outputs):
             return False
-        for node, neighbors in enumerate(self.adjacency):
-            if outputs[node] is True:
-                if any(outputs[j] is True for j in neighbors):
-                    return False  # not independent
-            else:
-                if not any(outputs[j] is True for j in neighbors):
-                    return False  # not maximal
+        member = np.fromiter(
+            (decision is True for decision in outputs),
+            dtype=bool,
+            count=self.n_parties,
+        )
+        for start, dominated in _in_or_blocks(self.topology, member):
+            inside = member[start : start + dominated.size]
+            if (inside & dominated).any():
+                return False  # not independent
+            if not (inside | dominated).all():
+                return False  # not maximal
         return True
 
     def noiseless_protocol(self) -> Protocol:

@@ -32,7 +32,8 @@ per-round cost tracks the contended frontier rather than n.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,6 +51,49 @@ __all__ = ["BroadcastTask", "NeighborORTask", "NetworkSizeEstimateTask"]
 #: :meth:`~repro.network.mis.MISTask.sample_inputs`: bounds one block's
 #: scratch arrays (bits, words, doubles) without changing the draws.
 _COIN_BLOCK = 1 << 13
+
+
+#: Nodes per block of the output checks (:func:`_in_or_blocks`,
+#: :func:`_equal_in_blocks`): bounds their scratch, whatever n is.
+_CHECK_BLOCK = 1 << 13
+
+
+def _in_or_blocks(
+    topology: Topology, beeping: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(start, heard)`` per block of :data:`_CHECK_BLOCK` nodes from
+    ``start``: ``heard[k]`` is the OR of the bool mask ``beeping`` over
+    node ``start + k``'s in-neighbors (False for none).
+
+    One ``logical_or.reduceat`` over the block's non-empty in-CSR rows;
+    empty rows are left out, because reduceat would hand them the next
+    row's first element.
+    """
+    in_ptr, in_idx, _, _ = topology.csr_arrays()
+    for start in range(0, topology.n, _CHECK_BLOCK):
+        ptr = in_ptr[start : start + _CHECK_BLOCK + 1]
+        heard = np.zeros(len(ptr) - 1, dtype=bool)
+        rows = np.flatnonzero(ptr[1:] > ptr[:-1])
+        if rows.size:
+            beeped = np.take(beeping, in_idx[ptr[0] : ptr[-1]])
+            heard[rows] = np.logical_or.reduceat(beeped, ptr[rows] - ptr[0])
+        yield start, heard
+
+
+def _equal_in_blocks(
+    expected: Iterable[np.ndarray], outputs: Iterable
+) -> bool:
+    """Whether ``outputs`` equals the concatenated ``expected`` blocks.
+
+    Each block compares as one Python list with the next outputs, which
+    applies ``==`` pair by pair, so any output type gets the verdict a
+    plain per-node loop would give.
+    """
+    remaining = iter(outputs)
+    for block in expected:
+        if block.tolist() != list(islice(remaining, block.size)):
+            return False
+    return True
 
 
 def _as_topology(topology: Topology | Sequence[Sequence[int]]) -> Topology:
@@ -161,6 +205,9 @@ class BroadcastTask(_NetworkTask):
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
         self.rounds = rounds
+        distances = np.array(self.distances)
+        # The nodes within ``rounds`` hops of the source.
+        self._reached = (distances >= 0) & (distances <= rounds)
 
     def sample_inputs(self, rng: random.Random) -> list[int]:
         """Node 0 gets a uniform bit; everyone else gets 0."""
@@ -177,12 +224,11 @@ class BroadcastTask(_NetworkTask):
         if len(outputs) != self.n_parties:
             return False
         bit = int(inputs[0])
-        for node, output in enumerate(outputs):
-            distance = self.distances[node]
-            expected = bit if 0 <= distance <= self.rounds else 0
-            if output != expected:
-                return False
-        return True
+        expected = (
+            np.where(self._reached[start : start + _CHECK_BLOCK], bit, 0)
+            for start in range(0, self.n_parties, _CHECK_BLOCK)
+        )
+        return _equal_in_blocks(expected, outputs)
 
     def noiseless_protocol(self) -> Protocol:
         return _BroadcastProtocol(self.n_parties, self.rounds)
@@ -267,23 +313,18 @@ class NeighborORTask(_NetworkTask):
     ) -> bool:
         """Each node output the OR of its in-neighbors' bits.
 
-        One ``logical_or.reduceat`` over the non-empty in-CSR rows gives
-        the expected bits; isolated nodes expect 0 (reduceat would hand
-        an empty row the next row's first element, so they are left
-        out).  The expected bits compare with the outputs as one Python
-        list, which applies ``==`` pair by pair, so any output type gets
-        the verdict a plain per-node loop would give.
+        Checked in node blocks (:func:`_in_or_blocks`,
+        :func:`_equal_in_blocks`), so the check holds no edge- or
+        n-sized list.
         """
         if len(outputs) != self.n_parties:
             return False
-        in_ptr, in_idx, _, _ = self.topology.csr_arrays()
-        expected = np.zeros(self.n_parties, dtype=np.uint8)
-        rows = np.flatnonzero(in_ptr[1:] > in_ptr[:-1])
-        if rows.size:
-            beeping = np.fromiter(inputs, dtype=bool, count=len(inputs))
-            beeped = np.take(beeping, in_idx)
-            expected[rows] = np.logical_or.reduceat(beeped, in_ptr[rows])
-        return expected.tolist() == list(outputs)
+        beeping = np.fromiter(inputs, dtype=bool, count=len(inputs))
+        expected = (
+            heard.view(np.uint8)
+            for _, heard in _in_or_blocks(self.topology, beeping)
+        )
+        return _equal_in_blocks(expected, outputs)
 
     def noiseless_protocol(self) -> Protocol:
         return _NeighborORProtocol(self.n_parties)

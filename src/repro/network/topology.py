@@ -2,16 +2,17 @@
 
 The network engine separates *what the graph is* from *how it is stored*:
 
-* :class:`Topology` — the immutable runtime object: CSR neighbor arrays
-  (``array('l')`` index/pointer pairs, a few bytes per edge even at
-  10^6 nodes) in both directions, so the channel can iterate a beeping
-  node's **out**-neighborhood (who hears me) in O(degree) while protocol
-  checkers read **in**-neighborhoods (whom I hear).  Built once and
-  shared freely: arcs from outside go through one constructor
-  (:meth:`Topology.from_edges`), validated once (range, no self-loops,
-  sorted/deduped); the generators, whose pairs are valid by
-  construction, write both arc keys of each pair into one key array
-  and turn it into the CSR in place.
+* :class:`Topology` — the immutable runtime object: read-only numpy CSR
+  neighbor arrays (``int32`` index/pointer pairs, four bytes per arc
+  below 2^31 arcs) in both directions, so the channel can iterate a
+  beeping node's **out**-neighborhood (who hears me) in O(degree) while
+  protocol checkers read **in**-neighborhoods (whom I hear).  The
+  ``array('l')`` copies the pure-Python paths iterate are built on first
+  scalar use only.  Built once and shared freely: arcs from outside go
+  through one constructor (:meth:`Topology.from_edges`), validated once
+  (range, no self-loops, sorted/deduped); the generators, whose pairs
+  are valid by construction, write both arc keys of each pair into one
+  key array and turn it into the CSR in place.
 * :class:`TopologySpec` — the declarative, JSON-round-trippable recipe:
   generator name + params + seed, e.g. ``{"kind": "grid", "rows": 32,
   "cols": 32}``.  Specs are frozen, hashable, picklable plain data —
@@ -125,19 +126,26 @@ def _sorted_unique(key: np.ndarray) -> np.ndarray:
     return key
 
 
-def _csr(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(indptr, indices)`` CSR of sorted row-major keys.
+def _index_dtype(n: int, arcs: int):
+    """The compact CSR dtype: ``int32`` while ids and offsets fit."""
+    return np.int32 if n < 2**31 and arcs < 2**31 else np.int64
 
-    Consumes ``key``: its buffer becomes the indices, so the step holds
-    no arc-length temporary.
+
+def _csr(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The compact ``(indptr, indices)`` CSR of sorted row-major keys.
+
+    Written straight in :func:`_index_dtype` (into ``key`` itself when
+    that is int64), so the step holds the keys and the compact CSR only.
     """
-    indptr = _indptr(key, n)
-    return indptr, np.remainder(key, n, out=key)
+    dtype = _index_dtype(n, key.size)
+    indptr = _indptr(key, n).astype(dtype, copy=False)
+    out = key if key.dtype == dtype else np.empty(key.size, dtype)
+    return indptr, np.remainder(key, n, out=out)
 
 
 def _compact(values: np.ndarray, dtype) -> np.ndarray:
-    """A read-only ``dtype`` copy (the cached numpy CSR mirrors)."""
-    compact = values.astype(dtype)
+    """``values`` as a read-only ``dtype`` array (copied only to convert)."""
+    compact = values.astype(dtype, copy=False)
     compact.setflags(write=False)
     return compact
 
@@ -155,18 +163,11 @@ class Topology:
     wrapper over it); generators in :data:`TOPOLOGIES`, whose arcs are
     valid by construction, pass their CSR directly.  Instances are
     treated as immutable: the channel, tasks and the spec cache all
-    share them.
+    share them.  The numpy CSR (:meth:`csr_arrays`) is the storage;
+    :meth:`scalar_csr` adds ``array('l')`` copies on first scalar use.
     """
 
-    __slots__ = (
-        "n",
-        "_in_indptr",
-        "_in_indices",
-        "_out_indptr",
-        "_out_indices",
-        "symmetric",
-        "_csr_cache",
-    )
+    __slots__ = ("n", "symmetric", "_csr_cache", "_mirrors")
 
     def __init__(
         self,
@@ -175,24 +176,21 @@ class Topology:
         out_csr: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """``(indptr, indices)`` pairs; ``out_csr=None`` marks a symmetric
-        graph, whose out-CSR is its in-CSR (shared, not copied)."""
+        graph, whose out-CSR is its in-CSR (shared, not copied).  The
+        arrays are taken over: an array already of the compact dtype is
+        kept, not copied, and made read-only."""
         self.n = n
         #: True when the in- and out-edge sets coincide (undirected graph).
         self.symmetric = out_csr is None
-        dtype = (
-            np.int32 if n < 2**31 and len(in_csr[1]) < 2**31 else np.int64
-        )
-        self._in_indptr, self._in_indices = map(_long_array, in_csr)
+        dtype = _index_dtype(n, len(in_csr[1]))
         in_compact = tuple(_compact(arr, dtype) for arr in in_csr)
         if out_csr is None:
-            self._out_indptr = self._in_indptr
-            self._out_indices = self._in_indices
             self._csr_cache = in_compact + in_compact
         else:
-            self._out_indptr, self._out_indices = map(_long_array, out_csr)
             self._csr_cache = in_compact + tuple(
                 _compact(arr, dtype) for arr in out_csr
             )
+        self._mirrors: tuple[array, ...] | None = None
 
     @classmethod
     def from_edges(cls, n: int, src, dst) -> "Topology":
@@ -245,36 +243,54 @@ class Topology:
     @property
     def edges(self) -> int:
         """Directed edge (arc) count."""
-        return len(self._in_indices)
+        return len(self._csr_cache[1])
+
+    def scalar_csr(self) -> tuple[array, ...]:
+        """The CSR as ``array('l')`` ``(in_ptr, in_idx, out_ptr, out_idx)``.
+
+        What the pure-Python paths iterate (the scalar channel's sparse
+        walk, the neighbor accessors): python-level indexing of numpy
+        integers is measurably slower than of plain ints.  Built from
+        :meth:`csr_arrays` on first use and kept, so a graph only the
+        numpy paths read never holds these 8-byte-per-entry copies.
+        """
+        mirrors = self._mirrors
+        if mirrors is None:
+            in_ptr, in_idx, out_ptr, out_idx = self._csr_cache
+            mirrors = (_long_array(in_ptr), _long_array(in_idx))
+            if self.symmetric:
+                mirrors += mirrors
+            else:
+                mirrors += (_long_array(out_ptr), _long_array(out_idx))
+            self._mirrors = mirrors
+        return mirrors
 
     def in_neighbors(self, node: int) -> tuple[int, ...]:
         """The nodes whose beeps ``node`` hears (sorted)."""
-        ptr = self._in_indptr
-        return tuple(self._in_indices[ptr[node] : ptr[node + 1]])
+        ptr, idx, _, _ = self.scalar_csr()
+        return tuple(idx[ptr[node] : ptr[node + 1]])
 
     def out_neighbors(self, node: int) -> tuple[int, ...]:
         """The nodes that hear ``node``'s beeps (sorted)."""
-        ptr = self._out_indptr
-        return tuple(self._out_indices[ptr[node] : ptr[node + 1]])
+        _, _, ptr, idx = self.scalar_csr()
+        return tuple(idx[ptr[node] : ptr[node + 1]])
 
     def in_degree(self, node: int) -> int:
-        ptr = self._in_indptr
+        ptr = self.scalar_csr()[0]
         return ptr[node + 1] - ptr[node]
 
     def out_degree(self, node: int) -> int:
-        ptr = self._out_indptr
+        ptr = self.scalar_csr()[2]
         return ptr[node + 1] - ptr[node]
 
     def csr_arrays(self):
         """The CSR arrays as numpy ``(in_ptr, in_idx, out_ptr, out_idx)``.
 
-        Read-only compact integer mirrors of the ``array('l')`` storage
-        (``int32`` until the edge count needs wider), filled at
-        construction: what the vectorized network kernel gathers through
-        and the numpy BFS frontier walks.  The scalar channel keeps
-        iterating the ``array('l')`` originals — python-level indexing
-        of numpy integers is measurably slower than of plain ints, so the
-        pure-Python sparse walk never touches these.
+        The graph's own storage: read-only compact integer arrays
+        (``int32`` until the edge count needs wider), which the
+        vectorized network kernel gathers through, the numpy BFS frontier
+        walks and the network tasks check outputs against.  A symmetric
+        graph's out-pair is its in-pair.
         """
         return self._csr_cache
 
@@ -360,11 +376,12 @@ def _undirected(
     while pairs:
         a, b = pairs.pop()
         stop = start + len(a)
+        # dtype: the ids may be int32, whose products with n need int64.
         forward = key[start:stop]
-        np.multiply(a, n, out=forward)
+        np.multiply(a, n, out=forward, dtype=np.int64)
         np.add(forward, b, out=forward)
         backward = key[m + start : m + stop]
-        np.multiply(b, n, out=backward)
+        np.multiply(b, n, out=backward, dtype=np.int64)
         np.add(backward, a, out=backward)
         start = stop
         del a, b
@@ -453,6 +470,12 @@ def _cell_order(cell_of: np.ndarray, cells: int) -> np.ndarray:
     return order
 
 
+#: Sorted points per candidate block of :func:`_close_pairs`: one block's
+#: candidates (~ this times the mean cell population, per offset) are
+#: its only point-proportional scratch beyond the point arrays.
+_POINT_BLOCK = 1 << 13
+
+
 def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
     """Random geometric graph: ``n`` points uniform in the unit square,
     edges between pairs at Euclidean distance <= ``radius``.  Cell-binned
@@ -462,7 +485,8 @@ def _geometric(*, n: int, radius: float, seed: int = 0) -> Topology:
     y per point.  Points are sorted by cell; each cell's candidate
     partners (the rest of its own cell, then the four forward-adjacent
     cells) are expanded CSR-style and filtered by the float64 test
-    ``dx*dx + dy*dy <= radius**2``, one offset at a time.
+    ``dx*dx + dy*dy <= radius**2``, one offset and one block of
+    :data:`_POINT_BLOCK` sorted points at a time.
     """
     if n < 1:
         raise ConfigurationError(f"need >= 1 node, got {n}")
@@ -478,7 +502,7 @@ def _close_pairs(
     n: int, radius: float, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ``(a, b)`` node-id arrays of :func:`_geometric`'s edges, one
-    pair per cell offset."""
+    pair per cell offset and point block (``int32`` ids below 2^31)."""
     # Imported here: repro.vectorized imports this module.
     from repro.vectorized.noise import numpy_stream
 
@@ -494,6 +518,9 @@ def _close_pairs(
     ys = uniforms[1::2][order]
     del uniforms
     cell_of = cell_of[order]
+    # The node id at each sorted position.
+    ids = order.astype(np.int32) if n < 2**31 else order
+    del order
     # Occupied cells (ascending id): first sorted position and population.
     starts = np.flatnonzero(
         np.concatenate(([True], cell_of[1:] != cell_of[:-1]))
@@ -503,13 +530,15 @@ def _close_pairs(
     counts = np.diff(np.append(starts, n))
     member = np.repeat(np.arange(len(occupied)), counts)
     occupied_x, occupied_y = np.divmod(occupied, cells)
-    positions = np.arange(n)
     r2 = radius * radius
     pairs = []
     for dx, dy in _HALF_NEIGHBORHOOD:
+        # Per occupied cell: the first sorted position of its partners
+        # in the offset cell and their count (in its own cell, a point's
+        # partners are the points after it).
         if (dx, dy) == (0, 0):
-            first = positions + 1
-            partners = (starts + counts)[member] - first
+            cell_first = None
+            cell_stop = starts + counts
         else:
             tx = occupied_x + dx
             ty = occupied_y + dy
@@ -522,30 +551,43 @@ def _close_pairs(
                 & (occupied[slot] == target)
             )
             del tx, ty, target
-            first = np.where(hit, starts[slot], 0)[member]
-            partners = np.where(hit, counts[slot], 0)[member]
-        # CSR-style expansion: position p pairs with
-        # first[p] .. first[p] + partners[p] - 1.
-        a = np.repeat(positions, partners)
-        b = np.repeat(first - (np.cumsum(partners) - partners), partners)
-        del first, partners
-        b += np.arange(len(b))
-        # dx*dx + dy*dy in place: the same float64 operations, fewer
-        # candidate-length temporaries.
-        dxs = xs[a]
-        dxs -= xs[b]
-        dxs *= dxs
-        dys = ys[a]
-        dys -= ys[b]
-        dys *= dys
-        dxs += dys
-        del dys
-        close = np.flatnonzero(dxs <= r2)
-        del dxs
-        pairs.append((order[a[close]], order[b[close]]))
-        # Free this offset's candidates before the next one's.
-        del a, b, close
+            cell_first = np.where(hit, starts[slot], 0)
+            cell_count = np.where(hit, counts[slot], 0)
+            del slot, hit
+        for start in range(0, n, _POINT_BLOCK):
+            stop = min(start + _POINT_BLOCK, n)
+            positions = np.arange(start, stop)
+            block_cells = member[start:stop]
+            if cell_first is None:
+                first = positions + 1
+                partners = cell_stop[block_cells] - first
+            else:
+                first = cell_first[block_cells]
+                partners = cell_count[block_cells]
+            close = _close_in_block(xs, ys, r2, positions, first, partners)
+            pairs.append((ids[close[0]], ids[close[1]]))
     return pairs
+
+
+def _close_in_block(xs, ys, r2, positions, first, partners):
+    """The ``(a, b)`` sorted positions of one block's close candidates:
+    position ``positions[k]`` against ``first[k] .. first[k] +
+    partners[k] - 1``, expanded CSR-style."""
+    a = np.repeat(positions, partners)
+    b = np.repeat(first - (np.cumsum(partners) - partners), partners)
+    b += np.arange(len(b))
+    # dx*dx + dy*dy in place: the same float64 operations, fewer
+    # candidate-length temporaries.
+    dxs = xs[a]
+    dxs -= xs[b]
+    dxs *= dxs
+    dys = ys[a]
+    dys -= ys[b]
+    dys *= dys
+    dxs += dys
+    del dys
+    close = np.flatnonzero(dxs <= r2)
+    return a[close], b[close]
 
 
 def _scale_free(*, n: int, m: int = 2, seed: int = 0) -> Topology:

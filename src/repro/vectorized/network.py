@@ -9,14 +9,14 @@ scatters touch contiguous ``trials``-wide rows — measured ~3× faster
 than the trial-major layout at 10^5 nodes) and one call computes every
 trial's neighborhood OR at once:
 
-1. list every (target, source) delivery of the beeping rows, grouped
-   by target with sources ascending inside a group.  A sparse beeping
-   set gathers its out-neighborhoods through the numpy CSR mirrors
-   (:meth:`~repro.network.topology.Topology.csr_arrays`) and groups
-   them with one stable argsort; a dense one (its deliveries more than
-   :data:`_DENSE_PLAN_SHARE` of all edges) selects its beeping in-edges
-   straight from the in-CSR, whose rows already are that grouping, so
-   it sorts nothing;
+1. a sparse beeping set (its deliveries, ``Σ out-degree``, at most a
+   share of all edges: :data:`_DENSE_PLAN_SHARE`, widened with the row
+   width) lists every (target, source) delivery: it gathers its
+   out-neighborhoods through the numpy CSR
+   (:meth:`~repro.network.topology.Topology.csr_arrays`) and groups them
+   by target with one stable argsort.  This plan depends only on *which*
+   nodes beep, not on the per-trial bits, so it is cached and reused
+   while the beeping set is unchanged;
 2. OR each group with one ``np.bitwise_or.reduceat``, reading each
    row of 0/1 bytes as the widest unsigned words that tile it (a
    4-trial row is one ``uint32``): the OR of words is the bytewise OR,
@@ -27,9 +27,11 @@ trial's neighborhood OR at once:
    previously-written rows are cleared, so silent stretches cost
    nothing).
 
-The plan of step 1 depends only on *which* nodes beep, not on the
-per-trial bits, so it is cached and reused while the beeping set is
-unchanged.
+A dense set gets no plan: the in-CSR rows already are the grouping, so
+the step ORs every node's in-row over a masked copy of ``B`` (the
+beeping rows kept, every other row zeroed), one block of rows at a
+time (:data:`_OR_BLOCK_BYTES`).  Besides the graph, such a step holds
+that copy, ``n·trials`` bytes, and one block; no edge-sized buffer.
 
 The local-broadcast wrapper repeats every inner round ``k`` times and
 each node majority-decodes its ``k`` copies; ``k`` is read from
@@ -81,11 +83,20 @@ __all__ = [
 
 
 #: The delivery share of all edges above which :meth:`NetworkBatchKernel.
-#: plan` reads its grouping off the in-CSR instead of sorting.  Measured
-#: on 10^3- and 10^5-node geometric graphs: the two cost the same between
-#: 3 and 5 % of the edges; at 50 % the in-CSR read is 6–11× cheaper, and
-#: at 0.1 % of the 10^5-node graph's edges the sort is ~30× cheaper.
+#: step` ORs every in-CSR row blockwise instead of planning the beeping
+#: set's deliveries, for rows of at most a few bytes; the share grows by
+#: itself every :data:`_DENSE_ROW_BYTES` of row width, because a dense
+#: step gathers a row per edge and a plan only one per delivery.
+#: Measured crossovers on 10^3- and 10^5-node geometric graphs (mean
+#: degree ~8): 5–6 % / 5 % of the edges at 4 trials, 7 % / 9 % at 16 and
+#: 15 % / 19 % at 64; the rule gives 5, 8 and 20 %.
 _DENSE_PLAN_SHARE = 0.04
+_DENSE_ROW_BYTES = 16
+
+#: Bytes per block of a dense step (the block's in-edges times the row
+#: width plus an index): the only scratch of a dense step beyond its
+#: masked copy of the beeping rows.
+_OR_BLOCK_BYTES = 1 << 20
 
 
 def _groups(targets: "_np.ndarray") -> tuple["_np.ndarray", "_np.ndarray"]:
@@ -109,7 +120,7 @@ class NetworkBatchKernel:
     and future schemes.
 
     Args:
-        topology: The graph (its numpy CSR mirrors are gathered).
+        topology: The graph (its numpy CSR is gathered).
         trials: Batch width (columns of every matrix).
         hear_self: Whether a beeping node hears its own beep.
     """
@@ -123,10 +134,11 @@ class NetworkBatchKernel:
         self.hear_self = hear_self
         self._in_ptr = in_ptr
         self._in_idx = in_idx
-        self._in_rows: Any = None  # each in-edge's target, built on demand
         self._out_ptr = out_ptr
         self._out_idx = out_idx
-        self._dense_from = _DENSE_PLAN_SHARE * in_idx.size
+        self._dense_from = (
+            _DENSE_PLAN_SHARE * (1 + trials / _DENSE_ROW_BYTES) * in_idx.size
+        )
         self._heard = _np.zeros((self.n, trials), dtype=_np.uint8)
         # The widest unsigned word that tiles a row of ``trials`` bytes.
         self._word = next(
@@ -134,26 +146,37 @@ class NetworkBatchKernel:
             for word in (_np.uint64, _np.uint32, _np.uint16, _np.uint8)
             if trials % _np.dtype(word).itemsize == 0
         )
-        self._dirty: Any = None
+        # Rows (or in-edges) per block: a gathered row of ``trials``
+        # bytes plus its index, which numpy widens to intp to gather.
+        # Each dense-step row block ends at the last row starting at or
+        # before a multiple of that, so a block holds at most that many
+        # in-edges plus one row's.
+        self._per_block = per_block = max(1, _OR_BLOCK_BYTES // (trials + 8))
+        ends = _np.searchsorted(
+            in_ptr, _np.arange(per_block, in_idx.size, per_block), "right"
+        )
+        bounds = [0, *(ends - 1).tolist(), self.n]
+        self._blocks = [
+            (low, high) for low, high in zip(bounds, bounds[1:]) if low < high
+        ]
+        # Rows written since the last clear; ``None``: any row.
+        self._dirty: Any = _np.zeros(0, dtype=_np.int64)
         self._plan_key: bytes | None = None
         self._plan: tuple | None = None
 
-    def plan(self, act: "_np.ndarray") -> tuple:
-        """The delivery plan for beeping-node set ``act`` (ascending).
+    def plan(self, act: "_np.ndarray") -> tuple | None:
+        """The delivery plan for beeping-node set ``act`` (ascending), or
+        ``None`` for a dense set.
 
         Returns ``(sources, seg_starts, uniq_targets)``: the source of
         every delivery, grouped by target (ascending) with sources
         ascending inside a group; the group boundaries; and the distinct
-        reached nodes.  Two groupings build this same plan, picked per
-        call by the number of deliveries, ``Σ out-degree(act)`` (read
-        off the out-CSR pointers in O(|act|)):
-
-        * more than :data:`_DENSE_PLAN_SHARE` of the edge count — select
-          the beeping in-edges from the in-CSR (one O(edges) pass, no
-          sort): its rows are grouped by target and sorted by source;
-        * otherwise — expand the out-neighborhoods and group them by one
-          stable argsort, O(deliveries · log), which keeps sparse
-          re-plans off the O(edges) pass.
+        reached nodes.  The out-neighborhoods are expanded and grouped
+        by one stable argsort, O(deliveries · log).  A set whose
+        deliveries, ``Σ out-degree(act)`` (read off the out-CSR pointers
+        in O(|act|)), exceed a share of the edge count
+        (:data:`_DENSE_PLAN_SHARE`, widened with the row width) gets no
+        plan: :meth:`step` ORs the whole in-CSR for it instead.
 
         Cached while the beeping set is unchanged.
         """
@@ -164,7 +187,7 @@ class NetworkBatchKernel:
         counts = self._out_ptr[act + 1] - starts
         total = int(counts.sum())
         if total > self._dense_from:
-            plan = self._in_csr_plan(act)
+            plan = None
         else:
             targets = self._gather(starts, counts, total)
             order = _np.argsort(targets, kind="stable")
@@ -172,22 +195,6 @@ class NetworkBatchKernel:
         self._plan_key = key
         self._plan = plan
         return plan
-
-    def _in_csr_plan(self, act: "_np.ndarray") -> tuple:
-        """:meth:`plan` read off the in-CSR: the in-edges whose source
-        beeps, in CSR order."""
-        if self._in_rows is None:
-            in_ptr = self._in_ptr
-            self._in_rows = _np.repeat(
-                _np.arange(self.n, dtype=in_ptr.dtype), _np.diff(in_ptr)
-            )
-        beeping = _np.zeros(self.n, dtype=bool)
-        beeping[act] = True
-        edges = _np.flatnonzero(_np.take(beeping, self._in_idx))
-        return (
-            _np.take(self._in_idx, edges),
-            *_groups(_np.take(self._in_rows, edges)),
-        )
 
     def _gather(self, starts, counts, total: int) -> "_np.ndarray":
         """The out-CSR rows at ``starts``/``counts``, concatenated."""
@@ -207,31 +214,83 @@ class NetworkBatchKernel:
         counts = self._out_ptr[act + 1] - starts
         return self._gather(starts, counts, int(counts.sum()))
 
+    def _or_in_rows(self, B: "_np.ndarray", act: "_np.ndarray") -> None:
+        """Write every node's OR over its in-CSR row into ``heard``,
+        reading only the ``act`` rows of ``B``.
+
+        The rows outside ``act`` are zeroed in a masked copy of ``B``
+        (the drivers may leave stale bits there), then each row block's
+        in-edges gather their source words and one
+        ``np.bitwise_or.reduceat`` per block ORs its non-empty rows.
+        Under ``hear_self`` the masked copy is ORed in whole.
+        """
+        beeping = _np.zeros(self.n, dtype=_np.uint8)
+        beeping[act] = 1
+        masked = _np.empty((self.n, self.trials), dtype=_np.uint8)
+        words = _np.multiply(B, beeping[:, None], out=masked).view(self._word)
+        heard = self._heard.view(self._word)
+        in_ptr, in_idx = self._in_ptr, self._in_idx
+        for low, high in self._blocks:
+            ptr = in_ptr[low : high + 1]
+            rows = _np.flatnonzero(ptr[1:] > ptr[:-1])
+            if rows.size:
+                gathered = _np.take(words, in_idx[ptr[0] : ptr[-1]], axis=0)
+                heard[low + rows] = _np.bitwise_or.reduceat(
+                    gathered, ptr[rows] - ptr[0], axis=0
+                )
+        if self.hear_self:
+            _np.bitwise_or(heard, words, out=heard)
+
+    def _beeping_rows(
+        self, B: "_np.ndarray", active: "_np.ndarray"
+    ) -> "_np.ndarray":
+        """The rows of ``active`` that beep in some trial, read a block
+        of rows at a time."""
+        rows = self._per_block
+        if active.size <= rows:
+            return active[B[active].any(axis=1)]
+        return active[
+            _np.concatenate(
+                [
+                    B[active[start : start + rows]].any(axis=1)
+                    for start in range(0, active.size, rows)
+                ]
+            )
+        ]
+
     def step(
         self, B: "_np.ndarray", active: "_np.ndarray"
-    ) -> tuple["_np.ndarray", "_np.ndarray"]:
+    ) -> tuple["_np.ndarray", "_np.ndarray | None"]:
         """All trials' clean neighborhood OR of beep matrix ``B``.
 
         ``active`` is the ascending superset of rows that may contain a
-        beep (the drivers track it; rows outside are assumed zero, which
-        is what keeps a round's cost off O(n·trials)).  Returns
-        ``(heard, touched)`` — ``heard`` is a reusable buffer valid until
-        the next call, zero outside the ``touched`` rows.
+        beep (the drivers track it; rows outside are ignored, whatever
+        they hold, which is what keeps a sparse round's cost off
+        O(n·trials)).  Returns ``(heard, touched)`` — ``heard`` is a
+        reusable buffer valid until the next call, zero outside the
+        ``touched`` rows; ``touched`` is ``None`` after a dense round,
+        which writes every row with in-neighbors.
         """
         heard = self._heard
-        if self._dirty is not None and self._dirty.size:
+        if self._dirty is None:
+            heard.fill(0)
+        elif self._dirty.size:
             heard[self._dirty] = 0
-        act = active[B[active].any(axis=1)] if active.size else active
-        sources, seg_starts, uniq = self.plan(act)
-        if uniq.size:
-            words = _np.ascontiguousarray(B).view(self._word)
-            heard.view(self._word)[uniq] = _np.bitwise_or.reduceat(
-                _np.take(words, sources, axis=0), seg_starts, axis=0
-            )
-        touched = uniq
-        if self.hear_self and act.size:
-            heard[act] |= B[act]
-            touched = _np.union1d(uniq, act)
+        act = self._beeping_rows(B, active)
+        plan = self.plan(act)
+        if plan is None:
+            self._or_in_rows(B, act)
+            touched = None
+        else:
+            sources, seg_starts, touched = plan
+            if touched.size:
+                words = _np.ascontiguousarray(B).view(self._word)
+                heard.view(self._word)[touched] = _np.bitwise_or.reduceat(
+                    _np.take(words, sources, axis=0), seg_starts, axis=0
+                )
+            if self.hear_self and act.size:
+                heard[act] |= B[act]
+                touched = _np.union1d(touched, act)
         self._dirty = touched
         return heard, touched
 

@@ -9,6 +9,7 @@ from repro.channels import IndependentNoiseChannel, NoiselessChannel
 from repro.channels.stats import ChannelStats
 from repro.core import run_protocol
 from repro.errors import ChannelError, ConfigurationError, TaskError
+import repro.network.tasks as network_tasks
 from repro.network import (
     BroadcastTask,
     MISTask,
@@ -379,6 +380,99 @@ class TestNetworkTasks:
             wins += task.is_correct(inputs, result.outputs)
         assert wins >= 9
 
+    @staticmethod
+    def _loop_broadcast_is_correct(task, inputs, outputs):
+        """The per-node reference checker BroadcastTask must agree with."""
+        if len(outputs) != task.n_parties:
+            return False
+        bit = int(inputs[0])
+        for node, output in enumerate(outputs):
+            distance = task.distances[node]
+            expected = bit if 0 <= distance <= task.rounds else 0
+            if output != expected:
+                return False
+        return True
+
+    @pytest.mark.parametrize(
+        "spec, rounds",
+        [
+            ("grid:4x6", None),
+            ("grid:4x6", 3),  # the far corner is out of reach
+            ("geometric:n=80,r=0.12,seed=5", None),  # unreachable nodes
+            ("scale-free:n=40,m=2,seed=1", 1),
+            ("complete:1", None),
+        ],
+    )
+    def test_broadcast_is_correct_matches_loop(self, spec, rounds):
+        task = BroadcastTask(parse_topology(spec).build(), rounds=rounds)
+        rng = random.Random(spec)
+        verdicts = set()
+        for trial in range(20):
+            inputs = task.sample_inputs(rng)
+            bit = inputs[0]
+            clean = [
+                bit if 0 <= d <= task.rounds else 0 for d in task.distances
+            ]
+            node = rng.randrange(task.n_parties)
+            flipped = list(clean)
+            flipped[node] ^= 1
+            candidates = [
+                clean,
+                flipped,
+                clean[:-1],
+                clean + [0],
+                [bool(b) for b in clean],
+                [float(b) for b in flipped],
+                list(np.array(clean, dtype=np.uint8)),
+                clean[:node] + [None] + clean[node + 1 :],
+                clean[:node] + [str(clean[node])] + clean[node + 1 :],
+                [rng.choice((0, 1, True, None)) for _ in clean],
+            ]
+            for outputs in candidates:
+                verdict = task.is_correct(inputs, outputs)
+                assert verdict == self._loop_broadcast_is_correct(
+                    task, inputs, outputs
+                ), (trial, outputs)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_output_checks_cross_node_blocks(self, monkeypatch):
+        """With node blocks of 7, the three block-wise checkers keep the
+        per-node loops' verdicts, whichever block a wrong node is in."""
+        monkeypatch.setattr(network_tasks, "_CHECK_BLOCK", 7)
+        topology = parse_topology("geometric:n=100,r=0.12,seed=5").build()
+        rng = random.Random(3)
+        neighbor_or = NeighborORTask(topology, density=0.3)
+        broadcast = BroadcastTask(topology, rounds=4)
+        mis = MISTask(topology)
+        for trial in range(30):
+            inputs = neighbor_or.sample_inputs(rng)
+            outputs = [
+                int(any(inputs[j] for j in topology.in_neighbors(node)))
+                for node in range(topology.n)
+            ]
+            if trial % 2:
+                outputs[rng.randrange(topology.n)] ^= 1
+            assert neighbor_or.is_correct(inputs, outputs) == (
+                self._loop_is_correct(neighbor_or, inputs, outputs)
+            )
+            inputs = broadcast.sample_inputs(rng)
+            outputs = [
+                inputs[0] if 0 <= d <= 4 else 0 for d in broadcast.distances
+            ]
+            if trial % 2:
+                outputs[rng.randrange(topology.n)] ^= 1
+            assert broadcast.is_correct(inputs, outputs) == (
+                self._loop_broadcast_is_correct(broadcast, inputs, outputs)
+            )
+            outputs = TestMISTask._greedy_mis(topology, rng)
+            if trial % 2:
+                node = rng.randrange(topology.n)
+                outputs[node] = not outputs[node]
+            assert mis.is_correct([], outputs) == (
+                TestMISTask._loop_is_correct(mis, outputs)
+            )
+
     def test_broadcast_requires_connected_for_full_delivery(self):
         # Unreachable nodes must end with 0 and the checker knows it.
         task = BroadcastTask(
@@ -425,6 +519,73 @@ class TestMISTask:
     def test_checker_rejects_undecided(self):
         task = MISTask(ring(4))
         assert not task.is_correct([], [True, False, True, None])
+
+    @staticmethod
+    def _loop_is_correct(task, outputs):
+        """The per-node reference checker MISTask must agree with."""
+        if len(outputs) != task.n_parties:
+            return False
+        if any(decision is None for decision in outputs):
+            return False
+        for node in range(task.n_parties):
+            neighbors = task.topology.in_neighbors(node)
+            if outputs[node] is True:
+                if any(outputs[j] is True for j in neighbors):
+                    return False
+            elif not any(outputs[j] is True for j in neighbors):
+                return False
+        return True
+
+    @staticmethod
+    def _greedy_mis(topology, rng):
+        """A maximal independent set built in a random node order."""
+        member = [False] * topology.n
+        for node in rng.sample(range(topology.n), topology.n):
+            if not any(member[j] for j in topology.in_neighbors(node)):
+                member[node] = True
+        return member
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "ring:9",
+            "grid:5x5",
+            "geometric:n=90,r=0.1,seed=3",  # has isolated nodes
+            "scale-free:n=50,m=2,seed=6",
+            "complete:1",
+        ],
+    )
+    def test_checker_matches_per_node_loop(self, spec):
+        """``is True`` membership, ``None`` and truthy-but-not-``True``
+        outputs get the verdicts of the per-node loop, on valid sets and
+        random perturbations of them."""
+        task = MISTask(parse_topology(spec).build())
+        rng = random.Random(spec)
+        verdicts = set()
+        for trial in range(25):
+            valid = self._greedy_mis(task.topology, rng)
+            node = rng.randrange(task.n_parties)
+            flipped = list(valid)
+            flipped[node] = not flipped[node]
+            candidates = [
+                valid,
+                flipped,
+                valid[:-1],
+                valid[:node] + [None] + valid[node + 1 :],
+                [1 if member else False for member in valid],
+                [True if member else 0 for member in valid],
+                [np.bool_(member) for member in valid],
+                [rng.choice((True, False, False, 1, None)) for _ in valid],
+                [rng.random() < 0.3 for _ in valid],
+            ]
+            for outputs in candidates:
+                verdict = task.is_correct([], outputs)
+                assert verdict == self._loop_is_correct(task, outputs), (
+                    trial,
+                    outputs,
+                )
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_phase_validation(self):
         with pytest.raises(ConfigurationError):

@@ -21,12 +21,7 @@ def _csr_digests(topology):
         hashlib.blake2b(
             np.asarray(arr, dtype="<i8").tobytes(), digest_size=8
         ).hexdigest()
-        for arr in (
-            topology._in_indptr,
-            topology._in_indices,
-            topology._out_indptr,
-            topology._out_indices,
-        )
+        for arr in topology.csr_arrays()
     )
 
 
@@ -136,18 +131,13 @@ class TestFromEdges:
         assert topology.symmetric
 
     def test_csr_arrays_mirror_storage(self):
+        """The numpy CSR is compact and read-only; the scalar
+        ``array('l')`` copies hold the same entries."""
         topology = Topology.from_adjacency(_directed_adjacency())
-        for arr, mirror in zip(
-            (
-                topology._in_indptr,
-                topology._in_indices,
-                topology._out_indptr,
-                topology._out_indices,
-            ),
-            topology.csr_arrays(),
-        ):
-            assert mirror.dtype == np.int32
-            assert not mirror.flags.writeable
+        for arr, mirror in zip(topology.csr_arrays(), topology.scalar_csr()):
+            assert arr.dtype == np.int32
+            assert not arr.flags.writeable
+            assert mirror.typecode == "l"
             assert mirror.tolist() == arr.tolist()
 
     @pytest.mark.parametrize(
