@@ -576,10 +576,12 @@ _PRE_PR_TRIALS_PER_SEC = {
 #: payload; the >= 2x floor only applies on machines with that many CPUs).
 _COMPOSED_WORKERS = 4
 
-#: Floor on auto-vs-serial throughput.  The planner's worst case is a
-#: correct "stay serial" decision, where the true ratio is 1.0 and the
-#: measured one is two noisy wall-clock rates divided — so the floor
-#: carries the same 5% tolerance as the reference comparisons.
+#: Floor on auto-vs-serial throughput.  Every configuration of this
+#: single-hop suite routes collapsed; the floor carries the same 5%
+#: tolerance as the reference comparisons because the planner's worst
+#: case — a network batch below its crossover, correctly kept serial —
+#: has a true ratio of 1.0, measured as two noisy wall-clock rates
+#: divided.
 _AUTO_FLOOR = 0.95
 
 
@@ -827,11 +829,11 @@ def _vectorized_floor_misses(payload: dict) -> list[Miss]:
 
     * ``auto_speedup >= _AUTO_FLOOR`` at every configuration — the
       planner must never make a sweep materially slower than plain
-      serial (this is the small-n regression guard: at points below the
-      crossover it must dispatch scalar, where the true ratio sits at
-      ~1.0, so the floor carries the module-standard 5% wall-clock
-      tolerance — a strict 1.0 floor on a ratio of two equal rates is a
-      coin flip per run);
+      serial.  Single-hop batches always route collapsed; only network
+      points below their measured crossover must dispatch scalar, where
+      the true ratio sits at ~1.0, so the floor carries the
+      module-standard 5% wall-clock tolerance — a strict 1.0 floor on a
+      ratio of two equal rates is a coin flip per run;
     * repetition and hierarchical collapses >= 5x the scalar token
       engine at n=128;
     * the composed backend >= 2x single-core vectorized on chunked

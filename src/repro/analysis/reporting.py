@@ -39,8 +39,7 @@ def generate_report(
         workers: Trial-runner workers for the experiments' sweeps.
         backend: Trial-runner backend (see
             :func:`~repro.parallel.make_runner`); the default ``auto``
-            planner routes each sweep batch on the measured crossover
-            table.  Each experiment gets its own runner, closed when the
+            planner runs each collapsible sweep batch vectorized.  Each experiment gets its own runner, closed when the
             experiment ends, so one experiment's pools and codebook
             caches never outlive it.  The report content is
             seed-determined and identical for every backend and worker

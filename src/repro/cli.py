@@ -15,8 +15,9 @@ Commands:
   a live run, ``merge`` shard runs, ``gc`` the cache
   (see :mod:`repro.service.cli`).
 * ``experiments`` — list the benchmark experiments and how to run them.
-* ``bench calibrate`` — measure the scalar↔vectorized crossover on this
-  machine and write the table the ``auto`` backend planner routes on.
+* ``bench calibrate`` — measure the network scalar↔vectorized crossover
+  on this machine and write the table the ``auto`` backend planner
+  routes graph batches on.
 
 Every subcommand that runs trials, the sweep service's included, shares
 one run-configuration argument group
@@ -53,7 +54,7 @@ from repro.analysis import fit_log, format_table
 from repro.analysis.sweep import run_sweep_point
 from repro.errors import ConfigurationError
 from repro.parallel.calibrate import (
-    DEFAULT_N_GRID,
+    NETWORK_N_GRID,
     run_calibration,
     write_crossover,
 )
@@ -452,15 +453,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     calibrate = bench_sub.add_parser(
         "calibrate",
-        help="measure the scalar vs vectorized crossover per scheme and "
-        "write the table the auto planner routes on",
+        help="measure the scalar vs vectorized crossover per network "
+        "scheme and write the table the auto planner routes on",
     )
     calibrate.add_argument(
         "--ns",
         type=positive_int,
         nargs="+",
-        default=list(DEFAULT_N_GRID),
-        help="party counts to measure (crossovers are monotone in n)",
+        default=list(NETWORK_N_GRID),
+        help="node counts of the network rows' grid graphs "
+        "(crossovers are monotone in n)",
     )
     calibrate.add_argument(
         "--budget",

@@ -22,7 +22,7 @@ with the experiment's own seed formula, and the executor is a picklable
 :class:`~repro.parallel.executors.SimulationExecutor` (task, channel
 recipe, simulator recipe), so :func:`run_experiment`'s default ``auto``
 planner can route each batch: collapsed onto the vectorized backend
-where the measured crossover table says it wins, scalar otherwise.
+whenever the simulator has a collapsed form, scalar otherwise.
 E11 keeps its own per-trial seeds (``seed + t`` for inputs,
 ``seed + 977·t`` for the channel) and hands them to the active runner as
 explicit seed pairs (``run_trials(..., trial_seeds=...)``), so its

@@ -69,8 +69,8 @@ event                     fields
                           runner's observed ``fallback_reason`` (null
                           when the batch ran as planned).  Machine-
                           dependent by design — it reflects the local
-                          crossover calibration and CPU count, never
-                          the results
+                          network crossover calibration and CPU
+                          count, never the results
 ``sweep_batch``           one per ``run_trials`` batch: ``trials``,
                           ``workers``, ``utilization``, ``elapsed_s``,
                           ``parallel``, ``fallback``, plus the merged

@@ -12,8 +12,9 @@ over a :class:`TrialRunner` backend:
   ``vectorized-process``) and reporting one ``worker_chunk`` trace event
   per stripe, with graceful in-process fallback;
 * :class:`~repro.parallel.planner.AutoRunner` (``backend="auto"``) — a
-  per-batch planner routing between all of the above on a measured
-  crossover table (``repro bench calibrate``).
+  per-batch planner routing between all of the above: collapsed for
+  single-hop simulators, on a measured crossover table for graph
+  batches (``repro bench calibrate``).
 
 All backends produce **bitwise identical** results for the same master
 seed (see :mod:`repro.parallel.runner` for the determinism contract), so
@@ -92,9 +93,9 @@ def make_runner(
     fallback for batches it cannot collapse), or
     ``"vectorized-process"`` (the composed backend: the same pool, each
     worker running a vectorized stripe).  ``"auto"`` returns the
-    calibrated per-batch planner
-    (:class:`~repro.parallel.planner.AutoRunner`), which routes each
-    batch on the measured crossover table.  ``None`` keeps the
+    per-batch planner (:class:`~repro.parallel.planner.AutoRunner`),
+    which collapses every collapsible single-hop batch and routes graph
+    batches on the measured crossover table.  ``None`` keeps the
     historical rule: serial when ``workers <= 1``, a process pool
     otherwise.  Every backend honours the determinism contract, so the
     choice is purely a wall-clock decision.

@@ -1,17 +1,18 @@
-"""Crossover calibration: measure where the vectorized backend wins.
+"""Crossover calibration: measure where the network kernel wins.
 
-The ``auto`` planner (:mod:`repro.parallel.planner`) routes on a
-*measured* table, not a belief: per scheme, the smallest party count at
-which the party-collapsed vectorized path beats the scalar engine on
-this machine.  This module produces that table — ``repro bench
-calibrate`` is a thin CLI wrapper around :func:`run_calibration` — by
-timing both engines over an ``n`` grid with wall-clock-budgeted trial
-counts (no hard-coded per-``n`` trial tables; see
-:func:`trials_for_budget`, which the micro-benchmarks share).
+The ``auto`` planner (:mod:`repro.parallel.planner`) runs every
+collapsible single-hop batch collapsed, and routes graph batches on a
+*measured* table: per network scheme, the smallest node count at which
+the trial-batched kernel beats the scalar engine on this machine.  This
+module produces that table — ``repro bench calibrate`` is a thin CLI
+wrapper around :func:`run_calibration` — by timing both engines over an
+``n`` grid with wall-clock-budgeted trial counts (no hard-coded
+per-``n`` trial tables; see :func:`trials_for_budget`, which the
+micro-benchmarks share).
 
 A calibration row is a :class:`~repro.service.grid.SweepGrid`, the same
 scenario record the CLI and the sweep service build
-(:func:`calibration_grids` lists the default nine).  Its table key is
+(:func:`calibration_grids` lists the default four).  Its table key is
 not written by hand: it is the crossover key
 :func:`~repro.vectorized.runner.classify_batch` gives the row's
 executor, the key the planner looks up, so the two cannot drift apart.
@@ -39,15 +40,11 @@ __all__ = [
     "run_calibration",
     "write_crossover",
     "calibration_grids",
-    "DEFAULT_N_GRID",
     "NETWORK_N_GRID",
 ]
 
-DEFAULT_N_GRID = (2, 4, 8, 16, 32)
-
-#: Node counts for the graph rows — network batches pay off at larger
-#: ``n`` than the single-hop collapses, so they get their own grid
-#: (perfect squares: the calibration topology is a square grid graph).
+#: Default node counts of the rows (perfect squares: the calibration
+#: topology is a square grid graph).
 NETWORK_N_GRID = (16, 64, 256, 1024)
 
 #: Crossover sentinel when the vectorized path never won on the grid.
@@ -55,28 +52,16 @@ NEVER = 1 << 30
 
 
 def calibration_grids(
-    n_grid: tuple[int, ...] = DEFAULT_N_GRID,
+    n_grid: tuple[int, ...] = NETWORK_N_GRID,
 ) -> list["SweepGrid"]:
     """The default calibration rows, one :class:`SweepGrid` each.
 
-    Single-hop rows run :class:`~repro.tasks.ParityTask` on ``n_grid``
-    with the micro-benchmark pairings: correlated noise for the
-    shared-transcript schemes, suppression for rewind, and repetition
-    again under independent noise, whose per-party vote windows cost
-    differently (the planner's ``@independent`` key).  Network rows run
-    on a square grid graph over :data:`NETWORK_N_GRID` with per-node
-    noise at 0.1: the raw protocols of three graph tasks, and
-    neighbor-OR under the local-broadcast scheme.
+    Every row runs on a grid graph over ``n_grid`` with per-node noise
+    at 0.1: the raw protocols of three graph tasks, and neighbor-OR
+    under the local-broadcast scheme.
     """
     from repro.service.grid import SweepGrid, TopologySpec
 
-    single_hop = [
-        ("chunk", "correlated"),
-        ("rewind", "suppression"),
-        ("repetition", "correlated"),
-        ("hierarchical", "correlated"),
-        ("repetition", "independent"),
-    ]
     network = [
         ("neighbor-or", "none"),
         ("broadcast", "none"),
@@ -86,17 +71,8 @@ def calibration_grids(
     grid_graph = TopologySpec.of("grid")
     return [
         SweepGrid(
-            task="parity",
-            ns=n_grid,
-            channel=channel,
-            epsilon=0.1,
-            simulator=simulator,
-        )
-        for simulator, channel in single_hop
-    ] + [
-        SweepGrid(
             task=task,
-            ns=NETWORK_N_GRID,
+            ns=n_grid,
             channel="independent",
             epsilon=0.1,
             simulator=simulator,
@@ -142,7 +118,7 @@ def _rate(runner, task, executor, budget_s: float, seed: int) -> float:
 
 def run_calibration(
     *,
-    n_grid: tuple[int, ...] = DEFAULT_N_GRID,
+    n_grid: tuple[int, ...] = NETWORK_N_GRID,
     budget_s: float = 0.25,
     seed: int = 2026,
     grids: Sequence["SweepGrid"] | None = None,
@@ -160,11 +136,10 @@ def run_calibration(
 
     ``vectorized_min_n`` per row is the smallest grid ``n`` from which
     the vectorized path wins at every measured ``n`` onward (crossovers
-    are monotone in ``n``: the collapse amortizes per-round party work).
+    are monotone in ``n``: the kernel amortizes its per-batch setup).
     A row that never wins gets a never-select sentinel.
 
-    The table's ``n_grid`` and ``network_n_grid`` record the ``n`` values
-    the single-hop and the network rows ran, in first-seen order.
+    The table's ``n_grid`` records every ``n`` the rows ran, sorted.
     """
     from repro.vectorized import VectorizedRunner
     from repro.vectorized.runner import classify_batch
@@ -178,12 +153,9 @@ def run_calibration(
         "calibrated": {
             "cpu_count": os.cpu_count() or 1,
             "budget_s": budget_s,
-            "n_grid": _ran_ns(grids, network=False),
-            "network_n_grid": _ran_ns(grids, network=True),
+            "n_grid": sorted({n for grid in grids for n in grid.ns}),
             "seed": seed,
         },
-        "process_min_trials": 8,
-        "default_vectorized_min_n": 16,
         "schemes": {},
     }
     for grid in grids:
@@ -221,18 +193,6 @@ def run_calibration(
             "measured": measured,
         }
     return table
-
-
-def _ran_ns(grids: Sequence["SweepGrid"], *, network: bool) -> list[int]:
-    """Every ``n`` of the single-hop (or network) ``grids``, once each,
-    in first-seen order."""
-    ns = (
-        n
-        for grid in grids
-        if (grid.topology is not None) == network
-        for n in grid.ns
-    )
-    return list(dict.fromkeys(ns))
 
 
 def write_crossover(table: dict, path: str) -> None:

@@ -1,18 +1,18 @@
-"""The calibrated ``auto`` backend planner.
+"""The ``auto`` backend planner.
 
 ``make_runner(backend="auto")`` returns an :class:`AutoRunner` that picks
 a concrete backend *per batch* — serial, process, vectorized, or the
-composed vectorized-process — from a measured crossover table instead of
-a hard-coded rule.  The table (:mod:`repro.parallel` package data
-``crossover.json``, refreshable with ``repro bench calibrate``) records,
-per scheme, the smallest party count at which the party-collapsed
-vectorized path actually beats the scalar engine on the calibrating
-machine; below it the planner dispatches scalar even though a collapsed
-form exists.  That is the fix for the small-``n`` regression: the rewind
-collapse *loses* to the scalar engine at ``n = 8`` (the per-trial numpy
-setup outweighs the tiny round count), and a planner that routes on
-capability instead of measurement would ship that loss to every
-``backend=auto`` user.
+composed vectorized-process.  A single-hop batch whose simulator has a
+party-collapsed form always runs collapsed: measured on a 2-vCPU host,
+every such scheme beats the scalar engine at every ``n`` from 2 to 32
+(the lowest ratio ×1.26, correlated repetition at ``n = 2``).  Graph
+batches are different: the trial-batched kernel pays a fixed setup per
+batch, which a small graph does not amortize, so network routes are
+planned from a measured crossover table (:mod:`repro.parallel` package
+data ``crossover.json``, refreshable with ``repro bench calibrate``)
+that records, per network scheme, the smallest node count at which the
+kernel beats the scalar engine on the calibrating machine.  Below it the
+planner dispatches scalar.
 
 The choice is purely wall-clock: every backend is bitwise-identical for
 the same ``(seed, index)``, so the planner can never change a result —
@@ -60,8 +60,8 @@ def load_crossover(path: str | None = None) -> dict:
     """The crossover table: ``path`` arg, else ``$REPRO_CROSSOVER``, else
     the shipped package data.  Cached per path; missing, unreadable or
     malformed tables (see :func:`_well_formed`) degrade to an empty dict
-    (the planner then uses its conservative defaults rather than failing
-    the sweep)."""
+    (the planner then routes every network scheme on its default
+    crossover rather than failing the sweep)."""
     global _cached_table, _cached_path
     resolved = path or os.environ.get(CROSSOVER_ENV) or DEFAULT_CROSSOVER_PATH
     if _cached_table is not None and _cached_path == resolved:
@@ -85,20 +85,13 @@ def _positive_int(value: Any) -> bool:
 def _well_formed(table: Any) -> bool:
     """Whether ``table`` has the shape the planner reads: a dict whose
     optional ``schemes`` is a dict of dicts, with every
-    ``vectorized_min_n``, ``default_vectorized_min_n`` and
-    ``process_min_trials`` present a positive int."""
+    ``vectorized_min_n`` present a positive int."""
     if not isinstance(table, dict):
         return False
     schemes = table.get("schemes", {})
-    if not isinstance(schemes, dict) or not all(
-        isinstance(entry, dict) for entry in schemes.values()
-    ):
-        return False
-    return all(
-        _positive_int(table.get(key, 1))
-        for key in ("default_vectorized_min_n", "process_min_trials")
-    ) and all(
-        _positive_int(entry.get("vectorized_min_n", 1))
+    return isinstance(schemes, dict) and all(
+        isinstance(entry, dict)
+        and _positive_int(entry.get("vectorized_min_n", 1))
         for entry in schemes.values()
     )
 
@@ -111,20 +104,21 @@ def _reset_crossover_cache() -> None:
 
 
 class AutoRunner(TrialRunner):
-    """Per-batch backend planner over the measured crossover table.
+    """Per-batch backend planner: collapsed single-hop batches, network
+    batches over the measured crossover table.
 
     Args:
         workers: The parallelism budget; ``1`` (or ``None``) restricts
             the plan to in-process backends.
         crossover: An explicit table (tests); ``None`` loads via
-            :func:`load_crossover`.
+            :func:`load_crossover`.  Only its network rows are read.
 
     Sub-runners are constructed lazily and cached, so a sweep that
     alternates between collapsible and scalar points reuses one pool and
     one warmed vectorized runner throughout.
     """
 
-    #: Used for any scheme the table has no entry for.
+    #: Used for any network scheme the table has no entry for.
     DEFAULT_VECTORIZED_MIN_N = 16
     #: Below this many trials a pool's dispatch overhead cannot pay off.
     DEFAULT_PROCESS_MIN_TRIALS = 8
@@ -155,69 +149,57 @@ class AutoRunner(TrialRunner):
     ) -> tuple[str, str, str | None, int | None]:
         """``(backend, reason, scheme, n)`` for this batch.
 
-        ``scheme`` is the batch's crossover key from
+        ``scheme`` is the batch's key from
         :func:`~repro.vectorized.runner.classify_batch`.
         """
+        from repro.vectorized.network import NetworkRoute
         from repro.vectorized.runner import classify_batch
 
-        table = self._table()
-        _, scheme, no_collapse = classify_batch(executor, probe_seed)
+        route, scheme, no_collapse = classify_batch(executor, probe_seed)
         n = getattr(task, "n_parties", None)
-        process_min_trials = int(
-            table.get(
-                "process_min_trials", self.DEFAULT_PROCESS_MIN_TRIALS
-            )
-        )
         pool_ok = (
-            self._workers > 1 and trials >= process_min_trials
+            self._workers > 1 and trials >= self.DEFAULT_PROCESS_MIN_TRIALS
         )
-        if no_collapse is None:
-            entry = table.get("schemes", {}).get(scheme, {})
-            min_n = int(
-                entry.get(
-                    "vectorized_min_n",
-                    table.get(
-                        "default_vectorized_min_n",
-                        self.DEFAULT_VECTORIZED_MIN_N,
-                    ),
+        if route is None:
+            if pool_ok:
+                return (
+                    "process",
+                    f"{no_collapse}; pooling over {self._workers} workers",
+                    scheme,
+                    n,
                 )
+            if self._workers > 1:
+                return (
+                    "serial",
+                    f"{no_collapse}; {trials} trials below pool "
+                    f"threshold {self.DEFAULT_PROCESS_MIN_TRIALS}",
+                    scheme,
+                    n,
+                )
+            return "serial", no_collapse, scheme, n
+        if isinstance(route, NetworkRoute):
+            entry = self._table().get("schemes", {}).get(scheme, {})
+            min_n = int(
+                entry.get("vectorized_min_n", self.DEFAULT_VECTORIZED_MIN_N)
             )
             if n is not None and n < min_n:
-                # Measured crossover says the collapse *loses* here.
+                # Measured crossover says the kernel *loses* here.
                 reason = (
                     f"n={n} below measured vectorized crossover "
                     f"{min_n} for {scheme}"
                 )
-                if pool_ok:
-                    return "process", reason, scheme, n
-                return "serial", reason, scheme, n
-            reason = (
-                f"collapsible {scheme} at n={n} >= crossover {min_n}"
-            )
-            if pool_ok:
-                return (
-                    "vectorized-process",
-                    reason + f"; striping over {self._workers} workers",
-                    scheme,
-                    n,
-                )
-            return "vectorized", reason, scheme, n
+                return ("process" if pool_ok else "serial"), reason, scheme, n
+            reason = f"collapsible {scheme} at n={n} >= crossover {min_n}"
+        else:
+            reason = f"collapsible single-hop {scheme} at n={n}"
         if pool_ok:
             return (
-                "process",
-                f"{no_collapse}; pooling over {self._workers} workers",
+                "vectorized-process",
+                reason + f"; striping over {self._workers} workers",
                 scheme,
                 n,
             )
-        if self._workers > 1:
-            return (
-                "serial",
-                f"{no_collapse}; {trials} trials below pool "
-                f"threshold {process_min_trials}",
-                scheme,
-                n,
-            )
-        return "serial", no_collapse, scheme, n
+        return "vectorized", reason, scheme, n
 
     def _runner_for(self, backend: str) -> TrialRunner:
         runner = self._runners.get(backend)

@@ -123,9 +123,10 @@ def add_common_run_args(
         "--backend",
         choices=RUNNER_BACKENDS,
         default="auto",
-        help="trial-runner backend (auto: calibrated per-batch planner "
-        "over the measured crossover table — see 'repro bench "
-        "calibrate'; vectorized: trial-batched numpy backend; "
+        help="trial-runner backend (auto: per-batch planner, collapsed "
+        "single-hop schemes and graph batches over the measured "
+        "crossover table — see 'repro bench calibrate'; vectorized: "
+        "trial-batched numpy backend; "
         "vectorized-process: vectorized stripes over a process pool).  "
         "Results, and sweep cache keys, are identical for every backend "
         "and worker count",

@@ -103,9 +103,10 @@ def classify_batch(
     the batch's row of the planner's crossover table: the route's
     ``scheme`` for network routes (the task type name for raw protocol
     routes, the simulator name for the local-broadcast route), else the
-    single-hop key of :func:`_single_hop_route`.  ``probe_seed`` is the
-    executor seed of the batch's first trial; the channel it builds is
-    only inspected, never run.
+    simulator class name, which no table row keys (single-hop routes
+    always collapse).  ``probe_seed`` is the executor seed of the
+    batch's first trial; the channel it builds is only inspected, never
+    run.
     """
     route, scheme, reason = _single_hop_route(executor, probe_seed)
     if route is not None:
@@ -122,9 +123,7 @@ def _single_hop_route(
     """``(route, crossover key, reason)`` for a single-hop batch.
 
     ``route`` is the ``(simulator, collapsed)`` pair, or ``None`` with
-    the fallback ``reason``.  The key is the simulator class name,
-    suffixed ``@independent`` under per-party noise, whose replay costs
-    differ.
+    the fallback ``reason``.  The key is the simulator class name.
     """
     if not isinstance(executor, SimulationExecutor):
         return None, None, "executor is not a SimulationExecutor"
@@ -138,8 +137,6 @@ def _single_hop_route(
         return None, scheme, (
             f"no collapsed replay for {type(probe).__name__}"
         )
-    if not probe.correlated:
-        scheme += "@independent"
     return (simulator, collapsed), scheme, None
 
 

@@ -1,16 +1,17 @@
-"""The calibrated ``auto`` planner: routing, pins, and determinism.
+"""The ``auto`` planner: routing, pins, and determinism.
 
-The planner's contract: pick a backend per batch from the *measured*
-crossover table, never change a result.  The small-``n`` regression pin
-is the load-bearing test here — the rewind collapse loses to the scalar
-engine at ``n = 8`` (measured, recorded in the shipped
-``crossover.json``), so ``backend=auto`` must dispatch it scalar even
-though a collapsed form exists.
+The planner's contract: pick a backend per batch, never change a
+result.  Every collapsible single-hop batch runs collapsed at every
+``n`` (each collapse beats the scalar engine from ``n = 2``), whatever
+a table says; graph batches route on the *measured* network crossover
+rows of the shipped ``crossover.json``.
 """
 
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro.channels import (
     CorrelatedNoiseChannel,
@@ -19,6 +20,7 @@ from repro.channels import (
     SuppressionNoiseChannel,
 )
 from repro.errors import ConfigurationError
+from repro.network.topology import TopologySpec
 from repro.parallel import (
     ChannelSpec,
     ProcessPoolRunner,
@@ -34,8 +36,10 @@ from repro.parallel.planner import (
     load_crossover,
     _reset_crossover_cache,
 )
+from repro.service.grid import SweepGrid
 from repro.simulation import (
     ChunkCommitSimulator,
+    HierarchicalSimulator,
     RepetitionSimulator,
     RewindSimulator,
 )
@@ -65,6 +69,30 @@ def _chunk_executor(n):
     return task, _executor(
         task, ChannelSpec.of(CorrelatedNoiseChannel, 0.1), ChunkCommitSimulator
     )
+
+
+#: The five single-hop routes: each collapsed simulator under its
+#: calibration channel, and repetition again under per-party noise.
+SINGLE_HOP_ROUTES = {
+    "chunk": (ChunkCommitSimulator, CorrelatedNoiseChannel),
+    "rewind": (RewindSimulator, SuppressionNoiseChannel),
+    "repetition": (RepetitionSimulator, CorrelatedNoiseChannel),
+    "hierarchical": (HierarchicalSimulator, CorrelatedNoiseChannel),
+    "repetition-independent": (RepetitionSimulator, IndependentNoiseChannel),
+}
+
+
+def _neighbor_or_point(n):
+    """A raw neighbor-OR batch on an ``n``-node grid graph."""
+    task, executor, _ = SweepGrid(
+        task="neighbor-or",
+        ns=(n,),
+        channel="independent",
+        epsilon=0.1,
+        simulator="none",
+        topology=TopologySpec.of("grid"),
+    ).build_point(n)
+    return task, executor
 
 
 class TestMakeRunnerRouting:
@@ -100,29 +128,30 @@ class TestMakeRunnerRouting:
 
 class TestCrossoverTable:
     def test_shipped_table_loads_and_covers_all_schemes(self):
+        """The shipped table holds the four network rows and nothing the
+        planner no longer reads: no single-hop row, no default keys."""
         table = load_crossover(DEFAULT_CROSSOVER_PATH)
         schemes = table["schemes"]
-        for scheme in (
-            "ChunkCommitSimulator",
-            "RewindSimulator",
-            "RepetitionSimulator",
-            "RepetitionSimulator@independent",
-            "HierarchicalSimulator",
-        ):
-            entry = schemes[scheme]
+        assert set(schemes) == {
+            "NeighborORTask",
+            "BroadcastTask",
+            "MISTask",
+            "LocalBroadcastSimulator",
+        }
+        for scheme, entry in schemes.items():
             assert entry["vectorized_min_n"] >= 1
             assert entry["measured"], scheme
-        # The regression that motivated the planner: rewind's collapse
-        # loses below n=16 on the calibrating machine.
-        assert schemes["RewindSimulator"]["vectorized_min_n"] > 8
+        assert "default_vectorized_min_n" not in table
+        assert "process_min_trials" not in table
 
     def test_env_override(self, tmp_path, monkeypatch):
         override = tmp_path / "crossover.json"
-        override.write_text(json.dumps({"default_vectorized_min_n": 999}))
+        table = {"schemes": {"MISTask": {"vectorized_min_n": 999}}}
+        override.write_text(json.dumps(table))
         monkeypatch.setenv("REPRO_CROSSOVER", str(override))
         _reset_crossover_cache()
         try:
-            assert load_crossover()["default_vectorized_min_n"] == 999
+            assert load_crossover() == table
         finally:
             _reset_crossover_cache()
 
@@ -140,8 +169,9 @@ class TestCrossoverTable:
         "min n not positive": json.dumps(
             {"schemes": {"RewindSimulator": {"vectorized_min_n": 0}}}
         ),
-        "default min n a float": json.dumps({"default_vectorized_min_n": 2.5}),
-        "process min trials a bool": json.dumps({"process_min_trials": True}),
+        "min n a bool": json.dumps(
+            {"schemes": {"MISTask": {"vectorized_min_n": True}}}
+        ),
     }
 
     def test_unreadable_table_degrades_to_defaults(self, tmp_path, monkeypatch):
@@ -164,23 +194,37 @@ class TestCrossoverTable:
 
 
 class TestPlannerDecisions:
-    def test_rewind_n8_dispatches_scalar(self):
-        """THE small-n pin: collapsed rewind exists but measured slower
-        at n=8, so auto must not select it."""
-        task, executor = _rewind_executor(8)
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("route", sorted(SINGLE_HOP_ROUTES))
+    def test_single_hop_routes_collapsed(self, route, n):
+        """Every collapsible single-hop batch runs collapsed, at small n
+        too, with the serial records."""
+        simulator, channel = SINGLE_HOP_ROUTES[route]
+        task = ParityTask(n)
+        executor = _executor(task, ChannelSpec.of(channel, 0.1), simulator)
         runner = AutoRunner(workers=1)
         try:
             batch = runner.run_trials(task, executor, 4, seed=3)
         finally:
             runner.close()
         decision = runner.last_decision
-        assert decision["backend"] == "serial"
-        assert "below measured vectorized crossover" in decision["reason"]
-        assert decision["scheme"] == "RewindSimulator"
-        assert decision["n"] == 8
+        assert decision["backend"] == "vectorized"
+        assert decision["scheme"] == simulator.__name__
+        assert decision["n"] == n
+        assert runner.last_fallback_reason is None
         assert batch.records == (
             SerialRunner().run_trials(task, executor, 4, seed=3).records
         )
+
+    def test_stale_single_hop_row_is_ignored(self):
+        """A per-machine table calibrated before single-hop batches always
+        collapsed may still hold their rows; the planner does not read
+        them."""
+        task, executor = _rewind_executor(8)
+        table = {"schemes": {"RewindSimulator": {"vectorized_min_n": 64}}}
+        with AutoRunner(workers=1, crossover=table) as runner:
+            runner.run_trials(task, executor, 4, seed=3)
+            assert runner.last_decision["backend"] == "vectorized"
 
     def test_chunk_large_n_dispatches_vectorized(self):
         task, executor = _chunk_executor(32)
@@ -231,37 +275,14 @@ class TestPlannerDecisions:
             ChannelSpec.of(SharedFlipReductionChannel),
             RepetitionSimulator,
         )
-        runner = AutoRunner(
-            workers=4, crossover={"process_min_trials": 100}
-        )
+        trials = AutoRunner.DEFAULT_PROCESS_MIN_TRIALS - 1
+        runner = AutoRunner(workers=4)
         try:
-            runner.run_trials(task, executor, 4, seed=3)
+            runner.run_trials(task, executor, trials, seed=3)
             assert runner.last_decision["backend"] == "serial"
             assert "below pool threshold" in runner.last_decision["reason"]
         finally:
             runner.close()
-
-    def test_independent_repetition_n8_dispatches_vectorized(self):
-        """Per-party repetition has its own measured row, and collapses
-        at n=8 where correlated repetition still routes scalar."""
-        task = ParityTask(8)
-        executor = _executor(
-            task,
-            ChannelSpec.of(IndependentNoiseChannel, 0.15),
-            RepetitionSimulator,
-        )
-        runner = AutoRunner(workers=1)
-        try:
-            batch = runner.run_trials(task, executor, 4, seed=3)
-        finally:
-            runner.close()
-        decision = runner.last_decision
-        assert decision["scheme"] == "RepetitionSimulator@independent"
-        assert decision["backend"] == "vectorized"
-        assert runner.last_fallback_reason is None
-        assert batch.records == (
-            SerialRunner().run_trials(task, executor, 4, seed=3).records
-        )
 
     def test_chunk_under_independent_noise_raises_on_every_backend(self):
         """The collapsed chunk scheme keeps the scalar scheme's
@@ -288,16 +309,14 @@ class TestPlannerDecisions:
         assert "requires a correlated channel" in message
 
     def test_injected_crossover_overrides(self):
-        task, executor = _chunk_executor(32)
-        table = {
-            "schemes": {"ChunkCommitSimulator": {"vectorized_min_n": 64}}
-        }
-        runner = AutoRunner(workers=1, crossover=table)
-        try:
+        task, executor = _neighbor_or_point(16)
+        table = {"schemes": {"NeighborORTask": {"vectorized_min_n": 1 << 20}}}
+        with AutoRunner(workers=1, crossover=table) as runner:
             runner.run_trials(task, executor, 4, seed=3)
-            assert runner.last_decision["backend"] == "serial"
-        finally:
-            runner.close()
+            decision = runner.last_decision
+        assert decision["backend"] == "serial"
+        assert decision["scheme"] == "NeighborORTask"
+        assert "below measured vectorized crossover" in decision["reason"]
 
     def test_sub_runners_are_cached(self):
         task, executor = _chunk_executor(32)
@@ -333,7 +352,7 @@ class TestPlannerObservability:
         assert event["n"] == 32
         assert event["trials"] == 3
         assert event["fallback_reason"] is None
-        assert "crossover" in event["reason"]
+        assert "collapsible single-hop ChunkCommitSimulator" in event["reason"]
 
     def test_summary_sink_breaks_out_backends(self):
         from repro.observe import SummarySink

@@ -43,15 +43,16 @@ class TestGenerateReport:
             return decision
 
         monkeypatch.setattr(AutoRunner, "_plan", recording_plan)
-        only = ["E1", "E3", "E8", "E9", "E10", "E13"]
+        only = ["E1", "E3", "E8", "E9", "E10", "E11", "E13"]
         serial = generate_report(
             seed=3, scale=0.5, only=only, backend="serial"
         )
         assert backends == []
         auto = generate_report(seed=3, scale=0.5, only=only, backend="auto")
         assert auto == serial
-        # Both routes were taken: collapsed chunk-commit points, and the
-        # burst / independent-noise / small-n repetition points serially.
+        # Both routes were taken: every simulator point collapsed, and
+        # E11's noiseless baseline (a raw protocol, no collapsed form)
+        # serially.
         assert {"vectorized", "serial"} <= set(backends)
 
 
