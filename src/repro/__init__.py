@@ -26,264 +26,129 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every experiment.
 """
 
-from repro.channels import (
-    BudgetedAdversaryChannel,
-    BurstNoiseChannel,
-    Channel,
-    ScriptedChannel,
-    ChannelStats,
-    CorrectingAdversaryChannel,
-    CorrelatedNoiseChannel,
-    IndependentNoiseChannel,
-    NoiselessChannel,
-    OneSidedNoiseChannel,
-    RoundOutcome,
-    SharedFlipReductionChannel,
-    SuppressionNoiseChannel,
-)
-from repro.core import (
-    Burst,
-    ExecutionResult,
-    SequentialProtocol,
-    TruncatedProtocol,
-    announce_input,
-    FormalProtocol,
-    FunctionalParty,
-    FunctionalProtocol,
-    Party,
-    Protocol,
-    RoundRecord,
-    Silence,
-    Transcript,
-    run_protocol,
-)
-from repro.core.formal import NoiseModel, formalize_protocol
-from repro.coding import (
-    BlockCode,
-    GreedyRandomCode,
-    HadamardCode,
-    MLDecoder,
-    MinDistanceDecoder,
-    RepetitionCode,
-)
-from repro.simulation import (
-    ChunkCommitSimulator,
-    HierarchicalSimulator,
-    OneSidedReductionProtocol,
-    OwnersProtocol,
-    RepetitionSimulator,
-    RewindSimulator,
-    SimulationParameters,
-    SimulationReport,
-    Simulator,
-    repetitions_for,
-)
-from repro.tasks import (
-    BitExchangeTask,
-    InputSetTask,
-    MaxIdTask,
-    OrTask,
-    ParityTask,
-    PointerChasingTask,
-    SizeEstimateTask,
-    Task,
-)
-from repro.parallel import (
-    ChannelSpec,
-    ProcessPoolRunner,
-    ProtocolExecutor,
-    SerialRunner,
-    SimulationExecutor,
-    SimulatorSpec,
-    TrialRunner,
-    get_default_runner,
-    make_runner,
-    set_default_runner,
-    use_runner,
-)
-from repro.analysis.sweep import (
-    SweepPoint,
-    SweepSpec,
-    run_sweep,
-    run_sweep_point,
-)
-from repro.observe import (
-    JsonlSink,
-    MetricsCollector,
-    NO_OBSERVER,
-    NullObserver,
-    Observer,
-    Sink,
-    SummarySink,
-    read_jsonl,
-)
-from repro.service import (
-    ResultStore,
-    ShardSpec,
-    SweepGrid,
-    merge_sweep,
-    plan_shards,
-    run_sweep_resumable,
-    sweep_status,
-    validate_shards,
-)
-from repro.lowerbound import LowerBoundAnalyzer
-from repro.errors import (
-    ChannelError,
-    CodingError,
-    ConfigurationError,
-    DecodingError,
-    ProtocolDesyncError,
-    ProtocolError,
-    ReproError,
-    SimulationBudgetExceeded,
-    SimulationError,
-    TaskError,
-    TranscriptError,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
+# Every public name maps to the package that defines it and resolves on
+# first use (PEP 562, see ``repro._exports``): ``import repro`` executes
+# no subpackage, and a process loads only the modules whose names it
+# touches.
+_EXPORTS = {
     # channels
-    "Channel",
-    "ChannelStats",
-    "RoundOutcome",
-    "NoiselessChannel",
-    "CorrelatedNoiseChannel",
-    "OneSidedNoiseChannel",
-    "SuppressionNoiseChannel",
-    "IndependentNoiseChannel",
-    "CorrectingAdversaryChannel",
-    "BudgetedAdversaryChannel",
-    "SharedFlipReductionChannel",
-    "BurstNoiseChannel",
-    "ScriptedChannel",
+    "Channel": "repro.channels",
+    "ChannelStats": "repro.channels",
+    "RoundOutcome": "repro.channels",
+    "NoiselessChannel": "repro.channels",
+    "CorrelatedNoiseChannel": "repro.channels",
+    "OneSidedNoiseChannel": "repro.channels",
+    "SuppressionNoiseChannel": "repro.channels",
+    "IndependentNoiseChannel": "repro.channels",
+    "CorrectingAdversaryChannel": "repro.channels",
+    "BudgetedAdversaryChannel": "repro.channels",
+    "SharedFlipReductionChannel": "repro.channels",
+    "BurstNoiseChannel": "repro.channels",
+    "ScriptedChannel": "repro.channels",
     # core
-    "Party",
-    "Burst",
-    "Silence",
-    "FunctionalParty",
-    "Protocol",
-    "FunctionalProtocol",
-    "FormalProtocol",
-    "formalize_protocol",
-    "NoiseModel",
-    "RoundRecord",
-    "Transcript",
-    "ExecutionResult",
-    "run_protocol",
-    "SequentialProtocol",
-    "TruncatedProtocol",
-    "announce_input",
+    "Party": "repro.core",
+    "Burst": "repro.core",
+    "Silence": "repro.core",
+    "FunctionalParty": "repro.core",
+    "Protocol": "repro.core",
+    "FunctionalProtocol": "repro.core",
+    "FormalProtocol": "repro.core",
+    "formalize_protocol": "repro.core.formal",
+    "NoiseModel": "repro.core.formal",
+    "RoundRecord": "repro.core",
+    "Transcript": "repro.core",
+    "ExecutionResult": "repro.core",
+    "run_protocol": "repro.core",
+    "SequentialProtocol": "repro.core",
+    "TruncatedProtocol": "repro.core",
+    "announce_input": "repro.core",
     # coding
-    "BlockCode",
-    "RepetitionCode",
-    "HadamardCode",
-    "GreedyRandomCode",
-    "MLDecoder",
-    "MinDistanceDecoder",
+    "BlockCode": "repro.coding",
+    "RepetitionCode": "repro.coding",
+    "HadamardCode": "repro.coding",
+    "GreedyRandomCode": "repro.coding",
+    "MLDecoder": "repro.coding",
+    "MinDistanceDecoder": "repro.coding",
     # simulation
-    "Simulator",
-    "SimulationParameters",
-    "SimulationReport",
-    "RepetitionSimulator",
-    "ChunkCommitSimulator",
-    "HierarchicalSimulator",
-    "RewindSimulator",
-    "OwnersProtocol",
-    "OneSidedReductionProtocol",
-    "repetitions_for",
+    "Simulator": "repro.simulation",
+    "SimulationParameters": "repro.simulation",
+    "SimulationReport": "repro.simulation",
+    "RepetitionSimulator": "repro.simulation",
+    "ChunkCommitSimulator": "repro.simulation",
+    "HierarchicalSimulator": "repro.simulation",
+    "RewindSimulator": "repro.simulation",
+    "OwnersProtocol": "repro.simulation",
+    "OneSidedReductionProtocol": "repro.simulation",
+    "repetitions_for": "repro.simulation",
     # tasks
-    "Task",
-    "InputSetTask",
-    "OrTask",
-    "ParityTask",
-    "BitExchangeTask",
-    "MaxIdTask",
-    "SizeEstimateTask",
-    "PointerChasingTask",
+    "Task": "repro.tasks",
+    "InputSetTask": "repro.tasks",
+    "OrTask": "repro.tasks",
+    "ParityTask": "repro.tasks",
+    "BitExchangeTask": "repro.tasks",
+    "MaxIdTask": "repro.tasks",
+    "SizeEstimateTask": "repro.tasks",
+    "PointerChasingTask": "repro.tasks",
     # parallel trial running
-    "TrialRunner",
-    "SerialRunner",
-    "ProcessPoolRunner",
-    "make_runner",
-    "get_default_runner",
-    "set_default_runner",
-    "use_runner",
-    "ChannelSpec",
-    "SimulatorSpec",
-    "ProtocolExecutor",
-    "SimulationExecutor",
+    "TrialRunner": "repro.parallel",
+    "SerialRunner": "repro.parallel",
+    "ProcessPoolRunner": "repro.parallel",
+    "make_runner": "repro.parallel",
+    "get_default_runner": "repro.parallel",
+    "set_default_runner": "repro.parallel",
+    "use_runner": "repro.parallel",
+    "ChannelSpec": "repro.parallel",
+    "SimulatorSpec": "repro.parallel",
+    "ProtocolExecutor": "repro.parallel",
+    "SimulationExecutor": "repro.parallel",
     # sweeps
-    "SweepSpec",
-    "SweepPoint",
-    "run_sweep_point",
-    "run_sweep",
+    "SweepSpec": "repro.analysis.sweep",
+    "SweepPoint": "repro.analysis.sweep",
+    "run_sweep_point": "repro.analysis.sweep",
+    "run_sweep": "repro.analysis.sweep",
     # observability
-    "Observer",
-    "NullObserver",
-    "NO_OBSERVER",
-    "Sink",
-    "MetricsCollector",
-    "JsonlSink",
-    "SummarySink",
-    "read_jsonl",
+    "Observer": "repro.observe",
+    "NullObserver": "repro.observe",
+    "NO_OBSERVER": "repro.observe",
+    "Sink": "repro.observe",
+    "MetricsCollector": "repro.observe",
+    "JsonlSink": "repro.observe",
+    "SummarySink": "repro.observe",
+    "read_jsonl": "repro.observe",
     # sweep service (resumable, cached, sharded)
-    "ResultStore",
-    "SweepGrid",
-    "run_sweep_resumable",
-    "sweep_status",
-    "ShardSpec",
-    "plan_shards",
-    "validate_shards",
-    "merge_sweep",
-    # experiments / reporting (lazy — see __getattr__)
-    "run_experiment",
-    "ExperimentResult",
-    "REGISTRY",
-    "generate_report",
+    "ResultStore": "repro.service",
+    "SweepGrid": "repro.service",
+    "run_sweep_resumable": "repro.service",
+    "sweep_status": "repro.service",
+    "ShardSpec": "repro.service",
+    "plan_shards": "repro.service",
+    "validate_shards": "repro.service",
+    "merge_sweep": "repro.service",
+    # experiments / reporting
+    "run_experiment": "repro.experiments",
+    "ExperimentResult": "repro.experiments",
+    "REGISTRY": "repro.experiments",
+    "generate_report": "repro.analysis.reporting",
     # lower bound
-    "LowerBoundAnalyzer",
+    "LowerBoundAnalyzer": "repro.lowerbound",
     # errors
-    "ReproError",
-    "ConfigurationError",
-    "ProtocolError",
-    "ProtocolDesyncError",
-    "TranscriptError",
-    "ChannelError",
-    "CodingError",
-    "DecodingError",
-    "SimulationError",
-    "SimulationBudgetExceeded",
-    "TaskError",
-]
-
-
-# The experiment registry imports all 13 experiment modules; the report
-# generator pulls in the registry.  Resolve these names lazily (PEP 562)
-# so ``import repro`` stays light for library users.
-_LAZY_EXPORTS = {
-    "run_experiment": ("repro.experiments", "run_experiment"),
-    "ExperimentResult": ("repro.experiments", "ExperimentResult"),
-    "REGISTRY": ("repro.experiments", "REGISTRY"),
-    "generate_report": ("repro.analysis.reporting", "generate_report"),
+    "ReproError": "repro.errors",
+    "ConfigurationError": "repro.errors",
+    "ProtocolError": "repro.errors",
+    "ProtocolDesyncError": "repro.errors",
+    "TranscriptError": "repro.errors",
+    "ChannelError": "repro.errors",
+    "CodingError": "repro.errors",
+    "DecodingError": "repro.errors",
+    "SimulationError": "repro.errors",
+    "SimulationBudgetExceeded": "repro.errors",
+    "TaskError": "repro.errors",
 }
 
+__all__ = list(_EXPORTS)
 
-def __getattr__(name: str):
-    try:
-        module_name, attribute = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attribute)
-    globals()[name] = value  # cache: resolve once per process
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

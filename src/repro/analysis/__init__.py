@@ -13,36 +13,25 @@ simulation; this package supplies the shared tooling:
   benchmark harness and recorded in EXPERIMENTS.md.
 """
 
-from repro.analysis.stats import (
-    ProportionEstimate,
-    mean,
-    sample_std,
-    wilson_interval,
-)
-from repro.analysis.fitting import LogFit, fit_log, fit_linear
-from repro.analysis.sweep import (
-    SweepPoint,
-    SweepSpec,
-    run_sweep,
-    run_sweep_point,
-)
-from repro.analysis.tables import format_table
-from repro.analysis.plot import ascii_plot
-from repro.analysis.reporting import generate_report
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ProportionEstimate",
-    "mean",
-    "sample_std",
-    "wilson_interval",
-    "LogFit",
-    "fit_log",
-    "fit_linear",
-    "SweepPoint",
-    "SweepSpec",
-    "run_sweep_point",
-    "run_sweep",
-    "format_table",
-    "ascii_plot",
-    "generate_report",
-]
+_EXPORTS = {
+    "ProportionEstimate": "repro.analysis.stats",
+    "mean": "repro.analysis.stats",
+    "sample_std": "repro.analysis.stats",
+    "wilson_interval": "repro.analysis.stats",
+    "LogFit": "repro.analysis.fitting",
+    "fit_log": "repro.analysis.fitting",
+    "fit_linear": "repro.analysis.fitting",
+    "SweepPoint": "repro.analysis.sweep",
+    "SweepSpec": "repro.analysis.sweep",
+    "run_sweep_point": "repro.analysis.sweep",
+    "run_sweep": "repro.analysis.sweep",
+    "format_table": "repro.analysis.tables",
+    "ascii_plot": "repro.analysis.plot",
+    "generate_report": "repro.analysis.reporting",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

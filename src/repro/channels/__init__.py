@@ -27,33 +27,25 @@ in the ``flips`` pair they declare: which true OR values a ``u < ε`` draw
 can flip.
 """
 
-from repro.channels.base import Channel, RoundOutcome, ThresholdNoiseChannel
-from repro.channels.stats import ChannelStats
-from repro.channels.noiseless import NoiselessChannel
-from repro.channels.correlated import CorrelatedNoiseChannel
-from repro.channels.one_sided import OneSidedNoiseChannel, SuppressionNoiseChannel
-from repro.channels.independent import IndependentNoiseChannel
-from repro.channels.adversarial import (
-    BudgetedAdversaryChannel,
-    CorrectingAdversaryChannel,
-)
-from repro.channels.reduction import SharedFlipReductionChannel
-from repro.channels.burst import BurstNoiseChannel
-from repro.channels.scripted import ScriptedChannel
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Channel",
-    "RoundOutcome",
-    "ThresholdNoiseChannel",
-    "ChannelStats",
-    "NoiselessChannel",
-    "CorrelatedNoiseChannel",
-    "OneSidedNoiseChannel",
-    "SuppressionNoiseChannel",
-    "IndependentNoiseChannel",
-    "CorrectingAdversaryChannel",
-    "BudgetedAdversaryChannel",
-    "SharedFlipReductionChannel",
-    "BurstNoiseChannel",
-    "ScriptedChannel",
-]
+_EXPORTS = {
+    "Channel": "repro.channels.base",
+    "RoundOutcome": "repro.channels.base",
+    "ThresholdNoiseChannel": "repro.channels.base",
+    "ChannelStats": "repro.channels.stats",
+    "NoiselessChannel": "repro.channels.noiseless",
+    "CorrelatedNoiseChannel": "repro.channels.correlated",
+    "OneSidedNoiseChannel": "repro.channels.one_sided",
+    "SuppressionNoiseChannel": "repro.channels.one_sided",
+    "IndependentNoiseChannel": "repro.channels.independent",
+    "CorrectingAdversaryChannel": "repro.channels.adversarial",
+    "BudgetedAdversaryChannel": "repro.channels.adversarial",
+    "SharedFlipReductionChannel": "repro.channels.reduction",
+    "BurstNoiseChannel": "repro.channels.burst",
+    "ScriptedChannel": "repro.channels.scripted",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -50,14 +50,8 @@ import sys
 from typing import Sequence
 
 from repro import __version__
-from repro.analysis import fit_log, format_table
 from repro.analysis.sweep import run_sweep_point
 from repro.errors import ConfigurationError
-from repro.parallel.calibrate import (
-    NETWORK_N_GRID,
-    run_calibration,
-    write_crossover,
-)
 
 # Every scenario command resolves its flags into a SweepGrid — the record
 # the sweep service caches and shards — and runs the grid's points.
@@ -235,6 +229,8 @@ def cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def _run_overhead(args: argparse.Namespace) -> int:
+    from repro.analysis import fit_log, format_table
+
     # The task and channel are fixed.  On a network, one-round
     # neighborhood OR isolates the scheme's overhead, and the independent
     # channel is what local-broadcast calibrates against (per-node flips
@@ -303,10 +299,15 @@ def _run_overhead(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_calibrate(args: argparse.Namespace) -> int:
+    from repro.parallel.calibrate import (
+        NETWORK_N_GRID,
+        run_calibration,
+        write_crossover,
+    )
     from repro.parallel.planner import DEFAULT_CROSSOVER_PATH
 
     table = run_calibration(
-        n_grid=tuple(args.ns),
+        n_grid=tuple(args.ns or NETWORK_N_GRID),
         budget_s=args.budget,
         seed=args.seed,
         progress=lambda line: print(line, file=sys.stderr),
@@ -322,6 +323,7 @@ def cmd_bench_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(_args: argparse.Namespace) -> int:
+    from repro.analysis import format_table
     from repro.experiments import REGISTRY
 
     experiments = [
@@ -460,9 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--ns",
         type=positive_int,
         nargs="+",
-        default=list(NETWORK_N_GRID),
         help="node counts of the network rows' grid graphs "
-        "(crossovers are monotone in n)",
+        "(default: 16 64 256 1024; crossovers are monotone in n)",
     )
     calibrate.add_argument(
         "--budget",

@@ -20,17 +20,17 @@ Theorem D.1 actually needs is decoding error polynomially small in ``n`` at
 length Θ(log n), which ML decoding of these codes provides (see DESIGN.md).
 """
 
-from repro.coding.code import BlockCode
-from repro.coding.repetition import RepetitionCode
-from repro.coding.hadamard import HadamardCode
-from repro.coding.random_code import GreedyRandomCode
-from repro.coding.ml import MLDecoder, MinDistanceDecoder
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BlockCode",
-    "RepetitionCode",
-    "HadamardCode",
-    "GreedyRandomCode",
-    "MLDecoder",
-    "MinDistanceDecoder",
-]
+_EXPORTS = {
+    "BlockCode": "repro.coding.code",
+    "RepetitionCode": "repro.coding.repetition",
+    "HadamardCode": "repro.coding.hadamard",
+    "GreedyRandomCode": "repro.coding.random_code",
+    "MLDecoder": "repro.coding.ml",
+    "MinDistanceDecoder": "repro.coding.ml",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

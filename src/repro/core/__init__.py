@@ -11,32 +11,26 @@ explicit broadcast and output functions — is available in
 :mod:`repro.core.formal` and is what the exact lower-bound machinery runs on.
 """
 
-from repro.core.party import Party, FunctionalParty, Burst, Silence
-from repro.core.protocol import Protocol, FunctionalProtocol
-from repro.core.transcript import RoundRecord, Transcript
-from repro.core.result import ExecutionResult
-from repro.core.engine import run_protocol
-from repro.core.formal import FormalProtocol, formalize_protocol
-from repro.core.compose import (
-    SequentialProtocol,
-    TruncatedProtocol,
-    announce_input,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Party",
-    "FunctionalParty",
-    "Burst",
-    "Silence",
-    "Protocol",
-    "FunctionalProtocol",
-    "RoundRecord",
-    "Transcript",
-    "ExecutionResult",
-    "run_protocol",
-    "FormalProtocol",
-    "formalize_protocol",
-    "SequentialProtocol",
-    "TruncatedProtocol",
-    "announce_input",
-]
+_EXPORTS = {
+    "Party": "repro.core.party",
+    "FunctionalParty": "repro.core.party",
+    "Burst": "repro.core.party",
+    "Silence": "repro.core.party",
+    "Protocol": "repro.core.protocol",
+    "FunctionalProtocol": "repro.core.protocol",
+    "RoundRecord": "repro.core.transcript",
+    "Transcript": "repro.core.transcript",
+    "ExecutionResult": "repro.core.result",
+    "run_protocol": "repro.core.engine",
+    "FormalProtocol": "repro.core.formal",
+    "formalize_protocol": "repro.core.formal",
+    "SequentialProtocol": "repro.core.compose",
+    "TruncatedProtocol": "repro.core.compose",
+    "announce_input": "repro.core.compose",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,43 +27,28 @@ instances (via :class:`~repro.core.formal.FormalProtocol` enumeration) and
   Theorems C.1/C.2/C.3 and Lemmas B.7/B.8/C.5.
 """
 
-from repro.lowerbound.neighbors import (
-    differing_neighbors,
-    neighbor_inputs,
-    neighbors_of_player,
-    sensitivity_profile,
-)
-from repro.lowerbound.feasible import feasible_set, feasible_sizes
-from repro.lowerbound.good_players import (
-    good_players,
-    large_feasible_players,
-    sample_unique_counts,
-    unique_input_players,
-)
-from repro.lowerbound.zeta import LowerBoundAnalyzer, ZetaPoint, ZetaSummary
-from repro.lowerbound.sampling import (
-    SampledZetaSummary,
-    estimate_zeta,
-    sample_zeta_points,
-)
-from repro.lowerbound import theory
+from repro._exports import lazy_exports
 
-__all__ = [
-    "neighbor_inputs",
-    "differing_neighbors",
-    "neighbors_of_player",
-    "sensitivity_profile",
-    "feasible_set",
-    "feasible_sizes",
-    "unique_input_players",
-    "large_feasible_players",
-    "good_players",
-    "sample_unique_counts",
-    "LowerBoundAnalyzer",
-    "ZetaPoint",
-    "ZetaSummary",
-    "SampledZetaSummary",
-    "estimate_zeta",
-    "sample_zeta_points",
-    "theory",
-]
+_EXPORTS = {
+    "neighbor_inputs": "repro.lowerbound.neighbors",
+    "differing_neighbors": "repro.lowerbound.neighbors",
+    "neighbors_of_player": "repro.lowerbound.neighbors",
+    "sensitivity_profile": "repro.lowerbound.neighbors",
+    "feasible_set": "repro.lowerbound.feasible",
+    "feasible_sizes": "repro.lowerbound.feasible",
+    "unique_input_players": "repro.lowerbound.good_players",
+    "large_feasible_players": "repro.lowerbound.good_players",
+    "good_players": "repro.lowerbound.good_players",
+    "sample_unique_counts": "repro.lowerbound.good_players",
+    "LowerBoundAnalyzer": "repro.lowerbound.zeta",
+    "ZetaPoint": "repro.lowerbound.zeta",
+    "ZetaSummary": "repro.lowerbound.zeta",
+    "SampledZetaSummary": "repro.lowerbound.sampling",
+    "estimate_zeta": "repro.lowerbound.sampling",
+    "sample_zeta_points": "repro.lowerbound.sampling",
+    "theory": "repro.lowerbound.theory",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -33,40 +33,27 @@ interactive coding for multi-hop beeping is the open frontier the
 paper's related-work section points at ([CHHZ17, EKS19]).
 """
 
-from repro.network.channel import NetworkBeepingChannel, ring, grid, complete
-from repro.network.local_broadcast import (
-    LocalBroadcastSimulator,
-    local_broadcast_repetitions,
-)
-from repro.network.mis import MISTask, mis_protocol
-from repro.network.tasks import (
-    BroadcastTask,
-    NeighborORTask,
-    NetworkSizeEstimateTask,
-)
-from repro.network.topology import (
-    TOPOLOGIES,
-    Topology,
-    TopologyFamily,
-    TopologySpec,
-    parse_topology,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "NetworkBeepingChannel",
-    "ring",
-    "grid",
-    "complete",
-    "MISTask",
-    "mis_protocol",
-    "BroadcastTask",
-    "NeighborORTask",
-    "NetworkSizeEstimateTask",
-    "LocalBroadcastSimulator",
-    "local_broadcast_repetitions",
-    "TOPOLOGIES",
-    "Topology",
-    "TopologyFamily",
-    "TopologySpec",
-    "parse_topology",
-]
+_EXPORTS = {
+    "NetworkBeepingChannel": "repro.network.channel",
+    "ring": "repro.network.channel",
+    "grid": "repro.network.channel",
+    "complete": "repro.network.channel",
+    "MISTask": "repro.network.mis",
+    "mis_protocol": "repro.network.mis",
+    "BroadcastTask": "repro.network.tasks",
+    "NeighborORTask": "repro.network.tasks",
+    "NetworkSizeEstimateTask": "repro.network.tasks",
+    "LocalBroadcastSimulator": "repro.network.local_broadcast",
+    "local_broadcast_repetitions": "repro.network.local_broadcast",
+    "TOPOLOGIES": "repro.network.topology",
+    "Topology": "repro.network.topology",
+    "TopologyFamily": "repro.network.topology",
+    "TopologySpec": "repro.network.topology",
+    "parse_topology": "repro.network.topology",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -98,22 +98,19 @@ to run, and ``backend_selected`` varies by machine; every other field is
 seed-determined and backend-invariant.
 """
 
-from repro.observe.observer import NO_OBSERVER, NullObserver, Observer
-from repro.observe.sinks import (
-    JsonlSink,
-    MetricsCollector,
-    Sink,
-    SummarySink,
-    read_jsonl,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Observer",
-    "NullObserver",
-    "NO_OBSERVER",
-    "Sink",
-    "MetricsCollector",
-    "JsonlSink",
-    "SummarySink",
-    "read_jsonl",
-]
+_EXPORTS = {
+    "Observer": "repro.observe.observer",
+    "NullObserver": "repro.observe.observer",
+    "NO_OBSERVER": "repro.observe.observer",
+    "Sink": "repro.observe.sinks",
+    "MetricsCollector": "repro.observe.sinks",
+    "JsonlSink": "repro.observe.sinks",
+    "SummarySink": "repro.observe.sinks",
+    "read_jsonl": "repro.observe.sinks",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -33,22 +33,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro._exports import lazy_exports
 from repro.errors import ConfigurationError
-from repro.parallel.executors import (
-    ChannelSpec,
-    ProtocolExecutor,
-    SimulationExecutor,
-    SimulatorSpec,
-)
-from repro.parallel.runner import (
-    InProcessRunner,
-    ProcessPoolRunner,
-    SerialRunner,
-    TrialBatch,
-    TrialRecord,
-    TrialRunner,
-    run_trial,
-)
+from repro.parallel.runner import ProcessPoolRunner, SerialRunner, TrialRunner
 
 __all__ = [
     "TrialRunner",
@@ -68,6 +55,22 @@ __all__ = [
     "set_default_runner",
     "use_runner",
 ]
+
+# The runners this module's body builds are imported above; every other
+# name resolves on first use.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "InProcessRunner": "repro.parallel.runner",
+        "TrialRecord": "repro.parallel.runner",
+        "TrialBatch": "repro.parallel.runner",
+        "run_trial": "repro.parallel.runner",
+        "ChannelSpec": "repro.parallel.executors",
+        "SimulatorSpec": "repro.parallel.executors",
+        "ProtocolExecutor": "repro.parallel.executors",
+        "SimulationExecutor": "repro.parallel.executors",
+    },
+)
 
 _default_runner: TrialRunner = SerialRunner()
 

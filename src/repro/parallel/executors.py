@@ -19,13 +19,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.channels.base import Channel
+    from repro.core.result import ExecutionResult
     from repro.observe import Observer
-
-from repro.channels.base import Channel
-from repro.core.engine import run_protocol
-from repro.core.result import ExecutionResult
-from repro.simulation.base import Simulator
-from repro.tasks.base import Task
+    from repro.simulation.base import Simulator
+    from repro.tasks.base import Task
 
 __all__ = [
     "ChannelSpec",
@@ -137,6 +135,10 @@ class ProtocolExecutor:
         trial_seed: int,
         observe: "Observer | None" = None,
     ) -> ExecutionResult:
+        # Imported here: a sweep whose points all come from the result
+        # store never runs the engine.
+        from repro.core.engine import run_protocol
+
         return run_protocol(
             self.task.noiseless_protocol(),
             inputs,

@@ -152,7 +152,6 @@ class AutoRunner(TrialRunner):
         ``scheme`` is the batch's key from
         :func:`~repro.vectorized.runner.classify_batch`.
         """
-        from repro.vectorized.network import NetworkRoute
         from repro.vectorized.runner import classify_batch
 
         route, scheme, no_collapse = classify_batch(executor, probe_seed)
@@ -177,7 +176,9 @@ class AutoRunner(TrialRunner):
                     n,
                 )
             return "serial", no_collapse, scheme, n
-        if isinstance(route, NetworkRoute):
+        if not isinstance(route, tuple):
+            # A NetworkRoute (a single-hop route is a pair): the kernel's
+            # fixed per-batch setup needs a measured crossover.
             entry = self._table().get("schemes", {}).get(scheme, {})
             min_n = int(
                 entry.get("vectorized_min_n", self.DEFAULT_VECTORIZED_MIN_N)

@@ -37,33 +37,23 @@ See the "Sweep service" section of ``docs/api.md`` for the cache-key
 contract, invalidation rules, and the cache-dir layout.
 """
 
-from repro.service.canon import (
-    CACHE_SCHEMA_VERSION,
-    canonical_json,
-    content_key,
-    point_key,
-)
-from repro.service.driver import run_sweep_resumable, sweep_status
-from repro.service.grid import SweepGrid
-from repro.service.shards import (
-    ShardSpec,
-    merge_sweep,
-    plan_shards,
-    validate_shards,
-)
-from repro.service.store import ResultStore
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "canonical_json",
-    "content_key",
-    "point_key",
-    "ResultStore",
-    "SweepGrid",
-    "run_sweep_resumable",
-    "sweep_status",
-    "ShardSpec",
-    "plan_shards",
-    "validate_shards",
-    "merge_sweep",
-]
+_EXPORTS = {
+    "CACHE_SCHEMA_VERSION": "repro.service.canon",
+    "canonical_json": "repro.service.canon",
+    "content_key": "repro.service.canon",
+    "point_key": "repro.service.canon",
+    "ResultStore": "repro.service.store",
+    "SweepGrid": "repro.service.grid",
+    "run_sweep_resumable": "repro.service.driver",
+    "sweep_status": "repro.service.driver",
+    "ShardSpec": "repro.service.shards",
+    "plan_shards": "repro.service.shards",
+    "validate_shards": "repro.service.shards",
+    "merge_sweep": "repro.service.shards",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,28 +26,13 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe import Observer
     from repro.parallel import TrialRunner
+    from repro.tasks.base import Task
 
+from repro._exports import load
 from repro.analysis.sweep import Executor, SweepSpec
-from repro.channels import (
-    BurstNoiseChannel,
-    CorrelatedNoiseChannel,
-    IndependentNoiseChannel,
-    NoiselessChannel,
-    OneSidedNoiseChannel,
-    SuppressionNoiseChannel,
-)
 from repro.errors import ConfigurationError
-from repro.network.channel import NetworkBeepingChannel
-from repro.network.local_broadcast import LocalBroadcastSimulator
-from repro.network.mis import MISTask
-from repro.network.tasks import (
-    BroadcastTask,
-    NeighborORTask,
-    NetworkSizeEstimateTask,
-)
 from repro.network.topology import (
     TOPOLOGIES,
-    Topology,
     TopologySpec,
     parse_topology,
 )
@@ -58,22 +43,6 @@ from repro.parallel import (
     SimulatorSpec,
 )
 from repro.service.canon import canonical_json, content_key, point_key
-from repro.simulation import (
-    ChunkCommitSimulator,
-    HierarchicalSimulator,
-    RepetitionSimulator,
-    RewindSimulator,
-)
-from repro.tasks import (
-    BitExchangeTask,
-    InputSetTask,
-    MaxIdTask,
-    OrTask,
-    ParityTask,
-    PointerChasingTask,
-    SizeEstimateTask,
-)
-from repro.tasks.base import Task
 
 __all__ = [
     "CHANNELS",
@@ -88,48 +57,75 @@ __all__ = [
     "SweepGrid",
 ]
 
-# Channel registry: name -> ChannelSpec builder.  Specs (not closures) so
-# every executor pickles and ``--workers`` > 1 actually parallelises; the
-# per-trial seed is injected by ChannelSpec.make.
-CHANNELS: dict[str, Callable[[float], ChannelSpec]] = {
-    "noiseless": lambda epsilon: ChannelSpec.of(
-        NoiselessChannel, seed_kwarg=None
+# The registries name every class by its import path and hold a builder
+# taking the class: checking a grid's names (``SweepGrid.__post_init__``)
+# reads only the keys, and ``build_point`` imports the one task, channel
+# and simulator a point runs.
+
+# Channel registry: name -> (channel class path, ChannelSpec builder).
+# Specs (not closures) so every executor pickles and ``--workers`` > 1
+# actually parallelises; the per-trial seed is injected by
+# ChannelSpec.make.
+CHANNELS: dict[str, tuple[str, Callable[[type, float], ChannelSpec]]] = {
+    "noiseless": (
+        "repro.channels.noiseless.NoiselessChannel",
+        lambda cls, epsilon: ChannelSpec.of(cls, seed_kwarg=None),
     ),
-    "correlated": lambda epsilon: ChannelSpec.of(
-        CorrelatedNoiseChannel, epsilon
+    "correlated": (
+        "repro.channels.correlated.CorrelatedNoiseChannel",
+        ChannelSpec.of,
     ),
-    "one-sided": lambda epsilon: ChannelSpec.of(
-        OneSidedNoiseChannel, epsilon
+    "one-sided": (
+        "repro.channels.one_sided.OneSidedNoiseChannel",
+        ChannelSpec.of,
     ),
-    "suppression": lambda epsilon: ChannelSpec.of(
-        SuppressionNoiseChannel, epsilon
+    "suppression": (
+        "repro.channels.one_sided.SuppressionNoiseChannel",
+        ChannelSpec.of,
     ),
-    "independent": lambda epsilon: ChannelSpec.of(
-        IndependentNoiseChannel, epsilon
+    "independent": (
+        "repro.channels.independent.IndependentNoiseChannel",
+        ChannelSpec.of,
     ),
-    "burst": lambda epsilon: ChannelSpec.of(
-        BurstNoiseChannel.matched_to, epsilon, burst_length=8
+    "burst": (
+        "repro.channels.burst.BurstNoiseChannel",
+        lambda cls, epsilon: ChannelSpec.of(
+            cls.matched_to, epsilon, burst_length=8
+        ),
     ),
 }
 
-SIMULATORS: dict[str, Any] = {
+#: Simulator registry: name -> simulator class path (``None``: the raw
+#: noiseless protocol over the noisy channel).
+SIMULATORS: dict[str, str | None] = {
     "none": None,
-    "repetition": RepetitionSimulator,
-    "chunk": ChunkCommitSimulator,
-    "hierarchical": HierarchicalSimulator,
-    "rewind": RewindSimulator,
-    "local-broadcast": LocalBroadcastSimulator,
+    "repetition": "repro.simulation.repetition_sim.RepetitionSimulator",
+    "chunk": "repro.simulation.chunked.ChunkCommitSimulator",
+    "hierarchical": "repro.simulation.hierarchical.HierarchicalSimulator",
+    "rewind": "repro.simulation.rewind.RewindSimulator",
+    "local-broadcast": "repro.network.local_broadcast.LocalBroadcastSimulator",
 }
 
-TASKS: dict[str, Callable[[int], Task]] = {
-    "input-set": lambda n: InputSetTask(n),
-    "or": lambda n: OrTask(n),
-    "parity": lambda n: ParityTask(n),
-    "max-id": lambda n: MaxIdTask(n, id_bits=max(4, n.bit_length() + 2)),
-    "bit-exchange": lambda n: BitExchangeTask(max(2, n)),
-    "size-estimate": lambda n: SizeEstimateTask(n),
-    "pointer-chasing": lambda n: PointerChasingTask(
-        depth=max(2, n), domain_bits=3
+#: Task registry: name -> (task class path, builder from the class and n).
+TASKS: dict[str, tuple[str, Callable[[type, int], Task]]] = {
+    "input-set": ("repro.tasks.input_set.InputSetTask", lambda cls, n: cls(n)),
+    "or": ("repro.tasks.or_task.OrTask", lambda cls, n: cls(n)),
+    "parity": ("repro.tasks.parity.ParityTask", lambda cls, n: cls(n)),
+    "max-id": (
+        "repro.tasks.leader_election.MaxIdTask",
+        lambda cls, n: cls(n, id_bits=max(4, n.bit_length() + 2)),
+    ),
+    "bit-exchange": (
+        "repro.tasks.multiplication.BitExchangeTask",
+        lambda cls, n: cls(max(2, n)),
+    ),
+    "size-estimate": (
+        "repro.tasks.counting.SizeEstimateTask",
+        lambda cls, n: cls(n),
+    ),
+    "pointer-chasing": (
+        "repro.tasks.pointer_chasing.PointerChasingTask",
+        lambda cls, n: cls(depth=max(2, n), domain_bits=3),
     ),
 }
 
@@ -138,26 +134,30 @@ TASKS: dict[str, Callable[[int], Task]] = {
 # the TopologySpec kept declarative inside the ChannelSpec (picklable,
 # content-addressable); simulators are the schemes that work with
 # per-node views and no shared transcript.
-NETWORK_TASKS: dict[str, Callable[[Topology], Task]] = {
-    "mis": lambda topology: MISTask(topology),
-    "broadcast": lambda topology: BroadcastTask(topology),
-    "neighbor-or": lambda topology: NeighborORTask(topology),
-    "net-size": lambda topology: NetworkSizeEstimateTask(topology),
+NETWORK_TASKS: dict[str, str] = {
+    "mis": "repro.network.mis.MISTask",
+    "broadcast": "repro.network.tasks.BroadcastTask",
+    "neighbor-or": "repro.network.tasks.NeighborORTask",
+    "net-size": "repro.network.tasks.NetworkSizeEstimateTask",
 }
 
+#: Network channel registry: name -> ChannelSpec builder over
+#: ``NetworkBeepingChannel`` (passed in as ``cls``).
 NETWORK_CHANNELS: dict[
-    str, Callable[[TopologySpec, float], ChannelSpec]
+    str, Callable[[type, TopologySpec, float], ChannelSpec]
 ] = {
-    "noiseless": lambda spec, epsilon: ChannelSpec.of(
-        NetworkBeepingChannel, topology=spec, seed_kwarg=None
+    "noiseless": lambda cls, spec, epsilon: ChannelSpec.of(
+        cls, topology=spec, seed_kwarg=None
     ),
-    "independent": lambda spec, epsilon: ChannelSpec.of(
-        NetworkBeepingChannel, epsilon, topology=spec
+    "independent": lambda cls, spec, epsilon: ChannelSpec.of(
+        cls, epsilon, topology=spec
     ),
-    "edge-erasure": lambda spec, epsilon: ChannelSpec.of(
-        NetworkBeepingChannel, topology=spec, edge_epsilon=epsilon
+    "edge-erasure": lambda cls, spec, epsilon: ChannelSpec.of(
+        cls, topology=spec, edge_epsilon=epsilon
     ),
 }
+
+_NETWORK_CHANNEL = "repro.network.channel.NetworkBeepingChannel"
 
 NETWORK_SIMULATORS = ("none", "repetition", "local-broadcast")
 
@@ -281,18 +281,24 @@ class SweepGrid:
         """
         params: dict[str, Any] = {"n": n, "epsilon": self.epsilon}
         if self.topology is None:
-            task = TASKS[self.task](n)
-            channel = CHANNELS[self.channel](self.epsilon)
+            task_path, build_task = TASKS[self.task]
+            task = build_task(load(task_path), n)
+            channel_path, build_channel = CHANNELS[self.channel]
+            channel = build_channel(load(channel_path), self.epsilon)
         else:
             topology = self.topology.with_n(n)
-            task = NETWORK_TASKS[self.task](topology.build())
-            channel = NETWORK_CHANNELS[self.channel](topology, self.epsilon)
+            task = load(NETWORK_TASKS[self.task])(topology.build())
+            channel = NETWORK_CHANNELS[self.channel](
+                load(_NETWORK_CHANNEL), topology, self.epsilon
+            )
             params["topology"] = topology.label()
         simulator = SIMULATORS[self.simulator]
         if simulator is None:
             return task, ProtocolExecutor(task=task, channel=channel), params
         executor = SimulationExecutor(
-            task=task, channel=channel, simulator=SimulatorSpec.of(simulator)
+            task=task,
+            channel=channel,
+            simulator=SimulatorSpec.of(load(simulator)),
         )
         return task, executor, params
 

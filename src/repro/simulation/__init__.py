@@ -29,26 +29,23 @@ All schemes share the sub-coroutine toolbox in
 :mod:`repro.simulation.params`.
 """
 
-from repro.simulation.params import SimulationParameters, repetitions_for
-from repro.simulation.base import Simulator, SimulationReport
-from repro.simulation.repetition_sim import RepetitionSimulator
-from repro.simulation.owners import OwnersProtocol, owners_phase, OwnersResult
-from repro.simulation.chunked import ChunkCommitSimulator
-from repro.simulation.hierarchical import HierarchicalSimulator
-from repro.simulation.rewind import RewindSimulator
-from repro.simulation.shared_reduction import OneSidedReductionProtocol
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SimulationParameters",
-    "repetitions_for",
-    "Simulator",
-    "SimulationReport",
-    "RepetitionSimulator",
-    "OwnersProtocol",
-    "OwnersResult",
-    "owners_phase",
-    "ChunkCommitSimulator",
-    "HierarchicalSimulator",
-    "RewindSimulator",
-    "OneSidedReductionProtocol",
-]
+_EXPORTS = {
+    "SimulationParameters": "repro.simulation.params",
+    "repetitions_for": "repro.simulation.params",
+    "Simulator": "repro.simulation.base",
+    "SimulationReport": "repro.simulation.base",
+    "RepetitionSimulator": "repro.simulation.repetition_sim",
+    "OwnersProtocol": "repro.simulation.owners",
+    "OwnersResult": "repro.simulation.owners",
+    "owners_phase": "repro.simulation.owners",
+    "ChunkCommitSimulator": "repro.simulation.chunked",
+    "HierarchicalSimulator": "repro.simulation.hierarchical",
+    "RewindSimulator": "repro.simulation.rewind",
+    "OneSidedReductionProtocol": "repro.simulation.shared_reduction",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,22 +26,19 @@ The other tasks exercise different protocol shapes:
   the most deeply adaptive protocol in the zoo.
 """
 
-from repro.tasks.base import Task
-from repro.tasks.input_set import InputSetTask
-from repro.tasks.or_task import OrTask
-from repro.tasks.parity import ParityTask
-from repro.tasks.multiplication import BitExchangeTask
-from repro.tasks.leader_election import MaxIdTask
-from repro.tasks.counting import SizeEstimateTask
-from repro.tasks.pointer_chasing import PointerChasingTask
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Task",
-    "InputSetTask",
-    "OrTask",
-    "ParityTask",
-    "BitExchangeTask",
-    "MaxIdTask",
-    "SizeEstimateTask",
-    "PointerChasingTask",
-]
+_EXPORTS = {
+    "Task": "repro.tasks.base",
+    "InputSetTask": "repro.tasks.input_set",
+    "OrTask": "repro.tasks.or_task",
+    "ParityTask": "repro.tasks.parity",
+    "BitExchangeTask": "repro.tasks.multiplication",
+    "MaxIdTask": "repro.tasks.leader_election",
+    "SizeEstimateTask": "repro.tasks.counting",
+    "PointerChasingTask": "repro.tasks.pointer_chasing",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,23 +1,18 @@
 """Small generic utilities shared across the package."""
 
-from repro.util.bits import (
-    BitWord,
-    bits_to_int,
-    hamming_distance,
-    int_to_bits,
-    majority_bit,
-    or_reduce,
-    validate_bit,
-    validate_bits,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BitWord",
-    "bits_to_int",
-    "hamming_distance",
-    "int_to_bits",
-    "majority_bit",
-    "or_reduce",
-    "validate_bit",
-    "validate_bits",
-]
+_EXPORTS = {
+    "BitWord": "repro.util.bits",
+    "bits_to_int": "repro.util.bits",
+    "hamming_distance": "repro.util.bits",
+    "int_to_bits": "repro.util.bits",
+    "majority_bit": "repro.util.bits",
+    "or_reduce": "repro.util.bits",
+    "validate_bit": "repro.util.bits",
+    "validate_bits": "repro.util.bits",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

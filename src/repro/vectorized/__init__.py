@@ -31,42 +31,26 @@ each worker runs its stripe through its own cached
 event per stripe.  The CLI's ``--backend`` takes the same names.
 """
 
-from repro.vectorized.network import (
-    NetworkBatchKernel,
-    NetworkRoute,
-    classify_network,
-    network_records,
-)
-from repro.vectorized.noise import (
-    BatchFlips,
-    ChannelFlips,
-    FlipStream,
-    numpy_stream,
-)
-from repro.vectorized.runner import VectorizedRunner
-from repro.vectorized.schemes import (
-    CHANNEL_KINDS,
-    simulate_chunked,
-    simulate_owners,
-    simulate_rewind,
-)
-from repro.vectorized.schemes_hierarchical import simulate_hierarchical
-from repro.vectorized.schemes_repetition import simulate_repetition
+from repro._exports import lazy_exports
 
-__all__ = [
-    "numpy_stream",
-    "FlipStream",
-    "ChannelFlips",
-    "BatchFlips",
-    "CHANNEL_KINDS",
-    "simulate_chunked",
-    "simulate_owners",
-    "simulate_rewind",
-    "simulate_repetition",
-    "simulate_hierarchical",
-    "NetworkBatchKernel",
-    "NetworkRoute",
-    "classify_network",
-    "network_records",
-    "VectorizedRunner",
-]
+_EXPORTS = {
+    "numpy_stream": "repro.vectorized.noise",
+    "FlipStream": "repro.vectorized.noise",
+    "ChannelFlips": "repro.vectorized.noise",
+    "BatchFlips": "repro.vectorized.noise",
+    "CHANNEL_KINDS": "repro.vectorized.schemes",
+    "simulate_chunked": "repro.vectorized.schemes",
+    "simulate_owners": "repro.vectorized.schemes",
+    "simulate_rewind": "repro.vectorized.schemes",
+    "simulate_repetition": "repro.vectorized.schemes_repetition",
+    "simulate_hierarchical": "repro.vectorized.schemes_hierarchical",
+    "NetworkBatchKernel": "repro.vectorized.network",
+    "NetworkRoute": "repro.vectorized.network",
+    "classify_network": "repro.vectorized.network",
+    "network_records": "repro.vectorized.network",
+    "VectorizedRunner": "repro.vectorized.runner",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -48,9 +48,9 @@ protocol.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.core.result import ExecutionResult
+from repro._exports import lazy_exports, load
 from repro.parallel.executors import SimulationExecutor
 from repro.parallel.runner import (
     Executor,
@@ -59,35 +59,60 @@ from repro.parallel.runner import (
     TrialRecord,
     _scalar_records,
 )
-from repro.simulation.chunked import ChunkCommitSimulator
-from repro.simulation.hierarchical import HierarchicalSimulator
-from repro.simulation.repetition_sim import RepetitionSimulator
-from repro.simulation.rewind import RewindSimulator
-from repro.tasks.base import Task
-from repro.vectorized.network import (
-    NetworkRoute,
-    classify_network,
-    network_records,
-)
-from repro.vectorized.schemes import (
-    CHANNEL_KINDS,
-    flip_source,
-    simulate_chunked,
-    simulate_rewind,
-)
-from repro.vectorized.schemes_hierarchical import simulate_hierarchical
-from repro.vectorized.schemes_repetition import simulate_repetition
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.result import ExecutionResult
+    from repro.tasks.base import Task
 
 __all__ = ["VectorizedRunner", "classify_batch"]
 
+
+class _ExactTypeTable(dict):
+    """Values keyed by the exact type's module and qualified name, so
+    that building the table imports no type; indexed by the type itself.
+    A value given as an import path is imported on its first lookup."""
+
+    def __getitem__(self, kind: type) -> Any:
+        key = (kind.__module__, kind.__qualname__)
+        value = super().__getitem__(key)
+        if isinstance(value, str):
+            value = load(value)
+            super().__setitem__(key, value)
+        return value
+
+    def __setitem__(self, kind: type, value: Any) -> None:
+        super().__setitem__((kind.__module__, kind.__qualname__), value)
+
+
 #: Simulator types with a party-collapsed form.  Exact types: a subclass
-#: may override scheme steps the collapsed forms hard-code.
-_COLLAPSED_SCHEMES = {
-    ChunkCommitSimulator: simulate_chunked,
-    RewindSimulator: simulate_rewind,
-    RepetitionSimulator: simulate_repetition,
-    HierarchicalSimulator: simulate_hierarchical,
-}
+#: may override scheme steps the collapsed forms hard-code.  A form is
+#: imported when its route is first taken.
+_COLLAPSED_SCHEMES = _ExactTypeTable(
+    {
+        ("repro.simulation.chunked", "ChunkCommitSimulator"): (
+            "repro.vectorized.schemes.simulate_chunked"
+        ),
+        ("repro.simulation.rewind", "RewindSimulator"): (
+            "repro.vectorized.schemes.simulate_rewind"
+        ),
+        ("repro.simulation.repetition_sim", "RepetitionSimulator"): (
+            "repro.vectorized.schemes_repetition.simulate_repetition"
+        ),
+        ("repro.simulation.hierarchical", "HierarchicalSimulator"): (
+            "repro.vectorized.schemes_hierarchical.simulate_hierarchical"
+        ),
+    }
+)
+
+# The benchmark tracer (``benchmarks/e2e/tracing.py``) finds the
+# simulator types it wraps here; they resolve on first use.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ChunkCommitSimulator": "repro.simulation.chunked",
+        "RewindSimulator": "repro.simulation.rewind",
+    },
+)
 
 
 def classify_batch(
@@ -111,6 +136,8 @@ def classify_batch(
     route, scheme, reason = _single_hop_route(executor, probe_seed)
     if route is not None:
         return route, scheme, None
+    from repro.vectorized.network import classify_network
+
     net_route, net_reason = classify_network(executor, probe_seed)
     if net_route is not None:
         return net_route, net_route.scheme, None
@@ -129,9 +156,12 @@ def _single_hop_route(
         return None, None, "executor is not a SimulationExecutor"
     simulator = executor.simulator.make()
     scheme = type(simulator).__name__
-    collapsed = _COLLAPSED_SCHEMES.get(type(simulator))
-    if collapsed is None:
+    try:
+        collapsed = _COLLAPSED_SCHEMES[type(simulator)]
+    except KeyError:
         return None, scheme, f"no collapsed form for {scheme}"
+    from repro.vectorized.schemes import CHANNEL_KINDS
+
     probe = executor.channel.make(probe_seed)
     if type(probe) not in CHANNEL_KINDS:
         return None, scheme, (
@@ -162,7 +192,13 @@ class VectorizedRunner(InProcessRunner):
         """Dispatch the batch's route to its batched implementation, or
         run the scalar loop with the reason when it has none."""
         route, _, reason = classify_batch(executor, pairs[0][1])
-        if isinstance(route, NetworkRoute):
+        # A single-hop route is a (simulator, collapsed) pair; any other
+        # route is a NetworkRoute, its kernel imported by classify_batch.
+        if isinstance(route, tuple):
+            executor = self._collapsed_executor(route, executor)
+        elif route is not None:
+            from repro.vectorized.network import network_records
+
             records, times = network_records(
                 route,
                 task,
@@ -172,8 +208,6 @@ class VectorizedRunner(InProcessRunner):
                 collect_times=collect_times,
             )
             return records, times, None
-        if route is not None:
-            executor = self._collapsed_executor(route, executor)
         records, times = _scalar_records(
             task, executor, indices, pairs, collect_times
         )
@@ -184,6 +218,8 @@ class VectorizedRunner(InProcessRunner):
     ) -> Executor:
         """``executor`` with ``simulate`` replaced by the route's collapsed
         scheme: same per-trial channel, same result fields."""
+        from repro.vectorized.schemes import flip_source
+
         simulator, collapsed = route
 
         def run(inputs: Any, executor_seed: int) -> ExecutionResult:

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.sweep import run_sweep
+from repro.parallel import make_runner
 from repro.service import ResultStore, SweepGrid, run_sweep_resumable
 
 pytestmark = pytest.mark.skipif(
@@ -28,10 +29,14 @@ pytestmark = pytest.mark.skipif(
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-# Big enough that the sweep takes a few seconds (a wide kill window),
-# small enough that the post-kill resume stays cheap.
+# The subprocess runs the grid on the scalar engine: its first point
+# (n = 4) checkpoints ~0.25 s after the spawn and the rest takes ~3.5 s
+# more (measured on a 2-vCPU host), a wide window for the kill.  The
+# resume and the uninterrupted reference run in-process on the collapsed
+# backend (~0.2 s; bitwise equal to the scalar one), so the window costs
+# nothing unless the kill misses it.
 GRID = SweepGrid(
-    task="parity", ns=(4, 5, 6, 7, 8, 9), trials=8, seed=3, simulator="chunk"
+    task="parity", ns=(4, 64, 96, 128), trials=8, seed=3, simulator="chunk"
 )
 
 
@@ -54,6 +59,8 @@ def _sweep_cmd(cache_dir: Path) -> list[str]:
         GRID.simulator,
         "--cache-dir",
         str(cache_dir),
+        "--backend",
+        "serial",
     ]
 
 
@@ -81,25 +88,25 @@ def test_sigterm_mid_sweep_then_resume_bitwise_equal(tmp_path):
             time.sleep(0.05)
         else:
             pytest.fail("sweep never checkpointed a point")
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=60)
-            assert proc.returncode != 0  # it really was killed mid-run
+        assert proc.poll() is None, "the sweep ended before the kill"
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=60)
+        assert proc.returncode != 0  # it really was killed mid-run
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=60)
 
-    # Resume in-process: cached points are reused (when the kill landed
-    # before completion there is a missing tail to compute), and the
-    # final curve is bitwise the uninterrupted one.
+    # Resume in-process: cached points are reused, the missing tail is
+    # computed, and the final curve is bitwise the uninterrupted one.
+    runner = make_runner(backend="vectorized")
     resumed = run_sweep_resumable(
         GRID.ns,
         GRID.build_point,
-        GRID.spec(),
+        GRID.spec(runner=runner),
         store=store,
         workload=GRID.workload(),
     )
-    cold = run_sweep(GRID.ns, GRID.build_point, GRID.spec())
+    cold = run_sweep(GRID.ns, GRID.build_point, GRID.spec(runner=runner))
     assert [p.to_dict() for p in resumed] == [p.to_dict() for p in cold]
     assert store.counters["hits"] >= 1  # the pre-kill checkpoints served

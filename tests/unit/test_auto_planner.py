@@ -216,6 +216,23 @@ class TestPlannerDecisions:
             SerialRunner().run_trials(task, executor, 4, seed=3).records
         )
 
+    def test_simulator_subclass_runs_scalar(self):
+        """Collapsed forms are keyed by the exact simulator type: a
+        subclass may override a step the collapsed form hard-codes."""
+
+        class TweakedRewind(RewindSimulator):
+            pass
+
+        task = ParityTask(8)
+        executor = _executor(
+            task, ChannelSpec.of(SuppressionNoiseChannel, 0.1), TweakedRewind
+        )
+        with AutoRunner(workers=1) as runner:
+            runner.run_trials(task, executor, 2, seed=3)
+            decision = runner.last_decision
+        assert decision["backend"] == "serial"
+        assert "no collapsed form for TweakedRewind" in decision["reason"]
+
     def test_stale_single_hop_row_is_ignored(self):
         """A per-machine table calibrated before single-hop batches always
         collapsed may still hold their rows; the planner does not read
