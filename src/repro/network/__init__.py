@@ -9,10 +9,13 @@ node either beeps or listens, hearing a beep iff some *neighbor* beeped.
 This subpackage provides that substrate end to end:
 
 * :class:`Topology` / :class:`TopologySpec` — graphs as reproducible
-  data: dual-CSR adjacency with sparse neighborhood evaluation, plus a
-  declarative, JSON-round-trippable spec (generator name + params +
-  seed) resolved through the :data:`TOPOLOGIES` registry (complete,
-  ring, grid, random geometric, scale-free).
+  data: dual-CSR adjacency with sparse neighborhood evaluation
+  (:mod:`~repro.network.graph`, the numpy half), plus a declarative,
+  JSON-round-trippable spec (generator name + params + seed) resolved
+  through the :data:`TOPOLOGIES` registry (complete, ring, grid, random
+  geometric, scale-free).  The spec side,
+  :mod:`~repro.network.topology`, imports no numpy: naming, parsing and
+  keying a graph never loads it, only building one does.
 * :class:`NetworkBeepingChannel` — a graph-structured channel compatible
   with the package's :class:`~repro.channels.base.Channel` interface
   (per-node views; per-node flip noise and per-edge erasure noise, with
@@ -48,7 +51,7 @@ _EXPORTS = {
     "LocalBroadcastSimulator": "repro.network.local_broadcast",
     "local_broadcast_repetitions": "repro.network.local_broadcast",
     "TOPOLOGIES": "repro.network.topology",
-    "Topology": "repro.network.topology",
+    "Topology": "repro.network.graph",
     "TopologyFamily": "repro.network.topology",
     "TopologySpec": "repro.network.topology",
     "parse_topology": "repro.network.topology",

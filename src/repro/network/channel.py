@@ -23,7 +23,7 @@ independent channel's exact draw sequence (pinned by the equivalence
 test suite).
 
 Sparse evaluation: rounds are computed by walking the **out**-neighborhoods
-of the beeping nodes only (CSR arrays from :class:`~repro.network.topology.
+of the beeping nodes only (CSR arrays from :class:`~repro.network.graph.
 Topology`), so per-round work is O(n_beepers + Σ out-degree(beepers)) plus
 O(n) only when per-node noise draws are active — not O(edges) and never
 O(n²).  :meth:`NetworkBeepingChannel.step` exposes that sparse form
@@ -39,12 +39,12 @@ per-round flip counts into the transcript, so
 :meth:`~repro.channels.stats.ChannelStats.observed_from_transcript`
 re-derives the channel's counters exactly on network transcripts.
 
-Graph format: a :class:`~repro.network.topology.Topology` or any
+Graph format: a :class:`~repro.network.graph.Topology` or any
 sequence of neighbor collections (``adjacency[i]`` = the nodes whose
 beeps node ``i`` hears).  Helpers :func:`ring`, :func:`grid` and
 :func:`complete` return the adjacency lists (neighbors ascending) of the
-generator registry's builders in :mod:`repro.network.topology`, which
-builds ``Topology`` objects (random geometric, scale-free, ...).
+generators in :mod:`repro.network.graph`, which build ``Topology``
+objects (random geometric, scale-free, ...).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Iterable, Sequence
 
 from repro.channels.base import Channel, RoundOutcome
 from repro.errors import ChannelError, ConfigurationError
-from repro.network.topology import Topology, _complete, _grid, _ring
+from repro.network.graph import Topology, _complete, _grid, _ring
 from repro.util.bits import BitWord
 
 __all__ = ["NetworkBeepingChannel", "ring", "grid", "complete"]
@@ -79,7 +79,7 @@ class NetworkBeepingChannel(Channel):
     """Beeping over a graph, with per-node and per-edge noise.
 
     Args:
-        topology: A :class:`~repro.network.topology.Topology`, or
+        topology: A :class:`~repro.network.graph.Topology`, or
             adjacency lists (``adjacency[i]`` = nodes whose beeps node
             ``i`` hears; need not be symmetric — directed interference
             is allowed).

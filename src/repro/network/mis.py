@@ -47,7 +47,7 @@ from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, TaskError
 from repro.network.channel import NetworkBeepingChannel
 from repro.network.tasks import _COIN_BLOCK, _in_or_blocks
-from repro.network.topology import Topology
+from repro.network.graph import Topology
 from repro.tasks.base import Task
 
 __all__ = ["MISTask", "mis_protocol"]
@@ -110,7 +110,7 @@ class MISTask(Task):
     """Elect a maximal independent set of a graph by beeping.
 
     Args:
-        topology: The graph — a :class:`~repro.network.topology.Topology`
+        topology: The graph — a :class:`~repro.network.graph.Topology`
             or adjacency lists (see
             :class:`~repro.network.channel.NetworkBeepingChannel`); must
             be symmetric for MIS to be meaningful.

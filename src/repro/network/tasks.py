@@ -41,7 +41,7 @@ from repro.core.party import Burst, Party
 from repro.core.protocol import Protocol
 from repro.errors import ConfigurationError, TaskError
 from repro.network.channel import NetworkBeepingChannel
-from repro.network.topology import Topology
+from repro.network.graph import Topology
 from repro.tasks.base import Task
 from repro.tasks.counting import SizeEstimateTask
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -104,16 +105,43 @@ def trials_for_budget(
     return max(min_trials, min(max_trials, int(budget_s / per_trial)))
 
 
-def _rate(runner, task, executor, budget_s: float, seed: int) -> float:
-    """Trials per second under ``runner``, budget-derived trial count."""
+#: Timed batches per (row, n, engine).  A point's rate is their median,
+#: so one noisy timing near x1 cannot move a crossover by a grid step.
+REPEATS = 3
+
+
+def _trials(runner, task, executor, budget_s: float, seed: int) -> int:
+    """The budget-derived trial count of ``runner``, from one timed
+    trial."""
     start = time.perf_counter()
     runner.run_trials(task, executor, 1, seed=seed)
-    per_trial = time.perf_counter() - start
-    trials = trials_for_budget(per_trial, budget_s)
+    return trials_for_budget(time.perf_counter() - start, budget_s)
+
+
+def _rate(runner, task, executor, trials: int, seed: int) -> float:
+    """Trials per second of one timed ``trials``-trial batch."""
     start = time.perf_counter()
     runner.run_trials(task, executor, trials, seed=seed)
     elapsed = time.perf_counter() - start
     return trials / elapsed if elapsed > 0 else float("inf")
+
+
+def _median_rates(
+    runners: Sequence, task, executor, budget_s: float, seed: int
+) -> list[float]:
+    """Per runner, the median rate of :data:`REPEATS` timed batches.
+
+    The runners take turns batch by batch, so a slow spell of the host
+    falls on both engines' samples rather than on one engine's.
+    """
+    counts = [
+        _trials(runner, task, executor, budget_s, seed) for runner in runners
+    ]
+    samples: list[list[float]] = [[] for _ in runners]
+    for _ in range(REPEATS):
+        for runner, trials, rates in zip(runners, counts, samples):
+            rates.append(_rate(runner, task, executor, trials, seed))
+    return [statistics.median(rates) for rates in samples]
 
 
 def run_calibration(
@@ -126,6 +154,9 @@ def run_calibration(
 ) -> dict:
     """Measure scalar vs vectorized rates per (row, n); build the
     crossover table the ``auto`` planner consumes.
+
+    A rate is the median of :data:`REPEATS` timed batches, scalar and
+    vectorized interleaved (:func:`_median_rates`).
 
     Each row is a :class:`~repro.service.grid.SweepGrid` measured at
     every ``n`` of its grid (default: :func:`calibration_grids` on
@@ -165,8 +196,9 @@ def run_calibration(
             task, executor, _ = grid.build_point(n)
             if scheme is None:
                 scheme = classify_batch(executor, seed)[1]
-            scalar_rate = _rate(serial, task, executor, budget_s, seed)
-            vector_rate = _rate(vectorized, task, executor, budget_s, seed)
+            scalar_rate, vector_rate = _median_rates(
+                (serial, vectorized), task, executor, budget_s, seed
+            )
             measured.append(
                 {
                     "n": task.n_parties,

@@ -47,7 +47,7 @@ class ChannelSpec:
 
     Network channels carry their graph as a declarative
     :class:`~repro.network.topology.TopologySpec` under ``topology``
-    rather than a live :class:`~repro.network.topology.Topology`: the
+    rather than a live :class:`~repro.network.graph.Topology`: the
     spec is tiny, picklable and content-addressable (sweep cache keys
     hash the recipe, not the adjacency arrays), and :meth:`make` builds
     the graph inside the worker — memoized, so per-trial construction

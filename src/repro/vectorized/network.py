@@ -13,7 +13,7 @@ trial's neighborhood OR at once:
    share of all edges: :data:`_DENSE_PLAN_SHARE`, widened with the row
    width) lists every (target, source) delivery: it gathers its
    out-neighborhoods through the numpy CSR
-   (:meth:`~repro.network.topology.Topology.csr_arrays`) and groups them
+   (:meth:`~repro.network.graph.Topology.csr_arrays`) and groups them
    by target with one stable argsort.  This plan depends only on *which*
    nodes beep, not on the per-trial bits, so it is cached and reused
    while the beeping set is unchanged;
@@ -69,7 +69,7 @@ from repro.network.channel import NetworkBeepingChannel
 from repro.network.local_broadcast import LocalBroadcastSimulator
 from repro.network.mis import _MISProtocol
 from repro.network.tasks import _BroadcastProtocol, _NeighborORProtocol
-from repro.network.topology import Topology
+from repro.network.graph import Topology
 from repro.parallel.executors import ProtocolExecutor, SimulationExecutor
 from repro.parallel.runner import SeedPair, TrialRecord
 from repro.vectorized.noise import BatchFlips

@@ -69,7 +69,7 @@ on it, and the result is bitwise the same either way.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as _np
 
@@ -83,27 +83,23 @@ from repro.channels.one_sided import (
     SuppressionNoiseChannel,
 )
 from repro.channels.stats import ChannelStats
-from repro.coding.code import BlockCode
-from repro.coding.ml import MLDecoder
 from repro.core.formal import FormalProtocol
 from repro.core.party import InnerReplay
 from repro.core.protocol import Protocol
 from repro.core.result import ExecutionResult
 from repro.errors import ConfigurationError, ProtocolError
 from repro.simulation.base import SimulationReport, Simulator
-from repro.simulation.chunked import ChunkCommitSimulator
-from repro.simulation.owners import (
-    NEXT,
-    SILENCE,
-    OwnersProtocol,
-    OwnersResult,
-    check_owners_inputs,
-    owners_decoder,
-    position_symbol,
-    symbol_position,
-)
 from repro.simulation.rewind import RewindSimulator
 from repro.vectorized.noise import ChannelFlips, FlipSource, FlipStream
+
+# The chunk and owners forms import their scheme, codebook and decoder
+# modules when they run, so a collapsed rewind or repetition pass never
+# loads them.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.coding.code import BlockCode
+    from repro.coding.ml import MLDecoder
+    from repro.simulation.chunked import ChunkCommitSimulator
+    from repro.simulation.owners import OwnersProtocol
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -651,6 +647,8 @@ def _owners_plan(
     it, and sorting the claims by (speaker, position) — each speaker's
     NEXT last — gives the sent sequence.
     """
+    from repro.simulation.owners import NEXT, SILENCE, position_symbol
+
     n_parties, width = holders.shape
     speaking = max(n_parties - turn, 0)
     speakers = _np.arange(speaking)
@@ -729,6 +727,8 @@ def _owners_phase(
     again after every miss.  Accrues the speakers' energy in place and
     returns ``(owners, claimed_by, iterations)``.
     """
+    from repro.simulation.owners import NEXT, position_symbol, symbol_position
+
     codebook = code.codebook
     codeword_weights = codebook.sum(axis=1, dtype=_np.int64)
     n_parties = len(beep_matrix)
@@ -865,6 +865,8 @@ def simulate_chunked(
     ``flips`` optionally injects a pre-built noise stream (the runner's
     per-trial stream).
     """
+    from repro.simulation.owners import owners_decoder
+
     report, noise = simulator.plan(protocol, channel)
     inner_length = report.inner_length
     n_parties = protocol.n_parties
@@ -1080,6 +1082,12 @@ def simulate_owners(
     channel without a shared received bit (independent noise: use
     ``run_protocol``) or a codebook whose SILENCE word is not all-zero.
     """
+    from repro.simulation.owners import (
+        SILENCE,
+        OwnersResult,
+        check_owners_inputs,
+    )
+
     _flip_kind(channel)
     if not channel.correlated:
         raise ConfigurationError(

@@ -6,7 +6,8 @@ docs/api.md documents the top-level surface; this suite pins it:
   and comes with ``from <package> import *``;
 * names resolve lazily (``repro._exports``), so a process loads only
   the modules it runs: each row of ``IMPORT_SETS`` runs a scenario in a
-  fresh interpreter and checks which ``repro`` modules it loaded.
+  fresh interpreter and checks which modules it loaded (``repro``'s own,
+  and whether numpy came with them).
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def test_star_imports_in_a_fresh_interpreter():
 _LOADED = (
     "import json, sys\n"
     "print(json.dumps(sorted(m for m in sys.modules "
-    "if m == 'repro' or m.startswith('repro.'))))\n"
+    "if m.split('.')[0] in ('repro', 'numpy'))))\n"
 )
 
 _SWEEP = (
@@ -149,6 +150,20 @@ _REWIND = (
     "task='input-set', ns=(8, 32), trials=2, channel='suppression', "
     "simulator='rewind'"
 )
+_NETWORK = (
+    "task='neighbor-or', ns=(16, 25), trials=2, channel='independent', "
+    "simulator='none', topology={'kind': 'geometric', 'radius': 0.4, "
+    "'seed': 3}"
+)
+
+#: Naming, parsing and listing topologies builds none.
+_TOPOLOGY_SPECS = (
+    "from repro.network.topology import parse_topology, TopologySpec\n"
+    "spec = parse_topology('grid:4x4')\n"
+    "assert spec == TopologySpec.of('grid', rows=4, cols=4)\n"
+    "from repro.cli import main\n"
+    "assert main(['info']) == 0\n"
+)
 
 #: ``(id, scenario, store to fill first, module prefixes it must not
 #: load)``.
@@ -159,12 +174,20 @@ IMPORT_SETS = [
         _SWEEP.format(grid=_CHUNK),
         _CHUNK,
         (
+            "numpy",
             "repro.vectorized",
             "repro.coding",
             "repro.lowerbound",
             "repro.simulation.chunked",
         ),
     ),
+    (
+        "warm-network-sweep",
+        _SWEEP.format(grid=_NETWORK),
+        _NETWORK,
+        ("numpy", "repro.vectorized"),
+    ),
+    ("topology-specs", _TOPOLOGY_SPECS, None, ("numpy",)),
     (
         "cold-rewind-sweep",
         _SWEEP.format(grid=_REWIND),
@@ -173,6 +196,9 @@ IMPORT_SETS = [
             "repro.vectorized.network",
             "repro.lowerbound",
             "repro.analysis.reporting",
+            "repro.simulation.chunked",
+            "repro.simulation.owners",
+            "repro.coding",
         ),
     ),
 ]

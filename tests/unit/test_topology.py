@@ -1,5 +1,6 @@
 """Unit tests for topology generators and the TopologySpec API."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+import repro.network.graph as graph_module
 import repro.network.topology as topology_module
 from repro.errors import ConfigurationError
 from repro.network import TOPOLOGIES, Topology, TopologySpec, parse_topology
@@ -272,7 +274,7 @@ class TestGenerators:
         ids = rng.integers(0, cells * cells, 3000)
         ids = np.concatenate((ids, ids[:1000], ids[::7]))
         np.testing.assert_array_equal(
-            topology_module._cell_order(ids, cells),
+            graph_module._cell_order(ids, cells),
             np.argsort(ids, kind="stable"),
         )
 
@@ -283,7 +285,7 @@ class TestGenerators:
         assert int(1 / params["radius"]) ** 2 > 1 << 16
         built = TOPOLOGIES["geometric"].builder(**params)
         monkeypatch.setattr(
-            topology_module,
+            graph_module,
             "_cell_order",
             lambda cell_of, cells: np.argsort(cell_of, kind="stable"),
         )
@@ -344,6 +346,32 @@ class TestTopologySpec:
         assert spec.build() is TopologySpec.of(
             "grid", cols=6, rows=6
         ).build()
+
+    def test_build_goes_through_a_swapped_registry_row(self, monkeypatch):
+        """A profiler swaps a family's builder with
+        ``dataclasses.replace`` (as the e2e tracer does), and a build
+        reads the row at call time."""
+        row = TOPOLOGIES["grid"]
+        calls = []
+
+        def wrapper(**params):
+            calls.append(params)
+            return row.builder(**params)
+
+        monkeypatch.setitem(
+            TOPOLOGIES, "grid", dataclasses.replace(row, builder=wrapper)
+        )
+        topology_module._build_topology.cache_clear()
+        try:
+            built = TopologySpec.of("grid", rows=3, cols=5).build()
+        finally:
+            topology_module._build_topology.cache_clear()
+        assert calls == [{"rows": 3, "cols": 5}]
+        assert isinstance(built, Topology) and built.edges == 44
+
+    def test_topology_resolves_from_the_spec_module(self):
+        assert topology_module.Topology is graph_module.Topology
+        assert "Topology" in dir(topology_module)
 
 
 class TestParseTopology:
